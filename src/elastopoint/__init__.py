@@ -17,8 +17,7 @@ from .convergence import (ConvergenceReport, ManufacturedSolution,
                           manufactured_sine_2d, prolongate,
                           run_convergence_study)
 from .mesh import (CellLocation, Mesh, build_unit_box_mesh, cell_geometry,
-                   cell_gradients, cell_volumes, cells_containing_point,
-                   locate_point)
+                   cell_volumes, cells_containing_point, locate_point)
 from .quadrature import simplex_rule
 from .solver import SolveStats, cg_solve, dense_cholesky, dense_sym_eig
 from .spectral import (InfSupReport, discrete_infsup,

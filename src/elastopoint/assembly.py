@@ -7,7 +7,10 @@ zero-trace space,
     EPS_DIV:   2 mu (eps(u), eps(v)) + lambda (div u, div v)
 
 both built from one parametrized cellwise kernel. All element
-integrands are cellwise constant for P1, so assembly is exact.
+integrands are cellwise constant for P1, so assembly is exact. The
+kernel is evaluated only on the d! reference cells of the Kuhn
+lattice; cells scale it by their volume or weight, and the sums are
+formed per lattice offset and written straight into CSR.
 
 Free degrees of freedom are the (vertex, component) pairs of interior
 vertices, ordered by vertex index then component. Sparse outputs are
@@ -19,16 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import cell_geometry, locate_point
+from .mesh import (_chain_templates, _lattice_strides, _reference_gradients,
+                   cell_volumes, locate_point)
 from .quadrature import simplex_rule
 
 CONSTRAINED = -1
 
 GRAD_DIV = "GRAD_DIV"
 EPS_DIV = "EPS_DIV"
-
-# element-matrix entries per einsum chunk; bounds transient memory
-_CHUNK_ENTRIES = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -94,14 +95,15 @@ def build_dof_map(mesh):
     return DofMap(mesh, free, n_int * mesh.dim)
 
 
-def _element_matrices(vols, grads, c_grad, c_div, c_eps):
-    """Element matrices of the parametrized vector form on a cell batch.
+def _element_matrices(grads, c_grad, c_div, c_eps):
+    """Unit-volume element matrices of the parametrized vector form.
 
-    Local dof (i, a) = vertex i, component a, flattened vertex-major.
-    Entry[(i,a),(j,b)] = vol * ( c_grad * d_ab (g_i . g_j)
-                               + c_div  * g_i[a] g_j[b]
-                               + c_eps  * 0.5 (d_ab (g_i . g_j)
-                                               + g_i[b] g_j[a]) ).
+    grads is an (m, d+1, d) batch of cell gradients; the result has
+    shape (m, d+1, d, d+1, d), indexed by (vertex i, component a,
+    vertex j, component b):
+    Entry[i,a,j,b] = c_grad * d_ab (g_i . g_j)
+                   + c_div  * g_i[a] g_j[b]
+                   + c_eps  * 0.5 (d_ab (g_i . g_j) + g_i[b] g_j[a]).
     """
     m, nv, d = grads.shape
     eye = np.eye(d)
@@ -116,8 +118,30 @@ def _element_matrices(vols, grads, c_grad, c_div, c_eps):
         K += c_div * np.einsum("xia,xjb->xiajb", grads, grads)
     if c_eps:
         K += (0.5 * c_eps) * (gg + np.einsum("xib,xja->xiajb", grads, grads))
-    K *= vols[:, None, None, None, None]
-    return K.reshape(m, nv * d, nv * d)
+    return K
+
+
+def _corner_pair_blocks(dim, K):
+    """Element blocks grouped by the lattice corners they couple.
+
+    K holds the element matrices of the d! reference cells. Returns
+    {(row corner, col corner): (d!, d, d) blocks} over corner pairs of
+    the unit cube with col corner >= row corner; type t's block is
+    zero unless both corners are vertices of that cell.
+    Two vertices of a Kuhn cell always differ by a 0/1 vector or its
+    negative, so these pairs cover every coupling up to symmetry.
+    """
+    templates = _chain_templates(dim)
+    groups = {}
+    for t, corners in enumerate(templates):
+        for i, ci in enumerate(corners):
+            for j, cj in enumerate(corners):
+                if np.all(cj >= ci):
+                    key = (tuple(ci), tuple(cj))
+                    if key not in groups:
+                        groups[key] = np.zeros((len(templates), dim, dim))
+                    groups[key][t] = K[t, i, :, j, :]
+    return groups
 
 
 def vector_p1_form_matrix(mesh, dofmap, cell_weights=None, c_grad=0.0,
@@ -127,48 +151,83 @@ def vector_p1_form_matrix(mesh, dofmap, cell_weights=None, c_grad=0.0,
     cell_weights scales each cell's contribution; None means plain cell
     volumes (unweighted form), integrals of a weight over each cell
     give the weighted form. Constrained rows/columns are eliminated
-    symmetrically. Deterministic: fixed chunking and accumulation
-    order.
+    symmetrically. dofmap must number the free dofs as build_dof_map
+    does.
+
+    Lattice assembly: the element matrices of the d! reference cells
+    are built once, and a cell contributes its weight times the matrix
+    of its type. Vertices sharing a cell differ by one of 7 (2D) or 15
+    (3D) lattice offsets, so the d x d blocks are summed per (vertex,
+    offset) by slice-adds over the cube grid and written straight into
+    CSR. Row (v, a) lists the columns (v + offset, b) with offsets in
+    ascending linear stride, which is ascending column order. Blocks of
+    negative offsets are the transposes of the positive ones, so the
+    matrix is exactly symmetric. Entries that sum to exactly zero are
+    not stored. Deterministic: fixed accumulation order.
     """
-    d = mesh.dim
-    nv = d + 1
-    ldof = nv * d
+    d, n = mesh.dim, mesh.n
     if dofmap.n_free == 0:
         return sp.csr_matrix((0, 0))
-
-    vols, grads = cell_geometry(mesh)
     if cell_weights is None:
-        weights = vols
+        weights = cell_volumes(mesh)
     else:
         weights = np.asarray(cell_weights, dtype=float)
         if weights.shape != (mesh.num_cells,):
             raise ValueError("cell_weights must have one entry per cell")
 
-    gdofs = dofmap.free_index[mesh.cells].reshape(-1, ldof)
-    shape = (dofmap.n_free, dofmap.n_free)
-    acc = sp.csr_matrix(shape)
-    chunk = max(1, _CHUNK_ENTRIES // (ldof * ldof))
-    for lo in range(0, mesh.num_cells, chunk):
-        hi = min(lo + chunk, mesh.num_cells)
-        K = _element_matrices(weights[lo:hi], grads[lo:hi],
-                              c_grad, c_div, c_eps)
-        g = gdofs[lo:hi]
-        rows = np.broadcast_to(g[:, :, None], K.shape)
-        cols = np.broadcast_to(g[:, None, :], K.shape)
-        keep = (rows >= 0) & (cols >= 0)
-        part = sp.coo_matrix(
-            (K[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
-        acc = acc + part
-    acc.sum_duplicates()
-    acc.sort_indices()
-    return acc
+    K = _element_matrices(_reference_gradients(d, n), c_grad, c_div, c_eps)
+    nt = K.shape[0]
+    groups = _corner_pair_blocks(d, K)
+    # nonnegative offsets in ascending linear stride; for 0/1 vectors
+    # that is lexicographic order, and offsets[0] is zero
+    offsets = sorted({tuple(np.subtract(cj, ci)) for ci, cj in groups})
+
+    # half[k][v] is the (v, v + offsets[k]) block, shape (d, d)
+    half = np.zeros((len(offsets),) + (n + 1,) * d + (d, d))
+    cube_weights = weights.reshape(n ** d, nt)
+    for (ci, cj), blocks in groups.items():
+        k = offsets.index(tuple(np.subtract(cj, ci)))
+        part = cube_weights @ blocks.reshape(nt, d * d)
+        half[(k,) + tuple(slice(c, c + n) for c in ci)] += \
+            part.reshape((n,) * d + (d, d))
+    # the matmul need not round the (a, b) and (b, a) entries of a
+    # diagonal block alike; copy the upper triangle to keep symmetry
+    iu = np.triu_indices(d, 1)
+    half[0][..., iu[1], iu[0]] = half[0][..., iu[0], iu[1]]
+
+    m = len(offsets) - 1
+    interior = (slice(1, n),) * d
+    nint = (n - 1) ** d
+    vals = np.empty((nint, d, 2 * m + 1, d))
+    vals[:, :, m, :] = half[0][interior].reshape(nint, d, d)
+    for k in range(1, m + 1):
+        vals[:, :, m + k, :] = half[k][interior].reshape(nint, d, d)
+        below = tuple(slice(1 - o, n - o) for o in offsets[k])
+        vals[:, :, m - k, :] = np.swapaxes(half[k][below], -1, -2).reshape(
+            nint, d, d)
+
+    strides = _lattice_strides(d, n)
+    steps = np.array(offsets[:0:-1] + offsets, dtype=np.int64) @ strides
+    steps[:m] *= -1
+    verts = np.arange((n + 1) ** d).reshape((n + 1,) * d)[interior].ravel()
+    cols = dofmap.free_index[verts[:, None] + steps[None, :]]
+    cols = np.broadcast_to(cols[:, None], vals.shape)
+    keep = (cols >= 0) & (vals != 0.0)
+    per_row = keep.reshape(nint * d, -1).sum(axis=1)
+    nnz = int(per_row.sum())
+    itype = np.int32 if max(nnz, dofmap.n_free) < 2 ** 31 else np.int64
+    indptr = np.zeros(nint * d + 1, dtype=itype)
+    np.cumsum(per_row, out=indptr[1:])
+    return sp.csr_matrix((vals[keep], cols[keep].astype(itype), indptr),
+                         shape=(dofmap.n_free, dofmap.n_free))
 
 
-def assemble_stiffness(mesh, params, form=GRAD_DIV):
+def assemble_stiffness(mesh, params, form=GRAD_DIV, dofmap=None):
     """Elasticity stiffness on free dofs in either algebraic form.
 
-    Returns an empty 0 x 0 matrix when the mesh has no interior
-    vertices (n_free = 0); that is a signal, not an error.
+    dofmap is the mesh's dof map when the caller already holds one;
+    None builds it. Returns an empty 0 x 0 matrix when the mesh has no
+    interior vertices (n_free = 0); that is a signal, not an error.
     """
     if form == GRAD_DIV:
         coeffs = dict(c_grad=params.mu, c_div=params.mu + params.lam)
@@ -176,7 +235,8 @@ def assemble_stiffness(mesh, params, form=GRAD_DIV):
         coeffs = dict(c_eps=2.0 * params.mu, c_div=params.lam)
     else:
         raise ValueError("form must be GRAD_DIV or EPS_DIV, got %r" % (form,))
-    dofmap = build_dof_map(mesh)
+    if dofmap is None:
+        dofmap = build_dof_map(mesh)
     return vector_p1_form_matrix(mesh, dofmap, **coeffs)
 
 
@@ -216,7 +276,7 @@ def assemble_smooth_load(mesh, dofmap, f, quad_order):
         raise ValueError("quad_order must be one of 1, 2, 4, got %r"
                          % (quad_order,))
     bary, qw = simplex_rule(mesh.dim, quad_order)
-    vols, _ = cell_geometry(mesh)
+    vols = cell_volumes(mesh)
     verts = mesh.vertices[mesh.cells]
     # physical quadrature points, (nc, nq, d)
     pts = np.einsum("qi,xid->xqd", bary, verts)

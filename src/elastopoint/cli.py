@@ -23,12 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import (LameParams, PointLoadSet, assemble_point_load,
-                       assemble_stiffness, build_dof_map)
-from .convergence import (StudyError, manufactured_sine_2d,
+from .assembly import LameParams, PointLoadSet, build_dof_map
+from .convergence import (_solve_level, manufactured_sine_2d,
                           run_convergence_study)
 from .mesh import build_unit_box_mesh
-from .solver import cg_solve
 from .spectral import discrete_korn_constant, weighted_pairing_demo
 from .weights import WeightSpec, default_ball_family, estimate_a2
 
@@ -229,20 +227,10 @@ def _cmd_solve(args):
     if not isinstance(forcing, PointLoadSet):
         raise ValueError("solve requires --loads")
     n = cfg.levels[0]
-    mesh = build_unit_box_mesh(cfg.dim, n)
-    dofmap = build_dof_map(mesh)
-    A = assemble_stiffness(mesh, params)
-    b = assemble_point_load(mesh, dofmap, forcing)
-    x, stats = cg_solve(A, b, rel_tol=cfg.tol)
-    if not stats.converged:
-        raise StudyError("cg did not converge (%d iterations, relative "
-                         "residual %.3e)" % (stats.iterations,
-                                             stats.final_relative_residual))
-    full = np.zeros((mesh.num_vertices, cfg.dim))
-    free = dofmap.free_index >= 0
-    full[free] = x[dofmap.free_index[free]]
+    mesh, full, n_free, stats = _solve_level(cfg.dim, n, params, forcing,
+                                             cfg.tol, None)
     print("n=%d h=%s ndof=%d iterations=%d residual=%s"
-          % (n, _fmt(mesh.h), dofmap.n_free, stats.iterations,
+          % (n, _fmt(mesh.h), n_free, stats.iterations,
              _fmt(stats.final_relative_residual)))
     if cfg.out:
         write_vtk_field(mesh, full, cfg.out)

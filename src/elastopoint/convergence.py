@@ -179,9 +179,14 @@ def eoc(errors, hs):
 
 
 def _solve_level(dim, n, params, forcing, rel_tol, max_iter):
+    """Mesh, assemble and solve one level with Jacobi-CG.
+
+    Returns (mesh, nodal field with zero boundary values, n_free,
+    SolveStats). Raises StudyError when CG does not converge.
+    """
     mesh = build_unit_box_mesh(dim, n)
     dofmap = build_dof_map(mesh)
-    A = assemble_stiffness(mesh, params, GRAD_DIV)
+    A = assemble_stiffness(mesh, params, GRAD_DIV, dofmap)
     if isinstance(forcing, PointLoadSet):
         b = assemble_point_load(mesh, dofmap, forcing)
     else:
@@ -195,7 +200,7 @@ def _solve_level(dim, n, params, forcing, rel_tol, max_iter):
     full = np.zeros((mesh.num_vertices, dim))
     free = dofmap.free_index >= 0
     full[free] = x[dofmap.free_index[free]]
-    return mesh, full, dofmap.n_free
+    return mesh, full, dofmap.n_free, stats
 
 
 def run_convergence_study(dim, levels, params, forcing, ref_extra_levels=2,
@@ -227,8 +232,8 @@ def run_convergence_study(dim, levels, params, forcing, ref_extra_levels=2,
     hs = []
     ndofs = []
     for n in levels:
-        mesh, full, n_free = _solve_level(dim, n, params, forcing,
-                                          rel_tol, max_iter)
+        mesh, full, n_free, _ = _solve_level(dim, n, params, forcing,
+                                             rel_tol, max_iter)
         hs.append(mesh.h)
         ndofs.append(n_free)
         solutions.append((mesh, full))
@@ -236,8 +241,8 @@ def run_convergence_study(dim, levels, params, forcing, ref_extra_levels=2,
     errors = []
     if point_load:
         ref_n = levels[-1] * 2 ** ref_extra_levels
-        ref_mesh, ref_full, _ = _solve_level(dim, ref_n, params, forcing,
-                                             rel_tol, max_iter)
+        ref_mesh, ref_full, _, _ = _solve_level(dim, ref_n, params,
+                                                forcing, rel_tol, max_iter)
         for (mesh, full) in solutions:
             errors.append(l2_error_nested(mesh, full, ref_mesh, ref_full))
         reference_n = ref_n

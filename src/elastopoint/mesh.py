@@ -7,7 +7,9 @@ which the convergence machinery relies on.
 
 Vertex numbering is C-order over the (n+1)^d lattice; cells are
 numbered cube-major with the d! simplices of a cube in lexicographic
-order of their axis permutation.
+order of their axis permutation. Every cell is a translate of one of
+d! reference simplices (its type, cell % d!), so volumes and basis
+gradients have closed forms and no per-cell inverse is taken.
 """
 
 from dataclasses import dataclass
@@ -136,32 +138,35 @@ def build_unit_box_mesh(dim, n):
     return Mesh(dim, n, vertices, cells, np.ascontiguousarray(boundary))
 
 
-def cell_gradients(mesh, cell_index):
-    """Constant gradients of the d+1 barycentric basis functions of a cell.
+def _reference_gradients(dim, n):
+    """Basis gradients of the d! cell types of the mesh with n cells per side.
 
-    Returns an (d+1, dim) array whose rows sum to zero.
+    Every cell is a translate of one of the d! simplices of
+    _chain_templates scaled by 1/n, so its barycentric gradients are
+    those of its type; cell c has type c % d!. Returns a (d!, d+1, d)
+    array. The template edge matrices are unimodular, so the gradients
+    are exact integer multiples of n.
     """
-    ci = int(cell_index)
-    if not 0 <= ci < mesh.num_cells:
-        raise ValueError("cell index %d out of range [0, %d)"
-                         % (ci, mesh.num_cells))
-    verts = mesh.vertices[mesh.cells[ci]]
-    edges = verts[1:] - verts[0]
-    grads = np.empty((mesh.dim + 1, mesh.dim))
-    grads[1:] = np.linalg.inv(edges).T
-    grads[0] = -grads[1:].sum(axis=0)
+    templates = _chain_templates(dim)
+    edges = (templates[:, 1:, :] - templates[:, :1, :]).astype(float)
+    grads = np.empty((len(templates), dim + 1, dim))
+    grads[:, 1:, :] = n * np.rint(np.transpose(np.linalg.inv(edges),
+                                               (0, 2, 1)))
+    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
     return grads
 
 
 def cell_volumes(mesh):
-    """Volumes of all cells, shape (nc,)."""
-    verts = mesh.vertices[mesh.cells]
-    edges = verts[:, 1:, :] - verts[:, :1, :]
-    return np.abs(np.linalg.det(edges)) / factorial(mesh.dim)
+    """Volumes of all cells, shape (nc,); all equal 1/(d! n^d)."""
+    vol = 1.0 / (factorial(mesh.dim) * mesh.n ** mesh.dim)
+    return np.full(mesh.num_cells, vol)
 
 
 def cell_geometry(mesh):
     """Volumes and basis gradients of all cells at once.
+
+    Closed form on the lattice: the constant volume and the reference
+    gradients tiled by cell type.
 
     Returns
     -------
@@ -170,13 +175,8 @@ def cell_geometry(mesh):
         gradients[c, i] is the gradient of barycentric function i on
         cell c; rows sum to zero per cell.
     """
-    verts = mesh.vertices[mesh.cells]
-    edges = verts[:, 1:, :] - verts[:, :1, :]
-    vols = np.abs(np.linalg.det(edges)) / factorial(mesh.dim)
-    grads = np.empty((mesh.num_cells, mesh.dim + 1, mesh.dim))
-    grads[:, 1:, :] = np.transpose(np.linalg.inv(edges), (0, 2, 1))
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    return vols, grads
+    grads = _reference_gradients(mesh.dim, mesh.n)
+    return cell_volumes(mesh), np.tile(grads, (mesh.n ** mesh.dim, 1, 1))
 
 
 def _barycentric_in(mesh, cell_index, x):
@@ -193,34 +193,15 @@ def locate_point(mesh, x):
     """Find the lowest-index cell whose closure contains x.
 
     Points on shared faces/edges/vertices resolve to the containing
-    cell of smallest index. Raises ValueError for x outside the closed
-    box (tolerance LOCATE_TOL).
+    cell of smallest index, the first entry of cells_containing_point.
+    Raises ValueError for x outside the closed box (tolerance
+    LOCATE_TOL).
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (mesh.dim,):
-        raise ValueError("expected a point with %d coordinates" % mesh.dim)
-    if np.any(x < -LOCATE_TOL) or np.any(x > 1.0 + LOCATE_TOL):
-        raise ValueError("point %s lies outside the closed unit box"
-                         % (x.tolist(),))
-
-    n = mesh.n
-    xc = np.clip(x, 0.0, 1.0)
-    base = np.minimum(np.floor(xc * n).astype(np.int64), n - 1)
-    nfact = factorial(mesh.dim)
-
-    # scan candidate cubes (the floor cube and, near grid planes, the
-    # one below per axis) in ascending linear index
-    ranges = [range(max(b - 1, 0), b + 1) for b in base]
-    cube_strides = np.array([n ** (mesh.dim - 1 - k) for k in range(mesh.dim)],
-                            dtype=np.int64)
-    candidates = sorted(int(np.dot(c, cube_strides)) for c in product(*ranges))
-    for cube_lin in candidates:
-        for t in range(nfact):
-            ci = cube_lin * nfact + t
-            bary = _barycentric_in(mesh, ci, x)
-            if np.all(bary >= -LOCATE_TOL):
-                return CellLocation(ci, bary)
-    raise ValueError("point location failed for %s" % (x.tolist(),))
+    hits = cells_containing_point(mesh, x)
+    if not hits:
+        raise ValueError("point location failed for %s"
+                         % (np.asarray(x).tolist(),))
+    return hits[0]
 
 
 def cells_containing_point(mesh, x):
@@ -236,10 +217,16 @@ def cells_containing_point(mesh, x):
         raise ValueError("point %s lies outside the closed unit box"
                          % (x.tolist(),))
     n = mesh.n
-    xc = np.clip(x, 0.0, 1.0)
-    base = np.minimum(np.floor(xc * n).astype(np.int64), n - 1)
+    y = np.clip(x, 0.0, 1.0) * n
+    base = np.minimum(np.floor(y).astype(np.int64), n - 1)
     nfact = factorial(mesh.dim)
-    ranges = [range(max(b - 1, 0), min(b + 1, n - 1) + 1) for b in base]
+    # the cells of cube k have barycentrics min(y - k) and 1 - max(y - k)
+    # among theirs, so only cubes with y - k in [0, 1] up to the
+    # tolerance (plus rounding slack) can hold x
+    slack = 2.0 * LOCATE_TOL
+    ranges = [[k for k in range(max(b - 1, 0), min(b + 1, n - 1) + 1)
+               if -slack <= yk - k <= 1.0 + slack]
+              for b, yk in zip(base, y)]
     cube_strides = np.array([n ** (mesh.dim - 1 - k) for k in range(mesh.dim)],
                             dtype=np.int64)
     hits = []

@@ -282,7 +282,8 @@ def discrete_korn_constant(mesh, spec=None):
     Both forms share the cellwise weight integrals (plain volumes when
     spec is None). Unweighted, lambda_min lies in [1/2, 1]. Uses a
     dense generalized eigensolve up to 2000 free dofs and shift-invert
-    Lanczos beyond.
+    Lanczos from a fixed start vector beyond, so repeated calls return
+    identical values.
     """
     dofmap = build_dof_map(mesh)
     if dofmap.n_free == 0:
@@ -299,8 +300,11 @@ def discrete_korn_constant(mesh, spec=None):
                                 eigvals_only=True,
                                 subset_by_index=(0, 0))[0]
     else:
+        # fixed start vector: ARPACK's default is random, which makes
+        # repeated calls differ in the last digits
+        v0 = np.random.default_rng(0).standard_normal(dofmap.n_free)
         vals = spla.eigsh(E.tocsc(), k=1, M=G.tocsc(), sigma=0.0,
-                          which="LM", tol=1e-10,
+                          which="LM", tol=1e-10, v0=v0,
                           return_eigenvectors=False)
         lam = float(vals[0])
     if not lam > 0.0:

@@ -130,6 +130,36 @@ def dense_stiffness_loop(mesh, mu, lam, form):
     return K
 
 
+def dense_form_loop(mesh, cell_weights, c_grad=0.0, c_div=0.0, c_eps=0.0):
+    """Full weighted vector P1 form matrix by nested loops.
+
+    Cell ci contributes cell_weights[ci] times
+    c_grad grad u : grad v + c_div div u div v + c_eps eps(u) : eps(v)
+    for the basis fields lambda_i e_a, whose gradient is the matrix
+    with row a equal to grad lambda_i.
+    """
+    nv = mesh.num_vertices
+    d = mesh.dim
+    K = np.zeros((nv * d, nv * d))
+    eye = np.eye(d)
+    for ci in range(mesh.num_cells):
+        cell = mesh.cells[ci]
+        grads = cell_gradients_loop(mesh, ci)
+        G = {}
+        for i in range(d + 1):
+            for a in range(d):
+                G[i, a] = np.outer(eye[a], grads[i])
+        for (i, a), Gu in G.items():
+            for (j, b), Gv in G.items():
+                eu = 0.5 * (Gu + Gu.T)
+                ev = 0.5 * (Gv + Gv.T)
+                val = (c_grad * float(np.sum(Gu * Gv))
+                       + c_div * float(np.trace(Gu) * np.trace(Gv))
+                       + c_eps * float(np.sum(eu * ev)))
+                K[cell[i] * d + a, cell[j] * d + b] += cell_weights[ci] * val
+    return K
+
+
 def restrict_to_free(K_full, dofmap):
     """Restrict a full (nv*d) x (nv*d) matrix to the free dof ordering."""
     nv, d = dofmap.free_index.shape

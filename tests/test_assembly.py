@@ -17,7 +17,7 @@ from elastopoint.assembly import (
 )
 from elastopoint.mesh import build_unit_box_mesh, cell_volumes
 
-from oracles import dense_stiffness_loop, restrict_to_free
+from oracles import dense_form_loop, dense_stiffness_loop, restrict_to_free
 
 
 def test_lame_params_validate():
@@ -92,6 +92,31 @@ def test_stiffness_symmetric_and_positive(dim, n):
     assert asym <= 1e-12 * abs(A).max()
     evals = np.linalg.eigvalsh(A.toarray())
     assert evals[0] > 0
+
+
+@pytest.mark.parametrize("dim,n", [(2, 3), (2, 4), (3, 2), (3, 3)])
+@pytest.mark.parametrize("coeffs", [dict(c_grad=1.0), dict(c_div=1.0),
+                                    dict(c_eps=1.0),
+                                    dict(c_grad=0.7, c_div=1.3, c_eps=0.4)])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_form_matrix_matches_weighted_loop_oracle(dim, n, coeffs, weighted):
+    mesh = build_unit_box_mesh(dim, n)
+    dm = build_dof_map(mesh)
+    vols = cell_volumes(mesh)
+    rng = np.random.default_rng(5)
+    w = vols * rng.uniform(0.5, 2.0, mesh.num_cells) if weighted else None
+    A = vector_p1_form_matrix(mesh, dm, w, **coeffs)
+    K = restrict_to_free(
+        dense_form_loop(mesh, vols if w is None else w, **coeffs), dm)
+    scale = abs(K).max()
+    assert abs(A.toarray() - K).max() <= 1e-12 * scale
+    # exact symmetry, no stored zeros, and the oracle's sparsity pattern;
+    # where 1/n is not dyadic the oracle's per-cell solves leave roundoff
+    # of order 1e-18 on entries that are exactly zero
+    assert (A - A.T).nnz == 0
+    assert np.all(A.data != 0.0)
+    assert np.array_equal(A.toarray() != 0.0, abs(K) > 1e-14 * scale)
+    assert A.has_sorted_indices
 
 
 def test_form_matrix_weights_default_to_volumes():

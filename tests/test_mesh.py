@@ -6,7 +6,6 @@ import pytest
 from elastopoint.mesh import (
     build_unit_box_mesh,
     cell_geometry,
-    cell_gradients,
     cell_volumes,
     cells_containing_point,
     locate_point,
@@ -80,14 +79,15 @@ def test_refinement_keeps_coarse_vertices(dim):
 @pytest.mark.parametrize("dim,n", [(2, 2), (2, 5), (3, 2)])
 def test_gradients_match_loop_oracle(dim, n):
     mesh = build_unit_box_mesh(dim, n)
+    vols, grads = cell_geometry(mesh)
     for ci in range(mesh.num_cells):
-        g = cell_gradients(mesh, ci)
+        g = grads[ci]
         assert np.allclose(g, cell_gradients_loop(mesh, ci), atol=1e-12)
         assert np.allclose(g.sum(axis=0), 0.0, atol=1e-12)
-        assert abs(cell_volume_loop(mesh, ci) - cell_volumes(mesh)[ci]) < 1e-15
+        assert abs(cell_volume_loop(mesh, ci) - vols[ci]) < 1e-15
 
 
-@pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
+@pytest.mark.parametrize("dim,n", [(2, 4), (2, 3), (3, 2), (3, 3)])
 def test_cell_geometry_matches_percell_calls(dim, n):
     mesh = build_unit_box_mesh(dim, n)
     vols, grads = cell_geometry(mesh)
@@ -95,7 +95,9 @@ def test_cell_geometry_matches_percell_calls(dim, n):
     assert grads.shape == (mesh.num_cells, dim + 1, dim)
     assert np.array_equal(vols, cell_volumes(mesh))
     for ci in range(0, mesh.num_cells, max(1, mesh.num_cells // 7)):
-        assert np.allclose(grads[ci], cell_gradients(mesh, ci), atol=1e-14)
+        assert np.allclose(grads[ci], cell_gradients_loop(mesh, ci),
+                           rtol=1e-13, atol=1e-12)
+        assert abs(vols[ci] - cell_volume_loop(mesh, ci)) <= 1e-15 * vols[ci]
 
 
 @pytest.mark.parametrize("dim,n", [(2, 2), (2, 3)])
@@ -155,6 +157,31 @@ def test_cells_containing_point_at_vertices(dim, n):
         assert np.allclose(loc.barycentric, bary, atol=1e-10)
     loc = locate_point(mesh, mesh.vertices[v])
     assert loc.cell_index == indices[0]
+
+
+def _special_points(mesh, rng):
+    """Vertices, edge midpoints, face centres and random points."""
+    pts = [mesh.vertices[v] for v in range(mesh.num_vertices)]
+    for ci in range(mesh.num_cells):
+        V = mesh.vertices[mesh.cells[ci]]
+        pts.append(0.5 * (V[0] + V[-1]))
+        pts.append(V[1:].mean(axis=0))
+    pts.extend(rng.random((20, mesh.dim)))
+    return pts
+
+
+@pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
+def test_point_location_matches_bruteforce(dim, n):
+    mesh = build_unit_box_mesh(dim, n)
+    for x in _special_points(mesh, np.random.default_rng(11)):
+        found = cells_containing_point(mesh, x)
+        oracle = containing_cells_bruteforce(mesh, x)
+        assert [loc.cell_index for loc in found] == [ci for ci, _ in oracle]
+        for loc, (_, bary) in zip(found, oracle):
+            assert np.allclose(loc.barycentric, bary, atol=1e-10)
+        loc = locate_point(mesh, x)
+        assert loc.cell_index == oracle[0][0]
+        assert np.array_equal(loc.barycentric, found[0].barycentric)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -294,6 +294,13 @@ def test_korn_iterative_branch_matches_dense_oracle():
     assert abs(1.0 / ch**2 - lam_ref) < 1e-8
 
 
+def test_korn_iterative_branch_is_deterministic():
+    # 2d n=34 has 2178 free dofs, so both calls take the sparse branch
+    mesh = build_unit_box_mesh(2, 34)
+    assert build_dof_map(mesh).n_free == 2178
+    assert discrete_korn_constant(mesh) == discrete_korn_constant(mesh)
+
+
 def test_korn_weighted_stays_bounded():
     mesh = build_unit_box_mesh(2, 4)
     spec = WeightSpec([[0.5, 0.5]], 1.0)
