@@ -1,9 +1,9 @@
 """P1 finite elements for linear elasticity with Dirac point forces.
 
 Structured simplicial meshes of the unit box, dual-form stiffness
-assembly, a deterministic CG solver, Muckenhoupt power-weight
-utilities, discrete inf-sup/Korn diagnostics, and a nested-reference
-convergence harness with a CLI front end.
+assembly, deterministic multigrid-preconditioned CG, Muckenhoupt
+power-weight utilities, discrete inf-sup/Korn diagnostics, and a
+nested-reference convergence harness with a CLI front end.
 """
 
 from .assembly import (CONSTRAINED, EPS_DIV, GRAD_DIV, DofMap, LameParams,
@@ -17,9 +17,11 @@ from .convergence import (ConvergenceReport, ManufacturedSolution,
                           manufactured_sine_2d, prolongate,
                           run_convergence_study)
 from .mesh import (CellLocation, Mesh, build_unit_box_mesh, cell_geometry,
-                   cell_volumes, cells_containing_point, locate_point)
+                   cell_volumes, cells_containing_point, locate_point,
+                   prolongation_matrix)
+from .multigrid import build_levels, vcycle
 from .quadrature import simplex_rule
-from .solver import SolveStats, cg_solve, dense_cholesky, dense_sym_eig
+from .solver import SolveStats, cg_solve
 from .spectral import (InfSupReport, discrete_infsup,
                        discrete_korn_constant, kernel_basis,
                        theorem31_report, weighted_pairing_demo,

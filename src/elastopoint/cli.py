@@ -27,6 +27,7 @@ from .assembly import LameParams, PointLoadSet, build_dof_map
 from .convergence import (_solve_level, manufactured_sine_2d,
                           run_convergence_study)
 from .mesh import build_unit_box_mesh
+from .multigrid import build_levels
 from .spectral import discrete_korn_constant, weighted_pairing_demo
 from .weights import WeightSpec, default_ball_family, estimate_a2
 
@@ -227,8 +228,8 @@ def _cmd_solve(args):
     if not isinstance(forcing, PointLoadSet):
         raise ValueError("solve requires --loads")
     n = cfg.levels[0]
-    mesh, full, n_free, stats = _solve_level(cfg.dim, n, params, forcing,
-                                             cfg.tol, None)
+    mesh, full, n_free, stats = _solve_level(
+        build_levels(cfg.dim, n, params), forcing, cfg.tol, None)
     print("n=%d h=%s ndof=%d iterations=%d residual=%s"
           % (n, _fmt(mesh.h), n_free, stats.iterations,
              _fmt(stats.final_relative_residual)))
@@ -251,7 +252,7 @@ def _cmd_korn(args):
     for n in cfg.levels:
         mesh = build_unit_box_mesh(cfg.dim, n)
         dofmap = build_dof_map(mesh)
-        ch = discrete_korn_constant(mesh, spec)
+        ch = discrete_korn_constant(mesh, spec, dofmap)
         lam_min = 1.0 / (ch * ch)
         lines.append("%d,%s,%d,%s,%s" % (n, _fmt(mesh.h), dofmap.n_free,
                                          _fmt(lam_min), _fmt(ch)))

@@ -9,15 +9,16 @@ quadrature instead.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from math import log, sqrt
 from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import (GRAD_DIV, LameParams, PointLoadSet,
-                       assemble_point_load, assemble_smooth_load,
-                       assemble_stiffness, build_dof_map)
-from .mesh import build_unit_box_mesh, cell_volumes, _lattice_strides
+from .assembly import (LameParams, PointLoadSet, assemble_point_load,
+                       assemble_smooth_load)
+from .mesh import cell_volumes, prolongation_matrix
+from .multigrid import build_levels, vcycle
 from .quadrature import simplex_rule
 from .solver import cg_solve
 
@@ -75,24 +76,6 @@ def manufactured_sine_2d(params):
     return ManufacturedSolution(u, f, "manufactured sine field (2d)")
 
 
-def _prolong_grid(values, dim, n):
-    """Nodal values on the (n+1)^d lattice to the (2n+1)^d lattice.
-
-    Exact for the box triangulations: every new vertex is the midpoint
-    of the lattice segment [I//2, I//2 + (I odd-mask)], which is an
-    edge of the coarse split, so P1 interpolation is the midpoint
-    average.
-    """
-    m = 2 * n
-    axes = np.meshgrid(*([np.arange(m + 1, dtype=np.int64)] * dim),
-                       indexing="ij")
-    I = np.stack([a.ravel() for a in axes], axis=1)
-    strides = _lattice_strides(dim, n)
-    lo = (I // 2) @ strides
-    hi = (I // 2 + (I & 1)) @ strides
-    return 0.5 * (values[lo] + values[hi])
-
-
 def prolongate(coarse_mesh, values, fine_mesh):
     """Inject a nodal field from mesh(n) into mesh(2n) exactly."""
     if coarse_mesh.dim != fine_mesh.dim:
@@ -103,7 +86,7 @@ def prolongate(coarse_mesh, values, fine_mesh):
     values = np.asarray(values, dtype=float)
     if values.shape[0] != coarse_mesh.num_vertices:
         raise ValueError("field size does not match the coarse mesh")
-    return _prolong_grid(values, coarse_mesh.dim, coarse_mesh.n)
+    return prolongation_matrix(coarse_mesh.dim, coarse_mesh.n) @ values
 
 
 def l2_norm_sq_p1(mesh, values):
@@ -145,7 +128,7 @@ def l2_error_nested(level_mesh, u_level, ref_mesh, u_ref):
     v = np.asarray(u_level, dtype=float)
     n = level_mesh.n
     while n < ref_mesh.n:
-        v = _prolong_grid(v, level_mesh.dim, n)
+        v = prolongation_matrix(level_mesh.dim, n) @ v
         n *= 2
     return sqrt(l2_norm_sq_p1(ref_mesh, v - u_ref))
 
@@ -178,26 +161,29 @@ def eoc(errors, hs):
             for i in range(1, len(errors))]
 
 
-def _solve_level(dim, n, params, forcing, rel_tol, max_iter):
-    """Mesh, assemble and solve one level with Jacobi-CG.
+def _solve_level(levels, forcing, rel_tol, max_iter):
+    """Solve at levels[0] with CG preconditioned by a multigrid V-cycle.
 
-    Returns (mesh, nodal field with zero boundary values, n_free,
-    SolveStats). Raises StudyError when CG does not converge.
+    levels is a tail of a build_levels family; its first entry supplies
+    the mesh, dof map and stiffness, and the V-cycle runs over the
+    coarser entries after it. Returns (mesh, nodal field with zero
+    boundary values, n_free, SolveStats). Raises StudyError when CG
+    does not converge.
     """
-    mesh = build_unit_box_mesh(dim, n)
-    dofmap = build_dof_map(mesh)
-    A = assemble_stiffness(mesh, params, GRAD_DIV, dofmap)
+    level = levels[0]
+    mesh, dofmap = level.mesh, level.dofmap
     if isinstance(forcing, PointLoadSet):
         b = assemble_point_load(mesh, dofmap, forcing)
     else:
         b = assemble_smooth_load(mesh, dofmap, forcing.f, 4)
-    x, stats = cg_solve(A, b, rel_tol=rel_tol, max_iter=max_iter)
+    x, stats = cg_solve(level.A, b, rel_tol=rel_tol, max_iter=max_iter,
+                        precond=partial(vcycle, levels))
     if not stats.converged:
         raise StudyError(
             "cg did not converge at level n=%d (%d iterations, relative "
-            "residual %.3e)" % (n, stats.iterations,
+            "residual %.3e)" % (mesh.n, stats.iterations,
                                 stats.final_relative_residual))
-    full = np.zeros((mesh.num_vertices, dim))
+    full = np.zeros((mesh.num_vertices, mesh.dim))
     free = dofmap.free_index >= 0
     full[free] = x[dofmap.free_index[free]]
     return mesh, full, dofmap.n_free, stats
@@ -228,11 +214,16 @@ def run_convergence_study(dim, levels, params, forcing, ref_extra_levels=2,
     else:
         description = forcing.description
 
+    # one nested family at the finest size serves every solve; the
+    # levels come first, so a failure names the smallest failing level
+    top = levels[-1] * 2 ** ref_extra_levels if point_load else levels[-1]
+    family = build_levels(dim, top, params)
+    index = {lv.mesh.n: k for k, lv in enumerate(family)}
     solutions = []
     hs = []
     ndofs = []
     for n in levels:
-        mesh, full, n_free, _ = _solve_level(dim, n, params, forcing,
+        mesh, full, n_free, _ = _solve_level(family[index[n]:], forcing,
                                              rel_tol, max_iter)
         hs.append(mesh.h)
         ndofs.append(n_free)
@@ -240,12 +231,11 @@ def run_convergence_study(dim, levels, params, forcing, ref_extra_levels=2,
 
     errors = []
     if point_load:
-        ref_n = levels[-1] * 2 ** ref_extra_levels
-        ref_mesh, ref_full, _, _ = _solve_level(dim, ref_n, params,
-                                                forcing, rel_tol, max_iter)
+        ref_mesh, ref_full, _, _ = _solve_level(family, forcing, rel_tol,
+                                                max_iter)
         for (mesh, full) in solutions:
             errors.append(l2_error_nested(mesh, full, ref_mesh, ref_full))
-        reference_n = ref_n
+        reference_n = top
     else:
         for (mesh, full) in solutions:
             errors.append(l2_error_quadrature(mesh, full, forcing.u))

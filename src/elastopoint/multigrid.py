@@ -1,0 +1,147 @@
+"""Geometric multigrid on the nested Kuhn meshes of the unit box.
+
+The meshes at n, n/2, n/4, ... are nested, so the P1 prolongation P
+between neighbouring sizes is exact, and the rediscretized coarse
+stiffness equals the Galerkin product P^T A_fine P. Coarse operators
+therefore come from assemble_stiffness; no sparse triple product is
+formed. The V-cycle smooths with Chebyshev-Jacobi polynomials (Adams,
+Brezina, Hu and Tuminaro, "Parallel multigrid smoothing: polynomial
+versus Gauss-Seidel", J. Comput. Phys. 2003) and is symmetric, so it
+preconditions CG.
+"""
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
+
+from .assembly import DofMap, GRAD_DIV, assemble_stiffness, build_dof_map
+from .mesh import Mesh, build_unit_box_mesh, prolongation_matrix
+
+# Chebyshev-Jacobi smoother: polynomial degree, and the smoothed part
+# [lmax / CHEB_RATIO, lmax] of the spectrum of D^-1 A
+CHEB_DEGREE = 2
+CHEB_RATIO = 30.0
+# largest bottom-level system that is factored densely; a larger
+# bottom level (odd n) is only smoothed
+DENSE_BOTTOM_LIMIT = 2000
+
+
+@dataclass(frozen=True)
+class GridLevel:
+    """One size of the nested family and its multigrid data.
+
+    mesh, dofmap and the GRAD_DIV stiffness A are what a solve at this
+    size needs. inv_diag is 1 / diag(A) and lmax the Gershgorin bound
+    max_i sum_j |A_ij| / A_ii on the spectrum of D^-1 A; it is never
+    below the largest eigenvalue, which the smoother needs. P maps the
+    free dofs of the next coarser level to this one, and R = P^T. A
+    level without P (odd n, or n <= 2) is the bottom of every V-cycle
+    that reaches it; there factor holds a dense Cholesky factor when
+    0 < n_free <= DENSE_BOTTOM_LIMIT.
+    """
+
+    mesh: Mesh
+    dofmap: DofMap
+    A: sp.csr_matrix
+    inv_diag: Optional[np.ndarray] = None
+    lmax: Optional[float] = None
+    P: Optional[sp.csr_matrix] = None
+    R: Optional[sp.csr_matrix] = None
+    factor: Optional[tuple] = None
+
+
+def _dof_prolongation(fine, coarse):
+    """Free-dof prolongation from the coarse mesh to the fine one.
+
+    The interior-vertex block of the lattice prolongation, one copy per
+    displacement component: free dofs are numbered vertex-major with
+    the component inner, as build_dof_map does. Boundary rows and
+    columns drop out because prolongated zero-trace fields stay zero on
+    the boundary.
+    """
+    rows = np.flatnonzero(~fine.boundary_vertex)
+    cols = np.flatnonzero(~coarse.boundary_vertex)
+    P = prolongation_matrix(fine.dim, coarse.n)[rows][:, cols]
+    return sp.kron(P, sp.identity(fine.dim), format="csr")
+
+
+def build_levels(dim, n, params):
+    """The nested family n, n/2, ... with multigrid data, finest first.
+
+    Halves while n is even, so every size n / 2^k of the family is
+    meshed and assembled once, down to the odd part of n (1 for powers
+    of two). A level coarsens (holds P) when its n is even and above 2.
+    The finest level is assembled first, while nothing else is held.
+    """
+    assembled = []
+    m = n
+    while True:
+        # the mesh validates dim and n before the halving goes on
+        mesh = build_unit_box_mesh(dim, m)
+        dofmap = build_dof_map(mesh)
+        assembled.append((mesh, dofmap,
+                          assemble_stiffness(mesh, params, GRAD_DIV, dofmap)))
+        if mesh.n % 2:
+            break
+        m = mesh.n // 2
+
+    levels = []
+    for k, (mesh, dofmap, A) in enumerate(assembled):
+        if dofmap.n_free == 0:
+            levels.append(GridLevel(mesh, dofmap, A))
+            continue
+        inv_diag = 1.0 / A.diagonal()
+        lmax = float((inv_diag * (abs(A) @ np.ones(A.shape[0]))).max())
+        P = R = factor = None
+        if mesh.n % 2 == 0 and mesh.n > 2:
+            P = _dof_prolongation(mesh, assembled[k + 1][0])
+            R = P.T.tocsr()
+        elif dofmap.n_free <= DENSE_BOTTOM_LIMIT:
+            factor = scipy.linalg.cho_factor(A.toarray(), lower=True)
+        levels.append(GridLevel(mesh, dofmap, A, inv_diag, lmax, P, R,
+                                factor))
+    return levels
+
+
+def _chebyshev(lv, b, x):
+    """CHEB_DEGREE Chebyshev-Jacobi steps on A x = b from x (None: zero).
+
+    The polynomial in D^-1 A is the one of least maximum on
+    [lmax / CHEB_RATIO, lmax] with value 1 at 0, the same for every
+    call, so a pre- and post-smoothing pair is symmetric.
+    """
+    upper = lv.lmax
+    lower = upper / CHEB_RATIO
+    theta = 0.5 * (upper + lower)
+    delta = 0.5 * (upper - lower)
+    sigma = theta / delta
+    rho = 1.0 / sigma
+    r = b.copy() if x is None else b - lv.A @ x
+    d = (lv.inv_diag * r) / theta
+    x = d.copy() if x is None else x + d
+    for _ in range(CHEB_DEGREE - 1):
+        rho_next = 1.0 / (2.0 * sigma - rho)
+        r -= lv.A @ d
+        d = (rho_next * rho) * d + (2.0 * rho_next / delta) * (lv.inv_diag * r)
+        x += d
+        rho = rho_next
+    return x
+
+
+def vcycle(levels, r):
+    """One V-cycle from levels[0] applied to the residual r.
+
+    Pre-smoothing, coarse correction through P and R, post-smoothing;
+    the bottom level is solved with its dense factor or, without one,
+    only smoothed. The result is linear and symmetric in r.
+    """
+    lv = levels[0]
+    if lv.factor is not None:
+        return scipy.linalg.cho_solve(lv.factor, r)
+    x = _chebyshev(lv, r, None)
+    if lv.P is not None:
+        x += lv.P @ vcycle(levels[1:], lv.R @ (r - lv.A @ x))
+    return _chebyshev(lv, r, x)

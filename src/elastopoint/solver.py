@@ -1,4 +1,9 @@
-"""SPD linear algebra: preconditioned CG and small dense kernels."""
+"""Preconditioned conjugate gradients for SPD systems.
+
+The default preconditioner is Jacobi; the solves of the package pass
+the multigrid V-cycle of the multigrid module, and Jacobi-CG stays as
+the reference the tests compare against.
+"""
 
 from dataclasses import dataclass
 from math import sqrt
@@ -17,8 +22,9 @@ def default_max_iter(n):
     return int(20 * sqrt(max(n, 0))) + 200
 
 
-def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None):
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
+def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
+             precond=None):
+    """Preconditioned conjugate gradients for SPD systems.
 
     Convergence is declared on the true residual: when the recurrence
     residual passes the tolerance the residual is recomputed as
@@ -34,6 +40,9 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None):
     max_iter : int, defaults to 20 sqrt(n) + 200
     callback : optional callable receiving the iterate after each step
         (diagnostics only).
+    precond : optional callable r -> M r for a symmetric positive
+        definite M, such as a multigrid V-cycle; None means Jacobi,
+        M = diag(A)^-1.
 
     Returns
     -------
@@ -51,12 +60,16 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None):
     if n == 0:
         return np.zeros(0), SolveStats(0, 0.0, True)
 
-    diag = A.diagonal() if hasattr(A, "diagonal") else np.diag(A)
-    diag = np.asarray(diag, dtype=float)
-    if np.any(diag == 0.0):
-        raise ValueError("zero diagonal entry; Jacobi preconditioner "
-                         "undefined")
-    inv_diag = 1.0 / diag
+    if precond is None:
+        diag = A.diagonal() if hasattr(A, "diagonal") else np.diag(A)
+        diag = np.asarray(diag, dtype=float)
+        if np.any(diag == 0.0):
+            raise ValueError("zero diagonal entry; Jacobi preconditioner "
+                             "undefined")
+        inv_diag = 1.0 / diag
+
+        def precond(r):
+            return inv_diag * r
 
     bnorm = np.linalg.norm(b)
     x = np.zeros(n)
@@ -64,7 +77,7 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None):
         return x, SolveStats(0, 0.0, True)
 
     r = b.copy()
-    z = inv_diag * r
+    z = precond(r)
     p = z.copy()
     rz = float(r @ z)
     it = 0
@@ -87,11 +100,11 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None):
                 break
             # recurrence drifted; replace and keep going
             r = r_true
-            z = inv_diag * r
+            z = precond(r)
             p = z.copy()
             rz = float(r @ z)
             continue
-        z = inv_diag * r
+        z = precond(r)
         rz_new = float(r @ z)
         beta = rz_new / rz
         p = z + beta * p
@@ -101,30 +114,3 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None):
     if converged:
         converged = final_rel <= rel_tol
     return x, SolveStats(it, final_rel, converged)
-
-
-def dense_sym_eig(M):
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
-
-    Raises ValueError for asymmetric input (1e-10 relative) or size
-    above 2000.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix")
-    if M.shape[0] > 2000:
-        raise ValueError("dense eigendecomposition limited to size 2000")
-    scale = max(1.0, float(np.abs(M).max()) if M.size else 0.0)
-    if M.size and float(np.abs(M - M.T).max()) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric within 1e-10")
-    w, V = np.linalg.eigh(M)
-    return w, V
-
-
-def dense_cholesky(M):
-    """Lower Cholesky factor of an SPD matrix.
-
-    numpy.linalg.LinAlgError propagates when a pivot fails.
-    """
-    M = np.asarray(M, dtype=float)
-    return np.linalg.cholesky(M)

@@ -276,16 +276,18 @@ def weighted_pairing_demo(mesh, s, center):
     return theorem31_report(A, B, C, G_X, G_Y, G_M, G_Q)
 
 
-def discrete_korn_constant(mesh, spec=None):
+def discrete_korn_constant(mesh, spec=None, dofmap=None):
     """C_h = lambda_min^{-1/2} for the pencil (strain form, grad form).
 
     Both forms share the cellwise weight integrals (plain volumes when
     spec is None). Unweighted, lambda_min lies in [1/2, 1]. Uses a
     dense generalized eigensolve up to 2000 free dofs and shift-invert
     Lanczos from a fixed start vector beyond, so repeated calls return
-    identical values.
+    identical values. dofmap is the mesh's dof map when the caller
+    already holds one; None builds it.
     """
-    dofmap = build_dof_map(mesh)
+    if dofmap is None:
+        dofmap = build_dof_map(mesh)
     if dofmap.n_free == 0:
         raise ValueError("mesh has no interior vertices")
     if spec is None:

@@ -310,3 +310,22 @@ def test_argparse_rejects_unknown_usage():
         main(["converge", "--levels", "4"])  # --dim missing
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_korn_builds_one_dof_map_per_mesh(tmp_path, monkeypatch):
+    import elastopoint.cli as cli
+    import elastopoint.spectral as spectral
+
+    calls = []
+    original = spectral.build_dof_map
+
+    def counting(mesh):
+        calls.append(mesh.n)
+        return original(mesh)
+
+    monkeypatch.setattr(cli, "build_dof_map", counting)
+    monkeypatch.setattr(spectral, "build_dof_map", counting)
+    rc = main(["korn", "--dim", "2", "--levels", "8", "16", "32",
+               "--out", str(tmp_path / "korn.csv")])
+    assert rc == 0
+    assert calls == [8, 16, 32]

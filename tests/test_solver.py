@@ -6,8 +6,7 @@ import scipy.sparse.linalg as spla
 from elastopoint.assembly import LameParams, PointLoadSet, assemble_point_load, \
     assemble_stiffness, build_dof_map
 from elastopoint.mesh import build_unit_box_mesh
-from elastopoint.solver import cg_solve, default_max_iter, dense_cholesky, \
-    dense_sym_eig
+from elastopoint.solver import cg_solve, default_max_iter
 
 
 def _random_spd(n, seed):
@@ -89,31 +88,3 @@ def test_default_max_iter_formula():
     assert default_max_iter(0) == 200
     assert default_max_iter(100) == 400
     assert default_max_iter(10000) == 2200
-
-
-def test_dense_sym_eig_known_values():
-    M = np.array([[2.0, 1.0], [1.0, 2.0]])
-    vals, vecs = dense_sym_eig(M)
-    assert np.allclose(vals, [1.0, 3.0], atol=1e-14)
-    assert np.allclose(M @ vecs, vecs @ np.diag(vals), atol=1e-14)
-
-
-def test_dense_sym_eig_rejects_bad_input():
-    with pytest.raises(ValueError):
-        dense_sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        dense_sym_eig(np.ones((2, 3)))
-    big = np.eye(2001)
-    with pytest.raises(ValueError):
-        dense_sym_eig(big)
-
-
-def test_dense_cholesky_roundtrip():
-    rng = np.random.default_rng(9)
-    Q = rng.standard_normal((8, 8))
-    M = Q @ Q.T + 8 * np.eye(8)
-    L = dense_cholesky(M)
-    assert np.allclose(L @ L.T, M, atol=1e-12)
-    assert np.allclose(L, np.tril(L))
-    with pytest.raises(np.linalg.LinAlgError):
-        dense_cholesky(np.array([[1.0, 0.0], [0.0, -1.0]]))
