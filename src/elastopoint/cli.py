@@ -124,27 +124,27 @@ def write_vtk_field(mesh, field, path):
     vec[:, :mesh.dim] = field
     nv_cell = mesh.dim + 1
 
+    # one %-format per section; "%.16g" and "%d" give the same bytes as
+    # formatting each line on its own
+    xyz = "%.16g %.16g %.16g\n"
+    cell_rows = np.column_stack([np.full(mesh.num_cells, nv_cell),
+                                 mesh.cells])
     with open(path, "w", newline="") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("displacement field\n")
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write("POINTS %d double\n" % mesh.num_vertices)
-        for p in pts:
-            fh.write("%.16g %.16g %.16g\n" % tuple(p))
+        fh.write(xyz * mesh.num_vertices % tuple(pts.ravel().tolist()))
         fh.write("CELLS %d %d\n" % (mesh.num_cells,
                                     mesh.num_cells * (nv_cell + 1)))
-        for cell in mesh.cells:
-            fh.write("%d %s\n" % (nv_cell,
-                                  " ".join(str(int(v)) for v in cell)))
+        fh.write(("%d" + " %d" * nv_cell + "\n") * mesh.num_cells
+                 % tuple(cell_rows.ravel().tolist()))
         fh.write("CELL_TYPES %d\n" % mesh.num_cells)
-        ctype = _VTK_CELL_TYPE[mesh.dim]
-        for _ in range(mesh.num_cells):
-            fh.write("%d\n" % ctype)
+        fh.write("%d\n" % _VTK_CELL_TYPE[mesh.dim] * mesh.num_cells)
         fh.write("POINT_DATA %d\n" % mesh.num_vertices)
         fh.write("VECTORS displacement double\n")
-        for v in vec:
-            fh.write("%.16g %.16g %.16g\n" % tuple(v))
+        fh.write(xyz * mesh.num_vertices % tuple(vec.ravel().tolist()))
 
 
 def _check_threads_env():

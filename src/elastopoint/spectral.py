@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg as spla
 
 from .assembly import build_dof_map, vector_p1_form_matrix
 from .mesh import cell_geometry
@@ -26,7 +25,16 @@ from .weights import WeightSpec, cell_weight_integrals
 # relative singular-value cutoff for rank decisions
 RANK_RTOL = 1e-10
 
-_DENSE_EIG_LIMIT = 2000
+# weighted_pairing_matrices refuses meshes whose demo would need more
+# dense memory than this
+_DENSE_LIMIT_BYTES = 2 * 1024**3
+
+# peak of weighted_pairing_demo in units of one nX x nX float64 array:
+# the three Grams/pairings built here plus the Cholesky factors,
+# whitened copies and full SVD basis of theorem31_report (measured: 2D
+# n=12 and n=16 raise peak RSS by 65 and 199 MB, nine arrays predict
+# 54 and 170 MB)
+_DEMO_PEAK_ARRAYS = 9
 
 
 @dataclass(frozen=True)
@@ -170,20 +178,21 @@ def theorem31_report(A, B, C, G_X, G_Y, G_M, G_Q):
         W = _whiten_cols(L_X, _whiten_rows(L_Y, A))
         alpha_kernel = _map_sigma_min(W, nX)
         alpha_full = alpha_kernel
+        injective = kB == 0
     else:
-        M_res = Z_B.T @ A @ Z_C
-        alpha_kernel = _map_sigma_min(M_res, kC)
         W_full = _whiten_rows(L_Y, A @ Z_C)
         alpha_full = _map_sigma_min(W_full, kC)
-
-    if kB == 0:
-        injective = True
-    elif kC == 0 or kB > kC:
-        injective = False
-    else:
-        s = np.linalg.svd(Z_B.T @ A @ Z_C, compute_uv=False)
-        smax = float(s[0]) if s.size else 0.0
-        injective = bool(smax > 0.0 and s[kB - 1] > RANK_RTOL * smax)
+        if kB == 0:
+            alpha_kernel = 0.0
+            injective = True
+        else:
+            # one SVD of the kernel-restricted pairing serves both
+            # alpha_kernel and the injectivity test
+            s = np.linalg.svd(Z_B.T @ A @ Z_C, compute_uv=False)
+            smax = float(s[0])
+            alpha_kernel = float(s[-1]) if kC <= kB else 0.0
+            injective = bool(kB <= kC and smax > 0.0
+                             and s[kB - 1] > RANK_RTOL * smax)
 
     return InfSupReport(beta_B, beta_C, alpha_kernel, alpha_full, injective)
 
@@ -225,6 +234,13 @@ def weighted_pairing_matrices(mesh, s, center):
         raise ValueError("center must be strictly inside the unit box")
 
     d = mesh.dim
+    nX = mesh.num_cells * d * (d + 1) // 2
+    need = _DEMO_PEAK_ARRAYS * 8 * nX * nX
+    if need > _DENSE_LIMIT_BYTES:
+        raise ValueError("weighted pairing demo at n=%d (%dD) needs about "
+                         "%d MB of dense arrays, above the %d MB limit"
+                         % (mesh.n, d, need // 2**20,
+                            _DENSE_LIMIT_BYTES // 2**20))
     dofmap = build_dof_map(mesh)
     if dofmap.n_free == 0:
         raise ValueError("mesh has no interior vertices")
@@ -241,7 +257,6 @@ def weighted_pairing_matrices(mesh, s, center):
     basis = _sym_tensor_basis(d)
     nsym = basis.shape[0]
     nc = mesh.num_cells
-    nX = nc * nsym
 
     G_X = np.diag(np.repeat(w_pos, nsym))
     G_Y = np.diag(np.repeat(w_neg, nsym))
@@ -276,15 +291,73 @@ def weighted_pairing_demo(mesh, s, center):
     return theorem31_report(A, B, C, G_X, G_Y, G_M, G_Q)
 
 
+def _band(C, b):
+    """Lower triangle of the symmetric COO matrix C in LAPACK lower band
+    storage: shape (b + 1, N), ab[i - j, j] = C[i, j] for j <= i <= j + b."""
+    keep = C.row >= C.col
+    ab = np.zeros((b + 1, C.shape[0]))
+    ab[C.row[keep] - C.col[keep], C.col[keep]] = C.data[keep]
+    return ab
+
+
+def _pencil_lambda_min(E, G):
+    """sup{sigma : E - sigma G is SPD} for symmetric sparse E, G.
+
+    By Sylvester's law of inertia E - sigma G is positive definite
+    exactly when sigma lies below the smallest eigenvalue of the pencil
+    (E, G), so bisection on "does E - sigma G have a Cholesky factor"
+    brackets lambda_min (Parlett, The Symmetric Eigenvalue Problem,
+    3.3). Each test is one banded Cholesky. The bracket starts at
+    [0, min_i E_ii / G_ii] (the upper end is the Rayleigh quotient of a
+    unit vector) and stops at relative width 4 eps; the returned lower
+    end is the largest sigma seen to factor.
+    """
+    E = E.tocoo()
+    G = G.tocoo()
+    b = int(max(np.max(E.row - E.col), np.max(G.row - G.col)))
+    Eb = _band(E, b)
+    Gb = _band(G, b)
+    work = np.empty_like(Eb)
+
+    def spd(sigma):
+        np.multiply(Gb, -sigma, out=work)
+        np.add(work, Eb, out=work)
+        try:
+            scipy.linalg.cholesky_banded(work, lower=True, overwrite_ab=True,
+                                         check_finite=False)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    lo = 0.0
+    hi = float(np.min(Eb[0] / Gb[0]))
+    if not (spd(lo) and 0.0 < hi < math.inf):
+        raise ValueError("degenerate pencil: E is not positive definite "
+                         "or G has a nonpositive diagonal")
+    eps = np.finfo(float).eps
+    while hi - lo > 4.0 * eps * hi:
+        mid = 0.5 * (lo + hi)
+        if spd(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def discrete_korn_constant(mesh, spec=None, dofmap=None):
     """C_h = lambda_min^{-1/2} for the pencil (strain form, grad form).
 
     Both forms share the cellwise weight integrals (plain volumes when
-    spec is None). Unweighted, lambda_min lies in [1/2, 1]. Uses a
-    dense generalized eigensolve up to 2000 free dofs and shift-invert
-    Lanczos from a fixed start vector beyond, so repeated calls return
-    identical values. dofmap is the mesh's dof map when the caller
-    already holds one; None builds it.
+    spec is None). Unweighted, lambda_min lies in [1/2, 1].
+    lambda_min is found by inertia bisection: the free dofs are
+    numbered vertex by vertex, so both forms are banded, and
+    E - sigma G has a banded Cholesky factor exactly when sigma lies
+    below lambda_min. About 51 factorizations shrink the bracket to a
+    relative width of 4 eps, and every point of it is certified by a
+    factorization that succeeded (below) or failed (above). The same
+    path serves every mesh size and repeated calls return identical
+    values. dofmap is the mesh's dof map when the caller already holds
+    one; None builds it.
     """
     if dofmap is None:
         dofmap = build_dof_map(mesh)
@@ -296,19 +369,7 @@ def discrete_korn_constant(mesh, spec=None, dofmap=None):
         wints = cell_weight_integrals(mesh, spec, 4)
     E = vector_p1_form_matrix(mesh, dofmap, wints, c_eps=1.0)
     G = vector_p1_form_matrix(mesh, dofmap, wints, c_grad=1.0)
-
-    if dofmap.n_free <= _DENSE_EIG_LIMIT:
-        lam = scipy.linalg.eigh(E.toarray(), G.toarray(),
-                                eigvals_only=True,
-                                subset_by_index=(0, 0))[0]
-    else:
-        # fixed start vector: ARPACK's default is random, which makes
-        # repeated calls differ in the last digits
-        v0 = np.random.default_rng(0).standard_normal(dofmap.n_free)
-        vals = spla.eigsh(E.tocsc(), k=1, M=G.tocsc(), sigma=0.0,
-                          which="LM", tol=1e-10, v0=v0,
-                          return_eigenvectors=False)
-        lam = float(vals[0])
+    lam = _pencil_lambda_min(E, G)
     if not lam > 0.0:
         raise ValueError("degenerate pencil: lambda_min = %r" % (lam,))
     return float(1.0 / math.sqrt(lam))

@@ -3,7 +3,8 @@
 Everything here deliberately takes a different route than the code under
 test: plain python loops instead of vectorized assembly, matrix square
 roots instead of Cholesky whitening, full dense eigendecompositions
-instead of shift-invert iterations, and seeded Monte Carlo for integrals
+instead of banded inertia bisection, per-line file writers instead of
+block formatting, and seeded Monte Carlo for integrals
 without a convenient closed form. Keep these slow and obvious.
 """
 
@@ -290,3 +291,36 @@ def random_report_instance(rng, max_dim=12):
     B = rng.standard_normal((nM, nY))
     C = rng.standard_normal((nQ, nX))
     return A, B, C, spd(nX), spd(nY), spd(nM), spd(nQ)
+
+
+# ---------------------------------------------------------------------------
+# output
+
+
+def write_vtk_field_per_line(mesh, field, path):
+    """Legacy ASCII VTK writer, one formatted line per point/cell/vector."""
+    field = np.asarray(field, dtype=float)
+    nv_cell = mesh.dim + 1
+    ctype = {2: 5, 3: 10}[mesh.dim]
+    with open(path, "w", newline="") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write("displacement field\n")
+        fh.write("ASCII\n")
+        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write("POINTS %d double\n" % mesh.num_vertices)
+        for p in mesh.vertices:
+            xyz = list(p) + [0.0] * (3 - mesh.dim)
+            fh.write("%.16g %.16g %.16g\n" % tuple(xyz))
+        fh.write("CELLS %d %d\n" % (mesh.num_cells,
+                                    mesh.num_cells * (nv_cell + 1)))
+        for cell in mesh.cells:
+            fh.write("%d %s\n" % (nv_cell,
+                                  " ".join(str(int(v)) for v in cell)))
+        fh.write("CELL_TYPES %d\n" % mesh.num_cells)
+        for _ in range(mesh.num_cells):
+            fh.write("%d\n" % ctype)
+        fh.write("POINT_DATA %d\n" % mesh.num_vertices)
+        fh.write("VECTORS displacement double\n")
+        for v in field:
+            xyz = list(v) + [0.0] * (3 - mesh.dim)
+            fh.write("%.16g %.16g %.16g\n" % tuple(xyz))

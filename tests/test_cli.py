@@ -14,6 +14,8 @@ from elastopoint.cli import (
 from elastopoint.convergence import ConvergenceReport, ReportRow
 from elastopoint.mesh import build_unit_box_mesh
 
+from oracles import write_vtk_field_per_line
+
 
 def test_parse_loads_file_valid(tmp_path):
     p = tmp_path / "loads.txt"
@@ -125,6 +127,22 @@ def test_write_vtk_3d_cell_types(tmp_path):
     start = lines.index("CELL_TYPES 6") + 1
     assert lines[start:start + 6] == ["10"] * 6
     assert lines[lines.index("VECTORS displacement double") + 1] == "1 1 1"
+
+
+@pytest.mark.parametrize("dim,n", [(2, 5), (3, 3)])
+def test_write_vtk_matches_per_line_writer(tmp_path, dim, n):
+    mesh = build_unit_box_mesh(dim, n)
+    rng = np.random.default_rng(7)
+    field = rng.standard_normal((mesh.num_vertices, dim))
+    field *= 10.0 ** rng.integers(-20, 20, size=field.shape)
+    field[0] = 0.0
+    field[1, 0] = -0.0
+    field[2, 0] = 1.0 / 3.0
+    got = tmp_path / "block.vtk"
+    ref = tmp_path / "lines.vtk"
+    write_vtk_field(mesh, field, str(got))
+    write_vtk_field_per_line(mesh, field, str(ref))
+    assert got.read_bytes() == ref.read_bytes()
 
 
 def test_write_vtk_validates_shape(tmp_path):
@@ -255,6 +273,16 @@ def test_infsup_demo_command(tmp_path, capsys):
         ak, af = float(toks[2]), float(toks[3])
         assert ak <= af + 1e-10
         assert toks[6] in ("0", "1")
+
+
+def test_infsup_demo_refuses_oversized_level(tmp_path, capsys):
+    out = tmp_path / "demo.csv"
+    rc = main(["infsup-demo", "--dim", "2", "--levels", "64", "--alpha",
+               "1.0", "--center", "0.5", "0.5", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "n=64" in err and "MB" in err
+    assert not out.exists()
 
 
 def test_infsup_demo_rejects_multiple_centers(tmp_path, capsys):

@@ -7,6 +7,7 @@ from elastopoint.assembly import build_dof_map, vector_p1_form_matrix
 from elastopoint.mesh import build_unit_box_mesh, cell_geometry
 from elastopoint.spectral import (
     InfSupReport,
+    _pencil_lambda_min,
     discrete_infsup,
     discrete_korn_constant,
     kernel_basis,
@@ -14,7 +15,7 @@ from elastopoint.spectral import (
     weighted_pairing_demo,
     weighted_pairing_matrices,
 )
-from elastopoint.weights import WeightSpec
+from elastopoint.weights import WeightSpec, cell_weight_integrals
 
 from oracles import (
     infsup_oracle,
@@ -227,6 +228,21 @@ def test_pairing_matrices_validation():
         weighted_pairing_matrices(build_unit_box_mesh(2, 1), 0.5, [0.5, 0.5])
 
 
+def test_pairing_matrices_refuse_oversized_mesh():
+    # 2D n=64: the dense demo would hold nine 24576 x 24576 arrays
+    import tracemalloc
+
+    mesh = build_unit_box_mesh(2, 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"n=64 .* MB"):
+            weighted_pairing_matrices(mesh, 0.5, [0.5, 0.5])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_demo_s_zero_is_exact():
     for n in (2, 4):
         rep = weighted_pairing_demo(build_unit_box_mesh(2, n), 0.0,
@@ -259,7 +275,7 @@ def test_demo_matches_oracle_small():
     assert _close(rep.alpha_A_full, ref["alpha_A_full"])
 
 
-@pytest.mark.parametrize("dim,n", [(2, 4), (2, 8), (3, 2)])
+@pytest.mark.parametrize("dim,n", [(2, 4), (2, 8), (3, 2), (2, 64)])
 def test_korn_constant_unweighted_range(dim, n):
     mesh = build_unit_box_mesh(dim, n)
     ch = discrete_korn_constant(mesh)
@@ -268,19 +284,65 @@ def test_korn_constant_unweighted_range(dim, n):
     assert ch >= 1.0
 
 
-@pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
-def test_korn_matches_pencil_oracle(dim, n):
+def _korn_pencil(dim, n, alpha):
+    """Mesh, weight spec and the (strain, grad) form pair; the weight
+    centre sits off the lattice planes."""
     mesh = build_unit_box_mesh(dim, n)
     dm = build_dof_map(mesh)
-    E = vector_p1_form_matrix(mesh, dm, None, c_eps=1.0)
-    G = vector_p1_form_matrix(mesh, dm, None, c_grad=1.0)
+    spec = wints = None
+    if alpha is not None:
+        spec = WeightSpec([[0.37, 0.61, 0.5][:dim]], alpha)
+        wints = cell_weight_integrals(mesh, spec, 4)
+    E = vector_p1_form_matrix(mesh, dm, wints, c_eps=1.0)
+    G = vector_p1_form_matrix(mesh, dm, wints, c_grad=1.0)
+    return mesh, spec, E, G
+
+
+_KORN_CASES = [pytest.param(2, 4, None, id="2-4"),
+               pytest.param(3, 2, None, id="3-2"),
+               (2, 8, 1.0), (2, 8, -1.0), (3, 4, 1.0), (3, 4, -1.0)]
+
+
+@pytest.mark.parametrize("dim,n,alpha", _KORN_CASES)
+def test_korn_matches_pencil_oracle(dim, n, alpha):
+    mesh, spec, E, G = _korn_pencil(dim, n, alpha)
     lam_ref = pencil_lambda_min_oracle(E, G)
-    ch = discrete_korn_constant(mesh)
-    assert abs(1.0 / ch**2 - lam_ref) < 1e-10
+    ch = discrete_korn_constant(mesh, spec)
+    assert abs(1.0 / ch**2 - lam_ref) <= 1e-12 * lam_ref
+
+
+def _has_cholesky(M):
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("dim,n,alpha", _KORN_CASES + [(2, 16, None)])
+def test_korn_bisection_brackets_lambda_min(dim, n, alpha):
+    # checked with a dense Cholesky, independent of the banded one
+    _, _, E, G = _korn_pencil(dim, n, alpha)
+    lam = _pencil_lambda_min(E, G)
+    E = E.toarray()
+    G = G.toarray()
+    assert _has_cholesky(E - lam * (1.0 - 1e-12) * G)
+    assert not _has_cholesky(E - lam * (1.0 + 1e-12) * G)
+
+
+def test_korn_degenerate_pencil_raises():
+    _, _, E, G = _korn_pencil(2, 4, None)
+    with pytest.raises(ValueError, match="degenerate pencil"):
+        _pencil_lambda_min(-E, G)
+    singular = E.tolil()
+    singular[0, :] = 0.0
+    singular[:, 0] = 0.0
+    with pytest.raises(ValueError, match="degenerate pencil"):
+        _pencil_lambda_min(singular.tocsr(), G)
 
 
 def test_korn_iterative_branch_matches_dense_oracle():
-    # 2d n=33 has 2048 free dofs, just over the dense cutoff
+    # 2d n=33 (2048 free dofs) against a dense generalized eigensolve
     mesh = build_unit_box_mesh(2, 33)
     dm = build_dof_map(mesh)
     assert dm.n_free == 2048
@@ -295,7 +357,7 @@ def test_korn_iterative_branch_matches_dense_oracle():
 
 
 def test_korn_iterative_branch_is_deterministic():
-    # 2d n=34 has 2178 free dofs, so both calls take the sparse branch
+    # 2d n=34 (2178 free dofs): repeated bisections are bit-identical
     mesh = build_unit_box_mesh(2, 34)
     assert build_dof_map(mesh).n_free == 2178
     assert discrete_korn_constant(mesh) == discrete_korn_constant(mesh)
