@@ -258,13 +258,17 @@ def point_load_nodal(mesh, loads):
     return out
 
 
-def assemble_point_load(mesh, dofmap, loads):
-    """Free-dof load vector for f = sum_k f_k delta_{x_k}."""
-    nodal = point_load_nodal(mesh, loads)
+def _free_entries(dofmap, nodal):
+    """Free-dof vector of an (nv, dim) nodal array; boundary rows dropped."""
     b = np.zeros(dofmap.n_free)
     free = dofmap.free_index >= 0
     b[dofmap.free_index[free]] = nodal[free]
     return b
+
+
+def assemble_point_load(mesh, dofmap, loads):
+    """Free-dof load vector for f = sum_k f_k delta_{x_k}."""
+    return _free_entries(dofmap, point_load_nodal(mesh, loads))
 
 
 def assemble_smooth_load(mesh, dofmap, f, quad_order):
@@ -289,7 +293,4 @@ def assemble_smooth_load(mesh, dofmap, f, quad_order):
     nodal = np.zeros((mesh.num_vertices, mesh.dim))
     np.add.at(nodal, mesh.cells.ravel(),
               contrib.reshape(-1, mesh.dim))
-    b = np.zeros(dofmap.n_free)
-    free = dofmap.free_index >= 0
-    b[dofmap.free_index[free]] = nodal[free]
-    return b
+    return _free_entries(dofmap, nodal)

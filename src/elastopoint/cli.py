@@ -1,14 +1,18 @@
 """Command line front end: studies, single solves, diagnostics, reports.
 
+Each subcommand's parser declares only the flags its handler reads
+(`_build_parser`); any other flag is a usage error with exit code 2.
+
 Loads files are plain text, one record per line:
 
     point <x> <y> [<z>] <fx> <fy> [<fz>]
 
-with `#` starting a comment. CSV reports use the fixed header
-`level,n,h,ndof,error_l2,eoc`, 12 significant digits, LF endings, and
-a blank EOC on the first row. Displacement fields are written as
-legacy ASCII VTK unstructured grids (triangles/tetrahedra, 3-component
-vectors, 2D fields zero-padded).
+with `#` starting a comment. CSV files have one header line, 12
+significant digits and LF endings; the convergence report has the
+fixed header `level,n,h,ndof,error_l2,eoc` and a blank EOC on the
+first row. Displacement fields are written as legacy ASCII VTK
+unstructured grids (triangles/tetrahedra, 3-component vectors, 2D
+fields zero-padded).
 
 The environment variable ELASTOPOINT_THREADS caps parallelism; every
 kernel in this package is serial and deterministic, so any accepted
@@ -18,8 +22,6 @@ value (0/1 = explicit serial mode) runs identically.
 import argparse
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,28 +30,11 @@ from .convergence import (_solve_level, manufactured_sine_2d,
                           run_convergence_study)
 from .mesh import build_unit_box_mesh
 from .multigrid import build_levels
-from .spectral import discrete_korn_constant, weighted_pairing_demo
+from .spectral import (_check_pairing_size, discrete_korn_constant,
+                       weighted_pairing_demo)
 from .weights import WeightSpec, default_ball_family, estimate_a2
 
 _VTK_CELL_TYPE = {2: 5, 3: 10}  # triangle, tetrahedron
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-invocation settings, mirroring the CLI flags."""
-
-    command: str
-    dim: int
-    levels: tuple = ()
-    mu: float = 1.0
-    lam: float = 1.0
-    loads_path: Optional[str] = None
-    manufactured: bool = False
-    alpha: Optional[float] = None
-    centers: tuple = ()
-    tol: float = 1e-10
-    ref_extra: int = 2
-    out: Optional[str] = None
 
 
 def _fmt(x):
@@ -101,16 +86,19 @@ def write_loads_file(loads, path):
             fh.write("point %s\n" % nums)
 
 
+def _write_csv(path, header, rows):
+    """A header line and preformatted rows, LF endings."""
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join([header] + rows) + "\n")
+
+
 def write_csv_report(report, path):
     """Convergence table with the fixed schema and LF endings."""
-    lines = ["level,n,h,ndof,error_l2,eoc"]
-    for row in report.rows:
-        eoc_s = "" if row.eoc is None else _fmt(row.eoc)
-        lines.append("%d,%d,%s,%d,%s,%s"
-                     % (row.level, row.n, _fmt(row.h), row.ndof,
-                        _fmt(row.error_l2), eoc_s))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = ["%d,%d,%s,%d,%s,%s"
+            % (row.level, row.n, _fmt(row.h), row.ndof, _fmt(row.error_l2),
+               "" if row.eoc is None else _fmt(row.eoc))
+            for row in report.rows]
+    _write_csv(path, "level,n,h,ndof,error_l2,eoc", rows)
 
 
 def write_vtk_field(mesh, field, path):
@@ -160,149 +148,138 @@ def _check_threads_env():
         raise ValueError("ELASTOPOINT_THREADS must be >= 0, got %d" % val)
 
 
-def _parse_centers(args, dim, default_mid=True):
-    raw = getattr(args, "center", None)
-    if not raw:
-        if default_mid:
-            return (tuple([0.5] * dim),)
-        return ()
-    centers = []
-    for group in raw:
-        if len(group) != dim:
+def _centers(args):
+    """The --center groups as an (K, dim) array; the box center if none."""
+    if not args.center:
+        return np.full((1, args.dim), 0.5)
+    for group in args.center:
+        if len(group) != args.dim:
             raise ValueError("--center needs %d coordinates, got %d"
-                             % (dim, len(group)))
-        centers.append(tuple(group))
-    return tuple(centers)
-
-
-def _config(args):
-    levels = tuple(int(n) for n in getattr(args, "levels", ()) or ())
-    return RunConfig(command=args.command, dim=args.dim, levels=levels,
-                     mu=getattr(args, "mu", 1.0),
-                     lam=getattr(args, "lam", 1.0),
-                     loads_path=getattr(args, "loads", None),
-                     manufactured=getattr(args, "manufactured", False),
-                     alpha=getattr(args, "alpha", None),
-                     centers=_parse_centers(args, args.dim),
-                     tol=getattr(args, "tol", 1e-10),
-                     ref_extra=getattr(args, "ref_extra", 2),
-                     out=getattr(args, "out", None))
-
-
-def _forcing_from(cfg):
-    params = LameParams(cfg.mu, cfg.lam)
-    if cfg.manufactured:
-        if cfg.dim != 2:
-            raise ValueError("--manufactured is available in 2D only")
-        if cfg.loads_path:
-            raise ValueError("--loads and --manufactured are exclusive")
-        return params, manufactured_sine_2d(params)
-    if not cfg.loads_path:
-        raise ValueError("either --loads FILE or --manufactured is required")
-    return params, parse_loads_file(cfg.loads_path, cfg.dim)
+                             % (args.dim, len(group)))
+    return np.array(args.center)
 
 
 def _cmd_converge(args):
-    cfg = _config(args)
-    if not cfg.out:
+    if not args.out:
         raise ValueError("--out FILE is required for converge")
-    params, forcing = _forcing_from(cfg)
-    report = run_convergence_study(cfg.dim, cfg.levels, params, forcing,
-                                   ref_extra_levels=cfg.ref_extra,
-                                   rel_tol=cfg.tol)
-    write_csv_report(report, cfg.out)
+    params = LameParams(args.mu, args.lam)
+    if args.manufactured:
+        if args.dim != 2:
+            raise ValueError("--manufactured is available in 2D only")
+        if args.loads:
+            raise ValueError("--loads and --manufactured are exclusive")
+        forcing = manufactured_sine_2d(params)
+    elif args.loads:
+        forcing = parse_loads_file(args.loads, args.dim)
+    else:
+        raise ValueError("either --loads FILE or --manufactured is required")
+    report = run_convergence_study(args.dim, args.levels, params, forcing,
+                                   ref_extra_levels=args.ref_extra,
+                                   rel_tol=args.tol)
+    write_csv_report(report, args.out)
     for row in report.rows:
         eoc_s = "-" if row.eoc is None else _fmt(row.eoc)
         print("level %d: n=%d h=%s ndof=%d error=%s eoc=%s"
               % (row.level, row.n, _fmt(row.h), row.ndof,
                  _fmt(row.error_l2), eoc_s))
-    print("wrote %s" % cfg.out)
+    print("wrote %s" % args.out)
     return 0
 
 
 def _cmd_solve(args):
-    cfg = _config(args)
-    if len(cfg.levels) != 1:
+    if len(args.levels) != 1:
         raise ValueError("solve expects exactly one --levels value")
-    params, forcing = _forcing_from(cfg)
-    if not isinstance(forcing, PointLoadSet):
-        raise ValueError("solve requires --loads")
-    n = cfg.levels[0]
+    params = LameParams(args.mu, args.lam)
+    loads = parse_loads_file(args.loads, args.dim)
+    n = args.levels[0]
     mesh, full, n_free, stats = _solve_level(
-        build_levels(cfg.dim, n, params), forcing, cfg.tol, None)
+        build_levels(args.dim, n, params), loads, args.tol, None)
     print("n=%d h=%s ndof=%d iterations=%d residual=%s"
           % (n, _fmt(mesh.h), n_free, stats.iterations,
              _fmt(stats.final_relative_residual)))
-    if cfg.out:
-        write_vtk_field(mesh, full, cfg.out)
-        print("wrote %s" % cfg.out)
+    if args.out:
+        write_vtk_field(mesh, full, args.out)
+        print("wrote %s" % args.out)
     return 0
 
 
-def _weight_from(cfg):
-    if cfg.alpha is None:
-        return None
-    return WeightSpec(np.array(cfg.centers), cfg.alpha)
-
-
 def _cmd_korn(args):
-    cfg = _config(args)
-    spec = _weight_from(cfg)
-    lines = ["n,h,ndof,lambda_min,korn_constant"]
-    for n in cfg.levels:
-        mesh = build_unit_box_mesh(cfg.dim, n)
+    centers = _centers(args)
+    spec = None if args.alpha is None else WeightSpec(centers, args.alpha)
+    rows = []
+    for n in args.levels:
+        mesh = build_unit_box_mesh(args.dim, n)
         dofmap = build_dof_map(mesh)
         ch = discrete_korn_constant(mesh, spec, dofmap)
         lam_min = 1.0 / (ch * ch)
-        lines.append("%d,%s,%d,%s,%s" % (n, _fmt(mesh.h), dofmap.n_free,
-                                         _fmt(lam_min), _fmt(ch)))
+        rows.append("%d,%s,%d,%s,%s" % (n, _fmt(mesh.h), dofmap.n_free,
+                                        _fmt(lam_min), _fmt(ch)))
         print("n=%d lambda_min=%s korn_constant=%s"
               % (n, _fmt(lam_min), _fmt(ch)))
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print("wrote %s" % cfg.out)
+    if args.out:
+        _write_csv(args.out, "n,h,ndof,lambda_min,korn_constant", rows)
+        print("wrote %s" % args.out)
     return 0
 
 
 def _cmd_infsup_demo(args):
-    cfg = _config(args)
-    alpha = 0.0 if cfg.alpha is None else cfg.alpha
-    s = alpha / cfg.dim
-    if len(cfg.centers) != 1:
+    alpha = 0.0 if args.alpha is None else args.alpha
+    s = alpha / args.dim
+    centers = _centers(args)
+    if len(centers) != 1:
         raise ValueError("infsup-demo expects a single --center")
-    center = np.array(cfg.centers[0])
-    lines = ["n,s,alpha_A_kernel,alpha_A_full,beta_B,beta_C,"
-             "injective_on_kernels"]
-    for n in cfg.levels:
-        mesh = build_unit_box_mesh(cfg.dim, n)
-        rep = weighted_pairing_demo(mesh, s, center)
-        lines.append("%d,%s,%s,%s,%s,%s,%d"
-                     % (n, _fmt(s), _fmt(rep.alpha_A_kernel),
-                        _fmt(rep.alpha_A_full), _fmt(rep.beta_B),
-                        _fmt(rep.beta_C), int(rep.injective_on_kernels)))
+    for n in args.levels:
+        _check_pairing_size(args.dim, n)
+    rows = []
+    for n in args.levels:
+        mesh = build_unit_box_mesh(args.dim, n)
+        rep = weighted_pairing_demo(mesh, s, centers[0])
+        rows.append("%d,%s,%s,%s,%s,%s,%d"
+                    % (n, _fmt(s), _fmt(rep.alpha_A_kernel),
+                       _fmt(rep.alpha_A_full), _fmt(rep.beta_B),
+                       _fmt(rep.beta_C), int(rep.injective_on_kernels)))
         print("n=%d s=%s alpha_kernel=%s alpha_full=%s beta_B=%s beta_C=%s"
               % (n, _fmt(s), _fmt(rep.alpha_A_kernel),
                  _fmt(rep.alpha_A_full), _fmt(rep.beta_B), _fmt(rep.beta_C)))
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print("wrote %s" % cfg.out)
+    if args.out:
+        _write_csv(args.out, "n,s,alpha_A_kernel,alpha_A_full,beta_B,beta_C,"
+                   "injective_on_kernels", rows)
+        print("wrote %s" % args.out)
     return 0
 
 
 def _cmd_a2(args):
-    cfg = _config(args)
-    if cfg.alpha is None:
+    centers = _centers(args)
+    if args.alpha is None:
         raise ValueError("--alpha is required for a2")
-    spec = WeightSpec(np.array(cfg.centers), cfg.alpha)
-    balls, radii = default_ball_family(cfg.dim, cfg.centers[0])
+    spec = WeightSpec(centers, args.alpha)
+    balls, radii = default_ball_family(args.dim, centers[0])
     est = estimate_a2(spec, balls, radii)
     print("a2 characteristic (sampled lower bound): %s" % _fmt(est))
-    print("alpha=%s centers=%d balls=%d" % (_fmt(cfg.alpha),
-                                            len(cfg.centers), len(radii)))
+    print("alpha=%s centers=%d balls=%d" % (_fmt(args.alpha), len(centers),
+                                            len(radii)))
     return 0
 
+
+# every flag a subcommand may declare; each parser takes only the ones
+# its handler reads
+_FLAGS = {
+    "dim": dict(type=int, choices=(2, 3), required=True),
+    "levels": dict(type=int, nargs="+", required=True, metavar="N"),
+    "mu": dict(type=float, default=1.0),
+    "lambda": dict(dest="lam", type=float, default=1.0),
+    "tol": dict(type=float, default=1e-10, help="relative CG tolerance"),
+    "alpha": dict(type=float, default=None,
+                  help="weight exponent in (-dim, dim)"),
+    "center": dict(type=float, nargs="+", action="append", metavar="X",
+                   help="weight center, repeatable"),
+    "out": dict(default=None, help="output file"),
+    "loads": dict(default=None, help="point-loads file"),
+    "manufactured": dict(action="store_true",
+                         help="smooth 2D benchmark instead of point loads"),
+    "ref-extra": dict(type=int, default=2,
+                      help="extra dyadic levels for the reference solve"),
+}
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -311,47 +288,23 @@ def _build_parser():
                     "forces: convergence studies and diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, levels=True):
-        p.add_argument("--dim", type=int, choices=(2, 3), required=True)
-        if levels:
-            p.add_argument("--levels", type=int, nargs="+", required=True,
-                           metavar="N")
-        p.add_argument("--mu", type=float, default=1.0)
-        p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-        p.add_argument("--alpha", type=float, default=None,
-                       help="weight exponent in (-dim, dim)")
-        p.add_argument("--center", type=float, nargs="+", action="append",
-                       metavar="X", help="weight/load center, repeatable")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="relative CG tolerance")
-        p.add_argument("--out", default=None, help="output file")
+    def add(name, func, help_text, flags):
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument("--" + flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("converge", help="convergence study to CSV")
-    common(p)
-    p.add_argument("--loads", default=None, help="point-loads file")
-    p.add_argument("--manufactured", action="store_true",
-                   help="smooth 2D benchmark instead of point loads")
-    p.add_argument("--ref-extra", dest="ref_extra", type=int, default=2,
-                   help="extra dyadic levels for the reference solve")
-    p.set_defaults(func=_cmd_converge)
-
-    p = sub.add_parser("solve", help="single-level solve to VTK")
-    common(p)
-    p.add_argument("--loads", required=True, help="point-loads file")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("korn", help="discrete Korn constants")
-    common(p)
-    p.set_defaults(func=_cmd_korn)
-
-    p = sub.add_parser("infsup-demo",
-                       help="kernel vs full-space inf-sup contrast")
-    common(p)
-    p.set_defaults(func=_cmd_infsup_demo)
-
-    p = sub.add_parser("a2", help="Muckenhoupt A2 estimate to stdout")
-    common(p, levels=False)
-    p.set_defaults(func=_cmd_a2)
+    add("converge", _cmd_converge, "convergence study to CSV",
+        "dim levels mu lambda tol out loads manufactured ref-extra")
+    add("solve", _cmd_solve, "single-level solve to VTK",
+        "dim levels mu lambda tol out").add_argument(
+            "--loads", required=True, help="point-loads file")
+    add("korn", _cmd_korn, "discrete Korn constants",
+        "dim levels alpha center out")
+    add("infsup-demo", _cmd_infsup_demo,
+        "kernel vs full-space inf-sup contrast", "dim levels alpha center out")
+    add("a2", _cmd_a2, "Muckenhoupt A2 estimate to stdout", "dim alpha center")
     return parser
 
 

@@ -17,13 +17,10 @@ import numpy as np
 
 from .assembly import (LameParams, PointLoadSet, assemble_point_load,
                        assemble_smooth_load)
-from .mesh import cell_volumes, prolongation_matrix
+from .mesh import _chain_templates, cell_volumes, prolongation_matrix
 from .multigrid import build_levels, vcycle
 from .quadrature import simplex_rule
 from .solver import cg_solve
-
-# cells per chunk in the exact mass-norm accumulation
-_NORM_CHUNK = 400_000
 
 
 class StudyError(RuntimeError):
@@ -94,20 +91,18 @@ def l2_norm_sq_p1(mesh, values):
 
     Uses the closed-form simplex mass: for nodal values v_i on a cell,
     int (sum_i lambda_i v_i)^2 = |T| ((sum v)^2 + sum v^2) / ((d+1)(d+2)).
+    The cells of one type are lattice translates of one corner template,
+    so their vertex values are d+1 shifted slices of the nodal grid.
     """
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    vols = cell_volumes(mesh)
-    scale = 1.0 / ((mesh.dim + 1) * (mesh.dim + 2))
+    d, n = mesh.dim, mesh.n
+    grid = np.asarray(values, dtype=float).reshape((n + 1,) * d + (-1,))
     total = 0.0
-    for lo in range(0, mesh.num_cells, _NORM_CHUNK):
-        hi = min(lo + _NORM_CHUNK, mesh.num_cells)
-        cv = vals[mesh.cells[lo:hi]]
-        ssum = cv.sum(axis=1)
-        per_cell = (ssum * ssum + (cv * cv).sum(axis=1)).sum(axis=1)
-        total += float(vols[lo:hi] @ per_cell)
-    return total * scale
+    for corners in _chain_templates(d):
+        slabs = [grid[tuple(slice(c, c + n) for c in corner)]
+                 for corner in corners]
+        ssum = sum(slabs)
+        total += float((ssum * ssum + sum(v * v for v in slabs)).sum())
+    return total * cell_volumes(mesh)[0] / ((d + 1) * (d + 2))
 
 
 def l2_error_nested(level_mesh, u_level, ref_mesh, u_ref):

@@ -214,6 +214,21 @@ def _sym_tensor_basis(d):
     return np.array(basis)
 
 
+def _check_pairing_size(dim, n):
+    """Refuse a demo level whose dense arrays would exceed the limit.
+
+    Raises ValueError naming the level and the estimate in MB; the
+    mesh of the unit box at n has d! n^d cells.
+    """
+    nX = math.factorial(dim) * n ** dim * dim * (dim + 1) // 2
+    need = _DEMO_PEAK_ARRAYS * 8 * nX * nX
+    if need > _DENSE_LIMIT_BYTES:
+        raise ValueError("weighted pairing demo at n=%d (%dD) needs about "
+                         "%d MB of dense arrays, above the %d MB limit"
+                         % (n, dim, need // 2**20,
+                            _DENSE_LIMIT_BYTES // 2**20))
+
+
 def weighted_pairing_matrices(mesh, s, center):
     """Discrete spaces and pairings of the weighted tensor demo.
 
@@ -233,14 +248,8 @@ def weighted_pairing_matrices(mesh, s, center):
     if np.any(center <= 0.0) or np.any(center >= 1.0):
         raise ValueError("center must be strictly inside the unit box")
 
+    _check_pairing_size(mesh.dim, mesh.n)
     d = mesh.dim
-    nX = mesh.num_cells * d * (d + 1) // 2
-    need = _DEMO_PEAK_ARRAYS * 8 * nX * nX
-    if need > _DENSE_LIMIT_BYTES:
-        raise ValueError("weighted pairing demo at n=%d (%dD) needs about "
-                         "%d MB of dense arrays, above the %d MB limit"
-                         % (mesh.n, d, need // 2**20,
-                            _DENSE_LIMIT_BYTES // 2**20))
     dofmap = build_dof_map(mesh)
     if dofmap.n_free == 0:
         raise ValueError("mesh has no interior vertices")
@@ -265,7 +274,7 @@ def weighted_pairing_matrices(mesh, s, center):
     # B[(free dof of z), (cell, a)] = vol * eps(z)|_cell : E_a
     epsvals = np.einsum("xip,apc->xica", grads, basis)
     epsvals *= vols[:, None, None, None]
-    B = np.zeros((dofmap.n_free, nX))
+    B = np.zeros((dofmap.n_free, nc * nsym))
     fidx = dofmap.free_index[mesh.cells]
     cols = (np.arange(nc) * nsym)[:, None] + np.arange(nsym)[None, :]
     for i in range(d + 1):

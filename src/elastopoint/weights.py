@@ -94,40 +94,42 @@ def _split_pieces(center_bary, rule_bary):
         yield frac, rule_bary @ V
 
 
-def _check_quad_order(quad_order):
+def _cell_integrals(mesh, spec, quad_order, cellvals=None):
+    """Per-cell integral of rho |v_h|^2, or of rho when cellvals is None.
+
+    cellvals holds the nodal values of v_h per cell, shape
+    (nc, d+1, components). Regular cells use the requested rule; cells
+    touching a center are split once about it and integrated with the
+    order-4 rule per piece so that no node lands on the singularity.
+    """
     if quad_order not in (2, 4):
         raise ValueError("quad_order must be 2 or 4, got %r" % (quad_order,))
-
-
-def cell_weight_integrals(mesh, spec, quad_order=4):
-    """Integral of the weight over every cell, shape (nc,).
-
-    Regular cells use the requested rule; cells touching a center are
-    split once about it and integrated with the order-4 rule per piece
-    so that no node lands on the singularity.
-    """
-    _check_quad_order(quad_order)
     if spec.dim != mesh.dim:
         raise ValueError("weight dimension %d does not match mesh dimension"
                          " %d" % (spec.dim, mesh.dim))
-    bary, qw = simplex_rule(mesh.dim, quad_order)
-    bary4, qw4 = simplex_rule(mesh.dim, 4)
-    vols = cell_volumes(mesh)
     verts = mesh.vertices[mesh.cells]
 
-    pts = np.einsum("qi,xid->xqd", bary, verts)
-    wvals = _eval_many(spec, pts.reshape(-1, mesh.dim))
-    wvals = wvals.reshape(mesh.num_cells, len(qw))
-    out = vols * (wvals @ qw)
+    def quadrature(bary, qw, cells):
+        # rule nodes given in parent barycentrics of the selected cells
+        pts = np.einsum("qi,xid->xqd", bary, verts[cells])
+        vals = _eval_many(spec, pts.reshape(-1, mesh.dim))
+        vals = vals.reshape(pts.shape[:2])
+        if cellvals is not None:
+            vq = np.einsum("qi,xic->xqc", bary, cellvals[cells])
+            vals = (vq * vq).sum(axis=2) * vals
+        return vals @ qw
 
+    out = quadrature(*simplex_rule(mesh.dim, quad_order), slice(None))
+    bary4, qw4 = simplex_rule(mesh.dim, 4)
     for ci, cb in _singular_cells(mesh, spec).items():
-        cv = verts[ci]
-        total = 0.0
-        for frac, nodes in _split_pieces(cb, bary4):
-            ppts = nodes @ cv
-            total += frac * float(_eval_many(spec, ppts) @ qw4)
-        out[ci] = vols[ci] * total
-    return out
+        out[ci] = sum(frac * quadrature(nodes, qw4, [ci])[0]
+                      for frac, nodes in _split_pieces(cb, bary4))
+    return cell_volumes(mesh) * out
+
+
+def cell_weight_integrals(mesh, spec, quad_order=4):
+    """Integral of the weight over every cell, shape (nc,)."""
+    return _cell_integrals(mesh, spec, quad_order)
 
 
 def _nodal_field(mesh, field):
@@ -141,35 +143,12 @@ def _nodal_field(mesh, field):
 
 def weighted_l2_norm_sq(mesh, field, spec, quad_order=4):
     """int rho_alpha |v_h|^2 dx for a nodal P1 field (scalar or vector)."""
-    _check_quad_order(quad_order)
-    vals = _nodal_field(mesh, field)
-    bary, qw = simplex_rule(mesh.dim, quad_order)
-    bary4, qw4 = simplex_rule(mesh.dim, 4)
-    vols = cell_volumes(mesh)
-    verts = mesh.vertices[mesh.cells]
-    cellvals = vals[mesh.cells]
-
-    pts = np.einsum("qi,xid->xqd", bary, verts)
-    wvals = _eval_many(spec, pts.reshape(-1, mesh.dim))
-    wvals = wvals.reshape(mesh.num_cells, len(qw))
-    vq = np.einsum("qi,xic->xqc", bary, cellvals)
-    per_cell = ((vq * vq).sum(axis=2) * wvals) @ qw
-
-    singular = _singular_cells(mesh, spec)
-    for ci, cb in singular.items():
-        total = 0.0
-        for frac, nodes in _split_pieces(cb, bary4):
-            ppts = nodes @ verts[ci]
-            w = _eval_many(spec, ppts)
-            vv = nodes @ cellvals[ci]
-            total += frac * float(((vv * vv).sum(axis=1) * w) @ qw4)
-        per_cell[ci] = total
-    return float(vols @ per_cell)
+    cellvals = _nodal_field(mesh, field)[mesh.cells]
+    return float(_cell_integrals(mesh, spec, quad_order, cellvals).sum())
 
 
 def weighted_h1_seminorm_sq(mesh, field, spec, quad_order=4):
     """int rho_alpha |grad v_h|^2 dx; the gradient is cellwise constant."""
-    _check_quad_order(quad_order)
     vals = _nodal_field(mesh, field)
     _, grads = cell_geometry(mesh)
     gv = np.einsum("xia,xic->xca", grads, vals[mesh.cells])

@@ -96,6 +96,24 @@ def cell_gradients_loop(mesh, ci):
     return coeffs[1:, :].T
 
 
+def l2_norm_sq_p1_percell(mesh, values):
+    """Exact integral of |v_h|^2, one closed-form term per cell.
+
+    int_T (sum_i lambda_i v_i)^2 = |T| ((sum v)^2 + sum v^2) / ((d+1)(d+2)),
+    with the vertex values gathered through mesh.cells and each volume
+    taken from a determinant.
+    """
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    cv = vals[mesh.cells]
+    ssum = cv.sum(axis=1)
+    per_cell = (ssum * ssum + (cv * cv).sum(axis=1)).sum(axis=1)
+    vols = np.array([cell_volume_loop(mesh, ci)
+                     for ci in range(mesh.num_cells)])
+    return float(vols @ per_cell) / ((mesh.dim + 1) * (mesh.dim + 2))
+
+
 # ---------------------------------------------------------------------------
 # assembly
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -285,6 +286,17 @@ def test_infsup_demo_refuses_oversized_level(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_infsup_demo_checks_every_level_first(tmp_path, capsys):
+    out = tmp_path / "demo.csv"
+    rc = main(["infsup-demo", "--dim", "2", "--levels", "4", "64",
+               "--alpha", "1.0", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "n=4" not in captured.out
+    assert "n=64" in captured.err
+    assert not out.exists()
+
+
 def test_infsup_demo_rejects_multiple_centers(tmp_path, capsys):
     rc = main(["infsup-demo", "--dim", "2", "--levels", "2",
                "--alpha", "1.0", "--center", "0.3", "0.3",
@@ -357,3 +369,42 @@ def test_korn_builds_one_dof_map_per_mesh(tmp_path, monkeypatch):
                "--out", str(tmp_path / "korn.csv")])
     assert rc == 0
     assert calls == [8, 16, 32]
+
+
+# the flags each subcommand declares; every other flag is a usage error
+SUBCOMMAND_FLAGS = {
+    "converge": {"--dim", "--levels", "--mu", "--lambda", "--tol", "--out",
+                 "--loads", "--manufactured", "--ref-extra"},
+    "solve": {"--dim", "--levels", "--mu", "--lambda", "--tol", "--out",
+              "--loads"},
+    "korn": {"--dim", "--levels", "--alpha", "--center", "--out"},
+    "infsup-demo": {"--dim", "--levels", "--alpha", "--center", "--out"},
+    "a2": {"--dim", "--alpha", "--center"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_help_lists_only_the_flags_the_handler_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == SUBCOMMAND_FLAGS[command] | {"--help"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--dim", "2", "--levels", "4", "8", "--manufactured",
+     "--out", "x.csv", "--alpha", "1.0"],
+    ["solve", "--dim", "2", "--levels", "8", "--loads", "loads.txt",
+     "--center", "0.5", "0.5"],
+    ["korn", "--dim", "2", "--levels", "4", "--lambda", "5"],
+    ["infsup-demo", "--dim", "2", "--levels", "2", "--tol", "1e-8"],
+    ["a2", "--dim", "2", "--alpha", "1.0", "--out", "a2.txt"],
+], ids=lambda argv: argv[0])
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, tmp_path,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []

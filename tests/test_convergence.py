@@ -15,7 +15,7 @@ from elastopoint.convergence import (
 )
 from elastopoint.mesh import build_unit_box_mesh, locate_point
 
-from oracles import box_integral_affine_squared
+from oracles import box_integral_affine_squared, l2_norm_sq_p1_percell
 
 
 def _fd_forcing(u, mu, lam, pts, step=1e-4):
@@ -115,6 +115,19 @@ def test_l2_norm_exact_for_affine_fields(dim):
 def test_l2_norm_scalar_constant():
     mesh = build_unit_box_mesh(2, 2)
     assert abs(l2_norm_sq_p1(mesh, np.full(mesh.num_vertices, 3.0)) - 9.0) < 1e-13
+
+
+@pytest.mark.parametrize("dim,n", [(2, 3), (2, 5), (2, 8), (3, 3), (3, 4)])
+@pytest.mark.parametrize("components", [None, 1, 3])
+def test_l2_norm_matches_percell_oracle(dim, n, components):
+    mesh = build_unit_box_mesh(dim, n)
+    rng = np.random.default_rng(10 * dim + n)
+    shape = (mesh.num_vertices,) if components is None else \
+        (mesh.num_vertices, components)
+    field = rng.standard_normal(shape)
+    got = l2_norm_sq_p1(mesh, field)
+    ref = l2_norm_sq_p1_percell(mesh, field)
+    assert abs(got - ref) <= 1e-13 * ref
 
 
 def test_nested_error_of_prolonged_field_is_zero():

@@ -110,6 +110,13 @@ def test_quad_order_and_dim_validation():
         cell_weight_integrals(mesh, WeightSpec([[0.5, 0.5, 0.5]], 1.0))
 
 
+def test_weighted_norm_rejects_weight_of_other_dimension():
+    mesh = build_unit_box_mesh(2, 2)
+    spec = WeightSpec([[0.5, 0.5, 0.5]], 1.0)
+    with pytest.raises(ValueError, match="does not match mesh dimension"):
+        weighted_l2_norm_sq(mesh, np.ones(mesh.num_vertices), spec)
+
+
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
 def test_unweighted_norm_matches_affine_integral(dim, n):
     mesh = build_unit_box_mesh(dim, n)
