@@ -6,16 +6,15 @@ power-weight utilities, discrete inf-sup/Korn diagnostics, and a
 nested-reference convergence harness with a CLI front end.
 """
 
-from .assembly import (CONSTRAINED, EPS_DIV, GRAD_DIV, DofMap, LameParams,
+from .assembly import (CONSTRAINED, EPS_DIV, GRAD_DIV, LameParams,
                        PointLoadSet, assemble_point_load,
                        assemble_smooth_load, assemble_stiffness,
-                       build_dof_map, point_load_nodal,
+                       build_dof_map, from_free, point_load_nodal, to_free,
                        vector_p1_form_matrix)
 from .convergence import (ConvergenceReport, ManufacturedSolution,
                           ReportRow, StudyError, eoc, l2_error_nested,
                           l2_error_quadrature, l2_norm_sq_p1,
-                          manufactured_sine_2d, prolongate,
-                          run_convergence_study)
+                          manufactured_sine_2d, run_convergence_study)
 from .mesh import (CellLocation, Mesh, build_unit_box_mesh, cell_geometry,
                    cell_volumes, cells_containing_point, locate_point,
                    prolongation_matrix)

@@ -12,9 +12,11 @@ kernel is evaluated only on the d! reference cells of the Kuhn
 lattice; cells scale it by their volume or weight, and the sums are
 formed per lattice offset and written straight into CSR.
 
-Free degrees of freedom are the (vertex, component) pairs of interior
-vertices, ordered by vertex index then component. Sparse outputs are
-scipy CSR matrices over the free dofs.
+Free degrees of freedom are the (vertex, component) pairs of the
+interior (n-1)^d sub-lattice, vertex-major with the component inner.
+This module alone decides that numbering: to_free and from_free move
+nodal arrays to and from it, and every sparse output is a scipy CSR
+matrix over it.
 """
 
 from dataclasses import dataclass
@@ -72,27 +74,33 @@ class PointLoadSet:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
-class DofMap:
-    """Free-dof numbering: (vertex, component) pairs on interior vertices.
+def _interior(mesh):
+    """Index of the interior sub-lattice in an (n+1,)*d vertex grid."""
+    return (slice(1, mesh.n),) * mesh.dim
 
-    free_index[v, c] is the free dof number or CONSTRAINED for boundary
-    vertices.
-    """
 
-    mesh: object
-    free_index: np.ndarray
-    n_free: int
+def to_free(mesh, nodal):
+    """Free rows of an (nv, d, ...) nodal array, shape (n_free, ...)."""
+    nodal = np.asarray(nodal)
+    grid = nodal.reshape((mesh.n + 1,) * mesh.dim + nodal.shape[1:])
+    return grid[_interior(mesh)].reshape((-1,) + nodal.shape[2:])
+
+
+def from_free(mesh, x):
+    """The (nv, d) nodal field of a free-dof vector, zero on the boundary."""
+    d = mesh.dim
+    grid = np.zeros((mesh.n + 1,) * d + (d,))
+    grid[_interior(mesh)] = np.reshape(x, (mesh.n - 1,) * d + (d,))
+    return grid.reshape(-1, d)
 
 
 def build_dof_map(mesh):
-    free = np.full((mesh.num_vertices, mesh.dim), CONSTRAINED,
-                   dtype=np.int64)
-    interior = ~mesh.boundary_vertex
-    n_int = int(interior.sum())
-    idx = np.arange(n_int * mesh.dim, dtype=np.int64).reshape(n_int, mesh.dim)
-    free[interior] = idx
-    return DofMap(mesh, free, n_int * mesh.dim)
+    """(nv, d) table of free dof numbers, CONSTRAINED on the boundary."""
+    d = mesh.dim
+    table = np.full((mesh.n + 1,) * d + (d,), CONSTRAINED, dtype=np.int64)
+    table[_interior(mesh)] = np.arange(mesh.num_free_dofs).reshape(
+        (mesh.n - 1,) * d + (d,))
+    return table.reshape(-1, d)
 
 
 def _element_matrices(grads, c_grad, c_div, c_eps):
@@ -144,15 +152,14 @@ def _corner_pair_blocks(dim, K):
     return groups
 
 
-def vector_p1_form_matrix(mesh, dofmap, cell_weights=None, c_grad=0.0,
-                          c_div=0.0, c_eps=0.0):
+def vector_p1_form_matrix(mesh, cell_weights=None, c_grad=0.0, c_div=0.0,
+                          c_eps=0.0):
     """CSR matrix of a cellwise-constant vector P1 bilinear form.
 
     cell_weights scales each cell's contribution; None means plain cell
     volumes (unweighted form), integrals of a weight over each cell
-    give the weighted form. Constrained rows/columns are eliminated
-    symmetrically. dofmap must number the free dofs as build_dof_map
-    does.
+    give the weighted form. Rows and columns are the free dofs in the
+    order of to_free; constrained ones are eliminated symmetrically.
 
     Lattice assembly: the element matrices of the d! reference cells
     are built once, and a cell contributes its weight times the matrix
@@ -166,7 +173,8 @@ def vector_p1_form_matrix(mesh, dofmap, cell_weights=None, c_grad=0.0,
     not stored. Deterministic: fixed accumulation order.
     """
     d, n = mesh.dim, mesh.n
-    if dofmap.n_free == 0:
+    n_free = mesh.num_free_dofs
+    if n_free == 0:
         return sp.csr_matrix((0, 0))
     if cell_weights is None:
         weights = cell_volumes(mesh)
@@ -196,7 +204,7 @@ def vector_p1_form_matrix(mesh, dofmap, cell_weights=None, c_grad=0.0,
     half[0][..., iu[1], iu[0]] = half[0][..., iu[0], iu[1]]
 
     m = len(offsets) - 1
-    interior = (slice(1, n),) * d
+    interior = _interior(mesh)
     nint = (n - 1) ** d
     vals = np.empty((nint, d, 2 * m + 1, d))
     vals[:, :, m, :] = half[0][interior].reshape(nint, d, d)
@@ -210,24 +218,23 @@ def vector_p1_form_matrix(mesh, dofmap, cell_weights=None, c_grad=0.0,
     steps = np.array(offsets[:0:-1] + offsets, dtype=np.int64) @ strides
     steps[:m] *= -1
     verts = np.arange((n + 1) ** d).reshape((n + 1,) * d)[interior].ravel()
-    cols = dofmap.free_index[verts[:, None] + steps[None, :]]
+    cols = build_dof_map(mesh)[verts[:, None] + steps[None, :]]
     cols = np.broadcast_to(cols[:, None], vals.shape)
     keep = (cols >= 0) & (vals != 0.0)
     per_row = keep.reshape(nint * d, -1).sum(axis=1)
     nnz = int(per_row.sum())
-    itype = np.int32 if max(nnz, dofmap.n_free) < 2 ** 31 else np.int64
+    itype = np.int32 if max(nnz, n_free) < 2 ** 31 else np.int64
     indptr = np.zeros(nint * d + 1, dtype=itype)
     np.cumsum(per_row, out=indptr[1:])
     return sp.csr_matrix((vals[keep], cols[keep].astype(itype), indptr),
-                         shape=(dofmap.n_free, dofmap.n_free))
+                         shape=(n_free, n_free))
 
 
-def assemble_stiffness(mesh, params, form=GRAD_DIV, dofmap=None):
+def assemble_stiffness(mesh, params, form=GRAD_DIV):
     """Elasticity stiffness on free dofs in either algebraic form.
 
-    dofmap is the mesh's dof map when the caller already holds one;
-    None builds it. Returns an empty 0 x 0 matrix when the mesh has no
-    interior vertices (n_free = 0); that is a signal, not an error.
+    Returns an empty 0 x 0 matrix when the mesh has no interior
+    vertices (n_free = 0); that is a signal, not an error.
     """
     if form == GRAD_DIV:
         coeffs = dict(c_grad=params.mu, c_div=params.mu + params.lam)
@@ -235,9 +242,7 @@ def assemble_stiffness(mesh, params, form=GRAD_DIV, dofmap=None):
         coeffs = dict(c_eps=2.0 * params.mu, c_div=params.lam)
     else:
         raise ValueError("form must be GRAD_DIV or EPS_DIV, got %r" % (form,))
-    if dofmap is None:
-        dofmap = build_dof_map(mesh)
-    return vector_p1_form_matrix(mesh, dofmap, **coeffs)
+    return vector_p1_form_matrix(mesh, **coeffs)
 
 
 def point_load_nodal(mesh, loads):
@@ -258,20 +263,12 @@ def point_load_nodal(mesh, loads):
     return out
 
 
-def _free_entries(dofmap, nodal):
-    """Free-dof vector of an (nv, dim) nodal array; boundary rows dropped."""
-    b = np.zeros(dofmap.n_free)
-    free = dofmap.free_index >= 0
-    b[dofmap.free_index[free]] = nodal[free]
-    return b
-
-
-def assemble_point_load(mesh, dofmap, loads):
+def assemble_point_load(mesh, loads):
     """Free-dof load vector for f = sum_k f_k delta_{x_k}."""
-    return _free_entries(dofmap, point_load_nodal(mesh, loads))
+    return to_free(mesh, point_load_nodal(mesh, loads))
 
 
-def assemble_smooth_load(mesh, dofmap, f, quad_order):
+def assemble_smooth_load(mesh, f, quad_order):
     """Free-dof load vector int f . phi_i dx by cellwise quadrature.
 
     f maps an (m, dim) array of points to an (m, dim) array of values.
@@ -293,4 +290,4 @@ def assemble_smooth_load(mesh, dofmap, f, quad_order):
     nodal = np.zeros((mesh.num_vertices, mesh.dim))
     np.add.at(nodal, mesh.cells.ravel(),
               contrib.reshape(-1, mesh.dim))
-    return _free_entries(dofmap, nodal)
+    return to_free(mesh, nodal)

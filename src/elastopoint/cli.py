@@ -13,19 +13,14 @@ fixed header `level,n,h,ndof,error_l2,eoc` and a blank EOC on the
 first row. Displacement fields are written as legacy ASCII VTK
 unstructured grids (triangles/tetrahedra, 3-component vectors, 2D
 fields zero-padded).
-
-The environment variable ELASTOPOINT_THREADS caps parallelism; every
-kernel in this package is serial and deterministic, so any accepted
-value (0/1 = explicit serial mode) runs identically.
 """
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
-from .assembly import LameParams, PointLoadSet, build_dof_map
+from .assembly import LameParams, PointLoadSet
 from .convergence import (_solve_level, manufactured_sine_2d,
                           run_convergence_study)
 from .mesh import build_unit_box_mesh
@@ -135,23 +130,15 @@ def write_vtk_field(mesh, field, path):
         fh.write(xyz * mesh.num_vertices % tuple(vec.ravel().tolist()))
 
 
-def _check_threads_env():
-    raw = os.environ.get("ELASTOPOINT_THREADS")
-    if raw is None:
-        return
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ValueError("ELASTOPOINT_THREADS must be a nonnegative "
-                         "integer, got %r" % raw) from None
-    if val < 0:
-        raise ValueError("ELASTOPOINT_THREADS must be >= 0, got %d" % val)
-
-
 def _centers(args):
-    """The --center groups as an (K, dim) array; the box center if none."""
+    """The --center groups as an (K, dim) array; the box center if none.
+
+    A center weights nothing without --alpha, so that pair is an error.
+    """
     if not args.center:
         return np.full((1, args.dim), 0.5)
+    if args.alpha is None:
+        raise ValueError("--center needs --alpha (the weight exponent)")
     for group in args.center:
         if len(group) != args.dim:
             raise ValueError("--center needs %d coordinates, got %d"
@@ -192,10 +179,10 @@ def _cmd_solve(args):
     params = LameParams(args.mu, args.lam)
     loads = parse_loads_file(args.loads, args.dim)
     n = args.levels[0]
-    mesh, full, n_free, stats = _solve_level(
+    mesh, full, stats = _solve_level(
         build_levels(args.dim, n, params), loads, args.tol, None)
     print("n=%d h=%s ndof=%d iterations=%d residual=%s"
-          % (n, _fmt(mesh.h), n_free, stats.iterations,
+          % (n, _fmt(mesh.h), mesh.num_free_dofs, stats.iterations,
              _fmt(stats.final_relative_residual)))
     if args.out:
         write_vtk_field(mesh, full, args.out)
@@ -209,10 +196,9 @@ def _cmd_korn(args):
     rows = []
     for n in args.levels:
         mesh = build_unit_box_mesh(args.dim, n)
-        dofmap = build_dof_map(mesh)
-        ch = discrete_korn_constant(mesh, spec, dofmap)
+        ch = discrete_korn_constant(mesh, spec)
         lam_min = 1.0 / (ch * ch)
-        rows.append("%d,%s,%d,%s,%s" % (n, _fmt(mesh.h), dofmap.n_free,
+        rows.append("%d,%s,%d,%s,%s" % (n, _fmt(mesh.h), mesh.num_free_dofs,
                                         _fmt(lam_min), _fmt(ch)))
         print("n=%d lambda_min=%s korn_constant=%s"
               % (n, _fmt(lam_min), _fmt(ch)))
@@ -249,9 +235,9 @@ def _cmd_infsup_demo(args):
 
 
 def _cmd_a2(args):
-    centers = _centers(args)
     if args.alpha is None:
         raise ValueError("--alpha is required for a2")
+    centers = _centers(args)
     spec = WeightSpec(centers, args.alpha)
     balls, radii = default_ball_family(args.dim, centers[0])
     est = estimate_a2(spec, balls, radii)
@@ -312,7 +298,6 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads_env()
         return args.func(args)
     except (ValueError, OSError, RuntimeError,
             np.linalg.LinAlgError) as exc:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .assembly import (LameParams, PointLoadSet, assemble_point_load,
-                       assemble_smooth_load)
+                       assemble_smooth_load, from_free)
 from .mesh import _chain_templates, cell_volumes, prolongation_matrix
 from .multigrid import build_levels, vcycle
 from .quadrature import simplex_rule
@@ -71,19 +71,6 @@ def manufactured_sine_2d(params):
         return np.stack([g, g], axis=1)
 
     return ManufacturedSolution(u, f, "manufactured sine field (2d)")
-
-
-def prolongate(coarse_mesh, values, fine_mesh):
-    """Inject a nodal field from mesh(n) into mesh(2n) exactly."""
-    if coarse_mesh.dim != fine_mesh.dim:
-        raise ValueError("meshes have different dimensions")
-    if fine_mesh.n != 2 * coarse_mesh.n:
-        raise ValueError("fine mesh must halve the coarse mesh size "
-                         "(n=%d vs n=%d)" % (coarse_mesh.n, fine_mesh.n))
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != coarse_mesh.num_vertices:
-        raise ValueError("field size does not match the coarse mesh")
-    return prolongation_matrix(coarse_mesh.dim, coarse_mesh.n) @ values
 
 
 def l2_norm_sq_p1(mesh, values):
@@ -160,17 +147,16 @@ def _solve_level(levels, forcing, rel_tol, max_iter):
     """Solve at levels[0] with CG preconditioned by a multigrid V-cycle.
 
     levels is a tail of a build_levels family; its first entry supplies
-    the mesh, dof map and stiffness, and the V-cycle runs over the
-    coarser entries after it. Returns (mesh, nodal field with zero
-    boundary values, n_free, SolveStats). Raises StudyError when CG
-    does not converge.
+    the mesh and stiffness, and the V-cycle runs over the coarser
+    entries after it. Returns (mesh, nodal field with zero boundary
+    values, SolveStats). Raises StudyError when CG does not converge.
     """
     level = levels[0]
-    mesh, dofmap = level.mesh, level.dofmap
+    mesh = level.mesh
     if isinstance(forcing, PointLoadSet):
-        b = assemble_point_load(mesh, dofmap, forcing)
+        b = assemble_point_load(mesh, forcing)
     else:
-        b = assemble_smooth_load(mesh, dofmap, forcing.f, 4)
+        b = assemble_smooth_load(mesh, forcing.f, 4)
     x, stats = cg_solve(level.A, b, rel_tol=rel_tol, max_iter=max_iter,
                         precond=partial(vcycle, levels))
     if not stats.converged:
@@ -178,10 +164,7 @@ def _solve_level(levels, forcing, rel_tol, max_iter):
             "cg did not converge at level n=%d (%d iterations, relative "
             "residual %.3e)" % (mesh.n, stats.iterations,
                                 stats.final_relative_residual))
-    full = np.zeros((mesh.num_vertices, mesh.dim))
-    free = dofmap.free_index >= 0
-    full[free] = x[dofmap.free_index[free]]
-    return mesh, full, dofmap.n_free, stats
+    return mesh, from_free(mesh, x), stats
 
 
 def run_convergence_study(dim, levels, params, forcing, ref_extra_levels=2,
@@ -218,16 +201,16 @@ def run_convergence_study(dim, levels, params, forcing, ref_extra_levels=2,
     hs = []
     ndofs = []
     for n in levels:
-        mesh, full, n_free, _ = _solve_level(family[index[n]:], forcing,
-                                             rel_tol, max_iter)
+        mesh, full, _ = _solve_level(family[index[n]:], forcing, rel_tol,
+                                     max_iter)
         hs.append(mesh.h)
-        ndofs.append(n_free)
+        ndofs.append(mesh.num_free_dofs)
         solutions.append((mesh, full))
 
     errors = []
     if point_load:
-        ref_mesh, ref_full, _, _ = _solve_level(family, forcing, rel_tol,
-                                                max_iter)
+        ref_mesh, ref_full, _ = _solve_level(family, forcing, rel_tol,
+                                             max_iter)
         for (mesh, full) in solutions:
             errors.append(l2_error_nested(mesh, full, ref_mesh, ref_full))
         reference_n = top

@@ -36,15 +36,12 @@ class Mesh:
         Vertex coordinates; grid values k/n.
     cells : ndarray, shape (nc, dim + 1)
         Vertex indices per cell, positively oriented.
-    boundary_vertex : ndarray of bool, shape (nv,)
-        True iff some coordinate equals 0 or 1 exactly.
     """
 
     dim: int
     n: int
     vertices: np.ndarray
     cells: np.ndarray
-    boundary_vertex: np.ndarray
 
     @property
     def h(self):
@@ -58,6 +55,11 @@ class Mesh:
     @property
     def num_cells(self):
         return self.cells.shape[0]
+
+    @property
+    def num_free_dofs(self):
+        """d (n-1)^d: d components on each interior vertex."""
+        return self.dim * (self.n - 1) ** self.dim
 
 
 @dataclass(frozen=True)
@@ -163,10 +165,7 @@ def build_unit_box_mesh(dim, n):
     # (n^d, d!, d+1, d) integer lattice coords of every cell vertex
     corner = cubes[:, None, None, :] + templates[None, :, :, :]
     cells = (corner * strides).sum(axis=-1).reshape(-1, dim + 1)
-
-    on_face = (vertices == 0.0) | (vertices == 1.0)
-    boundary = on_face.any(axis=1)
-    return Mesh(dim, n, vertices, cells, np.ascontiguousarray(boundary))
+    return Mesh(dim, n, vertices, cells)
 
 
 def _reference_gradients(dim, n):

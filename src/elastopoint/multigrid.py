@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import DofMap, GRAD_DIV, assemble_stiffness, build_dof_map
+from .assembly import GRAD_DIV, assemble_stiffness, to_free
 from .mesh import Mesh, build_unit_box_mesh, prolongation_matrix
 
 # Chebyshev-Jacobi smoother: polynomial degree, and the smoothed part
@@ -33,8 +33,8 @@ DENSE_BOTTOM_LIMIT = 2000
 class GridLevel:
     """One size of the nested family and its multigrid data.
 
-    mesh, dofmap and the GRAD_DIV stiffness A are what a solve at this
-    size needs. inv_diag is 1 / diag(A) and lmax the Gershgorin bound
+    mesh and the GRAD_DIV stiffness A on its free dofs are what a solve
+    at this size needs. inv_diag is 1 / diag(A) and lmax the Gershgorin bound
     max_i sum_j |A_ij| / A_ii on the spectrum of D^-1 A; it is never
     below the largest eigenvalue, which the smoother needs. P maps the
     free dofs of the next coarser level to this one, and R = P^T. A
@@ -44,7 +44,6 @@ class GridLevel:
     """
 
     mesh: Mesh
-    dofmap: DofMap
     A: sp.csr_matrix
     inv_diag: Optional[np.ndarray] = None
     lmax: Optional[float] = None
@@ -56,16 +55,17 @@ class GridLevel:
 def _dof_prolongation(fine, coarse):
     """Free-dof prolongation from the coarse mesh to the fine one.
 
-    The interior-vertex block of the lattice prolongation, one copy per
-    displacement component: free dofs are numbered vertex-major with
-    the component inner, as build_dof_map does. Boundary rows and
-    columns drop out because prolongated zero-trace fields stay zero on
-    the boundary.
+    The lattice prolongation with one copy per displacement component,
+    restricted to the free rows and columns that to_free picks from the
+    nodal dofs. Boundary rows and columns drop out because prolongated
+    zero-trace fields stay zero on the boundary.
     """
-    rows = np.flatnonzero(~fine.boundary_vertex)
-    cols = np.flatnonzero(~coarse.boundary_vertex)
-    P = prolongation_matrix(fine.dim, coarse.n)[rows][:, cols]
-    return sp.kron(P, sp.identity(fine.dim), format="csr")
+    d = fine.dim
+    P = sp.kron(prolongation_matrix(d, coarse.n), sp.identity(d),
+                format="csr")
+    rows = to_free(fine, np.arange(fine.num_vertices * d).reshape(-1, d))
+    cols = to_free(coarse, np.arange(coarse.num_vertices * d).reshape(-1, d))
+    return P[rows][:, cols]
 
 
 def build_levels(dim, n, params):
@@ -81,17 +81,15 @@ def build_levels(dim, n, params):
     while True:
         # the mesh validates dim and n before the halving goes on
         mesh = build_unit_box_mesh(dim, m)
-        dofmap = build_dof_map(mesh)
-        assembled.append((mesh, dofmap,
-                          assemble_stiffness(mesh, params, GRAD_DIV, dofmap)))
+        assembled.append((mesh, assemble_stiffness(mesh, params, GRAD_DIV)))
         if mesh.n % 2:
             break
         m = mesh.n // 2
 
     levels = []
-    for k, (mesh, dofmap, A) in enumerate(assembled):
-        if dofmap.n_free == 0:
-            levels.append(GridLevel(mesh, dofmap, A))
+    for k, (mesh, A) in enumerate(assembled):
+        if mesh.num_free_dofs == 0:
+            levels.append(GridLevel(mesh, A))
             continue
         inv_diag = 1.0 / A.diagonal()
         lmax = float((inv_diag * (abs(A) @ np.ones(A.shape[0]))).max())
@@ -99,10 +97,9 @@ def build_levels(dim, n, params):
         if mesh.n % 2 == 0 and mesh.n > 2:
             P = _dof_prolongation(mesh, assembled[k + 1][0])
             R = P.T.tocsr()
-        elif dofmap.n_free <= DENSE_BOTTOM_LIMIT:
+        elif mesh.num_free_dofs <= DENSE_BOTTOM_LIMIT:
             factor = scipy.linalg.cho_factor(A.toarray(), lower=True)
-        levels.append(GridLevel(mesh, dofmap, A, inv_diag, lmax, P, R,
-                                factor))
+        levels.append(GridLevel(mesh, A, inv_diag, lmax, P, R, factor))
     return levels
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .assembly import build_dof_map, vector_p1_form_matrix
+from .assembly import to_free, vector_p1_form_matrix
 from .mesh import cell_geometry
 from .weights import WeightSpec, cell_weight_integrals
 
@@ -250,8 +250,7 @@ def weighted_pairing_matrices(mesh, s, center):
 
     _check_pairing_size(mesh.dim, mesh.n)
     d = mesh.dim
-    dofmap = build_dof_map(mesh)
-    if dofmap.n_free == 0:
+    if mesh.num_free_dofs == 0:
         raise ValueError("mesh has no interior vertices")
 
     vols, grads = cell_geometry(mesh)
@@ -271,21 +270,16 @@ def weighted_pairing_matrices(mesh, s, center):
     G_Y = np.diag(np.repeat(w_neg, nsym))
     A = np.diag(np.repeat(vols, nsym))
 
-    # B[(free dof of z), (cell, a)] = vol * eps(z)|_cell : E_a
+    # B[(vertex, c), (cell, a)] = vol * eps(phi_vertex e_c)|_cell : E_a,
+    # written on nodal rows (each vertex of a cell once), then restricted
     epsvals = np.einsum("xip,apc->xica", grads, basis)
     epsvals *= vols[:, None, None, None]
-    B = np.zeros((dofmap.n_free, nc * nsym))
-    fidx = dofmap.free_index[mesh.cells]
-    cols = (np.arange(nc) * nsym)[:, None] + np.arange(nsym)[None, :]
-    for i in range(d + 1):
-        for c in range(d):
-            rows = fidx[:, i, c]
-            keep = rows >= 0
-            np.add.at(B, (rows[keep][:, None], cols[keep]),
-                      epsvals[keep, i, c, :])
+    B = np.zeros((mesh.num_vertices, d, nc, nsym))
+    B[mesh.cells, :, np.arange(nc)[:, None]] = epsvals
+    B = to_free(mesh, B.reshape(mesh.num_vertices, d, nc * nsym))
 
-    G_M = vector_p1_form_matrix(mesh, dofmap, w_pos, c_grad=1.0).toarray()
-    G_Q = vector_p1_form_matrix(mesh, dofmap, w_neg, c_grad=1.0).toarray()
+    G_M = vector_p1_form_matrix(mesh, w_pos, c_grad=1.0).toarray()
+    G_Q = vector_p1_form_matrix(mesh, w_neg, c_grad=1.0).toarray()
     return A, B, B.copy(), G_X, G_Y, G_M, G_Q
 
 
@@ -353,31 +347,28 @@ def _pencil_lambda_min(E, G):
     return lo
 
 
-def discrete_korn_constant(mesh, spec=None, dofmap=None):
+def discrete_korn_constant(mesh, spec=None):
     """C_h = lambda_min^{-1/2} for the pencil (strain form, grad form).
 
     Both forms share the cellwise weight integrals (plain volumes when
-    spec is None). Unweighted, lambda_min lies in [1/2, 1].
-    lambda_min is found by inertia bisection: the free dofs are
-    numbered vertex by vertex, so both forms are banded, and
-    E - sigma G has a banded Cholesky factor exactly when sigma lies
-    below lambda_min. About 51 factorizations shrink the bracket to a
-    relative width of 4 eps, and every point of it is certified by a
-    factorization that succeeded (below) or failed (above). The same
-    path serves every mesh size and repeated calls return identical
-    values. dofmap is the mesh's dof map when the caller already holds
-    one; None builds it.
+    spec is None), and both are built on the free dofs of the mesh.
+    Unweighted, lambda_min lies in [1/2, 1]. lambda_min is found by
+    inertia bisection: the free dofs run vertex by vertex over the
+    interior lattice, so both forms are banded, and E - sigma G has a
+    banded Cholesky factor exactly when sigma lies below lambda_min.
+    About 51 factorizations shrink the bracket to a relative width of
+    4 eps, and every point of it is certified by a factorization that
+    succeeded (below) or failed (above). The same path serves every
+    mesh size and repeated calls return identical values.
     """
-    if dofmap is None:
-        dofmap = build_dof_map(mesh)
-    if dofmap.n_free == 0:
+    if mesh.num_free_dofs == 0:
         raise ValueError("mesh has no interior vertices")
     if spec is None:
         wints = None
     else:
         wints = cell_weight_integrals(mesh, spec, 4)
-    E = vector_p1_form_matrix(mesh, dofmap, wints, c_eps=1.0)
-    G = vector_p1_form_matrix(mesh, dofmap, wints, c_grad=1.0)
+    E = vector_p1_form_matrix(mesh, wints, c_eps=1.0)
+    G = vector_p1_form_matrix(mesh, wints, c_grad=1.0)
     lam = _pencil_lambda_min(E, G)
     if not lam > 0.0:
         raise ValueError("degenerate pencil: lambda_min = %r" % (lam,))

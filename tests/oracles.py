@@ -179,15 +179,31 @@ def dense_form_loop(mesh, cell_weights, c_grad=0.0, c_div=0.0, c_eps=0.0):
     return K
 
 
-def restrict_to_free(K_full, dofmap):
+def free_dof_numbering(mesh):
+    """(nv, d) free dof numbers by a loop; -1 on boundary vertices.
+
+    A vertex is free when none of its coordinates equals 0 or 1; free
+    vertices are numbered in vertex order, their components inner.
+    """
+    table = np.full((mesh.num_vertices, mesh.dim), -1, dtype=int)
+    k = 0
+    for v in range(mesh.num_vertices):
+        if any(x == 0.0 or x == 1.0 for x in mesh.vertices[v]):
+            continue
+        for c in range(mesh.dim):
+            table[v, c] = k
+            k += 1
+    return table
+
+
+def restrict_to_free(K_full, mesh):
     """Restrict a full (nv*d) x (nv*d) matrix to the free dof ordering."""
-    nv, d = dofmap.free_index.shape
-    full_ids = np.empty(dofmap.n_free, dtype=int)
-    for v in range(nv):
-        for c in range(d):
-            k = dofmap.free_index[v, c]
-            if k >= 0:
-                full_ids[k] = v * d + c
+    table = free_dof_numbering(mesh)
+    full_ids = np.empty(int((table >= 0).sum()), dtype=int)
+    for v in range(mesh.num_vertices):
+        for c in range(mesh.dim):
+            if table[v, c] >= 0:
+                full_ids[table[v, c]] = v * mesh.dim + c
     return K_full[np.ix_(full_ids, full_ids)]
 
 

@@ -5,19 +5,21 @@ from elastopoint.assembly import (
     CONSTRAINED,
     EPS_DIV,
     GRAD_DIV,
-    DofMap,
     LameParams,
     PointLoadSet,
     assemble_point_load,
     assemble_smooth_load,
     assemble_stiffness,
     build_dof_map,
+    from_free,
     point_load_nodal,
+    to_free,
     vector_p1_form_matrix,
 )
 from elastopoint.mesh import build_unit_box_mesh, cell_volumes
 
-from oracles import dense_form_loop, dense_stiffness_loop, restrict_to_free
+from oracles import (dense_form_loop, dense_stiffness_loop,
+                     free_dof_numbering, restrict_to_free)
 
 
 def test_lame_params_validate():
@@ -46,18 +48,44 @@ def test_point_load_set_validate():
 @pytest.mark.parametrize("dim,n", [(2, 2), (2, 3), (3, 2)])
 def test_dof_map_ordering(dim, n):
     mesh = build_unit_box_mesh(dim, n)
-    dm = build_dof_map(mesh)
-    assert dm.n_free == dim * (n - 1) ** dim
-    assert dm.free_index.shape == (mesh.num_vertices, dim)
-    running = 0
+    table = build_dof_map(mesh)
+    oracle = free_dof_numbering(mesh)
+    assert mesh.num_free_dofs == dim * (n - 1) ** dim
+    assert table.shape == (mesh.num_vertices, dim)
+    assert np.array_equal(table[oracle >= 0], oracle[oracle >= 0])
+    assert np.all(table[oracle < 0] == CONSTRAINED)
+    assert int((oracle >= 0).sum()) == mesh.num_free_dofs
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_free_dof_gather_and_scatter_match_loop_oracle(dim, n):
+    mesh = build_unit_box_mesh(dim, n)
+    oracle = free_dof_numbering(mesh)
+    free = oracle >= 0
+    n_free = int(free.sum())
+    assert mesh.num_free_dofs == n_free
+    rng = np.random.default_rng(10 * dim + n)
+    nodal = rng.standard_normal((mesh.num_vertices, dim, 3))
+
+    expected = np.empty((n_free, 3))
     for v in range(mesh.num_vertices):
         for c in range(dim):
-            if mesh.boundary_vertex[v]:
-                assert dm.free_index[v, c] == CONSTRAINED
-            else:
-                assert dm.free_index[v, c] == running
-                running += 1
-    assert running == dm.n_free
+            if oracle[v, c] >= 0:
+                expected[oracle[v, c]] = nodal[v, c]
+    assert np.array_equal(to_free(mesh, nodal), expected)
+    x = to_free(mesh, nodal[:, :, 0])
+    assert x.shape == (n_free,)
+    assert np.array_equal(x, expected[:, 0])
+
+    field = from_free(mesh, x)
+    assert field.shape == (mesh.num_vertices, dim)
+    assert np.array_equal(field[free], nodal[:, :, 0][free])
+    assert np.all(field[~free] == 0.0)
+    # round trips: free -> nodal -> free, and nodal with zero boundary
+    # values -> free -> nodal
+    assert np.array_equal(to_free(mesh, field), x)
+    assert np.array_equal(from_free(mesh, to_free(mesh, field)), field)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 2), (2, 3), (3, 2)])
@@ -65,9 +93,8 @@ def test_dof_map_ordering(dim, n):
 @pytest.mark.parametrize("mu,lam", [(1.0, 1.0), (2.0, 0.5)])
 def test_stiffness_matches_loop_oracle(dim, n, form, mu, lam):
     mesh = build_unit_box_mesh(dim, n)
-    dm = build_dof_map(mesh)
     A = assemble_stiffness(mesh, LameParams(mu, lam), form=form).toarray()
-    K = restrict_to_free(dense_stiffness_loop(mesh, mu, lam, form), dm)
+    K = restrict_to_free(dense_stiffness_loop(mesh, mu, lam, form), mesh)
     assert np.allclose(A, K, atol=1e-12)
 
 
@@ -101,13 +128,12 @@ def test_stiffness_symmetric_and_positive(dim, n):
 @pytest.mark.parametrize("weighted", [False, True])
 def test_form_matrix_matches_weighted_loop_oracle(dim, n, coeffs, weighted):
     mesh = build_unit_box_mesh(dim, n)
-    dm = build_dof_map(mesh)
     vols = cell_volumes(mesh)
     rng = np.random.default_rng(5)
     w = vols * rng.uniform(0.5, 2.0, mesh.num_cells) if weighted else None
-    A = vector_p1_form_matrix(mesh, dm, w, **coeffs)
+    A = vector_p1_form_matrix(mesh, w, **coeffs)
     K = restrict_to_free(
-        dense_form_loop(mesh, vols if w is None else w, **coeffs), dm)
+        dense_form_loop(mesh, vols if w is None else w, **coeffs), mesh)
     scale = abs(K).max()
     assert abs(A.toarray() - K).max() <= 1e-12 * scale
     # exact symmetry, no stored zeros, and the oracle's sparsity pattern;
@@ -121,17 +147,15 @@ def test_form_matrix_matches_weighted_loop_oracle(dim, n, coeffs, weighted):
 
 def test_form_matrix_weights_default_to_volumes():
     mesh = build_unit_box_mesh(2, 4)
-    dm = build_dof_map(mesh)
-    A = vector_p1_form_matrix(mesh, dm, None, c_grad=1.0, c_div=0.5)
-    B = vector_p1_form_matrix(mesh, dm, cell_volumes(mesh), c_grad=1.0, c_div=0.5)
+    A = vector_p1_form_matrix(mesh, None, c_grad=1.0, c_div=0.5)
+    B = vector_p1_form_matrix(mesh, cell_volumes(mesh), c_grad=1.0, c_div=0.5)
     assert abs(A - B).max() == 0.0
 
 
 def test_form_matrix_empty_free_space():
     mesh = build_unit_box_mesh(2, 1)
-    dm = build_dof_map(mesh)
-    assert dm.n_free == 0
-    A = vector_p1_form_matrix(mesh, dm, None, c_grad=1.0)
+    assert mesh.num_free_dofs == 0
+    A = vector_p1_form_matrix(mesh, None, c_grad=1.0)
     assert A.shape == (0, 0)
 
 
@@ -174,24 +198,23 @@ def test_point_load_is_linear_in_loads():
 @pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
 def test_assemble_point_load_restricts_to_free(dim, n):
     mesh = build_unit_box_mesh(dim, n)
-    dm = build_dof_map(mesh)
+    table = free_dof_numbering(mesh)
     loads = PointLoadSet([np.full(dim, 0.5)], [np.arange(1.0, dim + 1.0)])
     full = point_load_nodal(mesh, loads)
-    b = assemble_point_load(mesh, dm, loads)
-    assert b.shape == (dm.n_free,)
+    b = assemble_point_load(mesh, loads)
+    assert b.shape == (mesh.num_free_dofs,)
     for v in range(mesh.num_vertices):
         for c in range(dim):
-            k = dm.free_index[v, c]
+            k = table[v, c]
             if k >= 0:
                 assert b[k] == full[v, c]
 
 
 def test_load_dim_mismatch_raises():
     mesh = build_unit_box_mesh(3, 2)
-    dm = build_dof_map(mesh)
     loads = PointLoadSet([[0.5, 0.5]], [[1.0, 0.0]])
     with pytest.raises(ValueError):
-        assemble_point_load(mesh, dm, loads)
+        assemble_point_load(mesh, loads)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
@@ -199,14 +222,14 @@ def test_smooth_constant_load_recovers_hat_integrals(dim, n):
     # sum_i int phi_i = |box| per component, and a constant integrand is
     # integrated exactly by every rule, so the orders must agree
     mesh = build_unit_box_mesh(dim, n)
-    dm = build_dof_map(mesh)
+    table = free_dof_numbering(mesh)
     f = lambda x: np.tile(np.arange(1.0, dim + 1.0), (x.shape[0], 1))
-    b2 = assemble_smooth_load(mesh, dm, f, quad_order=2)
-    b4 = assemble_smooth_load(mesh, dm, f, quad_order=4)
+    b2 = assemble_smooth_load(mesh, f, quad_order=2)
+    b4 = assemble_smooth_load(mesh, f, quad_order=4)
     assert np.allclose(b2, b4, atol=1e-14)
     full = np.zeros((mesh.num_vertices, dim))
-    free = dm.free_index >= 0
-    full[free] = b4[dm.free_index[free]]
+    free = table >= 0
+    full[free] = b4[table[free]]
     # hat functions of interior vertices each integrate to 1/n^d * const?
     # no closed form per vertex, but the total over all vertices is exact
     # once boundary hats are added back; use a mesh-level linear check:
@@ -216,5 +239,4 @@ def test_smooth_constant_load_recovers_hat_integrals(dim, n):
     for ci in range(mesh.num_cells):
         hats[mesh.cells[ci]] += vols[ci] / (dim + 1)
     expected = hats[:, None] * np.arange(1.0, dim + 1.0)[None, :]
-    assert np.allclose(full[~mesh.boundary_vertex],
-                       expected[~mesh.boundary_vertex], atol=1e-14)
+    assert np.allclose(full[free], expected[free], atol=1e-14)

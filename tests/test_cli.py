@@ -329,18 +329,17 @@ def test_center_arity_checked(capsys):
     assert "--center needs 3 coordinates" in capsys.readouterr().err
 
 
-def test_threads_env_gate(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ELASTOPOINT_THREADS", "abc")
-    rc = main(["a2", "--dim", "2", "--alpha", "0.5"])
+@pytest.mark.parametrize("command", ["korn", "infsup-demo"])
+def test_center_without_alpha_is_an_error(command, tmp_path, capsys):
+    # an unweighted run would ignore the center
+    out = tmp_path / "out.csv"
+    rc = main([command, "--dim", "2", "--levels", "4", "--center", "0.3",
+               "0.3", "--out", str(out)])
     assert rc == 1
-    assert "ELASTOPOINT_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("ELASTOPOINT_THREADS", "-3")
-    assert main(["a2", "--dim", "2", "--alpha", "0.5"]) == 1
-    capsys.readouterr()
-    monkeypatch.setenv("ELASTOPOINT_THREADS", "0")
-    assert main(["a2", "--dim", "2", "--alpha", "0.5"]) == 0
-    monkeypatch.setenv("ELASTOPOINT_THREADS", "4")
-    assert main(["a2", "--dim", "2", "--alpha", "0.5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--center" in captured.err and "--alpha" in captured.err
+    assert not out.exists()
 
 
 def test_argparse_rejects_unknown_usage():
@@ -350,25 +349,6 @@ def test_argparse_rejects_unknown_usage():
         main(["converge", "--levels", "4"])  # --dim missing
     with pytest.raises(SystemExit):
         main([])
-
-
-def test_korn_builds_one_dof_map_per_mesh(tmp_path, monkeypatch):
-    import elastopoint.cli as cli
-    import elastopoint.spectral as spectral
-
-    calls = []
-    original = spectral.build_dof_map
-
-    def counting(mesh):
-        calls.append(mesh.n)
-        return original(mesh)
-
-    monkeypatch.setattr(cli, "build_dof_map", counting)
-    monkeypatch.setattr(spectral, "build_dof_map", counting)
-    rc = main(["korn", "--dim", "2", "--levels", "8", "16", "32",
-               "--out", str(tmp_path / "korn.csv")])
-    assert rc == 0
-    assert calls == [8, 16, 32]
 
 
 # the flags each subcommand declares; every other flag is a usage error

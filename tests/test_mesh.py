@@ -39,10 +39,11 @@ def test_vertices_on_exact_lattice(dim, n):
 
 @pytest.mark.parametrize("dim,n", [(2, 5), (3, 3)])
 def test_boundary_flags(dim, n):
+    # the free dofs are the d components of the vertices off the boundary
     mesh = build_unit_box_mesh(dim, n)
-    expected = ((mesh.vertices == 0.0) | (mesh.vertices == 1.0)).any(axis=1)
-    assert np.array_equal(mesh.boundary_vertex, expected)
-    assert mesh.boundary_vertex.sum() == (n + 1) ** dim - (n - 1) ** dim
+    boundary = ((mesh.vertices == 0.0) | (mesh.vertices == 1.0)).any(axis=1)
+    assert boundary.sum() == (n + 1) ** dim - (n - 1) ** dim
+    assert mesh.num_free_dofs == dim * int((~boundary).sum())
 
 
 @pytest.mark.parametrize("dim,n", [(2, 1), (2, 4), (3, 1), (3, 3)])
@@ -145,7 +146,8 @@ def test_locate_on_shared_faces_prefers_lowest_cell(dim, n):
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
 def test_cells_containing_point_at_vertices(dim, n):
     mesh = build_unit_box_mesh(dim, n)
-    interior = np.flatnonzero(~mesh.boundary_vertex)
+    boundary = ((mesh.vertices == 0.0) | (mesh.vertices == 1.0)).any(axis=1)
+    interior = np.flatnonzero(~boundary)
     v = interior[0]
     found = cells_containing_point(mesh, mesh.vertices[v])
     indices = [loc.cell_index for loc in found]

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from elastopoint.assembly import LameParams, PointLoadSet, assemble_point_load, \
-    assemble_stiffness, build_dof_map
+    assemble_stiffness
 from elastopoint.mesh import build_unit_box_mesh
 from elastopoint.solver import cg_solve, default_max_iter
 
@@ -28,12 +28,11 @@ def test_cg_matches_direct_solve_random():
 
 def test_cg_matches_direct_solve_stiffness():
     mesh = build_unit_box_mesh(2, 12)
-    dm = build_dof_map(mesh)
     A = assemble_stiffness(mesh, LameParams(1.0, 1.0))
-    b = assemble_point_load(mesh, dm, PointLoadSet([[0.5, 0.5]], [[1.0, 0.0]]))
+    b = assemble_point_load(mesh, PointLoadSet([[0.5, 0.5]], [[1.0, 0.0]]))
     x, stats = cg_solve(A, b)
     assert stats.converged
-    assert stats.iterations <= default_max_iter(dm.n_free)
+    assert stats.iterations <= default_max_iter(mesh.num_free_dofs)
     ref = spla.spsolve(A.tocsc(), b)
     assert np.linalg.norm(x - ref) <= 1e-7 * np.linalg.norm(ref)
     # reported residual is the true one
@@ -52,9 +51,8 @@ def test_cg_zero_rhs_short_circuits():
 
 def test_cg_honest_on_iteration_cap():
     mesh = build_unit_box_mesh(2, 16)
-    dm = build_dof_map(mesh)
     A = assemble_stiffness(mesh, LameParams(1.0, 1.0))
-    b = assemble_point_load(mesh, dm, PointLoadSet([[0.5, 0.5]], [[1.0, 0.0]]))
+    b = assemble_point_load(mesh, PointLoadSet([[0.5, 0.5]], [[1.0, 0.0]]))
     x, stats = cg_solve(A, b, max_iter=2)
     assert not stats.converged
     assert stats.iterations == 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from elastopoint.assembly import build_dof_map, vector_p1_form_matrix
+from elastopoint.assembly import vector_p1_form_matrix
 from elastopoint.mesh import build_unit_box_mesh, cell_geometry
 from elastopoint.spectral import (
     InfSupReport,
@@ -18,6 +18,7 @@ from elastopoint.spectral import (
 from elastopoint.weights import WeightSpec, cell_weight_integrals
 
 from oracles import (
+    free_dof_numbering,
     infsup_oracle,
     pencil_lambda_min_oracle,
     random_report_instance,
@@ -189,7 +190,7 @@ def test_pairing_matrices_strain_entries():
     # B[(dof of z), (cell, a)] = vol * eps(z)|_cell : E_a, checked by a
     # hand loop over cells for the single interior hat field
     mesh = build_unit_box_mesh(2, 2)
-    dm = build_dof_map(mesh)
+    table = free_dof_numbering(mesh)
     _, B, _, _, _, _, _ = weighted_pairing_matrices(mesh, 0.0, [0.5, 0.5])
     vols, grads = cell_geometry(mesh)
     sq2 = 1.0 / math.sqrt(2.0)
@@ -202,7 +203,7 @@ def test_pairing_matrices_strain_entries():
             v = mesh.cells[ci, i]
             g = grads[ci, i]
             for comp in range(2):
-                row = dm.free_index[v, comp]
+                row = table[v, comp]
                 if row < 0:
                     continue
                 gradfield = np.zeros((2, 2))
@@ -288,13 +289,12 @@ def _korn_pencil(dim, n, alpha):
     """Mesh, weight spec and the (strain, grad) form pair; the weight
     centre sits off the lattice planes."""
     mesh = build_unit_box_mesh(dim, n)
-    dm = build_dof_map(mesh)
     spec = wints = None
     if alpha is not None:
         spec = WeightSpec([[0.37, 0.61, 0.5][:dim]], alpha)
         wints = cell_weight_integrals(mesh, spec, 4)
-    E = vector_p1_form_matrix(mesh, dm, wints, c_eps=1.0)
-    G = vector_p1_form_matrix(mesh, dm, wints, c_grad=1.0)
+    E = vector_p1_form_matrix(mesh, wints, c_eps=1.0)
+    G = vector_p1_form_matrix(mesh, wints, c_grad=1.0)
     return mesh, spec, E, G
 
 
@@ -344,13 +344,12 @@ def test_korn_degenerate_pencil_raises():
 def test_korn_iterative_branch_matches_dense_oracle():
     # 2d n=33 (2048 free dofs) against a dense generalized eigensolve
     mesh = build_unit_box_mesh(2, 33)
-    dm = build_dof_map(mesh)
-    assert dm.n_free == 2048
+    assert mesh.num_free_dofs == 2048
     ch = discrete_korn_constant(mesh)
     import scipy.linalg
 
-    E = vector_p1_form_matrix(mesh, dm, None, c_eps=1.0).toarray()
-    G = vector_p1_form_matrix(mesh, dm, None, c_grad=1.0).toarray()
+    E = vector_p1_form_matrix(mesh, None, c_eps=1.0).toarray()
+    G = vector_p1_form_matrix(mesh, None, c_grad=1.0).toarray()
     lam_ref = scipy.linalg.eigh(E, G, eigvals_only=True,
                                 subset_by_index=(0, 0))[0]
     assert abs(1.0 / ch**2 - lam_ref) < 1e-8
@@ -359,7 +358,7 @@ def test_korn_iterative_branch_matches_dense_oracle():
 def test_korn_iterative_branch_is_deterministic():
     # 2d n=34 (2178 free dofs): repeated bisections are bit-identical
     mesh = build_unit_box_mesh(2, 34)
-    assert build_dof_map(mesh).n_free == 2178
+    assert mesh.num_free_dofs == 2178
     assert discrete_korn_constant(mesh) == discrete_korn_constant(mesh)
 
 
