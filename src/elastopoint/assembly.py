@@ -36,20 +36,20 @@ EPS_DIV = "EPS_DIV"
 
 @dataclass(frozen=True)
 class LameParams:
-    """Positive Lame constants."""
+    """Positive finite Lame constants."""
 
     mu: float
     lam: float
 
     def __post_init__(self):
-        if not (self.mu > 0 and self.lam > 0):
-            raise ValueError("Lame constants must be positive, got mu=%r "
-                             "lambda=%r" % (self.mu, self.lam))
+        if not (0 < self.mu < np.inf and 0 < self.lam < np.inf):
+            raise ValueError("Lame constants must be positive and finite, "
+                             "got mu=%r lambda=%r" % (self.mu, self.lam))
 
 
 @dataclass(frozen=True)
 class PointLoadSet:
-    """Point forces sum_k f_k delta_{x_k} with strictly interior x_k."""
+    """Finite point forces sum_k f_k delta_{x_k}, x_k strictly interior."""
 
     points: np.ndarray
     forces: np.ndarray
@@ -60,9 +60,12 @@ class PointLoadSet:
         if pts.shape != fcs.shape or pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("points and forces must be matching (K, d) "
                              "arrays with K >= 1")
-        if np.any(pts <= 0.0) or np.any(pts >= 1.0):
+        if not np.all((pts > 0.0) & (pts < 1.0)):
             raise ValueError("load locations must lie strictly inside "
                              "the unit box")
+        if not np.all(np.isfinite(fcs)):
+            raise ValueError("point forces must be finite, got %s"
+                             % (fcs.tolist(),))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "forces", fcs)
 
@@ -268,15 +271,12 @@ def assemble_point_load(mesh, loads):
     return to_free(mesh, point_load_nodal(mesh, loads))
 
 
-def assemble_smooth_load(mesh, f, quad_order):
+def assemble_smooth_load(mesh, f):
     """Free-dof load vector int f . phi_i dx by cellwise quadrature.
 
     f maps an (m, dim) array of points to an (m, dim) array of values.
     """
-    if quad_order not in (1, 2, 4):
-        raise ValueError("quad_order must be one of 1, 2, 4, got %r"
-                         % (quad_order,))
-    bary, qw = simplex_rule(mesh.dim, quad_order)
+    bary, qw = simplex_rule(mesh.dim)
     vols = cell_volumes(mesh)
     verts = mesh.vertices[mesh.cells]
     # physical quadrature points, (nc, nq, d)

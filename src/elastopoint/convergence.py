@@ -115,9 +115,9 @@ def l2_error_nested(level_mesh, u_level, ref_mesh, u_ref):
     return sqrt(l2_norm_sq_p1(ref_mesh, v - u_ref))
 
 
-def l2_error_quadrature(mesh, values, u_exact, quad_order=4):
+def l2_error_quadrature(mesh, values, u_exact):
     """L2 distance between a nodal P1 field and a smooth exact field."""
-    bary, qw = simplex_rule(mesh.dim, quad_order)
+    bary, qw = simplex_rule(mesh.dim)
     vols = cell_volumes(mesh)
     verts = mesh.vertices[mesh.cells]
     vals = np.asarray(values, dtype=float)
@@ -156,7 +156,7 @@ def _solve_level(levels, forcing, rel_tol, max_iter):
     if isinstance(forcing, PointLoadSet):
         b = assemble_point_load(mesh, forcing)
     else:
-        b = assemble_smooth_load(mesh, forcing.f, 4)
+        b = assemble_smooth_load(mesh, forcing.f)
     x, stats = cg_solve(level.A, b, rel_tol=rel_tol, max_iter=max_iter,
                         precond=partial(vcycle, levels))
     if not stats.converged:

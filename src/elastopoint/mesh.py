@@ -8,8 +8,9 @@ which the convergence machinery relies on.
 Vertex numbering is C-order over the (n+1)^d lattice; cells are
 numbered cube-major with the d! simplices of a cube in lexicographic
 order of their axis permutation. Every cell is a translate of one of
-d! reference simplices (its type, cell % d!), so volumes and basis
-gradients have closed forms and no per-cell inverse is taken.
+d! reference simplices (its type, cell % d!), so volumes, basis
+gradients and the barycentrics of a located point all have closed
+forms and no per-cell inverse or solve is taken.
 """
 
 from dataclasses import dataclass
@@ -209,16 +210,6 @@ def cell_geometry(mesh):
     return cell_volumes(mesh), np.tile(grads, (mesh.n ** mesh.dim, 1, 1))
 
 
-def _barycentric_in(mesh, cell_index, x):
-    verts = mesh.vertices[mesh.cells[cell_index]]
-    edges = (verts[1:] - verts[0]).T
-    lam = np.linalg.solve(edges, x - verts[0])
-    bary = np.empty(mesh.dim + 1)
-    bary[1:] = lam
-    bary[0] = 1.0 - lam.sum()
-    return bary
-
-
 def locate_point(mesh, x):
     """Find the lowest-index cell whose closure contains x.
 
@@ -243,13 +234,12 @@ def cells_containing_point(mesh, x):
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (mesh.dim,):
         raise ValueError("expected a point with %d coordinates" % mesh.dim)
-    if np.any(x < -LOCATE_TOL) or np.any(x > 1.0 + LOCATE_TOL):
+    if not np.all((x >= -LOCATE_TOL) & (x <= 1.0 + LOCATE_TOL)):
         raise ValueError("point %s lies outside the closed unit box"
                          % (x.tolist(),))
-    n = mesh.n
+    n, d = mesh.n, mesh.dim
     y = np.clip(x, 0.0, 1.0) * n
     base = np.minimum(np.floor(y).astype(np.int64), n - 1)
-    nfact = factorial(mesh.dim)
     # the cells of cube k have barycentrics min(y - k) and 1 - max(y - k)
     # among theirs, so only cubes with y - k in [0, 1] up to the
     # tolerance (plus rounding slack) can hold x
@@ -257,14 +247,14 @@ def cells_containing_point(mesh, x):
     ranges = [[k for k in range(max(b - 1, 0), min(b + 1, n - 1) + 1)
                if -slack <= yk - k <= 1.0 + slack]
               for b, yk in zip(base, y)]
-    cube_strides = np.array([n ** (mesh.dim - 1 - k) for k in range(mesh.dim)],
-                            dtype=np.int64)
-    hits = []
-    for cube_lin in sorted(int(np.dot(c, cube_strides))
-                           for c in product(*ranges)):
-        for t in range(nfact):
-            ci = cube_lin * nfact + t
-            bary = _barycentric_in(mesh, ci, x)
-            if np.all(bary >= -LOCATE_TOL):
-                hits.append(CellLocation(ci, bary))
-    return hits
+    # product yields the cubes in C order, so hits come out ascending
+    cubes = np.array(list(product(*ranges)), dtype=np.int64).reshape(-1, d)
+    # barycentrics of all d! cell types of every candidate cube at once:
+    # the reference gradients applied to x in cube coordinates
+    bary = np.einsum("tid,md->mti", _reference_gradients(d, 1),
+                     x * n - cubes)
+    bary[:, :, 0] += 1.0
+    first = np.ravel_multi_index(tuple(cubes.T), (n,) * d) * factorial(d)
+    return [CellLocation(int(first[m] + t), bary[m, t])
+            for m, t in zip(*np.nonzero(np.all(bary >= -LOCATE_TOL,
+                                                axis=2)))]

@@ -1,9 +1,11 @@
-"""Quadrature rules on reference simplices.
+"""The one quadrature rule on the reference simplices, exact to degree 4.
 
-Rules are given in barycentric coordinates with weights summing to one;
-integrals over a physical simplex T are w_q * |T| * sum over nodes. All
-nodes are strictly interior so that integrands with point singularities
-at simplex vertices stay finite.
+Every cellwise integral (load vectors, L2 errors, weight integrals and
+the split pieces about a weight center) uses it. Nodes are given in
+barycentric coordinates with weights summing to one, so an integral
+over a simplex T is |T| * sum_q w_q f(x_q). All nodes are strictly
+interior so that integrands with point singularities at simplex
+vertices stay finite.
 """
 
 import numpy as np
@@ -21,10 +23,6 @@ _TET5_S31_A2 = 0.3108859192633005
 _TET5_W2 = 0.1126879257180162
 _TET5_S22_B = 0.0455037041256497
 _TET5_W3 = 0.0425460207770812
-
-# tetrahedron, degree 2 (4-point)
-_TET2_A = 0.5854101966249685
-_TET2_B = 0.1381966011250105
 
 
 def _s31(a):
@@ -48,16 +46,13 @@ def _s22(b):
     return np.array(out)
 
 
-def simplex_rule(dim, order):
-    """Quadrature rule on the reference simplex of dimension `dim`.
+def simplex_rule(dim):
+    """The degree-4 quadrature rule on the reference simplex.
 
     Parameters
     ----------
     dim : int
         Simplex dimension, 2 or 3.
-    order : int
-        Requested polynomial exactness, one of 1, 2, 4. The returned
-        rule is exact at least to this degree.
 
     Returns
     -------
@@ -67,45 +62,21 @@ def simplex_rule(dim, order):
     weights : ndarray, shape (nq,)
         Weights summing to one (reference measure normalized out).
     """
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3, got %r" % (dim,))
-    if order not in (1, 2, 4):
-        raise ValueError("order must be one of 1, 2, 4, got %r" % (order,))
-
-    if order == 1:
-        bary = np.full((1, dim + 1), 1.0 / (dim + 1))
-        weights = np.array([1.0])
-    elif order == 2:
-        if dim == 2:
-            bary = np.array([
-                [2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
-                [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
-                [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0],
-            ])
-            weights = np.full(3, 1.0 / 3.0)
-        else:
-            a, b = _TET2_A, _TET2_B
-            bary = np.full((4, 4), b)
-            for i in range(4):
-                bary[i, i] = a
-            weights = np.full(4, 0.25)
-    else:
-        if dim == 2:
-            a, b = _TRI4_A, _TRI4_B
-            bary = np.array([
-                [1.0 - 2.0 * a, a, a],
-                [a, 1.0 - 2.0 * a, a],
-                [a, a, 1.0 - 2.0 * a],
-                [1.0 - 2.0 * b, b, b],
-                [b, 1.0 - 2.0 * b, b],
-                [b, b, 1.0 - 2.0 * b],
-            ])
-            weights = np.array([_TRI4_WA] * 3 + [_TRI4_WB] * 3)
-        else:
-            bary = np.vstack([_s31(_TET5_S31_A1), _s31(_TET5_S31_A2),
-                              _s22(_TET5_S22_B)])
-            weights = np.concatenate([np.full(4, _TET5_W1),
-                                      np.full(4, _TET5_W2),
-                                      np.full(6, _TET5_W3)])
-
-    return bary, weights
+    if dim == 2:
+        a, b = _TRI4_A, _TRI4_B
+        bary = np.array([
+            [1.0 - 2.0 * a, a, a],
+            [a, 1.0 - 2.0 * a, a],
+            [a, a, 1.0 - 2.0 * a],
+            [1.0 - 2.0 * b, b, b],
+            [b, 1.0 - 2.0 * b, b],
+            [b, b, 1.0 - 2.0 * b],
+        ])
+        return bary, np.array([_TRI4_WA] * 3 + [_TRI4_WB] * 3)
+    if dim == 3:
+        bary = np.vstack([_s31(_TET5_S31_A1), _s31(_TET5_S31_A2),
+                          _s22(_TET5_S22_B)])
+        return bary, np.concatenate([np.full(4, _TET5_W1),
+                                     np.full(4, _TET5_W2),
+                                     np.full(6, _TET5_W3)])
+    raise ValueError("dim must be 2 or 3, got %r" % (dim,))

@@ -258,10 +258,8 @@ def weighted_pairing_matrices(mesh, s, center):
     if s == 0.0:
         w_pos = w_neg = vols
     else:
-        w_pos = cell_weight_integrals(mesh, WeightSpec(center[None, :],
-                                                       alpha), 4)
-        w_neg = cell_weight_integrals(mesh, WeightSpec(center[None, :],
-                                                       -alpha), 4)
+        w_pos = cell_weight_integrals(mesh, WeightSpec(center[None], alpha))
+        w_neg = cell_weight_integrals(mesh, WeightSpec(center[None], -alpha))
     basis = _sym_tensor_basis(d)
     nsym = basis.shape[0]
     nc = mesh.num_cells
@@ -366,7 +364,7 @@ def discrete_korn_constant(mesh, spec=None):
     if spec is None:
         wints = None
     else:
-        wints = cell_weight_integrals(mesh, spec, 4)
+        wints = cell_weight_integrals(mesh, spec)
     E = vector_p1_form_matrix(mesh, wints, c_eps=1.0)
     G = vector_p1_form_matrix(mesh, wints, c_grad=1.0)
     lam = _pencil_lambda_min(E, G)

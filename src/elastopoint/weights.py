@@ -65,15 +65,22 @@ def eval_weight(spec, x):
 def _singular_cells(mesh, spec):
     """Cells whose closure contains a weight center.
 
-    Returns {cell_index: barycentric coords of the first such center}.
+    Returns {cell_index: barycentric coords of the center}. Two distinct
+    centers in one cell closure raise ValueError unless alpha is zero:
+    the split about one would leave the other's pole to plain quadrature.
     """
     found = {}
     for ctr in spec.centers:
         if np.any(ctr < -1e-12) or np.any(ctr > 1.0 + 1e-12):
             continue
         for loc in cells_containing_point(mesh, ctr):
-            found.setdefault(loc.cell_index, loc.barycentric)
-    return found
+            first = found.setdefault(loc.cell_index, (ctr, loc.barycentric))
+            if spec.alpha != 0.0 and not np.array_equal(first[0], ctr):
+                raise ValueError(
+                    "weight centers %s and %s share cell %d; refine the "
+                    "mesh until each cell holds at most one center"
+                    % (first[0].tolist(), ctr.tolist(), loc.cell_index))
+    return {ci: bary for ci, (_, bary) in found.items()}
 
 
 def _split_pieces(center_bary, rule_bary):
@@ -94,22 +101,21 @@ def _split_pieces(center_bary, rule_bary):
         yield frac, rule_bary @ V
 
 
-def _cell_integrals(mesh, spec, quad_order, cellvals=None):
+def _cell_integrals(mesh, spec, cellvals=None):
     """Per-cell integral of rho |v_h|^2, or of rho when cellvals is None.
 
     cellvals holds the nodal values of v_h per cell, shape
-    (nc, d+1, components). Regular cells use the requested rule; cells
-    touching a center are split once about it and integrated with the
-    order-4 rule per piece so that no node lands on the singularity.
+    (nc, d+1, components). Every cell is integrated with the degree-4
+    rule; cells touching a center are split once about it, one rule
+    per piece, so that no node lands on the singularity.
     """
-    if quad_order not in (2, 4):
-        raise ValueError("quad_order must be 2 or 4, got %r" % (quad_order,))
     if spec.dim != mesh.dim:
         raise ValueError("weight dimension %d does not match mesh dimension"
                          " %d" % (spec.dim, mesh.dim))
     verts = mesh.vertices[mesh.cells]
+    rule, qw = simplex_rule(mesh.dim)
 
-    def quadrature(bary, qw, cells):
+    def quadrature(bary, cells):
         # rule nodes given in parent barycentrics of the selected cells
         pts = np.einsum("qi,xid->xqd", bary, verts[cells])
         vals = _eval_many(spec, pts.reshape(-1, mesh.dim))
@@ -119,17 +125,16 @@ def _cell_integrals(mesh, spec, quad_order, cellvals=None):
             vals = (vq * vq).sum(axis=2) * vals
         return vals @ qw
 
-    out = quadrature(*simplex_rule(mesh.dim, quad_order), slice(None))
-    bary4, qw4 = simplex_rule(mesh.dim, 4)
+    out = quadrature(rule, slice(None))
     for ci, cb in _singular_cells(mesh, spec).items():
-        out[ci] = sum(frac * quadrature(nodes, qw4, [ci])[0]
-                      for frac, nodes in _split_pieces(cb, bary4))
+        out[ci] = sum(frac * quadrature(nodes, [ci])[0]
+                      for frac, nodes in _split_pieces(cb, rule))
     return cell_volumes(mesh) * out
 
 
-def cell_weight_integrals(mesh, spec, quad_order=4):
+def cell_weight_integrals(mesh, spec):
     """Integral of the weight over every cell, shape (nc,)."""
-    return _cell_integrals(mesh, spec, quad_order)
+    return _cell_integrals(mesh, spec)
 
 
 def _nodal_field(mesh, field):
@@ -141,19 +146,19 @@ def _nodal_field(mesh, field):
     return vals
 
 
-def weighted_l2_norm_sq(mesh, field, spec, quad_order=4):
+def weighted_l2_norm_sq(mesh, field, spec):
     """int rho_alpha |v_h|^2 dx for a nodal P1 field (scalar or vector)."""
     cellvals = _nodal_field(mesh, field)[mesh.cells]
-    return float(_cell_integrals(mesh, spec, quad_order, cellvals).sum())
+    return float(_cell_integrals(mesh, spec, cellvals).sum())
 
 
-def weighted_h1_seminorm_sq(mesh, field, spec, quad_order=4):
+def weighted_h1_seminorm_sq(mesh, field, spec):
     """int rho_alpha |grad v_h|^2 dx; the gradient is cellwise constant."""
     vals = _nodal_field(mesh, field)
     _, grads = cell_geometry(mesh)
     gv = np.einsum("xia,xic->xca", grads, vals[mesh.cells])
     gnorm2 = (gv * gv).sum(axis=(1, 2))
-    wints = cell_weight_integrals(mesh, spec, quad_order)
+    wints = cell_weight_integrals(mesh, spec)
     return float(gnorm2 @ wints)
 
 

@@ -241,6 +241,24 @@ def test_solve_requires_single_level(tmp_path, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record,flags,fragment", [
+    ("point 0.4 0.55 nan 0\n", [], "forces must be finite"),
+    ("point 0.4 0.55 1 inf\n", [], "forces must be finite"),
+    ("point 0.4 0.55 1 0\n", ["--mu", "inf"], "positive and finite"),
+    ("point 0.4 0.55 1 0\n", ["--lambda", "nan"], "positive and finite"),
+])
+def test_solve_refuses_non_finite_input(tmp_path, capsys, record, flags,
+                                        fragment):
+    loads = tmp_path / "loads.txt"
+    loads.write_text(record)
+    rc = main(["solve", "--dim", "2", "--levels", "63",
+               "--loads", str(loads)] + flags)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert fragment in captured.err
+
+
 def test_korn_command(tmp_path, capsys):
     out = tmp_path / "korn.csv"
     rc = main(["korn", "--dim", "2", "--levels", "4", "8",

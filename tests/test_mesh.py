@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastopoint.mesh import (
     build_unit_box_mesh,
@@ -186,6 +188,35 @@ def test_point_location_matches_bruteforce(dim, n):
         assert np.array_equal(loc.barycentric, found[0].barycentric)
 
 
+@st.composite
+def _mesh_and_point(draw):
+    """(dim, n, x): x on the lattice j/(2n) or j/(3n), or anywhere.
+
+    The lattices hold every vertex, edge midpoint and face centre of
+    the Kuhn cells, where a point lies in several cell closures.
+    """
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        m = draw(st.sampled_from([2 * n, 3 * n]))
+        x = [draw(st.integers(0, m)) / m for _ in range(dim)]
+    else:
+        x = draw(st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim))
+    return dim, n, np.array(x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_mesh_and_point())
+def test_point_location_property(case):
+    dim, n, x = case
+    mesh = build_unit_box_mesh(dim, n)
+    found = cells_containing_point(mesh, x)
+    oracle = containing_cells_bruteforce(mesh, x)
+    assert [loc.cell_index for loc in found] == [ci for ci, _ in oracle]
+    for loc, (_, bary) in zip(found, oracle):
+        assert np.allclose(loc.barycentric, bary, rtol=0.0, atol=1e-10)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_locate_outside_raises(dim):
     mesh = build_unit_box_mesh(dim, 2)
@@ -193,6 +224,9 @@ def test_locate_outside_raises(dim):
         locate_point(mesh, np.full(dim, 1.5))
     with pytest.raises(ValueError):
         locate_point(mesh, np.full(dim, -0.2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="outside the closed unit box"):
+            cells_containing_point(mesh, np.full(dim, bad))
 
 
 def test_locate_accepts_box_corners():

@@ -292,7 +292,7 @@ def _korn_pencil(dim, n, alpha):
     spec = wints = None
     if alpha is not None:
         spec = WeightSpec([[0.37, 0.61, 0.5][:dim]], alpha)
-        wints = cell_weight_integrals(mesh, spec, 4)
+        wints = cell_weight_integrals(mesh, spec)
     E = vector_p1_form_matrix(mesh, wints, c_eps=1.0)
     G = vector_p1_form_matrix(mesh, wints, c_grad=1.0)
     return mesh, spec, E, G

@@ -61,9 +61,8 @@ def test_eval_weight_pole():
 def test_integrals_alpha_zero_are_volumes(dim, n):
     mesh = build_unit_box_mesh(dim, n)
     spec = WeightSpec([np.full(dim, 0.5)], 0.0)
-    for order in (2, 4):
-        wints = cell_weight_integrals(mesh, spec, order)
-        assert np.allclose(wints, cell_volumes(mesh), rtol=1e-12)
+    wints = cell_weight_integrals(mesh, spec)
+    assert np.allclose(wints, cell_volumes(mesh), rtol=1e-12)
 
 
 def test_total_integral_alpha_one_2d():
@@ -71,14 +70,14 @@ def test_total_integral_alpha_one_2d():
     ref = mc_box_integral(2, lambda p: np.hypot(p[:, 0] - 0.5, p[:, 1] - 0.5))
     for n in (8, 16):
         mesh = build_unit_box_mesh(2, n)
-        tot = cell_weight_integrals(mesh, spec, 4).sum()
+        tot = cell_weight_integrals(mesh, spec).sum()
         assert abs(tot - ref) / ref < 1e-2
 
 
 def test_total_integral_alpha_one_3d():
     spec = WeightSpec([[0.5, 0.5, 0.5]], 1.0)
     mesh = build_unit_box_mesh(3, 4)
-    tot = cell_weight_integrals(mesh, spec, 4).sum()
+    tot = cell_weight_integrals(mesh, spec).sum()
     ref = mc_box_integral(
         3, lambda p: np.linalg.norm(p - 0.5, axis=1), samples=200_000)
     assert abs(tot - ref) / ref < 1e-2
@@ -92,7 +91,7 @@ def test_singular_integral_matches_closed_form():
     errs = []
     for n in (8, 16):
         mesh = build_unit_box_mesh(2, n)
-        tot = cell_weight_integrals(mesh, spec, 4).sum()
+        tot = cell_weight_integrals(mesh, spec).sum()
         assert tot > 0
         errs.append(abs(tot - exact) / exact)
     assert errs[-1] < 1e-2
@@ -102,11 +101,14 @@ def test_singular_integral_matches_closed_form():
 def test_quad_order_and_dim_validation():
     mesh = build_unit_box_mesh(2, 2)
     spec = WeightSpec([[0.5, 0.5]], 1.0)
-    with pytest.raises(ValueError):
+    # the quadrature is fixed; an order argument is refused, not ignored
+    with pytest.raises(TypeError):
         cell_weight_integrals(mesh, spec, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         weighted_l2_norm_sq(mesh, np.zeros(mesh.num_vertices), spec, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
+        weighted_h1_seminorm_sq(mesh, np.zeros(mesh.num_vertices), spec, 4)
+    with pytest.raises(ValueError, match="does not match mesh dimension"):
         cell_weight_integrals(mesh, WeightSpec([[0.5, 0.5, 0.5]], 1.0))
 
 
@@ -115,6 +117,29 @@ def test_weighted_norm_rejects_weight_of_other_dimension():
     spec = WeightSpec([[0.5, 0.5, 0.5]], 1.0)
     with pytest.raises(ValueError, match="does not match mesh dimension"):
         weighted_l2_norm_sq(mesh, np.ones(mesh.num_vertices), spec)
+
+
+def test_two_centers_in_one_cell_are_refused():
+    # the split about the first center would leave the second pole to
+    # plain quadrature; at n=16 the total is then off by 1.5%
+    mesh = build_unit_box_mesh(2, 16)
+    spec = WeightSpec([[0.52, 0.51], [0.56, 0.53]], -1.0)
+    with pytest.raises(ValueError, match=r"\[0.52, 0.51\] and \[0.56, 0.53\]"):
+        cell_weight_integrals(mesh, spec)
+    with pytest.raises(ValueError, match="share cell"):
+        weighted_l2_norm_sq(mesh, np.ones(mesh.num_vertices), spec)
+    # once the centers are apart the totals agree across refinement
+    t32, t64 = (cell_weight_integrals(build_unit_box_mesh(2, n), spec).sum()
+                for n in (32, 64))
+    assert abs(t32 - t64) < 1e-3 * t64
+    # a constant weight has no pole to lose, and a repeated center is
+    # the weight of a single one
+    flat = WeightSpec(spec.centers, 0.0)
+    assert np.allclose(cell_weight_integrals(mesh, flat), cell_volumes(mesh),
+                       rtol=1e-12)
+    assert np.array_equal(
+        cell_weight_integrals(mesh, WeightSpec([[0.52, 0.51]] * 2, -1.0)),
+        cell_weight_integrals(mesh, WeightSpec([[0.52, 0.51]], -1.0)))
 
 
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
@@ -131,9 +156,8 @@ def test_unweighted_norm_matches_affine_integral(dim, n):
         box_integral_affine_squared(np.roll(coeffs, c), consts[c % 2], dim)
         for c in range(dim)
     )
-    for order in (2, 4):
-        got = weighted_l2_norm_sq(mesh, field, spec, order)
-        assert abs(got - exact) < 1e-13
+    got = weighted_l2_norm_sq(mesh, field, spec)
+    assert abs(got - exact) < 1e-13
     # and the dedicated closed-form norm agrees
     assert abs(l2_norm_sq_p1(mesh, field) - exact) < 1e-13
 
