@@ -25,7 +25,7 @@ from .convergence import (_solve_level, manufactured_sine_2d,
                           run_convergence_study)
 from .mesh import build_unit_box_mesh
 from .multigrid import build_levels
-from .spectral import (_check_pairing_size, discrete_korn_constant,
+from .spectral import (check_band_size, discrete_korn_constant,
                        weighted_pairing_demo)
 from .weights import WeightSpec, default_ball_family, estimate_a2
 
@@ -193,6 +193,8 @@ def _cmd_solve(args):
 def _cmd_korn(args):
     centers = _centers(args)
     spec = None if args.alpha is None else WeightSpec(centers, args.alpha)
+    for n in args.levels:
+        check_band_size(args.dim, n)
     rows = []
     for n in args.levels:
         mesh = build_unit_box_mesh(args.dim, n)
@@ -215,7 +217,7 @@ def _cmd_infsup_demo(args):
     if len(centers) != 1:
         raise ValueError("infsup-demo expects a single --center")
     for n in args.levels:
-        _check_pairing_size(args.dim, n)
+        check_band_size(args.dim, n)
     rows = []
     for n in args.levels:
         mesh = build_unit_box_mesh(args.dim, n)

@@ -17,24 +17,25 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from .assembly import to_free, vector_p1_form_matrix
+from .assembly import build_dof_map, vector_p1_form_matrix
 from .mesh import cell_geometry
 from .weights import WeightSpec, cell_weight_integrals
 
 # relative singular-value cutoff for rank decisions
 RANK_RTOL = 1e-10
 
-# weighted_pairing_matrices refuses meshes whose demo would need more
-# dense memory than this
-_DENSE_LIMIT_BYTES = 2 * 1024**3
+# the most memory the dense oracle (_check_dense_size) or the band
+# storage of a Korn or inf-sup pencil (check_band_size) may need
+_MEMORY_LIMIT_BYTES = 2 * 1024**3
 
-# peak of weighted_pairing_demo in units of one nX x nX float64 array:
-# the three Grams/pairings built here plus the Cholesky factors,
-# whitened copies and full SVD basis of theorem31_report (measured: 2D
-# n=12 and n=16 raise peak RSS by 65 and 199 MB, nine arrays predict
-# 54 and 170 MB)
-_DEMO_PEAK_ARRAYS = 9
+# peak of weighted_pairing_matrices followed by theorem31_report in
+# units of one nX x nX float64 array: the three diagonal Grams/pairings
+# plus the Cholesky factors, whitened copies and full SVD basis of the
+# report (measured: 2D n=12 and n=16 raise peak RSS by 65 and 199 MB,
+# nine arrays predict 54 and 170 MB)
+_DENSE_PEAK_ARRAYS = 9
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,8 @@ def theorem31_report(A, B, C, G_X, G_Y, G_M, G_Q):
         raise ValueError("B must have %d columns, got %s" % (nY, B.shape))
     if C.shape[1] != nX:
         raise ValueError("C must have %d columns, got %s" % (nX, C.shape))
+    _check_dense_size(max(nX, nY), "theorem31_report on a %d x %d pairing"
+                      % (nY, nX))
 
     beta_B = discrete_infsup(B, G_Y, G_M)
     beta_C = discrete_infsup(C, G_X, G_Q)
@@ -214,19 +217,86 @@ def _sym_tensor_basis(d):
     return np.array(basis)
 
 
-def _check_pairing_size(dim, n):
-    """Refuse a demo level whose dense arrays would exceed the limit.
+def _check_dense_size(nX, what):
+    """Refuse dense work on nX x nX arrays above the memory limit.
 
-    Raises ValueError naming the level and the estimate in MB; the
-    mesh of the unit box at n has d! n^d cells.
+    Raises ValueError naming `what` and the estimate in MB.
     """
-    nX = math.factorial(dim) * n ** dim * dim * (dim + 1) // 2
-    need = _DEMO_PEAK_ARRAYS * 8 * nX * nX
-    if need > _DENSE_LIMIT_BYTES:
-        raise ValueError("weighted pairing demo at n=%d (%dD) needs about "
-                         "%d MB of dense arrays, above the %d MB limit"
+    need = _DENSE_PEAK_ARRAYS * 8 * nX * nX
+    if need > _MEMORY_LIMIT_BYTES:
+        raise ValueError("%s needs about %d MB of dense arrays, above the "
+                         "%d MB limit" % (what, need // 2**20,
+                                          _MEMORY_LIMIT_BYTES // 2**20))
+
+
+def check_band_size(dim, n):
+    """Refuse a Korn or inf-sup level whose banded pencil would not fit.
+
+    _pencil_lambda_min holds three (b + 1) x N float64 band arrays over
+    the N = d m^d free dofs, m = n - 1. The free dofs run vertex by
+    vertex over the interior lattice (C order, component inner), and
+    the farthest coupling is the strain form's: component d-1 of the
+    vertex across the cube diagonal (1, ..., 1) against component 0, so
+    b = d (1 + m + ... + m^(d-1)) + d - 1 (b = d - 1 when m = 1).
+    Returns the estimate in bytes; raises ValueError naming the level
+    and the estimate in MB when it exceeds the limit.
+    """
+    m = n - 1
+    diagonal = sum(m ** k for k in range(dim)) if m > 1 else 0
+    band = dim * diagonal + dim - 1
+    need = 3 * 8 * (band + 1) * dim * max(m, 0) ** dim
+    if need > _MEMORY_LIMIT_BYTES:
+        raise ValueError("level n=%d (%dD) needs about %d MB of band "
+                         "storage, above the %d MB limit"
                          % (n, dim, need // 2**20,
-                            _DENSE_LIMIT_BYTES // 2**20))
+                            _MEMORY_LIMIT_BYTES // 2**20))
+    return need
+
+
+def _demo_weights(mesh, s, center):
+    """Validated inputs of the weighted tensor demo.
+
+    Returns the cell volumes and gradients and the cell integrals of
+    r^{ds} and r^{-ds} (both plain volumes at s = 0).
+    """
+    if not -1.0 < float(s) < 1.0:
+        raise ValueError("s must lie strictly in (-1, 1), got %r" % (s,))
+    center = np.asarray(center, dtype=float).reshape(-1)
+    if center.shape != (mesh.dim,):
+        raise ValueError("center must have %d coordinates" % mesh.dim)
+    if not np.all((center > 0.0) & (center < 1.0)):
+        raise ValueError("center must be strictly inside the unit box, "
+                         "got %s" % center.tolist())
+    if mesh.num_free_dofs == 0:
+        raise ValueError("mesh has no interior vertices")
+
+    vols, grads = cell_geometry(mesh)
+    alpha = mesh.dim * float(s)
+    if s == 0.0:
+        return vols, grads, vols, vols
+    w_pos = cell_weight_integrals(mesh, WeightSpec(center[None], alpha))
+    w_neg = cell_weight_integrals(mesh, WeightSpec(center[None], -alpha))
+    return vols, grads, w_pos, w_neg
+
+
+def _strain_pairing(mesh, vols, grads):
+    """Sparse strain pairing C[(free dof), (cell, a)].
+
+    The entry is vol * eps(phi_vertex e_c)|_cell : E_a over the
+    orthonormal symmetric tensors E_a, columns cell-major. Each
+    (vertex, cell) pair is written once; boundary rows are dropped.
+    """
+    basis = _sym_tensor_basis(mesh.dim)
+    nsym = basis.shape[0]
+    nX = mesh.num_cells * nsym
+    vals = np.einsum("xip,apc->xica", grads, basis)
+    vals *= vols[:, None, None, None]
+    rows = np.broadcast_to(build_dof_map(mesh)[mesh.cells][..., None],
+                           vals.shape)
+    cols = np.broadcast_to(np.arange(nX).reshape(-1, 1, 1, nsym), vals.shape)
+    keep = rows >= 0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(mesh.num_free_dofs, nX))
 
 
 def weighted_pairing_matrices(mesh, s, center):
@@ -238,44 +308,18 @@ def weighted_pairing_matrices(mesh, s, center):
     ds and -ds). A is the unweighted tensor pairing, and B = C is the
     strain pairing int eps(z) : Sigma dx.
 
-    Returns (A, B, C, G_X, G_Y, G_M, G_Q), all dense.
+    Returns (A, B, C, G_X, G_Y, G_M, G_Q), all dense: the oracle for
+    weighted_pairing_demo on small meshes.
     """
-    if not -1.0 < float(s) < 1.0:
-        raise ValueError("s must lie strictly in (-1, 1), got %r" % (s,))
-    center = np.asarray(center, dtype=float).reshape(-1)
-    if center.shape != (mesh.dim,):
-        raise ValueError("center must have %d coordinates" % mesh.dim)
-    if np.any(center <= 0.0) or np.any(center >= 1.0):
-        raise ValueError("center must be strictly inside the unit box")
-
-    _check_pairing_size(mesh.dim, mesh.n)
-    d = mesh.dim
-    if mesh.num_free_dofs == 0:
-        raise ValueError("mesh has no interior vertices")
-
-    vols, grads = cell_geometry(mesh)
-    alpha = d * float(s)
-    if s == 0.0:
-        w_pos = w_neg = vols
-    else:
-        w_pos = cell_weight_integrals(mesh, WeightSpec(center[None], alpha))
-        w_neg = cell_weight_integrals(mesh, WeightSpec(center[None], -alpha))
-    basis = _sym_tensor_basis(d)
-    nsym = basis.shape[0]
-    nc = mesh.num_cells
-
+    nsym = mesh.dim * (mesh.dim + 1) // 2
+    _check_dense_size(mesh.num_cells * nsym,
+                      "dense weighted pairing at n=%d (%dD)"
+                      % (mesh.n, mesh.dim))
+    vols, grads, w_pos, w_neg = _demo_weights(mesh, s, center)
+    B = _strain_pairing(mesh, vols, grads).toarray()
     G_X = np.diag(np.repeat(w_pos, nsym))
     G_Y = np.diag(np.repeat(w_neg, nsym))
     A = np.diag(np.repeat(vols, nsym))
-
-    # B[(vertex, c), (cell, a)] = vol * eps(phi_vertex e_c)|_cell : E_a,
-    # written on nodal rows (each vertex of a cell once), then restricted
-    epsvals = np.einsum("xip,apc->xica", grads, basis)
-    epsvals *= vols[:, None, None, None]
-    B = np.zeros((mesh.num_vertices, d, nc, nsym))
-    B[mesh.cells, :, np.arange(nc)[:, None]] = epsvals
-    B = to_free(mesh, B.reshape(mesh.num_vertices, d, nc * nsym))
-
     G_M = vector_p1_form_matrix(mesh, w_pos, c_grad=1.0).toarray()
     G_Q = vector_p1_form_matrix(mesh, w_neg, c_grad=1.0).toarray()
     return A, B, B.copy(), G_X, G_Y, G_M, G_Q
@@ -286,10 +330,80 @@ def weighted_pairing_demo(mesh, s, center):
 
     Reports the honest alpha (test supremum over ker of the strain
     pairing, trial over the mirrored kernel) next to the full-space
-    variant. At s = 0 both equal 1 up to roundoff.
+    variant; the same four constants as theorem31_report on
+    weighted_pairing_matrices, computed on sparse forms of the free
+    dofs. At s = 0 both alphas equal 1 up to roundoff.
+
+    G_X, G_Y and A are diagonal, so with t = vol / sqrt(w_pos w_neg)
+    per tensor component, C the strain pairing, U_X = D_X^{-1/2} C^T and
+    U_Y = D_Y^{-1/2} C^T:
+    - beta_B^2 is lambda_min of the pencil (strain form weighted by
+      vol^2 / w_neg, gradient form weighted by w_pos); beta_C swaps the
+      weights. Both go through _pencil_lambda_min, as Korn does.
+    - 1 / alpha_full^2 is the largest eigenvalue of
+      b -> t^-2 (b - U_X S^-1 U_X^T t^-2 b), the inverse of t^2
+      compressed to ker U_X^T; S is the strain form weighted by w_neg.
+    - 1 / alpha_kernel^2 is the largest eigenvalue of K^T K with
+      K b = t^-1 (b - U_Y E^-1 U_X^T t^-1 b), the inverse of the kernel
+      pairing; E = U_X^T t^-1 U_Y is the unweighted strain form, so the
+      kernels pair injectively exactly when E is nonsingular (Korn).
+    The two largest eigenvalues come from Lanczos (ARPACK) with a fixed
+    start vector, so repeated calls are bit-identical.
     """
-    A, B, C, G_X, G_Y, G_M, G_Q = weighted_pairing_matrices(mesh, s, center)
-    return theorem31_report(A, B, C, G_X, G_Y, G_M, G_Q)
+    from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
+                                     eigsh, splu)
+
+    check_band_size(mesh.dim, mesh.n)
+    vols, grads, w_pos, w_neg = _demo_weights(mesh, s, center)
+
+    def pencil_root(eps_weights, grad_weights):
+        E = vector_p1_form_matrix(mesh, eps_weights, c_eps=1.0)
+        G = vector_p1_form_matrix(mesh, grad_weights, c_grad=1.0)
+        return math.sqrt(_pencil_lambda_min(E, G))
+
+    beta_B = pencil_root(vols ** 2 / w_neg, w_pos)
+    beta_C = pencil_root(vols ** 2 / w_pos, w_neg)
+
+    C = _strain_pairing(mesh, vols, grads)
+    CT = C.T.tocsr()
+    nX = C.shape[1]
+    nsym = nX // mesh.num_cells
+    dx = np.repeat(w_pos, nsym) ** -0.5
+    dy = np.repeat(w_neg, nsym) ** -0.5
+    tinv = np.repeat(np.sqrt(w_pos * w_neg) / vols, nsym)
+    v0 = np.random.default_rng(0).standard_normal(nX)
+
+    def largest_eigenvalue(matvec, name):
+        op = LinearOperator((nX, nX), matvec=matvec, dtype=float)
+        try:
+            lam = eigsh(op, k=1, which="LA", v0=v0,
+                        return_eigenvectors=False)
+        except ArpackNoConvergence:
+            raise ValueError("Lanczos did not converge for %s at n=%d "
+                             "(%dD)" % (name, mesh.n, mesh.dim)) from None
+        return float(lam[0])
+
+    S = splu(vector_p1_form_matrix(mesh, w_neg, c_eps=1.0).tocsc())
+    tinv2 = tinv * tinv
+
+    def full_inverse(b):
+        return tinv2 * (b - dx * (CT @ S.solve(C @ (dx * (tinv2 * b)))))
+
+    alpha_full = 1.0 / math.sqrt(largest_eigenvalue(full_inverse,
+                                                    "alpha_full"))
+
+    try:
+        E = splu(vector_p1_form_matrix(mesh, None, c_eps=1.0).tocsc())
+    except RuntimeError:
+        return InfSupReport(beta_B, beta_C, 0.0, alpha_full, False)
+
+    def kernel_normal(b):
+        u = tinv * (b - dy * (CT @ E.solve(C @ (dx * tinv * b))))
+        return tinv * (u - dx * (CT @ E.solve(C @ (dy * tinv * u))))
+
+    alpha_kernel = 1.0 / math.sqrt(largest_eigenvalue(kernel_normal,
+                                                      "alpha_kernel"))
+    return InfSupReport(beta_B, beta_C, alpha_kernel, alpha_full, True)
 
 
 def _band(C, b):
@@ -361,6 +475,7 @@ def discrete_korn_constant(mesh, spec=None):
     """
     if mesh.num_free_dofs == 0:
         raise ValueError("mesh has no interior vertices")
+    check_band_size(mesh.dim, mesh.n)
     if spec is None:
         wints = None
     else:

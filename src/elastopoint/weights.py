@@ -29,6 +29,10 @@ class WeightSpec:
         ctr = np.atleast_2d(np.asarray(self.centers, dtype=float))
         if ctr.ndim != 2 or ctr.shape[0] < 1:
             raise ValueError("centers must be a nonempty (K, d) array")
+        bad = ~np.all(np.isfinite(ctr), axis=1)
+        if np.any(bad):
+            raise ValueError("weight center %s is not finite"
+                             % (ctr[bad][0].tolist(),))
         d = ctr.shape[1]
         if not (-d < self.alpha < d):
             raise ValueError("alpha must lie strictly in (-%d, %d), got %r"

@@ -295,24 +295,79 @@ def test_infsup_demo_command(tmp_path, capsys):
 
 
 def test_infsup_demo_refuses_oversized_level(tmp_path, capsys):
+    # 3D n=32: the banded pencil would hold three 2.1 GB arrays
     out = tmp_path / "demo.csv"
-    rc = main(["infsup-demo", "--dim", "2", "--levels", "64", "--alpha",
-               "1.0", "--center", "0.5", "0.5", "--out", str(out)])
+    rc = main(["infsup-demo", "--dim", "3", "--levels", "32", "--alpha",
+               "1.0", "--center", "0.5", "0.5", "0.5", "--out", str(out)])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "n=64" in err and "MB" in err
+    captured = capsys.readouterr()
+    assert "n=32" in captured.err and "MB" in captured.err
+    assert captured.out == ""
     assert not out.exists()
+
+
+def _run_traced(argv):
+    """main(argv) under tracemalloc; returns (exit code, peak bytes)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return rc, peak
 
 
 def test_infsup_demo_checks_every_level_first(tmp_path, capsys):
     out = tmp_path / "demo.csv"
-    rc = main(["infsup-demo", "--dim", "2", "--levels", "4", "64",
-               "--alpha", "1.0", "--out", str(out)])
+    rc, peak = _run_traced(["infsup-demo", "--dim", "3", "--levels", "4",
+                            "32", "--alpha", "1.0", "--out", str(out)])
     assert rc == 1
     captured = capsys.readouterr()
     assert "n=4" not in captured.out
-    assert "n=64" in captured.err
+    assert captured.out == ""
+    assert "n=32" in captured.err
     assert not out.exists()
+    assert peak < 2**20
+
+
+def test_korn_refuses_oversized_level(tmp_path, capsys):
+    out = tmp_path / "korn.csv"
+    rc = main(["korn", "--dim", "3", "--levels", "32", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "n=32" in captured.err and "MB" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_korn_checks_every_level_first(tmp_path, capsys):
+    out = tmp_path / "korn.csv"
+    rc, peak = _run_traced(["korn", "--dim", "3", "--levels", "4", "32",
+                            "--alpha", "1.0", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n=32" in captured.err
+    assert not out.exists()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ["a2", "--dim", "2", "--alpha", "1.0"],
+    ["korn", "--dim", "2", "--levels", "4", "--alpha", "1.0"],
+    ["infsup-demo", "--dim", "2", "--levels", "4", "--alpha", "1.0"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("center", [["nan", "0.5"], ["0.5", "inf"]],
+                         ids=["nan", "inf"])
+def test_non_finite_center_is_named(argv, center, capsys):
+    rc = main(argv + ["--center"] + center)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "center" in captured.err
+    assert "[%s, %s]" % tuple(center) in captured.err
 
 
 def test_infsup_demo_rejects_multiple_centers(tmp_path, capsys):

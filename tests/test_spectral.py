@@ -8,6 +8,7 @@ from elastopoint.mesh import build_unit_box_mesh, cell_geometry
 from elastopoint.spectral import (
     InfSupReport,
     _pencil_lambda_min,
+    check_band_size,
     discrete_infsup,
     discrete_korn_constant,
     kernel_basis,
@@ -245,12 +246,100 @@ def test_pairing_matrices_refuse_oversized_mesh():
 
 
 def test_demo_s_zero_is_exact():
-    for n in (2, 4):
-        rep = weighted_pairing_demo(build_unit_box_mesh(2, n), 0.0,
-                                    [0.5, 0.5])
+    for dim, n in ((2, 2), (2, 4), (2, 16), (3, 3)):
+        rep = weighted_pairing_demo(build_unit_box_mesh(dim, n), 0.0,
+                                    [0.5] * dim)
         assert abs(rep.alpha_A_kernel - 1.0) < 1e-12
         assert abs(rep.alpha_A_full - 1.0) < 1e-12
         assert rep.injective_on_kernels is True
+
+
+_DEMO_CENTERS = {2: ([0.5, 0.5], [0.37, 0.61]),
+                 3: ([0.5, 0.5, 0.5], [0.37, 0.61, 0.43])}
+
+
+@pytest.mark.parametrize("dim,n", [(2, 2), (2, 4), (2, 6), (2, 8), (3, 2),
+                                   (3, 3)])
+def test_sparse_demo_matches_dense_report(dim, n):
+    # the sparse demo against theorem31_report on the dense matrices,
+    # centres on and off the lattice planes (3D n=3 off only: each dense
+    # report there takes about a second)
+    mesh = build_unit_box_mesh(dim, n)
+    centers = _DEMO_CENTERS[dim][-1:] if (dim, n) == (3, 3) \
+        else _DEMO_CENTERS[dim]
+    for center in centers:
+        for s in (0.5, -0.4, 0.3, 0.0):
+            rep = weighted_pairing_demo(mesh, s, center)
+            ref = theorem31_report(*weighted_pairing_matrices(mesh, s,
+                                                              center))
+            for name in ("beta_B", "beta_C", "alpha_A_kernel",
+                         "alpha_A_full"):
+                got, want = getattr(rep, name), getattr(ref, name)
+                assert abs(got - want) <= 1e-12 * want, (name, center, s)
+            assert rep.injective_on_kernels is ref.injective_on_kernels
+            assert rep.alpha_A_kernel <= rep.alpha_A_full + 1e-10
+
+
+def test_sparse_demo_is_bit_identical_across_calls():
+    mesh = build_unit_box_mesh(3, 3)
+    assert weighted_pairing_demo(mesh, 0.3, [0.37, 0.61, 0.43]) == \
+        weighted_pairing_demo(mesh, 0.3, [0.37, 0.61, 0.43])
+
+
+def test_sparse_demo_reports_lanczos_failure(monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(ValueError, match="Lanczos did not converge"):
+        weighted_pairing_demo(build_unit_box_mesh(2, 4), 0.5, [0.5, 0.5])
+
+
+def test_demo_refuses_non_finite_center():
+    mesh = build_unit_box_mesh(2, 4)
+    for s in (0.0, 0.5):
+        with pytest.raises(ValueError, match="nan"):
+            weighted_pairing_demo(mesh, s, [float("nan"), 0.5])
+
+
+def test_report_refuses_oversized_pairing():
+    # a direct call with nX = 20000 would hold 3.2 GB arrays per whitened
+    # copy; the zero-stride inputs cost nothing
+    import tracemalloc
+
+    nX = 20000
+    big = np.broadcast_to(0.0, (nX, nX))
+    row = np.broadcast_to(0.0, (1, nX))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"20000 x 20000 .* MB"):
+            theorem31_report(big, row, row, big, big, np.eye(1), np.eye(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("dim,n", [(2, 2), (2, 3), (2, 5), (2, 8), (3, 2),
+                                   (3, 3), (3, 4), (3, 5)])
+def test_band_estimate_matches_assembled_forms(dim, n):
+    # three (b + 1) x N band arrays, b the widest coupling of the
+    # strain and gradient forms _pencil_lambda_min receives
+    mesh = build_unit_box_mesh(dim, n)
+    E = vector_p1_form_matrix(mesh, None, c_eps=1.0).tocoo()
+    G = vector_p1_form_matrix(mesh, None, c_grad=1.0).tocoo()
+    b = max(np.max(E.row - E.col), np.max(G.row - G.col))
+    assert check_band_size(dim, n) == 3 * 8 * (b + 1) * mesh.num_free_dofs
+
+
+def test_band_limit_admits_the_supported_range():
+    assert check_band_size(3, 24) < 1.5e9
+    assert check_band_size(2, 256) < 1.7e9
+    assert check_band_size(2, 1) == 0
+    with pytest.raises(ValueError, match=r"n=32 \(3D\) .* MB"):
+        check_band_size(3, 32)
 
 
 @pytest.mark.parametrize("s", [-0.5, 0.5])

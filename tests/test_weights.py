@@ -33,6 +33,9 @@ def test_weight_spec_validation():
         WeightSpec([[0.5, 0.5]], -2.0)
     with pytest.raises(ValueError):
         WeightSpec(np.empty((0, 2)), 0.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="center .* is not finite"):
+            WeightSpec([[0.5, 0.5], [0.3, bad]], 1.0)
     WeightSpec([[0.5, 0.5, 0.5]], -2.0)  # in range for d = 3
 
 
