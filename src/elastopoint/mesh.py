@@ -158,14 +158,12 @@ def build_unit_box_mesh(dim, n):
     axes = np.meshgrid(*([grid] * dim), indexing="ij")
     vertices = np.stack([a.ravel() for a in axes], axis=1)
 
-    templates = _chain_templates(dim)
-    strides = _lattice_strides(dim, n)
-    cube_axes = np.meshgrid(*([np.arange(n, dtype=np.int64)] * dim),
-                            indexing="ij")
-    cubes = np.stack([a.ravel() for a in cube_axes], axis=1)
-    # (n^d, d!, d+1, d) integer lattice coords of every cell vertex
-    corner = cubes[:, None, None, :] + templates[None, :, :, :]
-    cells = (corner * strides).sum(axis=-1).reshape(-1, dim + 1)
+    # a cell's vertices are its cube's base vertex plus the lattice
+    # index offsets of its type's corners
+    base = np.arange((n + 1) ** dim, dtype=np.int64).reshape(
+        (n + 1,) * dim)[(slice(0, n),) * dim]
+    corners = _chain_templates(dim) @ _lattice_strides(dim, n)
+    cells = (base.reshape(-1, 1, 1) + corners).reshape(-1, dim + 1)
     return Mesh(dim, n, vertices, cells)
 
 

@@ -74,33 +74,45 @@ def build_levels(dim, n, params):
     Halves while n is even, so every size n / 2^k of the family is
     meshed and assembled once, down to the odd part of n (1 for powers
     of two). A level coarsens (holds P) when its n is even and above 2.
-    The finest level is assembled first, while nothing else is held.
+    The finest level is assembled and given its smoother data first,
+    while nothing else is held.
     """
     assembled = []
     m = n
     while True:
         # the mesh validates dim and n before the halving goes on
         mesh = build_unit_box_mesh(dim, m)
-        assembled.append((mesh, assemble_stiffness(mesh, params, GRAD_DIV)))
+        A = assemble_stiffness(mesh, params, GRAD_DIV)
+        assembled.append((mesh, A) + _jacobi_bound(A))
         if mesh.n % 2:
             break
         m = mesh.n // 2
 
     levels = []
-    for k, (mesh, A) in enumerate(assembled):
-        if mesh.num_free_dofs == 0:
-            levels.append(GridLevel(mesh, A))
-            continue
-        inv_diag = 1.0 / A.diagonal()
-        lmax = float((inv_diag * (abs(A) @ np.ones(A.shape[0]))).max())
+    for k, (mesh, A, inv_diag, lmax) in enumerate(assembled):
         P = R = factor = None
         if mesh.n % 2 == 0 and mesh.n > 2:
             P = _dof_prolongation(mesh, assembled[k + 1][0])
             R = P.T.tocsr()
-        elif mesh.num_free_dofs <= DENSE_BOTTOM_LIMIT:
+        elif 0 < mesh.num_free_dofs <= DENSE_BOTTOM_LIMIT:
             factor = scipy.linalg.cho_factor(A.toarray(), lower=True)
         levels.append(GridLevel(mesh, A, inv_diag, lmax, P, R, factor))
     return levels
+
+
+def _jacobi_bound(A):
+    """inv_diag = 1 / diag(A) and the Gershgorin bound lmax of D^-1 A.
+
+    The row sums of |A| come from a CSR that shares A's index arrays,
+    so only the absolute values are a temporary. (None, None) for an
+    empty A.
+    """
+    if A.shape[0] == 0:
+        return None, None
+    inv_diag = 1.0 / A.diagonal()
+    absA = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr),
+                         shape=A.shape)
+    return inv_diag, float((inv_diag * (absA @ np.ones(A.shape[0]))).max())
 
 
 def _chebyshev(lv, b, x):

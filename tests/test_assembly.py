@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from elastopoint import assembly
 from elastopoint.assembly import (
     CONSTRAINED,
     EPS_DIV,
@@ -19,7 +22,8 @@ from elastopoint.assembly import (
 from elastopoint.mesh import build_unit_box_mesh, cell_volumes
 
 from oracles import (dense_form_loop, dense_stiffness_loop,
-                     free_dof_numbering, restrict_to_free)
+                     form_matrix_fullgrid, free_dof_numbering,
+                     restrict_to_free)
 
 
 def test_lame_params_validate():
@@ -153,6 +157,65 @@ def test_form_matrix_matches_weighted_loop_oracle(dim, n, coeffs, weighted):
     assert np.all(A.data != 0.0)
     assert np.array_equal(A.toarray() != 0.0, abs(K) > 1e-14 * scale)
     assert A.has_sorted_indices
+
+
+def _form_cases(mesh, weighted):
+    """Cell weights and the GRAD_DIV, EPS_DIV, c_grad and c_eps forms."""
+    rng = np.random.default_rng(mesh.n)
+    vols = cell_volumes(mesh)
+    w = vols * rng.uniform(0.5, 2.0, mesh.num_cells) if weighted else None
+    mu, lam = 1.3, 2.1
+    return w, [dict(c_grad=mu, c_div=mu + lam),
+               dict(c_eps=2.0 * mu, c_div=lam),
+               dict(c_grad=1.0), dict(c_eps=1.0)]
+
+
+@pytest.mark.parametrize("dim,n", [(2, 1), (2, 2), (2, 3), (2, 7), (2, 33),
+                                   (3, 1), (3, 2), (3, 3), (3, 5), (3, 9)])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_slab_writer_matches_fullgrid_writer(dim, n, weighted):
+    mesh = build_unit_box_mesh(dim, n)
+    w, forms = _form_cases(mesh, weighted)
+    for coeffs in forms:
+        A = vector_p1_form_matrix(mesh, w, **coeffs)
+        B = form_matrix_fullgrid(mesh, w, **coeffs)
+        assert A.shape == B.shape
+        assert np.array_equal(A.indptr, B.indptr)
+        assert np.array_equal(A.indices, B.indices)
+        assert A.indices.dtype == B.indices.dtype
+        assert A.indptr.dtype == B.indptr.dtype
+        assert np.all(np.abs(A.data - B.data) <= 1e-15 * np.abs(B.data))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 7), (3, 5)])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_slab_length_does_not_change_the_matrix(dim, n, weighted,
+                                                monkeypatch):
+    mesh = build_unit_box_mesh(dim, n)
+    w, forms = _form_cases(mesh, weighted)
+    for coeffs in forms:
+        A = vector_p1_form_matrix(mesh, w, **coeffs)
+        # one vertex plane per slab, then all planes in one slab
+        for slab in (1, mesh.num_vertices):
+            monkeypatch.setattr(assembly, "_SLAB_VERTICES", slab)
+            B = vector_p1_form_matrix(mesh, w, **coeffs)
+            assert np.array_equal(A.indptr, B.indptr)
+            assert np.array_equal(A.indices, B.indices)
+            assert np.array_equal(A.data, B.data)
+        monkeypatch.undo()
+
+
+def test_form_matrix_peak_memory_is_near_its_output():
+    # the whole-lattice writer peaked at 3.56 times its output here
+    mesh = build_unit_box_mesh(3, 32)
+    tracemalloc.start()
+    try:
+        A = assemble_stiffness(mesh, LameParams(1.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    assert peak <= 1.6 * out
 
 
 def test_form_matrix_weights_default_to_volumes():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
     barycentric_coordinates,
     cell_gradients_loop,
     cell_volume_loop,
+    cells_loop,
     containing_cells_bruteforce,
 )
 
@@ -29,6 +31,26 @@ def test_counts_and_h(dim, n):
     assert mesh.vertices.shape == (mesh.num_vertices, dim)
     assert mesh.cells.shape == (mesh.num_cells, dim + 1)
     assert abs(mesh.h - math.sqrt(dim) / n) < 1e-15
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cells_match_loop_oracle(dim, n):
+    # point-location ties and the VTK bytes depend on this numbering
+    cells = build_unit_box_mesh(dim, n).cells
+    expected = cells_loop(dim, n)
+    assert cells.dtype == expected.dtype == np.int64
+    assert np.array_equal(cells, expected)
+
+
+def test_mesh_build_peak_memory_is_near_its_output():
+    tracemalloc.start()
+    try:
+        mesh = build_unit_box_mesh(3, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (mesh.cells.nbytes + mesh.vertices.nbytes)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])

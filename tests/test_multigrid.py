@@ -25,6 +25,18 @@ def test_galerkin_product_equals_rediscretization(dim, n, lam):
     assert np.abs(galerkin - direct).max() <= 1e-14 * np.abs(direct).max()
 
 
+@pytest.mark.parametrize("dim,n", [(2, 8), (3, 4)])
+def test_jacobi_data_is_the_gershgorin_bound(dim, n):
+    for lv in build_levels(dim, n, LameParams(1.0, 3.0))[:-1]:
+        A = lv.A
+        assert np.array_equal(lv.inv_diag, 1.0 / A.diagonal())
+        # the same csr row sums as abs(A), so the bound is bit-identical
+        bound = (lv.inv_diag * (abs(A) @ np.ones(A.shape[0]))).max()
+        assert lv.lmax == bound
+        top = np.linalg.eigvals(lv.inv_diag[:, None] * A.toarray()).real.max()
+        assert top <= lv.lmax
+
+
 @pytest.mark.parametrize("dim,points", [
     (2, [[0.5, 0.5], [0.25, 0.75],          # coarse vertices
          [0.375, 0.5], [0.3, 0.25],         # on axis-parallel edges
