@@ -10,6 +10,7 @@ versus Gauss-Seidel", J. Comput. Phys. 2003) and is symmetric, so it
 preconditions CG.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,6 +28,8 @@ CHEB_RATIO = 30.0
 # largest bottom-level system that is factored densely; a larger
 # bottom level (odd n) is only smoothed
 DENSE_BOTTOM_LIMIT = 2000
+# rows per block of the |A| row sums in _jacobi_bound
+_JACOBI_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -103,16 +106,26 @@ def build_levels(dim, n, params):
 def _jacobi_bound(A):
     """inv_diag = 1 / diag(A) and the Gershgorin bound lmax of D^-1 A.
 
-    The row sums of |A| come from a CSR that shares A's index arrays,
-    so only the absolute values are a temporary. (None, None) for an
-    empty A.
+    The row sums of |A| are taken over blocks of _JACOBI_BLOCK_ROWS
+    rows, each a CSR slice of A, so only one block's absolute values
+    and indices are a temporary. Each row is summed by the same csr
+    matvec as on the whole matrix, so lmax does not depend on the
+    blocking. (None, None) for an empty A.
     """
-    if A.shape[0] == 0:
+    nrows = A.shape[0]
+    if nrows == 0:
         return None, None
     inv_diag = 1.0 / A.diagonal()
-    absA = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr),
-                         shape=A.shape)
-    return inv_diag, float((inv_diag * (absA @ np.ones(A.shape[0]))).max())
+    ones = np.ones(A.shape[1])
+    lmax = -math.inf
+    for r0 in range(0, nrows, _JACOBI_BLOCK_ROWS):
+        r1 = min(r0 + _JACOBI_BLOCK_ROWS, nrows)
+        s0, s1 = A.indptr[r0], A.indptr[r1]
+        block = sp.csr_matrix((np.abs(A.data[s0:s1]), A.indices[s0:s1],
+                               A.indptr[r0:r1 + 1] - s0),
+                              shape=(r1 - r0, A.shape[1]))
+        lmax = max(lmax, float((inv_diag[r0:r1] * (block @ ones)).max()))
+    return inv_diag, lmax
 
 
 def _chebyshev(lv, b, x):

@@ -1,14 +1,19 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from elastopoint.assembly import LameParams, PointLoadSet, assemble_point_load
+from elastopoint.assembly import (GRAD_DIV, LameParams, PointLoadSet,
+                                  assemble_point_load, assemble_stiffness)
 from elastopoint.cli import main
 from elastopoint.convergence import _solve_level
-from elastopoint.multigrid import build_levels, vcycle
+from elastopoint.mesh import build_unit_box_mesh
+from elastopoint.multigrid import _jacobi_bound, build_levels, vcycle
 from elastopoint.solver import cg_solve
+
+from oracles import jacobi_bound_whole_matrix
 
 
 def _load(dim):
@@ -35,6 +40,35 @@ def test_jacobi_data_is_the_gershgorin_bound(dim, n):
         assert lv.lmax == bound
         top = np.linalg.eigvals(lv.inv_diag[:, None] * A.toarray()).real.max()
         assert top <= lv.lmax
+
+
+def _stiffness(dim, n):
+    return assemble_stiffness(build_unit_box_mesh(dim, n),
+                              LameParams(1.0, 7.0), GRAD_DIV)
+
+
+# 2D n=33 and 3D n=16 have 2048 and 10125 rows: a whole number of row
+# blocks and a last block that is cut short
+@pytest.mark.parametrize("dim,n", [(2, 3), (2, 33), (2, 64), (3, 9),
+                                   (3, 16)])
+def test_blocked_jacobi_bound_equals_whole_matrix(dim, n):
+    A = _stiffness(dim, n)
+    inv_diag, lmax = _jacobi_bound(A)
+    ref_inv_diag, ref_lmax = jacobi_bound_whole_matrix(A)
+    assert np.array_equal(inv_diag, ref_inv_diag)
+    assert lmax == ref_lmax
+
+
+def test_jacobi_bound_temporaries_stay_small():
+    # |A| of the whole matrix alone would be 100 % of A.data
+    A = _stiffness(3, 16)
+    tracemalloc.start()
+    try:
+        _jacobi_bound(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * A.data.nbytes
 
 
 @pytest.mark.parametrize("dim,points", [

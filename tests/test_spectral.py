@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from elastopoint.assembly import vector_p1_form_matrix
 from elastopoint.mesh import build_unit_box_mesh, cell_geometry
 from elastopoint.spectral import (
     InfSupReport,
+    _demo_weights,
     _pencil_lambda_min,
     check_band_size,
     discrete_infsup,
@@ -21,6 +24,7 @@ from elastopoint.weights import WeightSpec, cell_weight_integrals
 from oracles import (
     free_dof_numbering,
     infsup_oracle,
+    pencil_lambda_min_bisection,
     pencil_lambda_min_oracle,
     random_report_instance,
     theorem31_oracle,
@@ -419,6 +423,73 @@ def test_korn_bisection_brackets_lambda_min(dim, n, alpha):
     assert not _has_cholesky(E - lam * (1.0 + 1e-12) * G)
 
 
+def _infsup_pencils(dim, n, s, center):
+    """The (strain, gradient) form pairs behind beta_B and beta_C."""
+    mesh = build_unit_box_mesh(dim, n)
+    vols, _, w_pos, w_neg = _demo_weights(mesh, s, center)
+    return [(vector_p1_form_matrix(mesh, vols ** 2 / eps_w, c_eps=1.0),
+             vector_p1_form_matrix(mesh, grad_w, c_grad=1.0))
+            for eps_w, grad_w in ((w_neg, w_pos), (w_pos, w_neg))]
+
+
+_ALPHAS = [None, 1.0, -1.0, 1.9, -1.9]
+
+
+@pytest.mark.parametrize("alpha", _ALPHAS)
+@pytest.mark.parametrize("dim,n", [(2, n) for n in range(2, 17)] + [(2, 32)]
+                         + [(3, n) for n in range(2, 9)])
+def test_korn_pencil_search_equals_bisection(dim, n, alpha):
+    # exact float equality with the plain bisection, not a tolerance
+    _, _, E, G = _korn_pencil(dim, n, alpha)
+    assert _pencil_lambda_min(E, G) == pencil_lambda_min_bisection(E, G)
+
+
+@pytest.mark.parametrize("center", ["on", "off"])
+@pytest.mark.parametrize("s", [0.5, -0.4, 0.3])
+@pytest.mark.parametrize("dim,n", [(2, 2), (2, 3), (2, 4), (2, 7), (2, 8),
+                                   (2, 16), (3, 2), (3, 4)])
+def test_infsup_pencil_search_equals_bisection(dim, n, s, center):
+    point = [0.5] * dim if center == "on" else [0.41, 0.57, 0.63][:dim]
+    for E, G in _infsup_pencils(dim, n, s, point):
+        assert _pencil_lambda_min(E, G) == pencil_lambda_min_bisection(E, G)
+
+
+@pytest.mark.parametrize("dim,n,alpha", [(2, 32, None), (3, 8, 1.0)])
+def test_pencil_search_factorization_count(monkeypatch, dim, n, alpha):
+    # the plain bisection factors 52 or 53 times
+    _, _, E, G = _korn_pencil(dim, n, alpha)
+    calls = []
+    factor = scipy.linalg.cholesky_banded
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", counted)
+    lam = _pencil_lambda_min(E, G)
+    monkeypatch.undo()
+    assert len(calls) <= 20
+    assert lam == pencil_lambda_min_bisection(E, G)
+
+
+def test_pencil_search_holds_only_the_band_arrays():
+    # beyond the three band arrays check_band_size counts, only O(N)
+    # vectors: the Lanczos and work vectors and the band builder's
+    # temporaries (about 12 vectors); a copy of a factor would add a
+    # whole (b + 1) x N band array (174 vectors here)
+    mesh, _, E, G = _korn_pencil(3, 8, 1.0)
+    E = E.tocoo()
+    G = G.tocoo()
+    tracemalloc.start()
+    try:
+        _pencil_lambda_min(E, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vector = 8 * mesh.num_free_dofs
+    assert peak <= check_band_size(3, 8) + 32 * vector
+
+
 def test_korn_degenerate_pencil_raises():
     _, _, E, G = _korn_pencil(2, 4, None)
     with pytest.raises(ValueError, match="degenerate pencil"):
@@ -430,7 +501,7 @@ def test_korn_degenerate_pencil_raises():
         _pencil_lambda_min(singular.tocsr(), G)
 
 
-def test_korn_iterative_branch_matches_dense_oracle():
+def test_korn_matches_dense_eigh_at_2048_dofs():
     # 2d n=33 (2048 free dofs) against a dense generalized eigensolve
     mesh = build_unit_box_mesh(2, 33)
     assert mesh.num_free_dofs == 2048
@@ -444,7 +515,7 @@ def test_korn_iterative_branch_matches_dense_oracle():
     assert abs(1.0 / ch**2 - lam_ref) < 1e-8
 
 
-def test_korn_iterative_branch_is_deterministic():
+def test_korn_repeated_calls_are_bit_identical():
     # 2d n=34 (2178 free dofs): repeated bisections are bit-identical
     mesh = build_unit_box_mesh(2, 34)
     assert mesh.num_free_dofs == 2178
