@@ -14,12 +14,16 @@ formed per lattice offset and written straight into CSR, one slab of
 vertex planes at a time. The CSR arrays are the only allocation of
 the matrix's size, so a form peaks at about 1.5 times the matrix it
 returns, and the slab length does not change a single bit of it.
+The unweighted stiffness is the same on every vertex plane, so
+stiffness_operator keeps the rows of one plane, from the same slab
+writer, as a PlaneOperator whose products equal the matrix's bit for
+bit; the multigrid solve uses it and assembles no matrix.
 
 Free degrees of freedom are the (vertex, component) pairs of the
 interior (n-1)^d sub-lattice, vertex-major with the component inner.
 This module alone decides that numbering: to_free and from_free move
-nodal arrays to and from it, and every sparse output is a scipy CSR
-matrix over it.
+nodal arrays to and from it, the forms are scipy CSR matrices over
+it, and a PlaneOperator acts on it plane by plane.
 """
 
 from dataclasses import dataclass
@@ -36,10 +40,10 @@ CONSTRAINED = -1
 GRAD_DIV = "GRAD_DIV"
 EPS_DIV = "EPS_DIV"
 
-# interior vertices per slab of the CSR writer of vector_p1_form_matrix,
-# rounded down to whole vertex planes along the first axis (at least
-# one). Its temporaries take about 5 kB per slab vertex in 3D; one
-# plane per slab at 3D n=32 was also the fastest length measured.
+# interior vertices per slab of the CSR writer _form_rows, rounded down
+# to whole vertex planes along the first axis (at least one). Its
+# temporaries take about 5 kB per slab vertex in 3D; one plane per
+# slab at 3D n=32 was also the fastest length measured.
 _SLAB_VERTICES = 1024
 
 
@@ -193,7 +197,6 @@ def vector_p1_form_matrix(mesh, cell_weights=None, c_grad=0.0, c_div=0.0,
     (3D n=32: 55 MB for 38 MB; n=64: 442 MB for 328 MB). Every entry
     sums the same terms in the same order whatever the slab length.
     """
-    d, n = mesh.dim, mesh.n
     n_free = mesh.num_free_dofs
     if n_free == 0:
         return sp.csr_matrix((0, 0))
@@ -203,8 +206,22 @@ def vector_p1_form_matrix(mesh, cell_weights=None, c_grad=0.0, c_div=0.0,
         weights = np.asarray(cell_weights, dtype=float)
         if weights.shape != (mesh.num_cells,):
             raise ValueError("cell_weights must have one entry per cell")
+    return _form_rows(mesh, weights, (c_grad, c_div, c_eps),
+                      build_dof_map(mesh), mesh.n - 1, n_free)
 
-    K = _element_matrices(_reference_gradients(d, n), c_grad, c_div, c_eps)
+
+def _form_rows(mesh, weights, coeffs, table, planes, ncols):
+    """CSR of a form's rows at the interior vertex planes 1 .. planes.
+
+    The slab writer of vector_p1_form_matrix. table is the (nv, d)
+    column number of each (vertex, component), CONSTRAINED where the
+    column is dropped; coeffs are (c_grad, c_div, c_eps). The rows are
+    numbered as the free dofs of those planes. Each entry sums the same
+    terms in the same order whatever the slab length and whatever
+    table, so a column kept by two tables holds the same value.
+    """
+    d, n = mesh.dim, mesh.n
+    K = _element_matrices(_reference_gradients(d, n), *coeffs)
     nt = K.shape[0]
     groups = _corner_pair_blocks(d, K)
     # nonnegative offsets in ascending linear stride; for 0/1 vectors
@@ -220,18 +237,19 @@ def vector_p1_form_matrix(mesh, cell_weights=None, c_grad=0.0, c_div=0.0,
     steps[:m] *= -1
     plane = (n - 1) ** (d - 1)
     width = (2 * m + 1) * d
-    bound = n_free * width
+    nrows = planes * plane * d
+    bound = nrows * width
     itype = np.int32 if bound < 2 ** 31 else np.int64
-    table = build_dof_map(mesh).astype(itype)
+    table = table.astype(itype)
     lattice = np.arange((n + 1) ** d).reshape((n + 1,) * d)
     # untouched pages of the upper-bound arrays take no memory
     data = np.empty(bound)
     indices = np.empty(bound, dtype=itype)
-    indptr = np.zeros(n_free + 1, dtype=itype)
+    indptr = np.zeros(nrows + 1, dtype=itype)
     nnz = 0
-    planes = max(1, _SLAB_VERTICES // plane)
-    for lo in range(1, n, planes):
-        hi = min(lo + planes, n)
+    step = max(1, _SLAB_VERTICES // plane)
+    for lo in range(1, planes + 1, step):
+        hi = min(lo + step, planes + 1)
         vals = _slab_blocks(cube_weights, plan, offsets, lo, hi)
         verts = lattice[(slice(lo, hi),) + _interior(mesh)[1:]].reshape(-1)
         cols = table[verts[:, None] + steps[None, :]][:, None]
@@ -248,7 +266,7 @@ def vector_p1_form_matrix(mesh, cell_weights=None, c_grad=0.0, c_div=0.0,
     # shrink in place: no view of either array is alive here
     data.resize(nnz, refcheck=False)
     indices.resize(nnz, refcheck=False)
-    return sp.csr_matrix((data, indices, indptr), shape=(n_free, n_free))
+    return sp.csr_matrix((data, indices, indptr), shape=(nrows, ncols))
 
 
 def _slab_blocks(cube_weights, plan, offsets, lo, hi):
@@ -289,19 +307,80 @@ def _slab_blocks(cube_weights, plan, offsets, lo, hi):
     return vals.reshape(-1, d, 2 * m + 1, d)
 
 
+def _stiffness_coeffs(params, form):
+    """(c_grad, c_div, c_eps) of the stiffness in the given form."""
+    if form == GRAD_DIV:
+        return params.mu, params.mu + params.lam, 0.0
+    if form == EPS_DIV:
+        return 0.0, params.lam, 2.0 * params.mu
+    raise ValueError("form must be GRAD_DIV or EPS_DIV, got %r" % (form,))
+
+
 def assemble_stiffness(mesh, params, form=GRAD_DIV):
     """Elasticity stiffness on free dofs in either algebraic form.
 
     Returns an empty 0 x 0 matrix when the mesh has no interior
     vertices (n_free = 0); that is a signal, not an error.
     """
-    if form == GRAD_DIV:
-        coeffs = dict(c_grad=params.mu, c_div=params.mu + params.lam)
-    elif form == EPS_DIV:
-        coeffs = dict(c_eps=2.0 * params.mu, c_div=params.lam)
-    else:
-        raise ValueError("form must be GRAD_DIV or EPS_DIV, got %r" % (form,))
-    return vector_p1_form_matrix(mesh, **coeffs)
+    return vector_p1_form_matrix(mesh, None, *_stiffness_coeffs(params, form))
+
+
+class PlaneOperator:
+    """A free-dof operator that repeats along the first lattice axis.
+
+    W is the CSR block of the rows of one interior vertex plane, pd =
+    d (n-1)^(d-1) of them, over the columns of that plane and its two
+    neighbours, 3 pd in all. The free dofs are plane-major, so A @ x
+    is (W @ Z).T, with Z the (3 pd, n-1) stack of the planes of x
+    shifted by -1, 0 and +1 and zero where a shift leaves the interior.
+    scipy's CSR times dense product sums each output entry over the
+    row of W in ascending column order: the terms of the assembled
+    row in its order, plus +0 x terms from the zero planes. So A @ x
+    equals the assembled matrix times x bit for bit. data, indices
+    and indptr are W's arrays, for code that sizes a matrix by them.
+    """
+
+    def __init__(self, W, planes):
+        self.W = W
+        self.planes = planes
+        self.shape = (W.shape[0] * planes,) * 2
+        self.data, self.indices, self.indptr = W.data, W.indices, W.indptr
+
+    def diagonal(self):
+        return np.tile(self.W.diagonal(self.W.shape[0]), self.planes)
+
+    def __abs__(self):
+        return PlaneOperator(abs(self.W), self.planes)
+
+    def __matmul__(self, x):
+        pd, p = self.W.shape[0], self.planes
+        z = np.empty((3, pd, p))
+        z[1] = np.reshape(x, (p, pd)).T
+        z[0, :, 0] = z[2, :, -1] = 0.0
+        z[0, :, 1:] = z[1, :, :-1]
+        z[2, :, :-1] = z[1, :, 1:]
+        return (self.W @ z.reshape(3 * pd, p)).T.reshape(-1)
+
+
+def stiffness_operator(mesh, params):
+    """assemble_stiffness(mesh, params) as a PlaneOperator.
+
+    The cells all have one volume, so every interior vertex plane has
+    the rows of the first one, less the columns on a boundary plane.
+    W is those rows from the slab writer of vector_p1_form_matrix,
+    with the columns of vertex planes 0, 1 and 2 all kept.
+    """
+    d, n = mesh.dim, mesh.n
+    if mesh.num_free_dofs == 0:
+        return PlaneOperator(sp.csr_matrix((0, 0)), 0)
+    pd = mesh.num_free_dofs // (n - 1)
+    table = np.full((n + 1,) * d + (d,), CONSTRAINED, dtype=np.int64)
+    table[(slice(0, 3),) + _interior(mesh)[1:]] = np.arange(
+        3 * pd).reshape((3,) + (n - 1,) * (d - 1) + (d,))
+    coeffs = _stiffness_coeffs(params, GRAD_DIV)
+    W = _form_rows(mesh, cell_volumes(mesh), coeffs, table.reshape(-1, d),
+                   1, 3 * pd)
+    return PlaneOperator(W, n - 1)
 
 
 def point_load_nodal(mesh, loads):

@@ -147,9 +147,10 @@ def _solve_level(levels, forcing, rel_tol, max_iter):
     """Solve at levels[0] with CG preconditioned by a multigrid V-cycle.
 
     levels is a tail of a build_levels family; its first entry supplies
-    the mesh and stiffness, and the V-cycle runs over the coarser
-    entries after it. Returns (mesh, nodal field with zero boundary
-    values, SolveStats). Raises StudyError when CG does not converge.
+    the mesh and the stiffness operator, and the V-cycle runs over the
+    coarser entries after it. Returns (mesh, nodal field with zero
+    boundary values, SolveStats). Raises StudyError when CG does not
+    converge.
     """
     level = levels[0]
     mesh = level.mesh

@@ -2,15 +2,15 @@
 
 The meshes at n, n/2, n/4, ... are nested, so the P1 prolongation P
 between neighbouring sizes is exact, and the rediscretized coarse
-stiffness equals the Galerkin product P^T A_fine P. Coarse operators
-therefore come from assemble_stiffness; no sparse triple product is
-formed. The V-cycle smooths with Chebyshev-Jacobi polynomials (Adams,
-Brezina, Hu and Tuminaro, "Parallel multigrid smoothing: polynomial
-versus Gauss-Seidel", J. Comput. Phys. 2003) and is symmetric, so it
-preconditions CG.
+stiffness equals the Galerkin product P^T A_fine P. Every level's
+operator is therefore rediscretized, as a plane operator of
+assembly.stiffness_operator; no sparse triple product and no level
+matrix is formed. The V-cycle smooths with Chebyshev-Jacobi
+polynomials (Adams, Brezina, Hu and Tuminaro, "Parallel multigrid
+smoothing: polynomial versus Gauss-Seidel", J. Comput. Phys. 2003)
+and is symmetric, so it preconditions CG.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,7 +18,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import GRAD_DIV, assemble_stiffness, to_free
+from .assembly import (GRAD_DIV, PlaneOperator, assemble_stiffness,
+                       stiffness_operator, to_free)
 from .mesh import Mesh, build_unit_box_mesh, prolongation_matrix
 
 # Chebyshev-Jacobi smoother: polynomial degree, and the smoothed part
@@ -28,8 +29,6 @@ CHEB_RATIO = 30.0
 # largest bottom-level system that is factored densely; a larger
 # bottom level (odd n) is only smoothed
 DENSE_BOTTOM_LIMIT = 2000
-# rows per block of the |A| row sums in _jacobi_bound
-_JACOBI_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -37,17 +36,20 @@ class GridLevel:
     """One size of the nested family and its multigrid data.
 
     mesh and the GRAD_DIV stiffness A on its free dofs are what a solve
-    at this size needs. inv_diag is 1 / diag(A) and lmax the Gershgorin bound
-    max_i sum_j |A_ij| / A_ii on the spectrum of D^-1 A; it is never
-    below the largest eigenvalue, which the smoother needs. P maps the
-    free dofs of the next coarser level to this one, and R = P^T. A
-    level without P (odd n, or n <= 2) is the bottom of every V-cycle
-    that reaches it; there factor holds a dense Cholesky factor when
-    0 < n_free <= DENSE_BOTTOM_LIMIT.
+    at this size needs. A is a PlaneOperator: it stores the rows of one
+    vertex plane, not the matrix, and A @ x equals the assembled
+    stiffness times x bit for bit. inv_diag is 1 / diag(A) and lmax
+    the Gershgorin bound max_i sum_j |A_ij| / A_ii on the spectrum of
+    D^-1 A; it is never below the largest eigenvalue, which the
+    smoother needs. P maps the free dofs of the next coarser level to
+    this one, and R = P^T. A level without P (odd n, or n <= 2) is the
+    bottom of every V-cycle that reaches it; there factor holds a
+    dense Cholesky factor of the assembled stiffness when 0 < n_free
+    <= DENSE_BOTTOM_LIMIT.
     """
 
     mesh: Mesh
-    A: sp.csr_matrix
+    A: PlaneOperator
     inv_diag: Optional[np.ndarray] = None
     lmax: Optional[float] = None
     P: Optional[sp.csr_matrix] = None
@@ -75,57 +77,37 @@ def build_levels(dim, n, params):
     """The nested family n, n/2, ... with multigrid data, finest first.
 
     Halves while n is even, so every size n / 2^k of the family is
-    meshed and assembled once, down to the odd part of n (1 for powers
-    of two). A level coarsens (holds P) when its n is even and above 2.
-    The finest level is assembled and given its smoother data first,
-    while nothing else is held.
+    meshed once, down to the odd part of n (1 for powers of two). A
+    level coarsens (holds P) when its n is even and above 2. Every
+    level's operator is a stiffness_operator; only a bottom level
+    small enough for the dense factor assembles its stiffness.
     """
-    assembled = []
+    meshes = []
     m = n
     while True:
         # the mesh validates dim and n before the halving goes on
-        mesh = build_unit_box_mesh(dim, m)
-        A = assemble_stiffness(mesh, params, GRAD_DIV)
-        assembled.append((mesh, A) + _jacobi_bound(A))
-        if mesh.n % 2:
+        meshes.append(build_unit_box_mesh(dim, m))
+        if meshes[-1].n % 2:
             break
-        m = mesh.n // 2
+        m = meshes[-1].n // 2
 
     levels = []
-    for k, (mesh, A, inv_diag, lmax) in enumerate(assembled):
-        P = R = factor = None
+    for k, mesh in enumerate(meshes):
+        A = stiffness_operator(mesh, params)
+        inv_diag = lmax = P = R = factor = None
+        if mesh.num_free_dofs:
+            inv_diag = 1.0 / A.diagonal()
+            # the Gershgorin bound, each row of |A| summed as in A's
+            # matvec: the same bits as from the assembled matrix
+            lmax = float((inv_diag * (abs(A) @ np.ones(A.shape[0]))).max())
         if mesh.n % 2 == 0 and mesh.n > 2:
-            P = _dof_prolongation(mesh, assembled[k + 1][0])
+            P = _dof_prolongation(mesh, meshes[k + 1])
             R = P.T.tocsr()
         elif 0 < mesh.num_free_dofs <= DENSE_BOTTOM_LIMIT:
-            factor = scipy.linalg.cho_factor(A.toarray(), lower=True)
+            dense = assemble_stiffness(mesh, params, GRAD_DIV).toarray()
+            factor = scipy.linalg.cho_factor(dense, lower=True)
         levels.append(GridLevel(mesh, A, inv_diag, lmax, P, R, factor))
     return levels
-
-
-def _jacobi_bound(A):
-    """inv_diag = 1 / diag(A) and the Gershgorin bound lmax of D^-1 A.
-
-    The row sums of |A| are taken over blocks of _JACOBI_BLOCK_ROWS
-    rows, each a CSR slice of A, so only one block's absolute values
-    and indices are a temporary. Each row is summed by the same csr
-    matvec as on the whole matrix, so lmax does not depend on the
-    blocking. (None, None) for an empty A.
-    """
-    nrows = A.shape[0]
-    if nrows == 0:
-        return None, None
-    inv_diag = 1.0 / A.diagonal()
-    ones = np.ones(A.shape[1])
-    lmax = -math.inf
-    for r0 in range(0, nrows, _JACOBI_BLOCK_ROWS):
-        r1 = min(r0 + _JACOBI_BLOCK_ROWS, nrows)
-        s0, s1 = A.indptr[r0], A.indptr[r1]
-        block = sp.csr_matrix((np.abs(A.data[s0:s1]), A.indices[s0:s1],
-                               A.indptr[r0:r1 + 1] - s0),
-                              shape=(r1 - r0, A.shape[1]))
-        lmax = max(lmax, float((inv_diag[r0:r1] * (block @ ones)).max()))
-    return inv_diag, lmax
 
 
 def _chebyshev(lv, b, x):

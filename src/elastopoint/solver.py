@@ -34,7 +34,9 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
 
     Parameters
     ----------
-    A : scipy sparse matrix or ndarray, SPD over free dofs.
+    A : SPD over free dofs: a scipy sparse matrix, an ndarray, or a
+        multigrid level operator (assembly.PlaneOperator); only
+        A.shape, A @ x and, for Jacobi, A.diagonal() are used.
     b : ndarray
     rel_tol : float in (0, 1)
     max_iter : int, defaults to 20 sqrt(n) + 200

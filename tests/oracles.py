@@ -465,6 +465,12 @@ def jacobi_bound_whole_matrix(A):
     return inv_diag, float((inv_diag * (absA @ np.ones(A.shape[0]))).max())
 
 
+def same_bits(x, y):
+    """True when two float arrays have equal shapes and equal bits."""
+    return x.shape == y.shape and np.array_equal(x.view(np.int64),
+                                                 y.view(np.int64))
+
+
 def random_report_instance(rng, max_dim=12):
     """Random (A, B, C, G_X, G_Y, G_M, G_Q) with well-conditioned Grams."""
 

@@ -200,8 +200,7 @@ def test_criterion_8_a2_estimator(verdict):
             "duality gap %.2e <= 1%%" % (exact_one, min_prod, dual_gap))
 
 
-def test_criterion_9_deterministic_csv(tmp_path, monkeypatch, verdict):
-    monkeypatch.setenv("ELASTOPOINT_THREADS", "1")
+def test_criterion_9_deterministic_csv(tmp_path, verdict):
     loads = tmp_path / "loads.txt"
     loads.write_text("point 0.5 0.5 1 0\n")
     argv = ["converge", "--dim", "2", "--levels", "4", "8",

@@ -16,6 +16,7 @@ from elastopoint.assembly import (
     build_dof_map,
     from_free,
     point_load_nodal,
+    stiffness_operator,
     to_free,
     vector_p1_form_matrix,
 )
@@ -23,7 +24,7 @@ from elastopoint.mesh import build_unit_box_mesh, cell_volumes
 
 from oracles import (dense_form_loop, dense_stiffness_loop,
                      form_matrix_fullgrid, free_dof_numbering,
-                     restrict_to_free)
+                     restrict_to_free, same_bits)
 
 
 def test_lame_params_validate():
@@ -203,6 +204,50 @@ def test_slab_length_does_not_change_the_matrix(dim, n, weighted,
             assert np.array_equal(A.indices, B.indices)
             assert np.array_equal(A.data, B.data)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("lam", [1.0, 50.0, 1000.0])
+@pytest.mark.parametrize("dim,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 6),
+                                   (2, 33), (2, 64), (2, 66), (2, 96),
+                                   (3, 1), (3, 2), (3, 3), (3, 4), (3, 9),
+                                   (3, 16), (3, 30)])
+def test_stiffness_operator_is_the_assembled_matrix_bit_for_bit(dim, n, lam):
+    mesh = build_unit_box_mesh(dim, n)
+    params = LameParams(1.0, lam)
+    rng = np.random.default_rng(n)
+    A = assemble_stiffness(mesh, params, GRAD_DIV)
+    op = stiffness_operator(mesh, params)
+    assert op.shape == A.shape
+    if A.shape[0] == 0:
+        return
+    assert same_bits(op.diagonal(), A.diagonal())
+    for x in (rng.standard_normal(A.shape[0]), np.ones(A.shape[0])):
+        assert same_bits(op @ x, A @ x)
+        assert same_bits(abs(op) @ x, abs(A) @ x)
+
+
+def test_stiffness_operator_returns_fresh_arrays():
+    for n in (2, 5):
+        mesh = build_unit_box_mesh(3, n)
+        op = stiffness_operator(mesh, LameParams(1.0, 1.0))
+        x, z = np.random.default_rng(n).standard_normal((2, op.shape[0]))
+        y = op @ x
+        kept = y.copy()
+        w = op @ z
+        assert not np.shares_memory(y, x) and not np.shares_memory(y, w)
+        assert np.array_equal(y, kept)
+        y[:] = 0.0
+        assert np.array_equal(op @ x, kept)
+
+
+def test_stiffness_operator_stores_one_plane():
+    mesh = build_unit_box_mesh(3, 16)
+    op = stiffness_operator(mesh, LameParams(1.0, 1.0))
+    pd = 3 * 15 ** 2
+    assert op.W.shape == (pd, 3 * pd)
+    assert op.data is op.W.data and op.indices is op.W.indices
+    assert op.indptr is op.W.indptr
+    assert op.W.nnz <= 45 * pd
 
 
 def test_form_matrix_peak_memory_is_near_its_output():

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -9,11 +10,10 @@ from elastopoint.assembly import (GRAD_DIV, LameParams, PointLoadSet,
                                   assemble_point_load, assemble_stiffness)
 from elastopoint.cli import main
 from elastopoint.convergence import _solve_level
-from elastopoint.mesh import build_unit_box_mesh
-from elastopoint.multigrid import _jacobi_bound, build_levels, vcycle
+from elastopoint.multigrid import build_levels, vcycle
 from elastopoint.solver import cg_solve
 
-from oracles import jacobi_bound_whole_matrix
+from oracles import jacobi_bound_whole_matrix, same_bits
 
 
 def _load(dim):
@@ -24,16 +24,19 @@ def _load(dim):
 @pytest.mark.parametrize("lam", [1.0, 100.0])
 @pytest.mark.parametrize("dim,n", [(2, 6), (2, 16), (3, 4), (3, 8)])
 def test_galerkin_product_equals_rediscretization(dim, n, lam):
-    fine, coarse = build_levels(dim, n, LameParams(1.0, lam))[:2]
-    galerkin = (fine.P.T @ fine.A @ fine.P).toarray()
-    direct = coarse.A.toarray()
+    params = LameParams(1.0, lam)
+    fine, coarse = build_levels(dim, n, params)[:2]
+    A_fine = assemble_stiffness(fine.mesh, params, GRAD_DIV)
+    galerkin = (fine.P.T @ A_fine @ fine.P).toarray()
+    direct = assemble_stiffness(coarse.mesh, params, GRAD_DIV).toarray()
     assert np.abs(galerkin - direct).max() <= 1e-14 * np.abs(direct).max()
 
 
 @pytest.mark.parametrize("dim,n", [(2, 8), (3, 4)])
 def test_jacobi_data_is_the_gershgorin_bound(dim, n):
-    for lv in build_levels(dim, n, LameParams(1.0, 3.0))[:-1]:
-        A = lv.A
+    params = LameParams(1.0, 3.0)
+    for lv in build_levels(dim, n, params)[:-1]:
+        A = assemble_stiffness(lv.mesh, params, GRAD_DIV)
         assert np.array_equal(lv.inv_diag, 1.0 / A.diagonal())
         # the same csr row sums as abs(A), so the bound is bit-identical
         bound = (lv.inv_diag * (abs(A) @ np.ones(A.shape[0]))).max()
@@ -42,33 +45,66 @@ def test_jacobi_data_is_the_gershgorin_bound(dim, n):
         assert top <= lv.lmax
 
 
-def _stiffness(dim, n):
-    return assemble_stiffness(build_unit_box_mesh(dim, n),
-                              LameParams(1.0, 7.0), GRAD_DIV)
-
-
-# 2D n=33 and 3D n=16 have 2048 and 10125 rows: a whole number of row
-# blocks and a last block that is cut short
+# n <= 3 has no interior plane whose neighbours are both interior, so
+# every row sum there is a truncated one
 @pytest.mark.parametrize("dim,n", [(2, 3), (2, 33), (2, 64), (3, 9),
                                    (3, 16)])
-def test_blocked_jacobi_bound_equals_whole_matrix(dim, n):
-    A = _stiffness(dim, n)
-    inv_diag, lmax = _jacobi_bound(A)
-    ref_inv_diag, ref_lmax = jacobi_bound_whole_matrix(A)
-    assert np.array_equal(inv_diag, ref_inv_diag)
-    assert lmax == ref_lmax
+def test_level_jacobi_bound_equals_whole_matrix(dim, n):
+    for lam in (1.0, 1000.0):
+        params = LameParams(1.0, lam)
+        for lv in build_levels(dim, n, params):
+            if lv.mesh.num_free_dofs == 0:
+                assert lv.inv_diag is None and lv.lmax is None
+                continue
+            ref_inv_diag, ref_lmax = jacobi_bound_whole_matrix(
+                assemble_stiffness(lv.mesh, params, GRAD_DIV))
+            assert np.array_equal(lv.inv_diag, ref_inv_diag)
+            assert lv.lmax == ref_lmax
 
 
-def test_jacobi_bound_temporaries_stay_small():
-    # |A| of the whole matrix alone would be 100 % of A.data
-    A = _stiffness(3, 16)
+# bytes of the assembled 3D n=32 stiffness in CSR: 3,153,339 nonzeros
+# at 12 B each plus an indptr of 89,374 int32
+CSR_BYTES_3D_32 = 38_197_564
+
+
+def test_build_levels_peak_stays_below_its_csr():
     tracemalloc.start()
     try:
-        _jacobi_bound(A)
+        levels = build_levels(3, 32, LameParams(1.0, 1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.25 * A.data.nbytes
+    assert levels[0].mesh.num_free_dofs == 89_373
+    assert peak < CSR_BYTES_3D_32
+
+
+def _assembled_levels(levels, params):
+    """The levels with the assembled stiffness and its Jacobi data."""
+    out = []
+    for lv in levels:
+        A = assemble_stiffness(lv.mesh, params, GRAD_DIV)
+        inv_diag, lmax = (jacobi_bound_whole_matrix(A) if A.shape[0]
+                          else (None, None))
+        out.append(replace(lv, A=A, inv_diag=inv_diag, lmax=lmax))
+    return out
+
+
+# dyadic families, odd bottoms that are factored (2D n=6, 3D n=9) or
+# only smoothed (2D n=66, 96 and 3D n=30), and the smallest meshes
+@pytest.mark.parametrize("lam", [1.0, 50.0, 1000.0])
+@pytest.mark.parametrize("dim,n", [(2, 2), (2, 3), (2, 4), (2, 6), (2, 33),
+                                   (2, 64), (2, 66), (2, 96), (3, 2),
+                                   (3, 3), (3, 4), (3, 9), (3, 16), (3, 30)])
+def test_plane_operators_solve_as_the_assembled_matrices(dim, n, lam):
+    params = LameParams(1.0, lam)
+    levels = build_levels(dim, n, params)
+    oracle = _assembled_levels(levels, params)
+    r = np.random.default_rng(n).standard_normal(levels[0].mesh.num_free_dofs)
+    assert same_bits(vcycle(levels, r), vcycle(oracle, r))
+    _, u, stats = _solve_level(levels, _load(dim), 1e-10, None)
+    _, u_ref, stats_ref = _solve_level(oracle, _load(dim), 1e-10, None)
+    assert same_bits(u, u_ref)
+    assert stats == stats_ref
 
 
 @pytest.mark.parametrize("dim,points", [
@@ -110,7 +146,8 @@ def test_multigrid_cg_matches_jacobi_cg_and_direct(dim, n):
     x_mg, st_mg = cg_solve(top.A, b, rel_tol=1e-12,
                            precond=partial(vcycle, levels))
     x_jac, st_jac = cg_solve(top.A, b, rel_tol=1e-12)
-    x_ref = spla.spsolve(top.A.tocsc(), b)
+    A = assemble_stiffness(top.mesh, LameParams(1.0, 5.0), GRAD_DIV)
+    x_ref = spla.spsolve(A.tocsc(), b)
     assert st_mg.converged and st_jac.converged
     scale = np.linalg.norm(x_ref)
     assert np.linalg.norm(x_mg - x_ref) <= 1e-8 * scale
