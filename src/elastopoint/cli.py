@@ -73,14 +73,6 @@ def parse_loads_file(path, dim):
     return PointLoadSet(np.array(points), np.array(forces))
 
 
-def write_loads_file(loads, path):
-    """Inverse of parse_loads_file; round-trips values exactly."""
-    with open(path, "w", newline="") as fh:
-        for xk, fk in zip(loads.points, loads.forces):
-            nums = " ".join(format(v, ".17g") for v in list(xk) + list(fk))
-            fh.write("point %s\n" % nums)
-
-
 def _write_csv(path, header, rows):
     """A header line and preformatted rows, LF endings."""
     with open(path, "w", newline="") as fh:

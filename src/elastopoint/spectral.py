@@ -44,6 +44,9 @@ _DENSE_PEAK_ARRAYS = 9
 _REPLAY_WIDTH = 1e-13
 # Lanczos solves per factorization that succeeded, at most
 _LANCZOS_STEPS = 24
+# relative residual at which the Lanczos of the two coercivity
+# constants stops
+_RITZ_RTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -288,23 +291,27 @@ def _demo_weights(mesh, s, center):
 
 
 def _strain_pairing(mesh, vols, grads):
-    """Sparse strain pairing C[(free dof), (cell, a)].
+    """Sparse strain pairing C[(free dof), (cell, a)], in CSC form.
 
     The entry is vol * eps(phi_vertex e_c)|_cell : E_a over the
     orthonormal symmetric tensors E_a, columns cell-major. Each
-    (vertex, cell) pair is written once; boundary rows are dropped.
+    (vertex, cell) pair is written once, straight into its column;
+    boundary rows are dropped.
     """
     basis = _sym_tensor_basis(mesh.dim)
     nsym = basis.shape[0]
     nX = mesh.num_cells * nsym
-    vals = np.einsum("xip,apc->xica", grads, basis)
+    vals = np.einsum("xip,apc->xaic", grads, basis)
     vals *= vols[:, None, None, None]
-    rows = np.broadcast_to(build_dof_map(mesh)[mesh.cells][..., None],
-                           vals.shape)
-    cols = np.broadcast_to(np.arange(nX).reshape(-1, 1, 1, nsym), vals.shape)
+    rows = build_dof_map(mesh)[mesh.cells].astype(np.int32)
+    rows = np.broadcast_to(rows[:, None], vals.shape)
     keep = rows >= 0
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                         shape=(mesh.num_free_dofs, nX))
+    indptr = np.zeros(nX + 1, dtype=np.int32)
+    np.cumsum(keep.reshape(nX, -1).sum(axis=1), out=indptr[1:])
+    C = sp.csc_matrix((vals[keep], rows[keep], indptr),
+                      shape=(mesh.num_free_dofs, nX))
+    C.sort_indices()
+    return C
 
 
 def weighted_pairing_matrices(mesh, s, center):
@@ -355,12 +362,13 @@ def weighted_pairing_demo(mesh, s, center):
       K b = t^-1 (b - U_Y E^-1 U_X^T t^-1 b), the inverse of the kernel
       pairing; E = U_X^T t^-1 U_Y is the unweighted strain form, so the
       kernels pair injectively exactly when E is nonsingular (Korn).
-    The two largest eigenvalues come from Lanczos (ARPACK) with a fixed
-    start vector, so repeated calls are bit-identical.
+    S and E are factored by banded Cholesky, one at a time after the
+    pencils. The two largest eigenvalues come from _largest_ritz (plain
+    Lanczos in the Euclidean inner product) with a fixed start vector,
+    so repeated calls are bit-identical; each stops at a residual of
+    _RITZ_RTOL relative, and ValueError is raised when nX steps (the
+    Krylov dimension) do not reach it.
     """
-    from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
-                                     eigsh, splu)
-
     check_band_size(mesh.dim, mesh.n)
     vols, grads, w_pos, w_neg = _demo_weights(mesh, s, center)
 
@@ -373,7 +381,7 @@ def weighted_pairing_demo(mesh, s, center):
     beta_C = pencil_root(vols ** 2 / w_pos, w_neg)
 
     C = _strain_pairing(mesh, vols, grads)
-    CT = C.T.tocsr()
+    CT = C.T
     nX = C.shape[1]
     nsym = nX // mesh.num_cells
     dx = np.repeat(w_pos, nsym) ** -0.5
@@ -382,62 +390,83 @@ def weighted_pairing_demo(mesh, s, center):
     v0 = np.random.default_rng(0).standard_normal(nX)
 
     def largest_eigenvalue(matvec, name):
-        op = LinearOperator((nX, nX), matvec=matvec, dtype=float)
-        try:
-            lam = eigsh(op, k=1, which="LA", v0=v0,
-                        return_eigenvectors=False)
-        except ArpackNoConvergence:
+        nu, r, _ = _largest_ritz(matvec, v0, nX,
+                                 lambda nu, r, gap: r <= _RITZ_RTOL * nu,
+                                 sp.identity(nX, format="csr"))
+        if not r <= _RITZ_RTOL * nu:
             raise ValueError("Lanczos did not converge for %s at n=%d "
-                             "(%dD)" % (name, mesh.n, mesh.dim)) from None
-        return float(lam[0])
+                             "(%dD)" % (name, mesh.n, mesh.dim))
+        return nu
 
-    S = splu(vector_p1_form_matrix(mesh, w_neg, c_eps=1.0).tocsc())
+    def strain_solver(weights, name):
+        # banded Cholesky factor of a strain form, factored in place
+        at, values, b = _band(vector_p1_form_matrix(mesh, weights,
+                                                    c_eps=1.0))
+        ab = np.zeros((b + 1, mesh.num_free_dofs), order="F")
+        ab[at] = values
+        if not _cholesky_in_place(ab):
+            raise ValueError("degenerate %s: not positive definite" % name)
+        return lambda rhs: scipy.linalg.cho_solve_banded(
+            (ab, True), rhs, check_finite=False)
+
+    S = strain_solver(w_neg, "weighted strain form S")
     tinv2 = tinv * tinv
 
     def full_inverse(b):
-        return tinv2 * (b - dx * (CT @ S.solve(C @ (dx * (tinv2 * b)))))
+        return tinv2 * (b - dx * (CT @ S(C @ (dx * (tinv2 * b)))))
 
     alpha_full = 1.0 / math.sqrt(largest_eigenvalue(full_inverse,
                                                     "alpha_full"))
-
-    try:
-        E = splu(vector_p1_form_matrix(mesh, None, c_eps=1.0).tocsc())
-    except RuntimeError:
-        return InfSupReport(beta_B, beta_C, 0.0, alpha_full, False)
+    del S
+    # Korn's first inequality gives E >= G / 2 on H^1_0, so the factor
+    # exists and the kernels pair injectively
+    E = strain_solver(None, "strain form E")
 
     def kernel_normal(b):
-        u = tinv * (b - dy * (CT @ E.solve(C @ (dx * tinv * b))))
-        return tinv * (u - dx * (CT @ E.solve(C @ (dy * tinv * u))))
+        u = tinv * (b - dy * (CT @ E(C @ (dx * tinv * b))))
+        return tinv * (u - dx * (CT @ E(C @ (dy * tinv * u))))
 
     alpha_kernel = 1.0 / math.sqrt(largest_eigenvalue(kernel_normal,
                                                       "alpha_kernel"))
     return InfSupReport(beta_B, beta_C, alpha_kernel, alpha_full, True)
 
 
-def _band(C, b):
-    """Lower triangle of the symmetric COO matrix C in LAPACK lower band
-    storage: shape (b + 1, N), ab[i - j, j] = C[i, j] for j <= i <= j + b."""
+def _band(C):
+    """Lower triangle of the symmetric sparse matrix C in LAPACK lower
+    band storage, as (at, values, b): ab[at] = values writes it into an
+    ab of shape (b + 1, N), ab[i - j, j] = C[i, j] for j <= i <= j + b."""
+    C = C.tocoo()
     keep = C.row >= C.col
-    ab = np.zeros((b + 1, C.shape[0]))
-    ab[C.row[keep] - C.col[keep], C.col[keep]] = C.data[keep]
-    return ab
+    at = (C.row[keep] - C.col[keep], C.col[keep])
+    return at, C.data[keep], int(at[0].max())
 
 
-def _ritz_estimate(factor, G, sigma, x):
-    """Upper estimate of lambda_min of the pencil (E, G) from the banded
-    Cholesky factor of E - sigma G, sigma below lambda_min.
+def _cholesky_in_place(ab):
+    """Factor the Fortran-order lower band array ab in place (LAPACK
+    pbtrf); False when the matrix it stores is not positive definite."""
+    try:
+        scipy.linalg.cholesky_banded(ab, lower=True, overwrite_ab=True,
+                                     check_finite=False)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    Lanczos on T = (E - sigma G)^-1 G in the G inner product from x: the
-    largest Ritz value nu of T gives theta = sigma + 1 / nu >= lambda_min
-    (in exact arithmetic). err is the width below theta that the Ritz
-    residual r leaves open, with the Kato-Temple bound r^2 / (nu - nu_2)
-    once there is a second Ritz value nu_2. Plain three-term recurrence,
-    stopped at err <= _REPLAY_WIDTH / 8 relative or after _LANCZOS_STEPS
-    solves: lost orthogonality only repeats a converged Ritz value, and
-    the repeat closes nu - nu_2, so err falls back to the residual
-    bound. Returns (theta, err).
+
+def _largest_ritz(solve, x, steps, done, gram):
+    """Largest eigenvalue of T by plain Lanczos from x.
+
+    T q = solve(gram q) must be self-adjoint in the inner product of the
+    sparse SPD matrix gram (the identity for the Euclidean one). Returns
+    (nu, r, gap): the largest Ritz value nu, its residual norm
+    r = beta |s_last| (some eigenvalue lies within r of nu) and the gap
+    nu - nu_2 to the second Ritz value (0 after one step). Three-term
+    recurrence without reorthogonalization, stopped after the first step
+    with done(nu, r, gap) or after min(steps, x.size) solves: lost
+    orthogonality only repeats a Ritz value that has already converged
+    (Paige, Linear Algebra Appl. 1980), and such a repeat closes the
+    gap.
     """
-    gq = G @ x
+    gq = gram @ x
     norm = math.sqrt(x @ gq)
     q = x / norm
     gq /= norm
@@ -445,24 +474,20 @@ def _ritz_estimate(factor, G, sigma, x):
     beta = 0.0
     alphas = []
     betas = []
-    for j in range(min(_LANCZOS_STEPS, x.size)):
-        w = scipy.linalg.cho_solve_banded((factor, True), gq,
-                                          check_finite=False)
+    for j in range(min(steps, x.size)):
+        w = solve(gq)
         alphas.append(gq @ w)
         w -= alphas[-1] * q + beta * q_prev
-        gw = G @ w
+        gw = gram @ w
         beta = math.sqrt(max(w @ gw, 0.0))
         nu, s = scipy.linalg.eigh_tridiagonal(alphas, betas)
         r = beta * abs(s[-1, -1])
-        if j > 0 and nu[-1] > nu[-2]:
-            r = min(r, r * r / (nu[-1] - nu[-2]))
-        theta = sigma + 1.0 / nu[-1]
-        err = 1.0 / nu[-1] - 1.0 / (nu[-1] + r)
-        if err <= 0.125 * _REPLAY_WIDTH * theta:
+        gap = nu[-1] - nu[-2] if j > 0 else 0.0
+        if done(nu[-1], r, gap) or beta == 0.0:
             break
         betas.append(beta)
         q_prev, q, gq = q, w / beta, gw / beta
-    return theta, err
+    return nu[-1], r, gap
 
 
 def _pencil_lambda_min(E, G):
@@ -482,7 +507,8 @@ def _pencil_lambda_min(E, G):
     by factorizations: slo to a sigma that factored, shi to one that did
     not (or h0).
     1. Proposals. After each factorization that succeeds, Lanczos
-       solves with its factor (_ritz_estimate) give an estimate theta
+       solves with its factor (_largest_ritz in the G inner product,
+       at most _LANCZOS_STEPS of them) give an estimate theta
        of lambda_min and an error err. The next trials step down from
        theta by 2 err, growing 8-fold while they fail; once err is
        below _REPLAY_WIDTH / 8 relative, theta (1 + _REPLAY_WIDTH / 4)
@@ -497,40 +523,46 @@ def _pencil_lambda_min(E, G):
     the proposals normally end with slo and shi about _REPLAY_WIDTH / 4
     away from it, so the replay returns the plain bisection's result
     bit for bit (tests/oracles.py keeps the plain bisection).
-    Only the three band arrays and a few vectors are held; the solves
-    use the factor in place.
+    Only the work array, the lower triangles of E and G and a few
+    vectors are held; the solves use the factor in place.
     """
-    E = E.tocoo()
-    G = G.tocoo()
-    b = int(max(np.max(E.row - E.col), np.max(G.row - G.col)))
-    Eb = _band(E, b)
-    Gb = _band(G, b)
-    # Fortran order, so LAPACK factors work in place; the band rows of
-    # Eb and Gb that hold no entry stay untouched (and not resident)
-    work = np.empty(Eb.shape, order="F")
-    diagonals = np.flatnonzero(np.any(Eb, axis=1) | np.any(Gb, axis=1))
+    e_at, e_values, e_b = _band(E)
+    g_at, g_values, g_b = _band(G)
+    # Fortran order, so LAPACK factors work in place
+    work = np.empty((max(e_b, g_b) + 1, E.shape[0]), order="F")
 
     def spd(sigma):
         work.fill(0.0)
-        for k in diagonals:
-            np.multiply(Gb[k], -sigma, out=work[k])
-            np.add(work[k], Eb[k], out=work[k])
-        try:
-            scipy.linalg.cholesky_banded(work, lower=True, overwrite_ab=True,
-                                         check_finite=False)
-        except np.linalg.LinAlgError:
-            return False
-        return True
+        work[e_at] = e_values
+        work[g_at] -= sigma * g_values
+        return _cholesky_in_place(work)
 
-    h0 = float(np.min(Eb[0] / Gb[0]))
+    def solve(gq):
+        # work holds the factor of E - slo G
+        return scipy.linalg.cho_solve_banded((work, True), gq,
+                                             check_finite=False)
+
+    def estimate(nu, r, gap):
+        # (E - slo G)^-1 G has largest eigenvalue 1 / (lambda_min - slo):
+        # theta >= lambda_min (in exact arithmetic), and err is the width
+        # below it that r, or Kato-Temple's r^2 / gap if smaller, leaves
+        if gap > 0.0:
+            r = min(r, r * r / gap)
+        return slo + 1.0 / nu, 1.0 / nu - 1.0 / (nu + r)
+
+    def converged(nu, r, gap):
+        theta, err = estimate(nu, r, gap)
+        return err <= 0.125 * _REPLAY_WIDTH * theta
+
+    h0 = float(np.min(E.diagonal() / G.diagonal()))
     if not (spd(0.0) and 0.0 < h0 < math.inf):
         raise ValueError("degenerate pencil: E is not positive definite "
                          "or G has a nonpositive diagonal")
     slo, shi = 0.0, h0
-    start = np.random.default_rng(0).standard_normal(Eb.shape[1])
+    start = np.random.default_rng(0).standard_normal(E.shape[0])
     while shi - slo > _REPLAY_WIDTH * shi:
-        # work holds the factor of E - slo G
-        theta, err = _ritz_estimate(work, G, slo, start)
+        theta, err = estimate(*_largest_ritz(solve, start, _LANCZOS_STEPS,
+                                             converged, G))
         trial = None
         if err <= 0.125 * _REPLAY_WIDTH * theta:
             trial = theta * (1.0 + 0.25 * _REPLAY_WIDTH)

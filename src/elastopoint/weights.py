@@ -16,6 +16,8 @@ from .quadrature import simplex_rule
 
 # barely-touching split pieces are dropped
 _PIECE_TOL = 1e-14
+# midpoint-grid nodes per axis of each ball in a2_ball_products
+_A2_POINTS_PER_AXIS = 24
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,6 @@ def _eval_many(spec, pts):
     return (dist ** spec.alpha).max(axis=1)
 
 
-def eval_weight(spec, x):
-    """rho_alpha at a single point."""
-    return float(_eval_many(spec, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def _singular_cells(mesh, spec):
     """Cells whose closure contains a weight center.
 
@@ -105,13 +102,12 @@ def _split_pieces(center_bary, rule_bary):
         yield frac, rule_bary @ V
 
 
-def _cell_integrals(mesh, spec, cellvals=None):
-    """Per-cell integral of rho |v_h|^2, or of rho when cellvals is None.
+def cell_weight_integrals(mesh, spec):
+    """Integral of the weight over every cell, shape (nc,).
 
-    cellvals holds the nodal values of v_h per cell, shape
-    (nc, d+1, components). Every cell is integrated with the degree-4
-    rule; cells touching a center are split once about it, one rule
-    per piece, so that no node lands on the singularity.
+    Every cell is integrated with the degree-4 rule; cells touching a
+    center are split once about it, one rule per piece, so that no node
+    lands on the singularity.
     """
     if spec.dim != mesh.dim:
         raise ValueError("weight dimension %d does not match mesh dimension"
@@ -123,11 +119,7 @@ def _cell_integrals(mesh, spec, cellvals=None):
         # rule nodes given in parent barycentrics of the selected cells
         pts = np.einsum("qi,xid->xqd", bary, verts[cells])
         vals = _eval_many(spec, pts.reshape(-1, mesh.dim))
-        vals = vals.reshape(pts.shape[:2])
-        if cellvals is not None:
-            vq = np.einsum("qi,xic->xqc", bary, cellvals[cells])
-            vals = (vq * vq).sum(axis=2) * vals
-        return vals @ qw
+        return vals.reshape(pts.shape[:2]) @ qw
 
     out = quadrature(rule, slice(None))
     for ci, cb in _singular_cells(mesh, spec).items():
@@ -136,29 +128,13 @@ def _cell_integrals(mesh, spec, cellvals=None):
     return cell_volumes(mesh) * out
 
 
-def cell_weight_integrals(mesh, spec):
-    """Integral of the weight over every cell, shape (nc,)."""
-    return _cell_integrals(mesh, spec)
-
-
-def _nodal_field(mesh, field):
+def weighted_h1_seminorm_sq(mesh, field, spec):
+    """int rho_alpha |grad v_h|^2 dx; the gradient is cellwise constant."""
     vals = np.asarray(field, dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
     if vals.shape[0] != mesh.num_vertices:
         raise ValueError("field must carry one value set per vertex")
-    return vals
-
-
-def weighted_l2_norm_sq(mesh, field, spec):
-    """int rho_alpha |v_h|^2 dx for a nodal P1 field (scalar or vector)."""
-    cellvals = _nodal_field(mesh, field)[mesh.cells]
-    return float(_cell_integrals(mesh, spec, cellvals).sum())
-
-
-def weighted_h1_seminorm_sq(mesh, field, spec):
-    """int rho_alpha |grad v_h|^2 dx; the gradient is cellwise constant."""
-    vals = _nodal_field(mesh, field)
     _, grads = cell_geometry(mesh)
     gv = np.einsum("xia,xic->xca", grads, vals[mesh.cells])
     gnorm2 = (gv * gv).sum(axis=(1, 2))
@@ -166,11 +142,11 @@ def weighted_h1_seminorm_sq(mesh, field, spec):
     return float(gnorm2 @ wints)
 
 
-def a2_ball_products(spec, ball_centers, radii, quad_points_per_ball=24):
+def a2_ball_products(spec, ball_centers, radii):
     """Per-ball products mean(w) * mean(1/w), shape (n_balls,).
 
     Each ball is sampled on a deterministic midpoint grid with
-    quad_points_per_ball nodes per axis, restricted to the ball. Both
+    _A2_POINTS_PER_AXIS nodes per axis, restricted to the ball. Both
     means use the same nodes, so every product is >= 1 up to roundoff.
     Nodes falling exactly on a weight center (where w or 1/w is
     undefined) are excluded from both means.
@@ -183,9 +159,7 @@ def a2_ball_products(spec, ball_centers, radii, quad_points_per_ball=24):
         raise ValueError("ball centers and radii must have equal length")
     if np.any(radii <= 0):
         raise ValueError("ball radii must be positive")
-    m = int(quad_points_per_ball)
-    if m < 1:
-        raise ValueError("quad_points_per_ball must be >= 1")
+    m = _A2_POINTS_PER_AXIS
     d = spec.dim
 
     offsets = (np.arange(m) + 0.5) / m * 2.0 - 1.0
@@ -210,14 +184,13 @@ def a2_ball_products(spec, ball_centers, radii, quad_points_per_ball=24):
     return out
 
 
-def estimate_a2(spec, ball_centers, radii, quad_points_per_ball=24):
+def estimate_a2(spec, ball_centers, radii):
     """Sampled lower bound of the Muckenhoupt characteristic.
 
     Maximum of the per-ball mean products over the given family; a
     lower bound of the true supremum over all balls.
     """
-    return float(a2_ball_products(spec, ball_centers, radii,
-                                  quad_points_per_ball).max())
+    return float(a2_ball_products(spec, ball_centers, radii).max())
 
 
 def default_ball_family(dim, focus, count=50):

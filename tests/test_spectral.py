@@ -4,12 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from elastopoint.assembly import vector_p1_form_matrix
 from elastopoint.mesh import build_unit_box_mesh, cell_geometry
+from elastopoint import spectral
 from elastopoint.spectral import (
     InfSupReport,
     _demo_weights,
+    _largest_ritz,
     _pencil_lambda_min,
     check_band_size,
     discrete_infsup,
@@ -291,14 +294,74 @@ def test_sparse_demo_is_bit_identical_across_calls():
 
 
 def test_sparse_demo_reports_lanczos_failure(monkeypatch):
-    import scipy.sparse.linalg
-
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no", [], [])
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    with pytest.raises(ValueError, match="Lanczos did not converge"):
+    # a negative tolerance is never met: the Lanczos runs to the Krylov
+    # dimension nX (96 solves here) and the demo refuses to report
+    monkeypatch.setattr(spectral, "_RITZ_RTOL", -1.0)
+    with pytest.raises(ValueError, match="Lanczos did not converge for "
+                       "alpha_full at n=4"):
         weighted_pairing_demo(build_unit_box_mesh(2, 4), 0.5, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("gram", [False, True])
+def test_largest_ritz_matches_eigh(gram):
+    # T = K^-1 M, self-adjoint in the M inner product (M = I or SPD)
+    rng = np.random.default_rng(5)
+    Q = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+    K = (Q * np.linspace(1.0, 9.0, 40)) @ Q.T
+    M = np.diag(1.0 + rng.random(40)) if gram else np.eye(40)
+    M = scipy.sparse.csr_matrix(M)
+    calls = []
+
+    def solve(v):
+        calls.append(1)
+        return np.linalg.solve(K, v)
+
+    x = rng.standard_normal(40)
+    nu, r, gap = _largest_ritz(solve, x, 40,
+                               lambda nu, r, gap: r <= 1e-14 * nu, M)
+    want = scipy.linalg.eigh(M.toarray(), K, eigvals_only=True)[-1]
+    assert abs(nu - want) <= 1e-13 * want
+    assert r <= 1e-14 * nu and gap > 0.0
+    assert len(calls) < 40
+    # the start vector is not modified, and a one-step cap returns the
+    # first Ritz value, the Rayleigh quotient of x, with gap 0
+    x0 = x.copy()
+    nu1, _, gap1 = _largest_ritz(solve, x, 1, lambda nu, r, gap: False, M)
+    assert np.array_equal(x, x0) and gap1 == 0.0
+    Mx = M @ x
+    assert abs(nu1 - (Mx @ np.linalg.solve(K, Mx)) / (x @ Mx)) <= 1e-14 * nu1
+
+
+def test_sparse_demo_refuses_an_indefinite_strain_form(monkeypatch):
+    # Korn's inequality makes the unweighted strain form E SPD; were it
+    # not, the demo raises instead of reporting the kernels as
+    # non-injective
+    form = spectral.vector_p1_form_matrix
+
+    def negated_e(mesh, weights, **coefficients):
+        matrix = form(mesh, weights, **coefficients)
+        return -matrix if weights is None else matrix
+
+    monkeypatch.setattr(spectral, "vector_p1_form_matrix", negated_e)
+    with pytest.raises(ValueError, match="degenerate strain form E: not "
+                       "positive definite"):
+        weighted_pairing_demo(build_unit_box_mesh(2, 4), 0.5, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 12)])
+def test_sparse_demo_peak_stays_within_the_band_bound(dim, n):
+    # the pencils, then S, then E, each factored alone: the demo peaks
+    # below the three band arrays that check_band_size admits, so that
+    # bound is what limits the supported levels
+    mesh = build_unit_box_mesh(dim, n)
+    center = _DEMO_CENTERS[dim][-1]
+    tracemalloc.start()
+    try:
+        weighted_pairing_demo(mesh, 0.5, center)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= check_band_size(dim, n)
 
 
 def test_demo_refuses_non_finite_center():
