@@ -27,12 +27,13 @@ it, and a PlaneOperator acts on it plane by plane.
 """
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (_chain_templates, _lattice_strides, _reference_gradients,
-                   cell_volumes, locate_point)
+from .mesh import (_cell_vertices, _chain_templates, _lattice_strides,
+                   _reference_gradients, cell_volumes, locate_point)
 from .quadrature import simplex_rule
 
 CONSTRAINED = -1
@@ -396,7 +397,10 @@ def point_load_nodal(mesh, loads):
     out = np.zeros((mesh.num_vertices, mesh.dim))
     for xk, fk in zip(loads.points, loads.forces):
         loc = locate_point(mesh, xk)
-        for lv, lam in zip(mesh.cells[loc.cell_index], loc.barycentric):
+        # the vertices of the located cell alone; mesh.cells is not built
+        cell = _cell_vertices(mesh, *divmod(loc.cell_index,
+                                            factorial(mesh.dim)))
+        for lv, lam in zip(cell, loc.barycentric):
             out[lv] += lam * fk
     return out
 
@@ -413,7 +417,8 @@ def assemble_smooth_load(mesh, f):
     """
     bary, qw = simplex_rule(mesh.dim)
     vols = cell_volumes(mesh)
-    verts = mesh.vertices[mesh.cells]
+    cells = mesh.cells
+    verts = mesh.vertices[cells]
     # physical quadrature points, (nc, nq, d)
     pts = np.einsum("qi,xid->xqd", bary, verts)
     fvals = np.asarray(f(pts.reshape(-1, mesh.dim)), dtype=float)
@@ -423,6 +428,6 @@ def assemble_smooth_load(mesh, f):
     contrib *= vols[:, None, None]
 
     nodal = np.zeros((mesh.num_vertices, mesh.dim))
-    np.add.at(nodal, mesh.cells.ravel(),
+    np.add.at(nodal, cells.ravel(),
               contrib.reshape(-1, mesh.dim))
     return to_free(mesh, nodal)

@@ -119,12 +119,13 @@ def l2_error_quadrature(mesh, values, u_exact):
     """L2 distance between a nodal P1 field and a smooth exact field."""
     bary, qw = simplex_rule(mesh.dim)
     vols = cell_volumes(mesh)
-    verts = mesh.vertices[mesh.cells]
+    cells = mesh.cells
+    verts = mesh.vertices[cells]
     vals = np.asarray(values, dtype=float)
     pts = np.einsum("qi,xid->xqd", bary, verts)
     ue = np.asarray(u_exact(pts.reshape(-1, mesh.dim)), dtype=float)
     ue = ue.reshape(mesh.num_cells, len(qw), mesh.dim)
-    uh = np.einsum("qi,xic->xqc", bary, vals[mesh.cells])
+    uh = np.einsum("qi,xic->xqc", bary, vals[cells])
     diff2 = ((ue - uh) ** 2).sum(axis=2)
     return sqrt(float(vols @ (diff2 @ qw)))
 

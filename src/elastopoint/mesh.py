@@ -27,6 +27,10 @@ LOCATE_TOL = 1e-12
 class Mesh:
     """Simplicial triangulation of the unit box.
 
+    Only the vertex coordinates are stored: the lattice fixes every
+    cell, so `cells` is computed in closed form on each access and held
+    by no one after the caller drops it.
+
     Attributes
     ----------
     dim : int
@@ -35,14 +39,21 @@ class Mesh:
         Grid subdivisions per axis.
     vertices : ndarray, shape (nv, dim)
         Vertex coordinates; grid values k/n.
-    cells : ndarray, shape (nc, dim + 1)
-        Vertex indices per cell, positively oriented.
     """
 
     dim: int
     n: int
     vertices: np.ndarray
-    cells: np.ndarray
+
+    @property
+    def cells(self):
+        """Vertex indices per cell, shape (nc, dim + 1), positively oriented.
+
+        A new int64 array on every access; read it once per call.
+        """
+        cells = _cell_vertices(self, np.arange(self.n ** self.dim)[:, None],
+                               np.arange(factorial(self.dim)))
+        return cells.reshape(-1, self.dim + 1)
 
     @property
     def h(self):
@@ -55,7 +66,8 @@ class Mesh:
 
     @property
     def num_cells(self):
-        return self.cells.shape[0]
+        """d! n^d."""
+        return factorial(self.dim) * self.n ** self.dim
 
     @property
     def num_free_dofs(self):
@@ -102,6 +114,27 @@ def _chain_templates(dim):
 def _lattice_strides(dim, n):
     return np.array([(n + 1) ** (dim - 1 - k) for k in range(dim)],
                     dtype=np.int64)
+
+
+def _cell_vertices(mesh, cubes, types):
+    """Vertex ids of the cells of the given cubes and types.
+
+    Cell c is the simplex of type c % d! in the grid cube c // d!
+    (C order over the n^d cubes): its vertices are the cube's base
+    vertex plus the lattice offsets of its type's corners. cubes and
+    types broadcast against each other; the result has their broadcast
+    shape plus (dim + 1,).
+    """
+    d, n = mesh.dim, mesh.n
+    strides = _lattice_strides(d, n)
+    # a cube's base vertex has the cube's multi-index on the vertex
+    # lattice; peel the index off the cube number, last axis first
+    base = np.zeros(np.shape(cubes), dtype=np.int64)
+    rest = cubes
+    for stride in strides[::-1]:
+        rest, k = np.divmod(rest, n)
+        base += stride * k
+    return base[..., None] + (_chain_templates(d) @ strides)[types]
 
 
 def prolongation_matrix(dim, n):
@@ -155,16 +188,10 @@ def build_unit_box_mesh(dim, n):
         raise ValueError("n must be a positive integer, got %r" % (n,))
 
     grid = np.arange(n + 1, dtype=float) / n
-    axes = np.meshgrid(*([grid] * dim), indexing="ij")
-    vertices = np.stack([a.ravel() for a in axes], axis=1)
-
-    # a cell's vertices are its cube's base vertex plus the lattice
-    # index offsets of its type's corners
-    base = np.arange((n + 1) ** dim, dtype=np.int64).reshape(
-        (n + 1,) * dim)[(slice(0, n),) * dim]
-    corners = _chain_templates(dim) @ _lattice_strides(dim, n)
-    cells = (base.reshape(-1, 1, 1) + corners).reshape(-1, dim + 1)
-    return Mesh(dim, n, vertices, cells)
+    # one allocation: the coordinates are broadcast views until stacked
+    axes = np.meshgrid(*([grid] * dim), indexing="ij", sparse=True)
+    vertices = np.stack(np.broadcast_arrays(*axes), axis=-1)
+    return Mesh(dim, n, vertices.reshape(-1, dim))
 
 
 def _reference_gradients(dim, n):

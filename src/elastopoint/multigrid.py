@@ -2,8 +2,10 @@
 
 The meshes at n, n/2, n/4, ... are nested, so the P1 prolongation P
 between neighbouring sizes is exact, and the rediscretized coarse
-stiffness equals the Galerkin product P^T A_fine P. Every level's
-operator is therefore rediscretized, as a plane operator of
+stiffness equals the Galerkin product P^T A_fine P. P is the same
+stencil at every fine vertex, so each level writes its restriction
+R = P^T straight into CSR and uses its transpose view as P. Every
+level's operator is therefore rediscretized, as a plane operator of
 assembly.stiffness_operator; no sparse triple product and no level
 matrix is formed. The V-cycle smooths with Chebyshev-Jacobi
 polynomials (Adams, Brezina, Hu and Tuminaro, "Parallel multigrid
@@ -12,6 +14,7 @@ and is symmetric, so it preconditions CG.
 """
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -19,8 +22,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .assembly import (GRAD_DIV, PlaneOperator, assemble_stiffness,
-                       stiffness_operator, to_free)
-from .mesh import Mesh, build_unit_box_mesh, prolongation_matrix
+                       stiffness_operator)
+from .mesh import Mesh, build_unit_box_mesh
 
 # Chebyshev-Jacobi smoother: polynomial degree, and the smoothed part
 # [lmax / CHEB_RATIO, lmax] of the spectrum of D^-1 A
@@ -41,36 +44,52 @@ class GridLevel:
     stiffness times x bit for bit. inv_diag is 1 / diag(A) and lmax
     the Gershgorin bound max_i sum_j |A_ij| / A_ii on the spectrum of
     D^-1 A; it is never below the largest eigenvalue, which the
-    smoother needs. P maps the free dofs of the next coarser level to
-    this one, and R = P^T. A level without P (odd n, or n <= 2) is the
-    bottom of every V-cycle that reaches it; there factor holds a
-    dense Cholesky factor of the assembled stiffness when 0 < n_free
-    <= DENSE_BOTTOM_LIMIT.
+    smoother needs. R restricts the free dofs of this level to those of
+    the next coarser one, and P = R^T, a CSC view of R's arrays, is the
+    exact P1 prolongation back. A level without P (odd n, or n <= 2)
+    is the bottom of every V-cycle that reaches it; there factor holds
+    a dense Cholesky factor of the assembled stiffness when
+    0 < n_free <= DENSE_BOTTOM_LIMIT.
     """
 
     mesh: Mesh
     A: PlaneOperator
     inv_diag: Optional[np.ndarray] = None
     lmax: Optional[float] = None
-    P: Optional[sp.csr_matrix] = None
+    P: Optional[sp.csc_matrix] = None
     R: Optional[sp.csr_matrix] = None
     factor: Optional[tuple] = None
 
 
-def _dof_prolongation(fine, coarse):
-    """Free-dof prolongation from the coarse mesh to the fine one.
+def _restriction(fine, coarse):
+    """Free-dof restriction R = P^T from the fine mesh to the coarse one.
 
-    The lattice prolongation with one copy per displacement component,
-    restricted to the free rows and columns that to_free picks from the
-    nodal dofs. Boundary rows and columns drop out because prolongated
-    zero-trace fields stay zero on the boundary.
+    Fine lattice vertex 2J + t is the midpoint of the coarse Kuhn edge
+    from J to J + t whenever t = +-s with s in {0, 1}^d, so coarse dof
+    (J, c) collects fine dof (2J, c) with weight 1 and (2J +- s, c) with
+    weight 1/2 for the 2^d - 1 non-zero s: 7 entries per row in 2D, 15
+    in 3D, all on interior fine vertices. The stencil is written
+    straight into CSR with the columns ascending, the same arrays as
+    the transpose of the free rows and columns of the lattice
+    prolongation.
     """
-    d = fine.dim
-    P = sp.kron(prolongation_matrix(d, coarse.n), sp.identity(d),
-                format="csr")
-    rows = to_free(fine, np.arange(fine.num_vertices * d).reshape(-1, d))
-    cols = to_free(coarse, np.arange(coarse.num_vertices * d).reshape(-1, d))
-    return P[rows][:, cols]
+    d, m = fine.dim, fine.n - 1
+    # the t = +-s have no two entries of opposite sign; product lists
+    # them lexicographically, which on a fine interior lattice at least
+    # 3 wide (fine n >= 4) is the ascending order of their shifts
+    offsets = np.array([t for t in product((-1, 0, 1), repeat=d)
+                        if not min(t) < 0 < max(t)])
+    strides = [m ** (d - 1 - k) for k in range(d)]
+    shifts = offsets @ strides
+    weights = np.where(offsets.any(axis=1), 0.5, 1.0)
+    # 2J in the coordinates of the fine interior sub-lattice
+    odd = 2 * np.arange(coarse.n - 1) + 1
+    centre = sum(np.ix_(*[odd * s for s in strides]))
+    cols = (centre.reshape(-1, 1, 1) + shifts) * d + np.arange(d)[:, None]
+    rows = coarse.num_free_dofs
+    return sp.csr_matrix((np.tile(weights, rows), cols.ravel(),
+                          np.arange(rows + 1) * len(shifts)),
+                         shape=(rows, fine.num_free_dofs))
 
 
 def build_levels(dim, n, params):
@@ -78,9 +97,11 @@ def build_levels(dim, n, params):
 
     Halves while n is even, so every size n / 2^k of the family is
     meshed once, down to the odd part of n (1 for powers of two). A
-    level coarsens (holds P) when its n is even and above 2. Every
-    level's operator is a stiffness_operator; only a bottom level
-    small enough for the dense factor assembles its stiffness.
+    level coarsens (holds R, and P as R's transpose view) when its n is
+    even and above 2. Every level's operator is a stiffness_operator;
+    only a bottom level small enough for the dense factor assembles its
+    stiffness. No level holds a cell table or a second copy of a
+    transfer matrix.
     """
     meshes = []
     m = n
@@ -101,8 +122,8 @@ def build_levels(dim, n, params):
             # matvec: the same bits as from the assembled matrix
             lmax = float((inv_diag * (abs(A) @ np.ones(A.shape[0]))).max())
         if mesh.n % 2 == 0 and mesh.n > 2:
-            P = _dof_prolongation(mesh, meshes[k + 1])
-            R = P.T.tocsr()
+            R = _restriction(mesh, meshes[k + 1])
+            P = R.T
         elif 0 < mesh.num_free_dofs <= DENSE_BOTTOM_LIMIT:
             dense = assemble_stiffness(mesh, params, GRAD_DIV).toarray()
             factor = scipy.linalg.cho_factor(dense, lower=True)

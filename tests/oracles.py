@@ -5,9 +5,10 @@ test: plain python loops instead of vectorized assembly, matrix square
 roots instead of Cholesky whitening, full dense eigendecompositions
 instead of banded inertia bisection, a plain bisection instead of the
 proposal-and-replay pencil search, whole-matrix row sums instead of
-row blocks, per-line file writers instead of
-block formatting, and seeded Monte Carlo for integrals
-without a convenient closed form. Keep these slow and obvious.
+row blocks, a Kronecker product instead of the restriction stencil,
+per-line file writers instead of block formatting, and seeded Monte
+Carlo for integrals without a convenient closed form. Keep these slow
+and obvious.
 """
 
 import itertools
@@ -18,9 +19,9 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from elastopoint.assembly import (_corner_pair_blocks, _element_matrices,
-                                  _interior, build_dof_map)
+                                  _interior, build_dof_map, to_free)
 from elastopoint.mesh import (_lattice_strides, _reference_gradients,
-                              cell_volumes)
+                              cell_volumes, prolongation_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -83,22 +84,22 @@ def barycentric_coordinates(vertex_coords, point):
 def containing_cells_bruteforce(mesh, point, tol=1e-12):
     """All (cell_index, barycentric) pairs containing point, by full scan."""
     hits = []
+    cells = mesh.cells
     for ci in range(mesh.num_cells):
-        bary = barycentric_coordinates(mesh.vertices[mesh.cells[ci]], point)
+        bary = barycentric_coordinates(mesh.vertices[cells[ci]], point)
         if np.all(bary >= -tol):
             hits.append((ci, bary))
     return hits
 
 
-def cell_volume_loop(mesh, ci):
-    V = mesh.vertices[mesh.cells[ci]]
-    d = mesh.dim
+def cell_volume_loop(V):
+    """Volume of the simplex with vertex coordinates V, (d+1, d)."""
+    d = V.shape[1]
     return abs(np.linalg.det(V[1:] - V[0])) / math.factorial(d)
 
 
-def cell_gradients_loop(mesh, ci):
-    """P1 shape gradients from the affine-coefficients solve."""
-    V = mesh.vertices[mesh.cells[ci]]
+def cell_gradients_loop(V):
+    """P1 shape gradients on the simplex V by the affine-coefficients solve."""
     d1 = V.shape[0]
     M = np.hstack([np.ones((d1, 1)), V])
     coeffs = np.linalg.solve(M, np.eye(d1))
@@ -115,11 +116,11 @@ def l2_norm_sq_p1_percell(mesh, values):
     vals = np.asarray(values, dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
-    cv = vals[mesh.cells]
+    cells = mesh.cells
+    cv = vals[cells]
     ssum = cv.sum(axis=1)
     per_cell = (ssum * ssum + (cv * cv).sum(axis=1)).sum(axis=1)
-    vols = np.array([cell_volume_loop(mesh, ci)
-                     for ci in range(mesh.num_cells)])
+    vols = np.array([cell_volume_loop(mesh.vertices[cell]) for cell in cells])
     return float(vols @ per_cell) / ((mesh.dim + 1) * (mesh.dim + 2))
 
 
@@ -161,10 +162,9 @@ def dense_stiffness_loop(mesh, mu, lam, form):
     nv = mesh.num_vertices
     d = mesh.dim
     K = np.zeros((nv * d, nv * d))
-    for ci in range(mesh.num_cells):
-        cell = mesh.cells[ci]
-        vol = cell_volume_loop(mesh, ci)
-        grads = cell_gradients_loop(mesh, ci)
+    for cell in mesh.cells:
+        vol = cell_volume_loop(mesh.vertices[cell])
+        grads = cell_gradients_loop(mesh.vertices[cell])
         for i in range(d + 1):
             for j in range(d + 1):
                 gi, gj = grads[i], grads[j]
@@ -195,9 +195,8 @@ def dense_form_loop(mesh, cell_weights, c_grad=0.0, c_div=0.0, c_eps=0.0):
     d = mesh.dim
     K = np.zeros((nv * d, nv * d))
     eye = np.eye(d)
-    for ci in range(mesh.num_cells):
-        cell = mesh.cells[ci]
-        grads = cell_gradients_loop(mesh, ci)
+    for ci, cell in enumerate(mesh.cells):
+        grads = cell_gradients_loop(mesh.vertices[cell])
         G = {}
         for i in range(d + 1):
             for a in range(d):
@@ -463,6 +462,21 @@ def jacobi_bound_whole_matrix(A):
     absA = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr),
                          shape=A.shape)
     return inv_diag, float((inv_diag * (absA @ np.ones(A.shape[0]))).max())
+
+
+def dof_prolongation_kron(fine, coarse):
+    """Free-dof prolongation from the coarse mesh to the fine one, as CSR.
+
+    The lattice prolongation with one copy per displacement component
+    (a Kronecker product with the identity), restricted to the free
+    rows and columns that to_free picks from the nodal dofs.
+    """
+    d = fine.dim
+    P = sp.kron(prolongation_matrix(d, coarse.n), sp.identity(d),
+                format="csr")
+    rows = to_free(fine, np.arange(fine.num_vertices * d).reshape(-1, d))
+    cols = to_free(coarse, np.arange(coarse.num_vertices * d).reshape(-1, d))
+    return P[rows][:, cols]
 
 
 def same_bits(x, y):

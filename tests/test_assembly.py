@@ -20,7 +20,7 @@ from elastopoint.assembly import (
     to_free,
     vector_p1_form_matrix,
 )
-from elastopoint.mesh import build_unit_box_mesh, cell_volumes
+from elastopoint.mesh import build_unit_box_mesh, cell_volumes, locate_point
 
 from oracles import (dense_form_loop, dense_stiffness_loop,
                      form_matrix_fullgrid, free_dof_numbering,
@@ -304,6 +304,34 @@ def test_point_load_at_vertex_hits_single_node():
     assert np.array_equal(nodal, expected)
 
 
+def _load_sites(mesh):
+    """Interior vertices, edge midpoints, face centres and cell centres."""
+    sites = []
+    for V in mesh.vertices[mesh.cells]:
+        sites += [V[0], 0.5 * (V[0] + V[-1]), V[1:].mean(axis=0),
+                  V.mean(axis=0)]
+    return [x for x in sites if np.all((x > 0.0) & (x < 1.0))]
+
+
+@pytest.mark.parametrize("dim,n", [(2, 4), (3, 3)])
+def test_point_load_gathers_the_located_cell(dim, n):
+    # loads on vertices, edges, faces and cell interiors, against the
+    # gather through the whole cell table
+    mesh = build_unit_box_mesh(dim, n)
+    cells = mesh.cells
+    rng = np.random.default_rng(9)
+    sites = _load_sites(mesh)
+    sites += list(0.05 + 0.9 * rng.random((10, dim)))
+    for x in sites:
+        f = rng.standard_normal(dim)
+        loc = locate_point(mesh, x)
+        expected = np.zeros((mesh.num_vertices, dim))
+        for v, lam in zip(cells[loc.cell_index], loc.barycentric):
+            expected[v] += lam * f
+        assert same_bits(point_load_nodal(mesh, PointLoadSet([x], [f])),
+                         expected)
+
+
 def test_point_load_is_linear_in_loads():
     mesh = build_unit_box_mesh(2, 3)
     a = PointLoadSet([[0.3, 0.4]], [[1.0, 2.0]])
@@ -348,7 +376,7 @@ def test_smooth_constant_load_recovers_hat_integrals(dim, n):
     full[free] = b[table[free]]
     hats = np.zeros(mesh.num_vertices)
     vols = cell_volumes(mesh)
-    for ci in range(mesh.num_cells):
-        hats[mesh.cells[ci]] += vols[ci] / (dim + 1)
+    for ci, cell in enumerate(mesh.cells):
+        hats[cell] += vols[ci] / (dim + 1)
     expected = hats[:, None] * np.arange(1.0, dim + 1.0)[None, :]
     assert np.allclose(full[free], expected[free], atol=1e-14)

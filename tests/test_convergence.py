@@ -12,7 +12,7 @@ from elastopoint.convergence import (
     manufactured_sine_2d,
     run_convergence_study,
 )
-from elastopoint.mesh import build_unit_box_mesh, locate_point, \
+from elastopoint.mesh import Mesh, build_unit_box_mesh, locate_point, \
     prolongation_matrix
 
 from oracles import box_integral_affine_squared, l2_norm_sq_p1_percell
@@ -84,9 +84,10 @@ def test_prolongation_interpolates_every_fine_vertex(dim):
     rng = np.random.default_rng(31)
     vals = rng.standard_normal((coarse.num_vertices, dim))
     out = prolongation_matrix(dim, coarse.n) @ vals
+    cells = coarse.cells
     for v in range(fine.num_vertices):
         loc = locate_point(coarse, fine.vertices[v])
-        interp = loc.barycentric @ vals[coarse.cells[loc.cell_index]]
+        interp = loc.barycentric @ vals[cells[loc.cell_index]]
         assert np.allclose(out[v], interp, atol=1e-12)
 
 
@@ -195,6 +196,24 @@ def test_point_load_study_runs_and_converges():
     errs = [row.error_l2 for row in report.rows]
     assert errs[1] < errs[0]
     assert report.rows[1].eoc > 0.5
+
+
+def test_point_load_study_builds_no_cell_table(monkeypatch):
+    built = []
+    cells = Mesh.cells
+
+    def counted(mesh):
+        built.append(mesh.n)
+        return cells.fget(mesh)
+
+    monkeypatch.setattr(Mesh, "cells", property(counted))
+    loads = PointLoadSet([[0.41, 0.53, 0.47]], [[0.3, -0.2, 1.0]])
+    report = run_convergence_study(3, [4, 8], LameParams(1.0, 1.0), loads)
+    assert len(report.rows) == 2
+    assert built == []
+    # the count does see an access
+    build_unit_box_mesh(3, 2).cells
+    assert built == [2]
 
 
 def test_study_is_deterministic():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastopoint.mesh import (
+    _cell_vertices,
     build_unit_box_mesh,
     cell_geometry,
     cell_volumes,
@@ -43,14 +44,42 @@ def test_cells_match_loop_oracle(dim, n):
     assert np.array_equal(cells, expected)
 
 
-def test_mesh_build_peak_memory_is_near_its_output():
+# more than 8192 cubes: with numpy 2.4, np.unravel_index of a (16384, 1)
+# array of cube numbers returned wrong multi-indices from entry 8193 on,
+# and a cell table built through it was wrong from there
+@pytest.mark.parametrize("dim,n", [(2, 128), (3, 22)])
+def test_cells_of_large_meshes_match_loop_oracle(dim, n):
+    mesh = build_unit_box_mesh(dim, n)
+    expected = cells_loop(dim, n)
+    assert np.array_equal(mesh.cells, expected)
+    f = math.factorial(dim)
+    for ci in (0, 8193 * f + 1, len(expected) - 1):
+        assert np.array_equal(_cell_vertices(mesh, *divmod(ci, f)),
+                              expected[ci])
+
+
+def _traced_peak(fn):
+    """fn() and the tracemalloc peak of the call."""
     tracemalloc.start()
     try:
-        mesh = build_unit_box_mesh(3, 32)
+        out = fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * (mesh.cells.nbytes + mesh.vertices.nbytes)
+    return out, peak
+
+
+def test_mesh_build_peak_memory_is_near_its_output():
+    # the mesh stores only its vertices; no cell table is built
+    mesh, peak = _traced_peak(lambda: build_unit_box_mesh(3, 32))
+    assert peak <= 2 * mesh.vertices.nbytes
+
+
+def test_cells_peak_memory_is_near_its_result():
+    mesh = build_unit_box_mesh(3, 32)
+    cells, peak = _traced_peak(lambda: mesh.cells)
+    assert cells.shape == (6 * 32**3, 4)
+    assert peak <= 2 * cells.nbytes
 
 
 @pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
@@ -79,16 +108,16 @@ def test_positive_volumes_partition_the_box(dim, n):
     assert np.allclose(vols, expected, rtol=1e-13)
     assert abs(vols.sum() - 1.0) < 1e-12
     # orientation: signed determinants positive, not just absolute values
-    for ci in range(mesh.num_cells):
-        V = mesh.vertices[mesh.cells[ci]]
+    for cell in mesh.cells:
+        V = mesh.vertices[cell]
         assert np.linalg.det(V[1:] - V[0]) > 0
 
 
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
 def test_cells_stay_within_one_cube(dim, n):
     mesh = build_unit_box_mesh(dim, n)
-    for ci in range(mesh.num_cells):
-        V = mesh.vertices[mesh.cells[ci]]
+    for cell in mesh.cells:
+        V = mesh.vertices[cell]
         assert np.all(V.max(axis=0) - V.min(axis=0) <= 1.0 / n + 1e-15)
 
 
@@ -105,11 +134,12 @@ def test_refinement_keeps_coarse_vertices(dim):
 def test_gradients_match_loop_oracle(dim, n):
     mesh = build_unit_box_mesh(dim, n)
     vols, grads = cell_geometry(mesh)
-    for ci in range(mesh.num_cells):
+    for ci, cell in enumerate(mesh.cells):
+        V = mesh.vertices[cell]
         g = grads[ci]
-        assert np.allclose(g, cell_gradients_loop(mesh, ci), atol=1e-12)
+        assert np.allclose(g, cell_gradients_loop(V), atol=1e-12)
         assert np.allclose(g.sum(axis=0), 0.0, atol=1e-12)
-        assert abs(cell_volume_loop(mesh, ci) - vols[ci]) < 1e-15
+        assert abs(cell_volume_loop(V) - vols[ci]) < 1e-15
 
 
 @pytest.mark.parametrize("dim,n", [(2, 4), (2, 3), (3, 2), (3, 3)])
@@ -119,10 +149,12 @@ def test_cell_geometry_matches_percell_calls(dim, n):
     assert vols.shape == (mesh.num_cells,)
     assert grads.shape == (mesh.num_cells, dim + 1, dim)
     assert np.array_equal(vols, cell_volumes(mesh))
+    cells = mesh.cells
     for ci in range(0, mesh.num_cells, max(1, mesh.num_cells // 7)):
-        assert np.allclose(grads[ci], cell_gradients_loop(mesh, ci),
+        V = mesh.vertices[cells[ci]]
+        assert np.allclose(grads[ci], cell_gradients_loop(V),
                            rtol=1e-13, atol=1e-12)
-        assert abs(vols[ci] - cell_volume_loop(mesh, ci)) <= 1e-15 * vols[ci]
+        assert abs(vols[ci] - cell_volume_loop(V)) <= 1e-15 * vols[ci]
 
 
 @pytest.mark.parametrize("dim,n", [(2, 2), (2, 3)])
@@ -140,6 +172,7 @@ def test_linear_field_gradient_recovery(dim, n):
 def test_locate_random_points_against_bruteforce(dim, n):
     mesh = build_unit_box_mesh(dim, n)
     rng = np.random.default_rng(42)
+    cells = mesh.cells
     for _ in range(25):
         x = rng.random(dim)
         loc = locate_point(mesh, x)
@@ -149,7 +182,7 @@ def test_locate_random_points_against_bruteforce(dim, n):
         assert np.allclose(loc.barycentric, hits[0][1], atol=1e-10)
         assert abs(loc.barycentric.sum() - 1.0) < 1e-12
         # reconstruct the point from the barycentric coordinates
-        V = mesh.vertices[mesh.cells[loc.cell_index]]
+        V = mesh.vertices[cells[loc.cell_index]]
         assert np.allclose(loc.barycentric @ V, x, atol=1e-12)
 
 
@@ -157,10 +190,11 @@ def test_locate_random_points_against_bruteforce(dim, n):
 def test_locate_on_shared_faces_prefers_lowest_cell(dim, n):
     mesh = build_unit_box_mesh(dim, n)
     rng = np.random.default_rng(7)
+    cells = mesh.cells
     # midpoints of random shared edges sit on cell interfaces
     for _ in range(10):
         ci = int(rng.integers(mesh.num_cells))
-        V = mesh.vertices[mesh.cells[ci]]
+        V = mesh.vertices[cells[ci]]
         x = 0.5 * (V[0] + V[1])
         loc = locate_point(mesh, x)
         hits = containing_cells_bruteforce(mesh, x)
@@ -188,8 +222,8 @@ def test_cells_containing_point_at_vertices(dim, n):
 def _special_points(mesh, rng):
     """Vertices, edge midpoints, face centres and random points."""
     pts = [mesh.vertices[v] for v in range(mesh.num_vertices)]
-    for ci in range(mesh.num_cells):
-        V = mesh.vertices[mesh.cells[ci]]
+    for cell in mesh.cells:
+        V = mesh.vertices[cell]
         pts.append(0.5 * (V[0] + V[-1]))
         pts.append(V[1:].mean(axis=0))
     pts.extend(rng.random((20, mesh.dim)))
@@ -253,9 +287,10 @@ def test_locate_outside_raises(dim):
 
 def test_locate_accepts_box_corners():
     mesh = build_unit_box_mesh(2, 2)
+    cells = mesh.cells
     for corner in ([0.0, 0.0], [1.0, 1.0], [1.0, 0.0]):
         loc = locate_point(mesh, corner)
-        V = mesh.vertices[mesh.cells[loc.cell_index]]
+        V = mesh.vertices[cells[loc.cell_index]]
         assert np.allclose(loc.barycentric @ V, corner, atol=1e-12)
 
 

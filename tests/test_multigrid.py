@@ -5,15 +5,18 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastopoint.assembly import (GRAD_DIV, LameParams, PointLoadSet,
                                   assemble_point_load, assemble_stiffness)
 from elastopoint.cli import main
 from elastopoint.convergence import _solve_level
-from elastopoint.multigrid import build_levels, vcycle
+from elastopoint.mesh import build_unit_box_mesh
+from elastopoint.multigrid import _restriction, build_levels, vcycle
 from elastopoint.solver import cg_solve
 
-from oracles import jacobi_bound_whole_matrix, same_bits
+from oracles import dof_prolongation_kron, jacobi_bound_whole_matrix, same_bits
 
 
 def _load(dim):
@@ -76,6 +79,85 @@ def test_build_levels_peak_stays_below_its_csr():
         tracemalloc.stop()
     assert levels[0].mesh.num_free_dofs == 89_373
     assert peak < CSR_BYTES_3D_32
+
+
+# what build_levels(3, 32) holds: 5.5 MB of vertices, plane rows,
+# restrictions and Jacobi data (tracemalloc); a family that stores its
+# cell tables and a transposed copy of every restriction holds 15.2 MB
+HELD_BYTES_3D_32 = 7_000_000
+
+
+def test_build_levels_holds_no_cells_or_transfer_copies():
+    tracemalloc.start()
+    try:
+        levels = build_levels(3, 32, LameParams(1.0, 1.0))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(levels) == 6
+    assert held < HELD_BYTES_3D_32
+
+
+def _same_csr(A, B):
+    return (A.shape == B.shape
+            and all(getattr(A, k).dtype == getattr(B, k).dtype
+                    and np.array_equal(getattr(A, k), getattr(B, k))
+                    for k in ("data", "indices", "indptr")))
+
+
+def _kron_restriction(dim, n):
+    fine, coarse = build_unit_box_mesh(dim, n), build_unit_box_mesh(dim, n // 2)
+    return (_restriction(fine, coarse),
+            dof_prolongation_kron(fine, coarse).T.tocsr())
+
+
+@pytest.mark.parametrize("dim,n", [(2, 4), (2, 6), (2, 8), (2, 64), (2, 128),
+                                   (2, 256), (3, 4), (3, 6), (3, 8), (3, 16),
+                                   (3, 32)])
+def test_restriction_equals_the_kron_build(dim, n):
+    R, oracle = _kron_restriction(dim, n)
+    assert _same_csr(R, oracle)
+    assert np.all(np.diff(R.indptr) == 2 ** (dim + 1) - 1)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda dim: st.tuples(st.just(dim),
+                          st.integers(2, 24 if dim == 2 else 9).map(
+                              lambda k: 2 * k))))
+def test_restriction_property(case):
+    assert _same_csr(*_kron_restriction(*case))
+
+
+def _kron_family(levels):
+    """The levels with P and R from the Kronecker-product oracle."""
+    out = []
+    for k, lv in enumerate(levels):
+        if lv.P is not None:
+            P = dof_prolongation_kron(lv.mesh, levels[k + 1].mesh)
+            lv = replace(lv, P=P, R=P.T.tocsr())
+        out.append(lv)
+    return out
+
+
+@pytest.mark.parametrize("dim,n", [(2, 64), (2, 96), (3, 16), (3, 32)])
+def test_transfers_and_vcycle_match_the_kron_family(dim, n):
+    levels = build_levels(dim, n, LameParams(1.0, 50.0))
+    oracle = _kron_family(levels)
+    rng = np.random.default_rng(n)
+    for lv, ref in zip(levels, oracle):
+        if lv.P is None:
+            continue
+        # P is R's transpose, a view of the same arrays
+        assert lv.P.format == "csc"
+        assert all(np.shares_memory(getattr(lv.P, k), getattr(lv.R, k))
+                   for k in ("data", "indices", "indptr"))
+        v = rng.standard_normal(lv.P.shape[1])
+        w = rng.standard_normal(lv.R.shape[1])
+        assert same_bits(lv.P @ v, ref.P @ v)
+        assert same_bits(lv.R @ w, ref.R @ w)
+    r = rng.standard_normal(levels[0].mesh.num_free_dofs)
+    assert same_bits(vcycle(levels, r), vcycle(oracle, r))
 
 
 def _assembled_levels(levels, params):

@@ -206,9 +206,9 @@ def test_pairing_matrices_strain_entries():
              np.array([[0.0, 0.0], [0.0, 1.0]]),
              np.array([[0.0, sq2], [sq2, 0.0]])]
     expected = np.zeros_like(B)
-    for ci in range(mesh.num_cells):
+    for ci, cell in enumerate(mesh.cells):
         for i in range(3):
-            v = mesh.cells[ci, i]
+            v = cell[i]
             g = grads[ci, i]
             for comp in range(2):
                 row = table[v, comp]
