@@ -18,7 +18,7 @@ from .convergence import (ConvergenceReport, ManufacturedSolution,
 from .mesh import (CellLocation, Mesh, build_unit_box_mesh, cell_geometry,
                    cell_volumes, cells_containing_point, locate_point,
                    prolongation_matrix)
-from .multigrid import build_levels, vcycle
+from .multigrid import VCycle, build_levels
 from .quadrature import simplex_rule
 from .solver import SolveStats, cg_solve
 from .spectral import (InfSupReport, discrete_infsup,

@@ -31,6 +31,7 @@ from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .mesh import (_cell_vertices, _chain_templates, _lattice_strides,
                    _reference_gradients, cell_volumes, locate_point)
@@ -326,6 +327,28 @@ def assemble_stiffness(mesh, params, form=GRAD_DIV):
     return vector_p1_form_matrix(mesh, None, *_stiffness_coeffs(params, form))
 
 
+def _sparse_product(M, x, out):
+    """out = M @ x for a CSR or CSC matrix M, without allocating.
+
+    Runs the kernel of scipy's own M @ x on M's arrays: csr_matvec or
+    csc_matvec for a vector x, csr_matvecs or csc_matvecs for a
+    C-ordered block x of column vectors. The kernels add to their
+    output, so out is zeroed first, as scipy's fresh result is; the
+    bits are those of M @ x. out must be a C-ordered float64 array of
+    the product's shape and x a C-ordered float64 array.
+    """
+    out.fill(0.0)
+    rows, cols = M.shape
+    if x.ndim == 2:
+        getattr(_sparsetools, M.format + "_matvecs")(
+            rows, cols, x.shape[1], M.indptr, M.indices, M.data,
+            x.ravel(), out.ravel())
+    else:
+        getattr(_sparsetools, M.format + "_matvec")(
+            rows, cols, M.indptr, M.indices, M.data, x, out)
+    return out
+
+
 class PlaneOperator:
     """A free-dof operator that repeats along the first lattice axis.
 
@@ -339,13 +362,25 @@ class PlaneOperator:
     row in its order, plus +0 x terms from the zero planes. So A @ x
     equals the assembled matrix times x bit for bit. data, indices
     and indptr are W's arrays, for code that sizes a matrix by them.
+
+    matvec(x, out) writes A @ x into out. It builds Z and W Z in work,
+    a float64 buffer of at least 4 n values (n = shape[0]), when the
+    operator has one (with_work), and in fresh arrays otherwise; A @ x
+    is matvec into a fresh out.
     """
 
-    def __init__(self, W, planes):
+    def __init__(self, W, planes, work=None):
         self.W = W
         self.planes = planes
         self.shape = (W.shape[0] * planes,) * 2
         self.data, self.indices, self.indptr = W.data, W.indices, W.indptr
+        # an operator without free dofs has no product to take
+        self._views = (self._product_views(work)
+                       if work is not None and planes else None)
+
+    def with_work(self, work):
+        """The same operator, its products built in work."""
+        return PlaneOperator(self.W, self.planes, work)
 
     def diagonal(self):
         return np.tile(self.W.diagonal(self.W.shape[0]), self.planes)
@@ -353,14 +388,39 @@ class PlaneOperator:
     def __abs__(self):
         return PlaneOperator(abs(self.W), self.planes)
 
-    def __matmul__(self, x):
+    def _product_views(self, work):
+        """The views of work that one product writes and reads.
+
+        Z is work's first 3 n values as (3, pd, p) and W Z the next n
+        as (pd, p). Returns Z's middle plane; the boundary column of
+        the -1 and the +1 shifted plane, which are zero; the interior
+        of each shifted plane and its source in the middle plane; Z as
+        (3 pd, p); W Z; and W Z transposed.
+        """
         pd, p = self.W.shape[0], self.planes
-        z = np.empty((3, pd, p))
-        z[1] = np.reshape(x, (p, pd)).T
-        z[0, :, 0] = z[2, :, -1] = 0.0
-        z[0, :, 1:] = z[1, :, :-1]
-        z[2, :, :-1] = z[1, :, 1:]
-        return (self.W @ z.reshape(3 * pd, p)).T.reshape(-1)
+        n = pd * p
+        z = work[:3 * n].reshape(3, pd, p)
+        y = work[3 * n:4 * n].reshape(pd, p)
+        return (z[1], z[0, :, 0], z[2, :, -1], z[0, :, 1:], z[1, :, :-1],
+                z[2, :, :-1], z[1, :, 1:], z.reshape(3 * pd, p), y, y.T)
+
+    def matvec(self, x, out):
+        views = self._views
+        if views is None:
+            views = self._product_views(np.empty(4 * self.shape[0]))
+        (middle, low_edge, high_edge, low, low_source, high, high_source,
+         stack, prod, prod_t) = views
+        middle[...] = x.reshape(prod_t.shape).T
+        low_edge.fill(0.0)
+        high_edge.fill(0.0)
+        low[...] = low_source
+        high[...] = high_source
+        _sparse_product(self.W, stack, prod)
+        out.reshape(prod_t.shape)[...] = prod_t
+        return out
+
+    def __matmul__(self, x):
+        return self.matvec(x, np.empty(self.shape[0]))
 
 
 def stiffness_operator(mesh, params):

@@ -9,7 +9,6 @@ quadrature instead.
 """
 
 from dataclasses import dataclass
-from functools import partial
 from math import log, sqrt
 from typing import Callable, Optional
 
@@ -18,7 +17,7 @@ import numpy as np
 from .assembly import (LameParams, PointLoadSet, assemble_point_load,
                        assemble_smooth_load, from_free)
 from .mesh import _chain_templates, cell_volumes, prolongation_matrix
-from .multigrid import build_levels, vcycle
+from .multigrid import VCycle, build_levels
 from .quadrature import simplex_rule
 from .solver import cg_solve
 
@@ -149,18 +148,20 @@ def _solve_level(levels, forcing, rel_tol, max_iter):
 
     levels is a tail of a build_levels family; its first entry supplies
     the mesh and the stiffness operator, and the V-cycle runs over the
-    coarser entries after it. Returns (mesh, nodal field with zero
-    boundary values, SolveStats). Raises StudyError when CG does not
-    converge.
+    coarser entries after it. The V-cycle's buffers are allocated here,
+    for this solve only, and CG runs on the top operator bound to them.
+    Returns (mesh, nodal field with zero boundary values, SolveStats).
+    Raises StudyError when CG does not converge.
     """
-    level = levels[0]
+    precond = VCycle(levels)
+    level = precond.levels[0]
     mesh = level.mesh
     if isinstance(forcing, PointLoadSet):
         b = assemble_point_load(mesh, forcing)
     else:
         b = assemble_smooth_load(mesh, forcing.f)
     x, stats = cg_solve(level.A, b, rel_tol=rel_tol, max_iter=max_iter,
-                        precond=partial(vcycle, levels))
+                        precond=precond)
     if not stats.converged:
         raise StudyError(
             "cg did not converge at level n=%d (%d iterations, relative "

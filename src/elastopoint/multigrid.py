@@ -10,10 +10,13 @@ assembly.stiffness_operator; no sparse triple product and no level
 matrix is formed. The V-cycle smooths with Chebyshev-Jacobi
 polynomials (Adams, Brezina, Hu and Tuminaro, "Parallel multigrid
 smoothing: polynomial versus Gauss-Seidel", J. Comput. Phys. 2003)
-and is symmetric, so it preconditions CG.
+and is symmetric, so it preconditions CG. A solve's V-cycle (VCycle)
+runs in place on buffers it allocates once per solve, with the same
+operations in the same order as a V-cycle that allocates every
+result, so with the same bits.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Optional
 
@@ -21,8 +24,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import (GRAD_DIV, PlaneOperator, assemble_stiffness,
-                       stiffness_operator)
+from .assembly import (GRAD_DIV, PlaneOperator, _sparse_product,
+                       assemble_stiffness, stiffness_operator)
 from .mesh import Mesh, build_unit_box_mesh
 
 # Chebyshev-Jacobi smoother: polynomial degree, and the smoothed part
@@ -131,42 +134,125 @@ def build_levels(dim, n, params):
     return levels
 
 
-def _chebyshev(lv, b, x):
-    """CHEB_DEGREE Chebyshev-Jacobi steps on A x = b from x (None: zero).
+def _chebyshev_coefficients(lmax):
+    """theta and the (c1, c2) of each later step of the smoother.
 
-    The polynomial in D^-1 A is the one of least maximum on
-    [lmax / CHEB_RATIO, lmax] with value 1 at 0, the same for every
-    call, so a pre- and post-smoothing pair is symmetric.
+    The Chebyshev-Jacobi polynomial in D^-1 A of least maximum on
+    [lmax / CHEB_RATIO, lmax] with value 1 at 0: the first step is d =
+    (D^-1 r) / theta, each later one d = c1 d + c2 D^-1 r.
     """
-    upper = lv.lmax
+    upper = lmax
     lower = upper / CHEB_RATIO
     theta = 0.5 * (upper + lower)
     delta = 0.5 * (upper - lower)
     sigma = theta / delta
     rho = 1.0 / sigma
-    r = b.copy() if x is None else b - lv.A @ x
-    d = (lv.inv_diag * r) / theta
-    x = d.copy() if x is None else x + d
+    steps = []
     for _ in range(CHEB_DEGREE - 1):
         rho_next = 1.0 / (2.0 * sigma - rho)
-        r -= lv.A @ d
-        d = (rho_next * rho) * d + (2.0 * rho_next / delta) * (lv.inv_diag * r)
-        x += d
+        steps.append((rho_next * rho, 2.0 * rho_next / delta))
         rho = rho_next
-    return x
+    return theta, steps
 
 
-def vcycle(levels, r):
-    """One V-cycle from levels[0] applied to the residual r.
+class VCycle:
+    """The V-cycle preconditioner of one solve, on buffers kept for it.
 
-    Pre-smoothing, coarse correction through P and R, post-smoothing;
-    the bottom level is solved with its dense factor or, without one,
-    only smoothed. The result is linear and symmetric in r.
+    levels is a tail of a build_levels family. An instance serves one
+    solve and allocates, once, every array the V-cycle needs: a plane
+    stack and product of 4 n values (n the free dofs of levels[0]) in
+    which every level operator builds its products, three scratch
+    vectors of n values shared by every level's smoothing and
+    transfers, and the right side and iterate of each coarser level.
+    The top level's right side and iterate are the caller's. self.levels
+    are the given levels with their operators on the shared plane
+    buffers (PlaneOperator.with_work); a CG on self.levels[0].A takes
+    its products in them too.
+
+    Called as precond(r, out), it writes one V-cycle applied to r into
+    out and leaves r as it is: pre-smoothing, coarse correction through
+    R and P, post-smoothing; the bottom level is solved with its dense
+    factor or, without one, only smoothed. The smoother polynomial is
+    the same for every call, so the result is linear and symmetric in
+    r. Every array operation is that of the allocating V-cycle, in its
+    order, so the bits are the same.
     """
-    lv = levels[0]
-    if lv.factor is not None:
-        return scipy.linalg.cho_solve(lv.factor, r)
-    x = _chebyshev(lv, r, None)
-    if lv.P is not None:
-        x += lv.P @ vcycle(levels[1:], lv.R @ (r - lv.A @ x))
-    return _chebyshev(lv, r, x)
+
+    def __init__(self, levels):
+        sizes = [lv.A.shape[0] for lv in levels]
+        n = sizes[0]
+        # one block for all buffers: glibc serves a large block by a
+        # mapping of its own, which goes back to the system when the
+        # solve ends; separate buffers could stay behind as free heap
+        # that later, larger allocations do not reuse
+        block = np.empty(7 * n + 2 * sum(sizes[1:]))
+        planes = block[:4 * n]
+        scratch = block[4 * n:7 * n].reshape(3, n)
+        self.levels = [replace(lv, A=lv.A.with_work(planes))
+                       for lv in levels]
+        # per level: the residual, step and product scratch views, the
+        # smoother's coefficients, and the right side and iterate of the
+        # next coarser level
+        self._scratch = [tuple(scratch[:, :m]) for m in sizes]
+        self._smoother = [None if lv.lmax is None
+                          else _chebyshev_coefficients(lv.lmax)
+                          for lv in levels]
+        self._coarse = []
+        start = 7 * n
+        for m in sizes[1:]:
+            coarse = block[start:start + 2 * m].reshape(2, m)
+            self._coarse.append(tuple(coarse))
+            start += 2 * m
+
+    def __call__(self, r, out):
+        self._cycle(0, r, out)
+
+    def _cycle(self, k, b, x):
+        lv = self.levels[k]
+        if lv.factor is not None:
+            x[...] = scipy.linalg.cho_solve(lv.factor, b)
+            return
+        self._chebyshev(k, b, x, True)
+        if lv.P is not None:
+            res, _, q = self._scratch[k]
+            bc, xc = self._coarse[k]
+            lv.A.matvec(x, q)
+            np.subtract(b, q, out=res)
+            _sparse_product(lv.R, res, bc)
+            self._cycle(k + 1, bc, xc)
+            # P e into a zeroed vector, then added: accumulating the
+            # product in x would sum in another order
+            _sparse_product(lv.P, xc, q)
+            x += q
+        self._chebyshev(k, b, x, False)
+
+    def _chebyshev(self, k, b, x, zero_start):
+        """CHEB_DEGREE Chebyshev-Jacobi steps on A x = b, in place in x.
+
+        With zero_start the steps start from zero and x enters unread.
+        """
+        lv = self.levels[k]
+        A, inv_diag = lv.A, lv.inv_diag
+        r, d, q = self._scratch[k]
+        theta, steps = self._smoother[k]
+        # res is the residual: b itself from a zero start until the
+        # first update writes b - A d into r, so b is never copied
+        if zero_start:
+            res = b
+        else:
+            A.matvec(x, q)
+            res = np.subtract(b, q, out=r)
+        np.multiply(inv_diag, res, out=d)
+        d /= theta
+        if zero_start:
+            x[...] = d
+        else:
+            x += d
+        for c1, c2 in steps:
+            A.matvec(d, q)
+            res = np.subtract(res, q, out=r)
+            np.multiply(inv_diag, r, out=q)
+            q *= c2
+            d *= c1
+            d += q
+            x += d

@@ -30,21 +30,29 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     residual passes the tolerance the residual is recomputed as
     b - A x, replacing the recurrence value if the check fails so that
     the reported status is honest. Non-convergence within max_iter is
-    reported via stats, not raised.
+    reported via stats, not raised. The iteration runs in place on five
+    vectors allocated per solve (x, r, z, p and A p); with a
+    PlaneOperator on kept work buffers and a precond that works in
+    place, such as a multigrid VCycle, no step allocates a vector of
+    the system's size. Each update keeps the operations, and their
+    order, of its allocating form, so the iterates have its bits.
 
     Parameters
     ----------
     A : SPD over free dofs: a scipy sparse matrix, an ndarray, or a
         multigrid level operator (assembly.PlaneOperator); only
-        A.shape, A @ x and, for Jacobi, A.diagonal() are used.
+        A.shape, the product and, for Jacobi, A.diagonal() are used.
+        The product is A.matvec(x, out) when A has that method, and
+        A @ x copied into out otherwise.
     b : ndarray
     rel_tol : float in (0, 1)
     max_iter : int, defaults to 20 sqrt(n) + 200
     callback : optional callable receiving the iterate after each step
         (diagnostics only).
-    precond : optional callable r -> M r for a symmetric positive
-        definite M, such as a multigrid V-cycle; None means Jacobi,
-        M = diag(A)^-1.
+    precond : optional callable precond(r, out) that writes M r into
+        out, for a symmetric positive definite M, and leaves r as it
+        is; r and out are CG's residual and preconditioned residual,
+        overwritten between calls. None means Jacobi, M = diag(A)^-1.
 
     Returns
     -------
@@ -70,8 +78,13 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
                              "undefined")
         inv_diag = 1.0 / diag
 
-        def precond(r):
-            return inv_diag * r
+        def precond(r, out):
+            np.multiply(inv_diag, r, out=out)
+
+    matvec = getattr(A, "matvec", None)
+    if matvec is None:
+        def matvec(v, out):
+            out[...] = A @ v
 
     bnorm = np.linalg.norm(b)
     x = np.zeros(n)
@@ -79,40 +92,48 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
         return x, SolveStats(0, 0.0, True)
 
     r = b.copy()
-    z = precond(r)
+    z = np.empty(n)
+    Ap = np.empty(n)
+    precond(r, z)
     p = z.copy()
     rz = float(r @ z)
     it = 0
     converged = False
     while it < max_iter:
-        Ap = A @ p
+        matvec(p, Ap)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             break
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        # z is free until the next precond: it holds alpha p
+        np.multiply(p, alpha, out=z)
+        x += z
+        Ap *= alpha
+        r -= Ap
         it += 1
         if callback is not None:
             callback(x.copy())
         if np.linalg.norm(r) <= rel_tol * bnorm:
-            r_true = b - A @ x
-            if np.linalg.norm(r_true) <= rel_tol * bnorm:
+            matvec(x, Ap)
+            np.subtract(b, Ap, out=r)
+            if np.linalg.norm(r) <= rel_tol * bnorm:
                 converged = True
                 break
-            # recurrence drifted; replace and keep going
-            r = r_true
-            z = precond(r)
-            p = z.copy()
+            # recurrence drifted; keep the true residual and go on
+            precond(r, z)
+            p[...] = z
             rz = float(r @ z)
             continue
-        z = precond(r)
+        precond(r, z)
         rz_new = float(r @ z)
         beta = rz_new / rz
-        p = z + beta * p
+        p *= beta
+        p += z
         rz = rz_new
 
-    final_rel = float(np.linalg.norm(b - A @ x) / bnorm)
+    matvec(x, Ap)
+    np.subtract(b, Ap, out=r)
+    final_rel = float(np.linalg.norm(r) / bnorm)
     if converged:
         converged = final_rel <= rel_tol
     return x, SolveStats(it, final_rel, converged)

@@ -6,7 +6,9 @@ roots instead of Cholesky whitening, full dense eigendecompositions
 instead of banded inertia bisection, a plain bisection instead of the
 proposal-and-replay pencil search, whole-matrix row sums instead of
 row blocks, a Kronecker product instead of the restriction stencil,
-per-line file writers instead of block formatting, and seeded Monte
+allocating expressions instead of the in-place multigrid-CG
+workspace, per-line file writers instead of block formatting, and
+seeded Monte
 Carlo for integrals without a convenient closed form. Keep these slow
 and obvious.
 """
@@ -22,6 +24,8 @@ from elastopoint.assembly import (_corner_pair_blocks, _element_matrices,
                                   _interior, build_dof_map, to_free)
 from elastopoint.mesh import (_lattice_strides, _reference_gradients,
                               cell_volumes, prolongation_matrix)
+from elastopoint.multigrid import CHEB_DEGREE, CHEB_RATIO
+from elastopoint.solver import SolveStats
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +481,90 @@ def dof_prolongation_kron(fine, coarse):
     rows = to_free(fine, np.arange(fine.num_vertices * d).reshape(-1, d))
     cols = to_free(coarse, np.arange(coarse.num_vertices * d).reshape(-1, d))
     return P[rows][:, cols]
+
+
+def chebyshev_allocating(lv, b, x):
+    """CHEB_DEGREE Chebyshev-Jacobi steps on A x = b from x (None: zero),
+    each expression in a fresh array."""
+    upper = lv.lmax
+    lower = upper / CHEB_RATIO
+    theta = 0.5 * (upper + lower)
+    delta = 0.5 * (upper - lower)
+    sigma = theta / delta
+    rho = 1.0 / sigma
+    r = b.copy() if x is None else b - lv.A @ x
+    d = (lv.inv_diag * r) / theta
+    x = d.copy() if x is None else x + d
+    for _ in range(CHEB_DEGREE - 1):
+        rho_next = 1.0 / (2.0 * sigma - rho)
+        r -= lv.A @ d
+        d = (rho_next * rho) * d + (2.0 * rho_next / delta) * (lv.inv_diag * r)
+        x += d
+        rho = rho_next
+    return x
+
+
+def vcycle_allocating(levels, r):
+    """One V-cycle from levels[0] applied to r, with public products
+    (A @ x, P @ e, R @ v) into fresh arrays."""
+    lv = levels[0]
+    if lv.factor is not None:
+        return scipy.linalg.cho_solve(lv.factor, r)
+    x = chebyshev_allocating(lv, r, None)
+    if lv.P is not None:
+        x += lv.P @ vcycle_allocating(levels[1:], lv.R @ (r - lv.A @ x))
+    return chebyshev_allocating(lv, r, x)
+
+
+def cg_allocating(A, b, rel_tol=1e-10, max_iter=None, precond=None):
+    """Preconditioned CG with the true-residual stop of cg_solve, every
+    step in fresh arrays; precond maps r to M r (None: Jacobi)."""
+    n = b.shape[0]
+    if max_iter is None:
+        max_iter = int(20 * math.sqrt(n)) + 200
+    if precond is None:
+        inv_diag = 1.0 / A.diagonal()
+
+        def precond(r):
+            return inv_diag * r
+
+    bnorm = np.linalg.norm(b)
+    x = np.zeros(n)
+    r = b.copy()
+    z = precond(r)
+    p = z.copy()
+    rz = float(r @ z)
+    it = 0
+    converged = False
+    while it < max_iter:
+        Ap = A @ p
+        pAp = float(p @ Ap)
+        if pAp <= 0.0:
+            break
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        it += 1
+        if np.linalg.norm(r) <= rel_tol * bnorm:
+            r_true = b - A @ x
+            if np.linalg.norm(r_true) <= rel_tol * bnorm:
+                converged = True
+                break
+            r = r_true
+            z = precond(r)
+            p = z.copy()
+            rz = float(r @ z)
+            continue
+        z = precond(r)
+        rz_new = float(r @ z)
+        beta = rz_new / rz
+        p = z + beta * p
+        rz = rz_new
+
+    final_rel = float(np.linalg.norm(b - A @ x) / bnorm)
+    if converged:
+        converged = final_rel <= rel_tol
+    return x, SolveStats(it, final_rel, converged)
 
 
 def same_bits(x, y):

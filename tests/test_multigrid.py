@@ -9,19 +9,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastopoint.assembly import (GRAD_DIV, LameParams, PointLoadSet,
-                                  assemble_point_load, assemble_stiffness)
+                                  _sparse_product, assemble_point_load,
+                                  assemble_stiffness, from_free)
 from elastopoint.cli import main
 from elastopoint.convergence import _solve_level
 from elastopoint.mesh import build_unit_box_mesh
-from elastopoint.multigrid import _restriction, build_levels, vcycle
+from elastopoint.multigrid import VCycle, _restriction, build_levels
 from elastopoint.solver import cg_solve
 
-from oracles import dof_prolongation_kron, jacobi_bound_whole_matrix, same_bits
+from oracles import (cg_allocating, dof_prolongation_kron,
+                     jacobi_bound_whole_matrix, same_bits, vcycle_allocating)
 
 
 def _load(dim):
     point = np.full(dim, 0.5) + 0.0123 * np.arange(1, dim + 1)
     return PointLoadSet([point], [np.eye(dim)[0]])
+
+
+def _vcycle(levels, r):
+    """One V-cycle of a fresh workspace applied to r, into a new vector."""
+    out = np.empty_like(r)
+    VCycle(levels)(r, out)
+    return out
+
+
+def _mg_cg(levels, b, **kwargs):
+    """cg_solve at levels[0] preconditioned by a V-cycle workspace."""
+    precond = VCycle(levels)
+    return cg_solve(precond.levels[0].A, b, precond=precond, **kwargs)
 
 
 @pytest.mark.parametrize("lam", [1.0, 100.0])
@@ -157,7 +172,33 @@ def test_transfers_and_vcycle_match_the_kron_family(dim, n):
         assert same_bits(lv.P @ v, ref.P @ v)
         assert same_bits(lv.R @ w, ref.R @ w)
     r = rng.standard_normal(levels[0].mesh.num_free_dofs)
-    assert same_bits(vcycle(levels, r), vcycle(oracle, r))
+    Mr = _vcycle(levels, r)
+    assert same_bits(Mr, _vcycle(oracle, r))
+    assert same_bits(Mr, vcycle_allocating(oracle, r))
+
+
+class _Assembled:
+    """An assembled matrix behind the level-operator interface.
+
+    Its products are scipy's public A @ x, with or without work.
+    """
+
+    def __init__(self, A):
+        self.A = A
+        self.shape = A.shape
+
+    def with_work(self, work):
+        return self
+
+    def diagonal(self):
+        return self.A.diagonal()
+
+    def matvec(self, x, out):
+        out[...] = self.A @ x
+        return out
+
+    def __matmul__(self, x):
+        return self.A @ x
 
 
 def _assembled_levels(levels, params):
@@ -167,7 +208,8 @@ def _assembled_levels(levels, params):
         A = assemble_stiffness(lv.mesh, params, GRAD_DIV)
         inv_diag, lmax = (jacobi_bound_whole_matrix(A) if A.shape[0]
                           else (None, None))
-        out.append(replace(lv, A=A, inv_diag=inv_diag, lmax=lmax))
+        out.append(replace(lv, A=_Assembled(A), inv_diag=inv_diag,
+                           lmax=lmax))
     return out
 
 
@@ -182,11 +224,125 @@ def test_plane_operators_solve_as_the_assembled_matrices(dim, n, lam):
     levels = build_levels(dim, n, params)
     oracle = _assembled_levels(levels, params)
     r = np.random.default_rng(n).standard_normal(levels[0].mesh.num_free_dofs)
-    assert same_bits(vcycle(levels, r), vcycle(oracle, r))
+    Mr = _vcycle(levels, r)
+    assert same_bits(Mr, _vcycle(oracle, r))
+    assert same_bits(Mr, vcycle_allocating(oracle, r))
     _, u, stats = _solve_level(levels, _load(dim), 1e-10, None)
     _, u_ref, stats_ref = _solve_level(oracle, _load(dim), 1e-10, None)
     assert same_bits(u, u_ref)
     assert stats == stats_ref
+
+
+def _load_point(dim, n, where, base, t):
+    """A point of the mesh at n in the lattice cube base + [0, 1]^d.
+
+    where is a lattice vertex, a Kuhn edge (the cube's main diagonal,
+    an edge of all its cells), a cell face (y = z in 3D, the bottom
+    edge of the cube in 2D) or a cell interior; t in (0, 1) places the
+    point on it. base has entries in 1 .. n-1, so the point lies
+    strictly inside the box.
+    """
+    s = 0.5 * t
+    offset = {"vertex": [0.0] * dim,
+              "edge": [t] * dim,
+              "face": [t, s, s] if dim == 3 else [t, 0.0],
+              "interior": [t, s, 0.5 * s][:dim]}[where]
+    return (np.asarray(base, dtype=float) + offset) / n
+
+
+# dyadic families; odd bottoms that are factored (2D n=6, 10, 3D n=6,
+# 10) or only smoothed, above DENSE_BOTTOM_LIMIT dofs (2D n=33, 66, 3D
+# n=11, 22)
+_SIZES = {2: [4, 8, 16, 32, 64, 6, 10, 33, 66],
+          3: [4, 8, 16, 6, 10, 11, 22]}
+
+
+@pytest.mark.parametrize("dim,n", [(dim, n) for dim, sizes in _SIZES.items()
+                                   for n in sizes])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data(), lam=st.floats(1.0, 1e3),
+       where=st.sampled_from(["vertex", "edge", "face", "interior"]),
+       t=st.sampled_from([0.25, 0.5, 0.75]))
+def test_workspace_solve_equals_the_allocating_oracle(dim, n, data, lam,
+                                                      where, t):
+    base = data.draw(st.lists(st.integers(1, n - 1), min_size=dim,
+                              max_size=dim))
+    force = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim,
+                               max_size=dim).filter(
+                                   lambda f: max(map(abs, f)) > 0.1))
+    loads = PointLoadSet([_load_point(dim, n, where, base, t)], [force])
+    params = LameParams(1.0, lam)
+    levels = build_levels(dim, n, params)
+    mesh, u, stats = _solve_level(levels, loads, 1e-10, None)
+    b = assemble_point_load(mesh, loads)
+    x_ref, stats_ref = cg_allocating(
+        levels[0].A, b, precond=partial(vcycle_allocating, levels))
+    assert same_bits(u, from_free(mesh, x_ref))
+    assert stats == stats_ref
+    if n <= 16:
+        A = assemble_stiffness(mesh, params, GRAD_DIV)
+        x_direct = spla.spsolve(A.tocsc(), b)
+        assert (np.linalg.norm(x_ref - x_direct)
+                <= 1e-8 * np.linalg.norm(x_direct))
+
+
+# scipy's private kernels behind _sparse_product must keep the bits of
+# its public products; a scipy that changes them fails here
+@pytest.mark.parametrize("dim,n", [(2, 4), (2, 8), (2, 16), (2, 32), (2, 64),
+                                   (2, 128), (3, 4), (3, 8), (3, 16),
+                                   (3, 32)])
+def test_sparse_product_has_the_bits_of_the_public_products(dim, n):
+    lv = build_levels(dim, n, LameParams(1.0, 50.0))[0]
+    rng = np.random.default_rng(n)
+    W = lv.A.W
+    Z = rng.standard_normal((W.shape[1], lv.A.planes))
+    out = np.full((W.shape[0], lv.A.planes), np.nan)
+    assert same_bits(_sparse_product(W, Z, out), W @ Z)
+    v = rng.standard_normal(lv.R.shape[1])
+    out = np.full(lv.R.shape[0], np.nan)
+    assert same_bits(_sparse_product(lv.R, v, out), lv.R @ v)
+    e = rng.standard_normal(lv.R.shape[0])
+    out = np.full(lv.R.shape[1], np.nan)
+    assert lv.P.format == "csc"
+    assert same_bits(_sparse_product(lv.P, e, out), lv.R.T @ e)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 128), (3, 32)])
+def test_vcycle_allocates_nothing_of_level_size(dim, n):
+    levels = build_levels(dim, n, LameParams(1.0, 1.0))
+    precond = VCycle(levels)
+    r = np.random.default_rng(1).standard_normal(levels[0].A.shape[0])
+    out = np.empty_like(r)
+    precond(r, out)
+    tracemalloc.start()
+    try:
+        precond(r, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 1.6 kB: the dense bottom solve's vectors of 2 or 3 entries;
+    # one vector of the top level is 258 kB (2D) or 715 kB (3D)
+    assert peak < 4096
+
+
+# a second solve on a family at 2D n=128 and 3D n=32 allocates this many
+# vectors of the top level's size: 15.0 when every step of CG and of
+# the V-cycle allocates its results; 13.3 to 13.7 with the workspace
+# (load 1, CG 5, plane stack and product 4, scratch 3, coarse levels)
+SOLVE_VECTORS = 15
+
+
+@pytest.mark.parametrize("dim,n", [(2, 128), (3, 32)])
+def test_solve_allocates_at_most_15_level_vectors(dim, n):
+    levels = build_levels(dim, n, LameParams(1.0, 1.0))
+    _solve_level(levels, _load(dim), 1e-10, None)
+    tracemalloc.start()
+    try:
+        _solve_level(levels, _load(dim), 1e-10, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SOLVE_VECTORS * 8 * levels[0].mesh.num_free_dofs
 
 
 @pytest.mark.parametrize("dim,points", [
@@ -213,7 +369,7 @@ def test_vcycle_is_symmetric_positive(dim, n):
     levels = build_levels(dim, n, LameParams(1.0, 10.0))
     rng = np.random.default_rng(7)
     x, y = rng.standard_normal((2, levels[0].mesh.num_free_dofs))
-    Mx, My = vcycle(levels, x), vcycle(levels, y)
+    Mx, My = _vcycle(levels, x), _vcycle(levels, y)
     scale = np.linalg.norm(Mx) * np.linalg.norm(y)
     assert abs(Mx @ y - x @ My) <= 1e-12 * scale
     assert Mx @ x > 0.0
@@ -225,8 +381,7 @@ def test_multigrid_cg_matches_jacobi_cg_and_direct(dim, n):
     levels = build_levels(dim, n, LameParams(1.0, 5.0))
     top = levels[0]
     b = assemble_point_load(top.mesh, _load(dim))
-    x_mg, st_mg = cg_solve(top.A, b, rel_tol=1e-12,
-                           precond=partial(vcycle, levels))
+    x_mg, st_mg = _mg_cg(levels, b, rel_tol=1e-12)
     x_jac, st_jac = cg_solve(top.A, b, rel_tol=1e-12)
     A = assemble_stiffness(top.mesh, LameParams(1.0, 5.0), GRAD_DIV)
     x_ref = spla.spsolve(A.tocsc(), b)
@@ -253,7 +408,7 @@ def test_multigrid_iterations_are_few():
     levels = build_levels(2, 64, LameParams(1.0, 1.0))
     top = levels[0]
     b = assemble_point_load(top.mesh, _load(2))
-    _, stats = cg_solve(top.A, b, precond=partial(vcycle, levels))
+    _, stats = _mg_cg(levels, b)
     assert stats.converged
     assert stats.iterations <= 30
 
