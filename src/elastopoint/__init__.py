@@ -16,8 +16,7 @@ from .convergence import (ConvergenceReport, ManufacturedSolution,
                           l2_error_quadrature, l2_norm_sq_p1,
                           manufactured_sine_2d, run_convergence_study)
 from .mesh import (CellLocation, Mesh, build_unit_box_mesh, cell_geometry,
-                   cell_volumes, cells_containing_point, locate_point,
-                   prolongation_matrix)
+                   cell_volumes, cells_containing_point, locate_point)
 from .multigrid import VCycle, build_levels
 from .quadrature import simplex_rule
 from .solver import SolveStats, cg_solve

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .assembly import LameParams, PointLoadSet
+from .assembly import LameParams, PointLoadSet, from_free
 from .convergence import (_solve_level, manufactured_sine_2d,
                           run_convergence_study)
 from .mesh import build_unit_box_mesh
@@ -171,13 +171,13 @@ def _cmd_solve(args):
     params = LameParams(args.mu, args.lam)
     loads = parse_loads_file(args.loads, args.dim)
     n = args.levels[0]
-    mesh, full, stats = _solve_level(
+    mesh, x, stats = _solve_level(
         build_levels(args.dim, n, params), loads, args.tol, None)
     print("n=%d h=%s ndof=%d iterations=%d residual=%s"
           % (n, _fmt(mesh.h), mesh.num_free_dofs, stats.iterations,
              _fmt(stats.final_relative_residual)))
     if args.out:
-        write_vtk_field(mesh, full, args.out)
+        write_vtk_field(mesh, from_free(mesh, x), args.out)
         print("wrote %s" % args.out)
     return 0
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .assembly import (LameParams, PointLoadSet, assemble_point_load,
                        assemble_smooth_load, from_free)
-from .mesh import _chain_templates, cell_volumes, prolongation_matrix
+from .mesh import _chain_templates, cell_volumes
 from .multigrid import VCycle, build_levels
 from .quadrature import simplex_rule
 from .solver import cg_solve
@@ -91,27 +91,32 @@ def l2_norm_sq_p1(mesh, values):
     return total * cell_volumes(mesh)[0] / ((d + 1) * (d + 2))
 
 
-def l2_error_nested(level_mesh, u_level, ref_mesh, u_ref):
+def l2_error_nested(levels, u_level, u_ref):
     """L2 distance between a level solution and a nested reference.
 
-    The level field is prolongated through the intermediate dyadic
-    grids onto the reference mesh; the reference must be at least two
-    levels finer.
+    levels is a slice family[:k+1] of a build_levels family, finest
+    first: the reference is levels[0], the level levels[-1], and the
+    reference must be at least two levels finer (k >= 2). u_level and
+    u_ref are free-dof vectors. The level solution is prolongated
+    through each level's exact P, so the distance has no
+    interpolation error.
     """
-    if level_mesh.dim != ref_mesh.dim:
-        raise ValueError("meshes have different dimensions")
-    ratio = ref_mesh.n / level_mesh.n
-    k = int(round(log(ratio, 2))) if ratio > 1 else 0
-    if level_mesh.n * 2 ** k != ref_mesh.n or k < 2:
-        raise ValueError("reference mesh must be >= 2 dyadic levels finer "
-                         "(n=%d vs n=%d)" % (level_mesh.n, ref_mesh.n))
+    u_level = np.asarray(u_level, dtype=float)
     u_ref = np.asarray(u_ref, dtype=float)
-    v = np.asarray(u_level, dtype=float)
-    n = level_mesh.n
-    while n < ref_mesh.n:
-        v = prolongation_matrix(level_mesh.dim, n) @ v
-        n *= 2
-    return sqrt(l2_norm_sq_p1(ref_mesh, v - u_ref))
+    if len(levels) < 3:
+        raise ValueError("reference mesh must be >= 2 dyadic levels finer "
+                         "(n=%d vs n=%d)" % (levels[-1].mesh.n,
+                                             levels[0].mesh.n))
+    if (u_level.shape != (levels[-1].mesh.num_free_dofs,)
+            or u_ref.shape != (levels[0].mesh.num_free_dofs,)):
+        raise ValueError("free-dof vectors do not match the levels")
+    v = u_level
+    for lv in levels[-2::-1]:
+        # only n = 2 holds no P; its coarser n = 1 has no free dofs
+        v = (np.zeros(lv.mesh.num_free_dofs) if lv.P is None
+             else lv.P @ v)
+    ref_mesh = levels[0].mesh
+    return sqrt(l2_norm_sq_p1(ref_mesh, from_free(ref_mesh, v - u_ref)))
 
 
 def l2_error_quadrature(mesh, values, u_exact):
@@ -150,7 +155,7 @@ def _solve_level(levels, forcing, rel_tol, max_iter):
     the mesh and the stiffness operator, and the V-cycle runs over the
     coarser entries after it. The V-cycle's buffers are allocated here,
     for this solve only, and CG runs on the top operator bound to them.
-    Returns (mesh, nodal field with zero boundary values, SolveStats).
+    Returns (mesh, free-dof solution vector, SolveStats).
     Raises StudyError when CG does not converge.
     """
     precond = VCycle(levels)
@@ -167,7 +172,7 @@ def _solve_level(levels, forcing, rel_tol, max_iter):
             "cg did not converge at level n=%d (%d iterations, relative "
             "residual %.3e)" % (mesh.n, stats.iterations,
                                 stats.final_relative_residual))
-    return mesh, from_free(mesh, x), stats
+    return mesh, x, stats
 
 
 def run_convergence_study(dim, levels, params, forcing, ref_extra_levels=2,
@@ -204,22 +209,23 @@ def run_convergence_study(dim, levels, params, forcing, ref_extra_levels=2,
     hs = []
     ndofs = []
     for n in levels:
-        mesh, full, _ = _solve_level(family[index[n]:], forcing, rel_tol,
-                                     max_iter)
+        mesh, x, _ = _solve_level(family[index[n]:], forcing, rel_tol,
+                                  max_iter)
         hs.append(mesh.h)
         ndofs.append(mesh.num_free_dofs)
-        solutions.append((mesh, full))
+        solutions.append(x)
 
     errors = []
     if point_load:
-        ref_mesh, ref_full, _ = _solve_level(family, forcing, rel_tol,
-                                             max_iter)
-        for (mesh, full) in solutions:
-            errors.append(l2_error_nested(mesh, full, ref_mesh, ref_full))
+        _, x_ref, _ = _solve_level(family, forcing, rel_tol, max_iter)
+        for n, x in zip(levels, solutions):
+            errors.append(l2_error_nested(family[:index[n] + 1], x, x_ref))
         reference_n = top
     else:
-        for (mesh, full) in solutions:
-            errors.append(l2_error_quadrature(mesh, full, forcing.u))
+        for n, x in zip(levels, solutions):
+            mesh = family[index[n]].mesh
+            errors.append(l2_error_quadrature(mesh, from_free(mesh, x),
+                                              forcing.u))
         reference_n = None
 
     rates = eoc(errors, hs) if len(errors) >= 2 else []

@@ -18,7 +18,6 @@ from itertools import permutations, product
 from math import factorial
 
 import numpy as np
-import scipy.sparse as sp
 
 LOCATE_TOL = 1e-12
 
@@ -135,36 +134,6 @@ def _cell_vertices(mesh, cubes, types):
         rest, k = np.divmod(rest, n)
         base += stride * k
     return base[..., None] + (_chain_templates(d) @ strides)[types]
-
-
-def prolongation_matrix(dim, n):
-    """P1 prolongation from the (n+1)^d to the (2n+1)^d vertex lattice.
-
-    CSR of shape ((2n+1)^d, (n+1)^d) in C-order vertex numbering. Fine
-    vertex I (lattice coordinates) is the midpoint of the coarse
-    segment [I//2, I//2 + (I & 1)], which is an edge of the coarse
-    Kuhn split or, for even I, a single vertex; so the fine nodal
-    values of a coarse P1 field are averages of two coarse values, and
-    rows of even vertices hold a single 1. Exact for every field,
-    boundary values included.
-    """
-    m = 2 * n
-    half = np.arange(m + 1, dtype=np.int64) // 2
-    odd = np.arange(m + 1, dtype=np.int64) & 1
-    strides = _lattice_strides(dim, n)
-    lo = np.zeros((m + 1,) * dim, dtype=np.int64)
-    hi = np.zeros((m + 1,) * dim, dtype=np.int64)
-    for k in range(dim):
-        shape = [1] * dim
-        shape[k] = m + 1
-        lo += (strides[k] * half).reshape(shape)
-        hi += (strides[k] * (half + odd)).reshape(shape)
-    # two halves per row; for even vertices they share a column and the
-    # conversion to CSR sums them to 1
-    cols = np.stack([lo.ravel(), hi.ravel()], axis=1).ravel()
-    rows = np.arange(lo.size).repeat(2)
-    return sp.csr_matrix((np.full(cols.shape, 0.5), (rows, cols)),
-                         shape=(lo.size, (n + 1) ** dim))
 
 
 def build_unit_box_mesh(dim, n):

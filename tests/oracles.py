@@ -6,6 +6,7 @@ roots instead of Cholesky whitening, full dense eigendecompositions
 instead of banded inertia bisection, a plain bisection instead of the
 proposal-and-replay pencil search, whole-matrix row sums instead of
 row blocks, a Kronecker product instead of the restriction stencil,
+full-lattice prolongations instead of a multigrid family's transfers,
 allocating expressions instead of the in-place multigrid-CG
 workspace, per-line file writers instead of block formatting, and
 seeded Monte
@@ -22,8 +23,9 @@ import scipy.sparse as sp
 
 from elastopoint.assembly import (_corner_pair_blocks, _element_matrices,
                                   _interior, build_dof_map, to_free)
+from elastopoint.convergence import l2_norm_sq_p1
 from elastopoint.mesh import (_lattice_strides, _reference_gradients,
-                              cell_volumes, prolongation_matrix)
+                              cell_volumes)
 from elastopoint.multigrid import CHEB_DEGREE, CHEB_RATIO
 from elastopoint.solver import SolveStats
 
@@ -466,6 +468,58 @@ def jacobi_bound_whole_matrix(A):
     absA = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr),
                          shape=A.shape)
     return inv_diag, float((inv_diag * (absA @ np.ones(A.shape[0]))).max())
+
+
+def prolongation_matrix(dim, n):
+    """P1 prolongation from the (n+1)^d to the (2n+1)^d vertex lattice.
+
+    CSR of shape ((2n+1)^d, (n+1)^d) in C-order vertex numbering. Fine
+    vertex I (lattice coordinates) is the midpoint of the coarse
+    segment [I//2, I//2 + (I & 1)], which is an edge of the coarse
+    Kuhn split or, for even I, a single vertex; so the fine nodal
+    values of a coarse P1 field are averages of two coarse values, and
+    rows of even vertices hold a single 1. Exact for every field,
+    boundary values included.
+    """
+    m = 2 * n
+    half = np.arange(m + 1, dtype=np.int64) // 2
+    odd = np.arange(m + 1, dtype=np.int64) & 1
+    strides = _lattice_strides(dim, n)
+    lo = np.zeros((m + 1,) * dim, dtype=np.int64)
+    hi = np.zeros((m + 1,) * dim, dtype=np.int64)
+    for k in range(dim):
+        shape = [1] * dim
+        shape[k] = m + 1
+        lo += (strides[k] * half).reshape(shape)
+        hi += (strides[k] * (half + odd)).reshape(shape)
+    # two halves per row; for even vertices they share a column and the
+    # conversion to CSR sums them to 1
+    cols = np.stack([lo.ravel(), hi.ravel()], axis=1).ravel()
+    rows = np.arange(lo.size).repeat(2)
+    return sp.csr_matrix((np.full(cols.shape, 0.5), (rows, cols)),
+                         shape=(lo.size, (n + 1) ** dim))
+
+
+def l2_error_nested_lattice(level_mesh, u_level, ref_mesh, u_ref):
+    """L2 distance of nodal fields through full-lattice prolongations.
+
+    The level field is prolongated by prolongation_matrix, rebuilt at
+    every doubling, onto the reference mesh at least two levels finer.
+    """
+    if level_mesh.dim != ref_mesh.dim:
+        raise ValueError("meshes have different dimensions")
+    ratio = ref_mesh.n / level_mesh.n
+    k = int(round(math.log(ratio, 2))) if ratio > 1 else 0
+    if level_mesh.n * 2 ** k != ref_mesh.n or k < 2:
+        raise ValueError("reference mesh must be >= 2 dyadic levels finer "
+                         "(n=%d vs n=%d)" % (level_mesh.n, ref_mesh.n))
+    u_ref = np.asarray(u_ref, dtype=float)
+    v = np.asarray(u_level, dtype=float)
+    n = level_mesh.n
+    while n < ref_mesh.n:
+        v = prolongation_matrix(level_mesh.dim, n) @ v
+        n *= 2
+    return math.sqrt(l2_norm_sq_p1(ref_mesh, v - u_ref))
 
 
 def dof_prolongation_kron(fine, coarse):

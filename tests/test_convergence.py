@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from elastopoint.assembly import LameParams, PointLoadSet
+from elastopoint.assembly import LameParams, PointLoadSet, from_free, to_free
 from elastopoint.convergence import (
     ManufacturedSolution,
     StudyError,
+    _solve_level,
     eoc,
     l2_error_nested,
     l2_error_quadrature,
@@ -12,10 +13,11 @@ from elastopoint.convergence import (
     manufactured_sine_2d,
     run_convergence_study,
 )
-from elastopoint.mesh import Mesh, build_unit_box_mesh, locate_point, \
-    prolongation_matrix
+from elastopoint.mesh import Mesh, build_unit_box_mesh, locate_point
+from elastopoint.multigrid import build_levels
 
-from oracles import box_integral_affine_squared, l2_norm_sq_p1_percell
+from oracles import (box_integral_affine_squared, l2_error_nested_lattice,
+                     l2_norm_sq_p1_percell, prolongation_matrix)
 
 
 def _fd_forcing(u, mu, lam, pts, step=1e-4):
@@ -121,30 +123,70 @@ def test_l2_norm_matches_percell_oracle(dim, n, components):
 
 
 def test_nested_error_of_prolonged_field_is_zero():
-    coarse = build_unit_box_mesh(2, 2)
-    mid = build_unit_box_mesh(2, 4)
-    fine = build_unit_box_mesh(2, 8)
+    levels = build_levels(2, 8, LameParams(1.0, 1.0))[:3]
+    coarse, fine = levels[-1].mesh, levels[0].mesh
     rng = np.random.default_rng(12)
-    vals = rng.standard_normal((coarse.num_vertices, 2))
-    ref = prolongation_matrix(2, mid.n) @ (
-        prolongation_matrix(2, coarse.n) @ vals)
-    assert l2_error_nested(coarse, vals, fine, ref) < 1e-13
+    vals = rng.standard_normal(coarse.num_free_dofs)
+    ref = to_free(fine, prolongation_matrix(2, 4) @ (
+        prolongation_matrix(2, 2) @ from_free(coarse, vals)))
+    assert l2_error_nested(levels, vals, ref) < 1e-13
     # shifting the reference by w makes the error exactly ||w||
     w = rng.standard_normal(ref.shape)
-    err = l2_error_nested(coarse, vals, fine, ref + w)
-    assert abs(err - np.sqrt(l2_norm_sq_p1(fine, w))) < 1e-12
+    err = l2_error_nested(levels, vals, ref + w)
+    assert abs(err - np.sqrt(l2_norm_sq_p1(fine, from_free(fine, w)))) < 1e-12
 
 
 def test_nested_error_requires_two_extra_levels():
-    coarse = build_unit_box_mesh(2, 4)
-    vals = np.zeros((coarse.num_vertices, 2))
-    ref8 = build_unit_box_mesh(2, 8)
-    with pytest.raises(ValueError):
-        l2_error_nested(coarse, vals, ref8, np.zeros((ref8.num_vertices, 2)))
-    ref12 = build_unit_box_mesh(2, 12)
-    with pytest.raises(ValueError):
-        l2_error_nested(coarse, vals, ref12,
-                        np.zeros((ref12.num_vertices, 2)))
+    family = build_levels(2, 16, LameParams(1.0, 1.0))
+    zeros = [np.zeros(lv.mesh.num_free_dofs) for lv in family]
+    with pytest.raises(ValueError, match="2 dyadic levels"):
+        l2_error_nested(family[:2], zeros[1], zeros[0])
+    # vectors that are not the free dofs of the level or the reference
+    with pytest.raises(ValueError, match="do not match"):
+        l2_error_nested(family[:3], zeros[1], zeros[0])
+    with pytest.raises(ValueError, match="do not match"):
+        l2_error_nested(family[:3], zeros[2], zeros[1])
+    with pytest.raises(ValueError, match="do not match"):
+        l2_error_nested(family[:3], from_free(family[2].mesh, zeros[2]),
+                        zeros[0])
+    assert l2_error_nested(family[:3], zeros[2], zeros[0]) == 0.0
+
+
+# every level at least two doublings below the top: 2D 4 and 8 to 32,
+# 3D 4 to 16, chains from n = 1 and 2 (n = 2 holds no P) and odd
+# bottoms (n = 3 under 12)
+@pytest.mark.parametrize("dim,top", [(2, 32), (3, 16), (2, 8), (3, 8),
+                                     (2, 12), (3, 12)])
+def test_nested_error_equals_the_lattice_oracle(dim, top):
+    family = build_levels(dim, top, LameParams(1.0, 1.0))
+    fine = family[0].mesh
+    rng = np.random.default_rng(dim * top)
+    for k in range(2, len(family)):
+        coarse = family[k].mesh
+        u = rng.standard_normal(coarse.num_free_dofs)
+        u_ref = rng.standard_normal(fine.num_free_dofs)
+        got = l2_error_nested(family[:k + 1], u, u_ref)
+        want = l2_error_nested_lattice(coarse, from_free(coarse, u), fine,
+                                       from_free(fine, u_ref))
+        assert got == want
+
+
+# the chain's edges: levels from n = 1, whose coarser neighbour of the
+# n = 2 level has no free dofs, and an odd bottom level
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("levels", [[1, 2], [3, 6]])
+def test_edge_studies_equal_the_lattice_oracle(dim, levels):
+    params = LameParams(1.0, 1.0)
+    loads = PointLoadSet([[0.3, 0.7, 0.45][:dim]], [np.eye(dim)[0]])
+    report = run_convergence_study(dim, levels, params, loads)
+    family = build_levels(dim, report.reference_n, params)
+    ref_mesh, x_ref, _ = _solve_level(family, loads, 1e-10, None)
+    ref = from_free(ref_mesh, x_ref)
+    for row in report.rows:
+        k = [lv.mesh.n for lv in family].index(row.n)
+        mesh, x, _ = _solve_level(family[k:], loads, 1e-10, None)
+        assert row.error_l2 == l2_error_nested_lattice(
+            mesh, from_free(mesh, x), ref_mesh, ref)
 
 
 def test_quadrature_error_simple_cases():
