@@ -334,8 +334,9 @@ def _sparse_product(M, x, out):
     csc_matvec for a vector x, csr_matvecs or csc_matvecs for a
     C-ordered block x of column vectors. The kernels add to their
     output, so out is zeroed first, as scipy's fresh result is; the
-    bits are those of M @ x. out must be a C-ordered float64 array of
-    the product's shape and x a C-ordered float64 array.
+    bits are those of M @ x. out must be a C-ordered array of the
+    product's shape and x a C-ordered array, both of M's dtype (float64
+    or float32); the kernels sum in that dtype.
     """
     out.fill(0.0)
     rows, cols = M.shape
@@ -364,9 +365,9 @@ class PlaneOperator:
     and indptr are W's arrays, for code that sizes a matrix by them.
 
     matvec(x, out) writes A @ x into out. It builds Z and W Z in work,
-    a float64 buffer of at least 4 n values (n = shape[0]), when the
-    operator has one (with_work), and in fresh arrays otherwise; A @ x
-    is matvec into a fresh out.
+    a buffer of at least 4 n values (n = shape[0]) of W's dtype, when
+    the operator has one (with_work), and in fresh arrays otherwise;
+    A @ x is matvec into a fresh out. x and out have W's dtype.
     """
 
     def __init__(self, W, planes, work=None):
@@ -379,8 +380,16 @@ class PlaneOperator:
                        if work is not None and planes else None)
 
     def with_work(self, work):
-        """The same operator, its products built in work."""
-        return PlaneOperator(self.W, self.planes, work)
+        """The same operator in work's dtype, its products built in work.
+
+        W is rounded to work's dtype when it has another; the column
+        indices and row pointers are shared.
+        """
+        W = self.W
+        if W.dtype != work.dtype:
+            W = sp.csr_matrix((W.data.astype(work.dtype), W.indices,
+                               W.indptr), shape=W.shape)
+        return PlaneOperator(W, self.planes, work)
 
     def diagonal(self):
         return np.tile(self.W.diagonal(self.W.shape[0]), self.planes)
@@ -407,7 +416,8 @@ class PlaneOperator:
     def matvec(self, x, out):
         views = self._views
         if views is None:
-            views = self._product_views(np.empty(4 * self.shape[0]))
+            views = self._product_views(np.empty(4 * self.shape[0],
+                                                 self.W.dtype))
         (middle, low_edge, high_edge, low, low_source, high, high_source,
          stack, prod, prod_t) = views
         middle[...] = x.reshape(prod_t.shape).T
@@ -420,7 +430,7 @@ class PlaneOperator:
         return out
 
     def __matmul__(self, x):
-        return self.matvec(x, np.empty(self.shape[0]))
+        return self.matvec(x, np.empty(self.shape[0], self.W.dtype))
 
 
 def stiffness_operator(mesh, params):

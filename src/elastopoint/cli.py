@@ -30,6 +30,8 @@ from .spectral import (check_band_size, discrete_korn_constant,
 from .weights import WeightSpec, default_ball_family, estimate_a2
 
 _VTK_CELL_TYPE = {2: 5, 3: 10}  # triangle, tetrahedron
+# lines of a VTK section formatted and written at a time
+_VTK_BLOCK_LINES = 4096
 
 
 def _fmt(x):
@@ -88,38 +90,46 @@ def write_csv_report(report, path):
     _write_csv(path, "level,n,h,ndof,error_l2,eoc", rows)
 
 
+def _write_lines(fh, line, rows):
+    """Write each row of a 2-D array as one %-formatted line, in blocks
+    of _VTK_BLOCK_LINES lines, so only one block is ever formatted."""
+    for start in range(0, len(rows), _VTK_BLOCK_LINES):
+        block = rows[start:start + _VTK_BLOCK_LINES]
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_vtk_field(mesh, field, path):
-    """Legacy ASCII VTK unstructured grid with a displacement field."""
+    """Legacy ASCII VTK unstructured grid with a displacement field.
+
+    Each section is formatted and written in blocks of lines. "%.16g"
+    and "%d" give the same bytes as formatting each line on its own,
+    and a 2D point or vector gets its zero third component as the
+    literal 0 that "%.16g" writes for it.
+    """
     field = np.asarray(field, dtype=float)
     if field.shape != (mesh.num_vertices, mesh.dim):
         raise ValueError("field must be (num_vertices, dim)")
-    pts = np.zeros((mesh.num_vertices, 3))
-    pts[:, :mesh.dim] = mesh.vertices
-    vec = np.zeros((mesh.num_vertices, 3))
-    vec[:, :mesh.dim] = field
     nv_cell = mesh.dim + 1
-
-    # one %-format per section; "%.16g" and "%d" give the same bytes as
-    # formatting each line on its own
-    xyz = "%.16g %.16g %.16g\n"
-    cell_rows = np.column_stack([np.full(mesh.num_cells, nv_cell),
-                                 mesh.cells])
+    xyz = " ".join(["%.16g"] * mesh.dim + ["0"] * (3 - mesh.dim)) + "\n"
+    cells = mesh.cells
+    cell_type = "%d\n" % _VTK_CELL_TYPE[mesh.dim]
     with open(path, "w", newline="") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("displacement field\n")
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write("POINTS %d double\n" % mesh.num_vertices)
-        fh.write(xyz * mesh.num_vertices % tuple(pts.ravel().tolist()))
+        _write_lines(fh, xyz, mesh.vertices)
         fh.write("CELLS %d %d\n" % (mesh.num_cells,
                                     mesh.num_cells * (nv_cell + 1)))
-        fh.write(("%d" + " %d" * nv_cell + "\n") * mesh.num_cells
-                 % tuple(cell_rows.ravel().tolist()))
+        _write_lines(fh, "%d" % nv_cell + " %d" * nv_cell + "\n", cells)
         fh.write("CELL_TYPES %d\n" % mesh.num_cells)
-        fh.write("%d\n" % _VTK_CELL_TYPE[mesh.dim] * mesh.num_cells)
+        for start in range(0, mesh.num_cells, _VTK_BLOCK_LINES):
+            fh.write(cell_type * min(_VTK_BLOCK_LINES,
+                                     mesh.num_cells - start))
         fh.write("POINT_DATA %d\n" % mesh.num_vertices)
         fh.write("VECTORS displacement double\n")
-        fh.write(xyz * mesh.num_vertices % tuple(vec.ravel().tolist()))
+        _write_lines(fh, xyz, field)
 
 
 def _centers(args):

@@ -154,18 +154,18 @@ def _solve_level(levels, forcing, rel_tol, max_iter):
     levels is a tail of a build_levels family; its first entry supplies
     the mesh and the stiffness operator, and the V-cycle runs over the
     coarser entries after it. The V-cycle's buffers are allocated here,
-    for this solve only, and CG runs on the top operator bound to them.
+    for this solve only, and CG runs in float64 on the top operator
+    bound to them (VCycle.A).
     Returns (mesh, free-dof solution vector, SolveStats).
     Raises StudyError when CG does not converge.
     """
     precond = VCycle(levels)
-    level = precond.levels[0]
-    mesh = level.mesh
+    mesh = levels[0].mesh
     if isinstance(forcing, PointLoadSet):
         b = assemble_point_load(mesh, forcing)
     else:
         b = assemble_smooth_load(mesh, forcing.f)
-    x, stats = cg_solve(level.A, b, rel_tol=rel_tol, max_iter=max_iter,
+    x, stats = cg_solve(precond.A, b, rel_tol=rel_tol, max_iter=max_iter,
                         precond=precond)
     if not stats.converged:
         raise StudyError(

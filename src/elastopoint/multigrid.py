@@ -10,10 +10,14 @@ assembly.stiffness_operator; no sparse triple product and no level
 matrix is formed. The V-cycle smooths with Chebyshev-Jacobi
 polynomials (Adams, Brezina, Hu and Tuminaro, "Parallel multigrid
 smoothing: polynomial versus Gauss-Seidel", J. Comput. Phys. 2003)
-and is symmetric, so it preconditions CG. A solve's V-cycle (VCycle)
-runs in place on buffers it allocates once per solve, with the same
-operations in the same order as a V-cycle that allocates every
-result, so with the same bits.
+and preconditions CG. It runs in the precision of the level data,
+which build_levels stores in float32, under a CG that stays in
+float64 (Goddeke, Strzodka and Turek, Int. J. Parallel Emergent
+Distrib. Syst. 2007): it is symmetric up to float32 rounding, and it
+moves half the bytes. A solve's V-cycle (VCycle) runs in place on
+buffers it allocates once per solve, with the same operations in the
+same order as a V-cycle that allocates every result, so with the same
+bits.
 """
 
 from dataclasses import dataclass, replace
@@ -42,17 +46,20 @@ class GridLevel:
     """One size of the nested family and its multigrid data.
 
     mesh and the GRAD_DIV stiffness A on its free dofs are what a solve
-    at this size needs. A is a PlaneOperator: it stores the rows of one
-    vertex plane, not the matrix, and A @ x equals the assembled
-    stiffness times x bit for bit. inv_diag is 1 / diag(A) and lmax
-    the Gershgorin bound max_i sum_j |A_ij| / A_ii on the spectrum of
-    D^-1 A; it is never below the largest eigenvalue, which the
-    smoother needs. R restricts the free dofs of this level to those of
-    the next coarser one, and P = R^T, a CSC view of R's arrays, is the
-    exact P1 prolongation back. A level without P (odd n, or n <= 2)
-    is the bottom of every V-cycle that reaches it; there factor holds
-    a dense Cholesky factor of the assembled stiffness when
-    0 < n_free <= DENSE_BOTTOM_LIMIT.
+    at this size needs. A is a float64 PlaneOperator: it stores the
+    rows of one vertex plane, not the matrix, and A @ x equals the
+    assembled stiffness times x bit for bit. inv_diag is 1 / diag(A)
+    rounded to float32, and lmax the Gershgorin bound max_i sum_j
+    |A_ij| / A_ii on the spectrum of D^-1 A, formed in float64; it is
+    never below the largest eigenvalue, which the smoother needs. R
+    restricts the free dofs of this level to those of the next coarser
+    one, and P = R^T, a CSC view of R's arrays, is the exact P1
+    prolongation back; their float32 entries are exactly 1 and 1/2, so
+    a float64 vector times P or R has the bits of the float64 matrix's
+    product. inv_diag, R and P set the precision of the V-cycle. A
+    level without P (odd n, or n <= 2) is the bottom of every V-cycle
+    that reaches it; there factor holds a float64 dense Cholesky factor
+    of the assembled stiffness when 0 < n_free <= DENSE_BOTTOM_LIMIT.
     """
 
     mesh: Mesh
@@ -74,7 +81,8 @@ def _restriction(fine, coarse):
     in 3D, all on interior fine vertices. The stencil is written
     straight into CSR with the columns ascending, the same arrays as
     the transpose of the free rows and columns of the lattice
-    prolongation.
+    prolongation, with the weights in float32, which holds them
+    exactly.
     """
     d, m = fine.dim, fine.n - 1
     # the t = +-s have no two entries of opposite sign; product lists
@@ -84,7 +92,7 @@ def _restriction(fine, coarse):
                         if not min(t) < 0 < max(t)])
     strides = [m ** (d - 1 - k) for k in range(d)]
     shifts = offsets @ strides
-    weights = np.where(offsets.any(axis=1), 0.5, 1.0)
+    weights = np.where(offsets.any(axis=1), 0.5, 1.0).astype(np.float32)
     # 2J in the coordinates of the fine interior sub-lattice
     odd = 2 * np.arange(coarse.n - 1) + 1
     centre = sum(np.ix_(*[odd * s for s in strides]))
@@ -103,7 +111,8 @@ def build_levels(dim, n, params):
     level coarsens (holds R, and P as R's transpose view) when its n is
     even and above 2. Every level's operator is a stiffness_operator;
     only a bottom level small enough for the dense factor assembles its
-    stiffness. No level holds a cell table or a second copy of a
+    stiffness. inv_diag and R are stored in float32, so the V-cycle
+    runs in float32. No level holds a cell table or a second copy of a
     transfer matrix.
     """
     meshes = []
@@ -124,6 +133,7 @@ def build_levels(dim, n, params):
             # the Gershgorin bound, each row of |A| summed as in A's
             # matvec: the same bits as from the assembled matrix
             lmax = float((inv_diag * (abs(A) @ np.ones(A.shape[0]))).max())
+            inv_diag = inv_diag.astype(np.float32)
         if mesh.n % 2 == 0 and mesh.n > 2:
             R = _restriction(mesh, meshes[k + 1])
             P = R.T
@@ -158,54 +168,74 @@ def _chebyshev_coefficients(lmax):
 class VCycle:
     """The V-cycle preconditioner of one solve, on buffers kept for it.
 
-    levels is a tail of a build_levels family. An instance serves one
-    solve and allocates, once, every array the V-cycle needs: a plane
-    stack and product of 4 n values (n the free dofs of levels[0]) in
-    which every level operator builds its products, three scratch
-    vectors of n values shared by every level's smoothing and
-    transfers, and the right side and iterate of each coarser level.
-    The top level's right side and iterate are the caller's. self.levels
-    are the given levels with their operators on the shared plane
-    buffers (PlaneOperator.with_work); a CG on self.levels[0].A takes
-    its products in them too.
+    levels is a tail of a build_levels family; the V-cycle runs in the
+    dtype of its inv_diag, R and P (float32 from build_levels, float64
+    for a copy with float64 data). An instance serves one solve and
+    allocates one block, once: a float64 plane stack and product of
+    4 n values (n the free dofs of levels[0]) and, in the cycle's
+    dtype, three scratch vectors of n values shared by all levels and
+    every level's right side and iterate. self.A is levels[0].A in
+    float64 on the plane buffers, for CG's products; self.levels hold
+    the operators in the cycle's dtype on a view of the same bytes
+    (PlaneOperator.with_work), which CG does not use while a V-cycle
+    runs.
 
-    Called as precond(r, out), it writes one V-cycle applied to r into
-    out and leaves r as it is: pre-smoothing, coarse correction through
-    R and P, post-smoothing; the bottom level is solved with its dense
-    factor or, without one, only smoothed. The smoother polynomial is
-    the same for every call, so the result is linear and symmetric in
-    r. Every array operation is that of the allocating V-cycle, in its
-    order, so the bits are the same.
+    Called as precond(r, out) on float64 r and out, it writes one
+    V-cycle applied to r into out and leaves r as it is: pre-smoothing,
+    coarse correction through R and P, post-smoothing, the bottom level
+    solved by its dense factor or only smoothed. The cycle sees r
+    scaled by the 2^-e that puts max |r| in [0.5, 1), rounded to its
+    dtype, and out gets 2^e times its result. The scaling is exact, so
+    2^k r gives 2^k M r bit for bit and no force leaves float32's range
+    (a plain cast overflows above 3.4e38). M is linear up to rounding
+    and symmetric up to the rounding of the cycle's dtype. Every array
+    operation is that of the allocating V-cycle, in its order, so the
+    bits are the same.
     """
 
     def __init__(self, levels):
         sizes = [lv.A.shape[0] for lv in levels]
         n = sizes[0]
+        top = levels[0]
+        dtype = np.dtype(np.float32 if top.inv_diag is None
+                         else top.inv_diag.dtype)
         # one block for all buffers: glibc serves a large block by a
         # mapping of its own, which goes back to the system when the
         # solve ends; separate buffers could stay behind as free heap
         # that later, larger allocations do not reuse
-        block = np.empty(7 * n + 2 * sum(sizes[1:]))
-        planes = block[:4 * n]
-        scratch = block[4 * n:7 * n].reshape(3, n)
-        self.levels = [replace(lv, A=lv.A.with_work(planes))
+        plane_bytes = 4 * n * 8
+        block = np.empty(plane_bytes
+                         + (3 * n + 2 * sum(sizes)) * dtype.itemsize,
+                         dtype=np.uint8)
+        planes = block[:plane_bytes].view(np.float64)
+        cycle = block[plane_bytes:].view(dtype)
+        self.A = top.A.with_work(planes)
+        self.levels = [replace(lv, A=lv.A.with_work(planes.view(dtype)))
                        for lv in levels]
         # per level: the residual, step and product scratch views, the
-        # smoother's coefficients, and the right side and iterate of the
-        # next coarser level
+        # smoother's coefficients, and the level's right side and iterate
+        scratch = cycle[:3 * n].reshape(3, n)
         self._scratch = [tuple(scratch[:, :m]) for m in sizes]
         self._smoother = [None if lv.lmax is None
                           else _chebyshev_coefficients(lv.lmax)
                           for lv in levels]
-        self._coarse = []
-        start = 7 * n
-        for m in sizes[1:]:
-            coarse = block[start:start + 2 * m].reshape(2, m)
-            self._coarse.append(tuple(coarse))
+        self._vectors = []
+        start = 3 * n
+        for m in sizes:
+            self._vectors.append(tuple(cycle[start:start + 2 * m]
+                                       .reshape(2, m)))
             start += 2 * m
 
     def __call__(self, r, out):
-        self._cycle(0, r, out)
+        # out serves as float64 scratch for the exactly scaled r, so no
+        # cast needs a buffer
+        e = int(np.frexp(max(r.max(), -r.min()))[1])
+        b, x = self._vectors[0]
+        np.ldexp(r, -e, out=out)
+        b[...] = out
+        self._cycle(0, b, x)
+        out[...] = x
+        np.ldexp(out, e, out=out)
 
     def _cycle(self, k, b, x):
         lv = self.levels[k]
@@ -215,7 +245,7 @@ class VCycle:
         self._chebyshev(k, b, x, True)
         if lv.P is not None:
             res, _, q = self._scratch[k]
-            bc, xc = self._coarse[k]
+            bc, xc = self._vectors[k + 1]
             lv.A.matvec(x, q)
             np.subtract(b, q, out=res)
             _sparse_product(lv.R, res, bc)

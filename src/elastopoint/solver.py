@@ -1,8 +1,9 @@
 """Preconditioned conjugate gradients for SPD systems.
 
 The default preconditioner is Jacobi; the solves of the package pass
-the multigrid V-cycle of the multigrid module, and Jacobi-CG stays as
-the reference the tests compare against.
+the multigrid V-cycle of the multigrid module, which runs in float32
+while CG, its true-residual stop and its tolerance stay in float64.
+Jacobi-CG stays as the reference the tests compare against.
 """
 
 from dataclasses import dataclass
@@ -29,13 +30,15 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     Convergence is declared on the true residual: when the recurrence
     residual passes the tolerance the residual is recomputed as
     b - A x, replacing the recurrence value if the check fails so that
-    the reported status is honest. Non-convergence within max_iter is
-    reported via stats, not raised. The iteration runs in place on five
-    vectors allocated per solve (x, r, z, p and A p); with a
-    PlaneOperator on kept work buffers and a precond that works in
-    place, such as a multigrid VCycle, no step allocates a vector of
-    the system's size. Each update keeps the operations, and their
-    order, of its allocating form, so the iterates have its bits.
+    the reported status is honest; the reported residual is that true
+    one, formed once more after the loop only when CG did not converge.
+    Non-convergence within max_iter is reported via stats, not raised.
+    The iteration runs in place on five vectors allocated per solve (x,
+    r, z, p and A p); with a PlaneOperator on kept work buffers and a
+    precond that works in place, such as a multigrid VCycle, no step
+    allocates a vector of the system's size. Each update keeps the
+    operations, and their order, of its allocating form, so the
+    iterates have its bits.
 
     Parameters
     ----------
@@ -50,8 +53,9 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     callback : optional callable receiving the iterate after each step
         (diagnostics only).
     precond : optional callable precond(r, out) that writes M r into
-        out, for a symmetric positive definite M, and leaves r as it
-        is; r and out are CG's residual and preconditioned residual,
+        out, for a symmetric positive definite M (a float32 V-cycle is
+        one up to float32 rounding), and leaves r as it is; r and out
+        are CG's float64 residual and preconditioned residual,
         overwritten between calls. None means Jacobi, M = diag(A)^-1.
 
     Returns
@@ -131,8 +135,10 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
         p += z
         rz = rz_new
 
-    matvec(x, Ap)
-    np.subtract(b, Ap, out=r)
+    # a converged loop broke with r = b - A x; otherwise form it
+    if not converged:
+        matvec(x, Ap)
+        np.subtract(b, Ap, out=r)
     final_rel = float(np.linalg.norm(r) / bnorm)
     if converged:
         converged = final_rel <= rel_tol

@@ -44,7 +44,7 @@ _DENSE_PEAK_ARRAYS = 9
 _REPLAY_WIDTH = 1e-13
 # Lanczos solves per factorization that succeeded, at most
 _LANCZOS_STEPS = 24
-# relative residual at which the Lanczos of the two coercivity
+# relative width at which the Lanczos of the two coercivity
 # constants stops
 _RITZ_RTOL = 1e-15
 
@@ -365,9 +365,10 @@ def weighted_pairing_demo(mesh, s, center):
     S and E are factored by banded Cholesky, one at a time after the
     pencils. The two largest eigenvalues come from _largest_ritz (plain
     Lanczos in the Euclidean inner product) with a fixed start vector,
-    so repeated calls are bit-identical; each stops at a residual of
-    _RITZ_RTOL relative, and ValueError is raised when nX steps (the
-    Krylov dimension) do not reach it.
+    so repeated calls are bit-identical; each stops once the width
+    _ritz_width (the residual, or Kato-Temple's bound if smaller, as
+    for the pencils) is _RITZ_RTOL relative, and ValueError is raised
+    when nX steps (the Krylov dimension) do not reach it.
     """
     check_band_size(mesh.dim, mesh.n)
     vols, grads, w_pos, w_neg = _demo_weights(mesh, s, center)
@@ -389,11 +390,13 @@ def weighted_pairing_demo(mesh, s, center):
     tinv = np.repeat(np.sqrt(w_pos * w_neg) / vols, nsym)
     v0 = np.random.default_rng(0).standard_normal(nX)
 
+    def converged(nu, r, gap):
+        return _ritz_width(r, gap) <= _RITZ_RTOL * nu
+
     def largest_eigenvalue(matvec, name):
-        nu, r, _ = _largest_ritz(matvec, v0, nX,
-                                 lambda nu, r, gap: r <= _RITZ_RTOL * nu,
-                                 sp.identity(nX, format="csr"))
-        if not r <= _RITZ_RTOL * nu:
+        nu, r, gap = _largest_ritz(matvec, v0, nX, converged,
+                                   sp.identity(nX, format="csr"))
+        if not converged(nu, r, gap):
             raise ValueError("Lanczos did not converge for %s at n=%d "
                              "(%dD)" % (name, mesh.n, mesh.dim))
         return nu
@@ -490,6 +493,13 @@ def _largest_ritz(solve, x, steps, done, gram):
     return nu[-1], r, gap
 
 
+def _ritz_width(r, gap):
+    """Width around a Ritz value that holds an eigenvalue: the residual
+    norm r, or Kato-Temple's r^2 / gap if smaller, with gap the distance
+    to the next Ritz value (0 when there is none yet)."""
+    return min(r, r * r / gap) if gap > 0.0 else r
+
+
 def _pencil_lambda_min(E, G):
     """sup{sigma : E - sigma G is SPD} for symmetric sparse E, G.
 
@@ -545,9 +555,8 @@ def _pencil_lambda_min(E, G):
     def estimate(nu, r, gap):
         # (E - slo G)^-1 G has largest eigenvalue 1 / (lambda_min - slo):
         # theta >= lambda_min (in exact arithmetic), and err is the width
-        # below it that r, or Kato-Temple's r^2 / gap if smaller, leaves
-        if gap > 0.0:
-            r = min(r, r * r / gap)
+        # below it that _ritz_width leaves
+        r = _ritz_width(r, gap)
         return slo + 1.0 / nu, 1.0 / nu - 1.0 / (nu + r)
 
     def converged(nu, r, gap):

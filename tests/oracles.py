@@ -559,14 +559,25 @@ def chebyshev_allocating(lv, b, x):
 
 
 def vcycle_allocating(levels, r):
-    """One V-cycle from levels[0] applied to r, with public products
-    (A @ x, P @ e, R @ v) into fresh arrays."""
+    """One V-cycle from levels[0] applied to the float64 r, in the dtype
+    of the level data, with public products (A @ x, P @ e, R @ v) into
+    fresh arrays. Every level's A must already be in that dtype.
+
+    r is scaled by the power of two that brings max |r| into [0.5, 1)
+    and rounded to the level dtype; the result is scaled back in
+    float64."""
+    e = int(np.frexp(np.abs(r).max())[1])
+    b = (r * 2.0 ** -e).astype(levels[0].inv_diag.dtype)
+    return _cycle_allocating(levels, b).astype(np.float64) * 2.0 ** e
+
+
+def _cycle_allocating(levels, r):
     lv = levels[0]
     if lv.factor is not None:
-        return scipy.linalg.cho_solve(lv.factor, r)
+        return scipy.linalg.cho_solve(lv.factor, r).astype(r.dtype)
     x = chebyshev_allocating(lv, r, None)
     if lv.P is not None:
-        x += lv.P @ vcycle_allocating(levels[1:], lv.R @ (r - lv.A @ x))
+        x += lv.P @ _cycle_allocating(levels[1:], lv.R @ (r - lv.A @ x))
     return chebyshev_allocating(lv, r, x)
 
 
@@ -622,9 +633,11 @@ def cg_allocating(A, b, rel_tol=1e-10, max_iter=None, precond=None):
 
 
 def same_bits(x, y):
-    """True when two float arrays have equal shapes and equal bits."""
-    return x.shape == y.shape and np.array_equal(x.view(np.int64),
-                                                 y.view(np.int64))
+    """True when two float arrays have equal dtypes, shapes and bits."""
+    if x.dtype != y.dtype or x.shape != y.shape:
+        return False
+    bits = "i%d" % x.dtype.itemsize
+    return np.array_equal(x.view(bits), y.view(bits))
 
 
 def random_report_instance(rng, max_dim=12):

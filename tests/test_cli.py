@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from elastopoint import cli
 from elastopoint.assembly import LameParams, PointLoadSet
 from elastopoint.cli import (
     main,
@@ -140,6 +141,22 @@ def test_write_vtk_matches_per_line_writer(tmp_path, dim, n):
     field[0] = 0.0
     field[1, 0] = -0.0
     field[2, 0] = 1.0 / 3.0
+    got = tmp_path / "block.vtk"
+    ref = tmp_path / "lines.vtk"
+    write_vtk_field(mesh, field, str(got))
+    write_vtk_field_per_line(mesh, field, str(ref))
+    assert got.read_bytes() == ref.read_bytes()
+
+
+# blocks of 1 and 7 lines split every section, with a short last block
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("dim,n", [(2, 5), (3, 3)])
+def test_write_vtk_in_short_blocks_matches_per_line_writer(
+        tmp_path, monkeypatch, dim, n, block):
+    monkeypatch.setattr(cli, "_VTK_BLOCK_LINES", block)
+    mesh = build_unit_box_mesh(dim, n)
+    field = np.random.default_rng(block).standard_normal(
+        (mesh.num_vertices, dim))
     got = tmp_path / "block.vtk"
     ref = tmp_path / "lines.vtk"
     write_vtk_field(mesh, field, str(got))

@@ -36,7 +36,26 @@ def _vcycle(levels, r):
 def _mg_cg(levels, b, **kwargs):
     """cg_solve at levels[0] preconditioned by a V-cycle workspace."""
     precond = VCycle(levels)
-    return cg_solve(precond.levels[0].A, b, precond=precond, **kwargs)
+    return cg_solve(precond.A, b, precond=precond, **kwargs)
+
+
+def _cycle_levels(levels):
+    """The levels as a V-cycle holds them, operators in its dtype."""
+    return VCycle(levels).levels
+
+
+def _float64_family(levels):
+    """The levels with float64 Jacobi data and transfers, 1 / diag(A)
+    formed in float64, so that a V-cycle on them runs in float64."""
+    out = []
+    for lv in levels:
+        if lv.inv_diag is not None:
+            lv = replace(lv, inv_diag=1.0 / lv.A.diagonal())
+        if lv.R is not None:
+            R = lv.R.astype(np.float64)
+            lv = replace(lv, R=R, P=R.T)
+        out.append(lv)
+    return out
 
 
 @pytest.mark.parametrize("lam", [1.0, 100.0])
@@ -55,11 +74,12 @@ def test_jacobi_data_is_the_gershgorin_bound(dim, n):
     params = LameParams(1.0, 3.0)
     for lv in build_levels(dim, n, params)[:-1]:
         A = assemble_stiffness(lv.mesh, params, GRAD_DIV)
-        assert np.array_equal(lv.inv_diag, 1.0 / A.diagonal())
+        inv_diag = 1.0 / A.diagonal()
+        assert same_bits(lv.inv_diag, inv_diag.astype(np.float32))
         # the same csr row sums as abs(A), so the bound is bit-identical
-        bound = (lv.inv_diag * (abs(A) @ np.ones(A.shape[0]))).max()
+        bound = (inv_diag * (abs(A) @ np.ones(A.shape[0]))).max()
         assert lv.lmax == bound
-        top = np.linalg.eigvals(lv.inv_diag[:, None] * A.toarray()).real.max()
+        top = np.linalg.eigvals(inv_diag[:, None] * A.toarray()).real.max()
         assert top <= lv.lmax
 
 
@@ -76,7 +96,7 @@ def test_level_jacobi_bound_equals_whole_matrix(dim, n):
                 continue
             ref_inv_diag, ref_lmax = jacobi_bound_whole_matrix(
                 assemble_stiffness(lv.mesh, params, GRAD_DIV))
-            assert np.array_equal(lv.inv_diag, ref_inv_diag)
+            assert same_bits(lv.inv_diag, ref_inv_diag.astype(np.float32))
             assert lv.lmax == ref_lmax
 
 
@@ -96,9 +116,10 @@ def test_build_levels_peak_stays_below_its_csr():
     assert peak < CSR_BYTES_3D_32
 
 
-# what build_levels(3, 32) holds: 5.5 MB of vertices, plane rows,
-# restrictions and Jacobi data (tracemalloc); a family that stores its
-# cell tables and a transposed copy of every restriction holds 15.2 MB
+# what build_levels(3, 32) holds: 4.5 MB of vertices, plane rows,
+# float32 restrictions and Jacobi data (tracemalloc; 5.5 MB with those
+# in float64); a family that stores its cell tables and a transposed
+# copy of every restriction holds 15.2 MB
 HELD_BYTES_3D_32 = 7_000_000
 
 
@@ -121,9 +142,11 @@ def _same_csr(A, B):
 
 
 def _kron_restriction(dim, n):
+    """The restriction and its Kronecker-product oracle; the oracle's
+    entries, 1 and 1/2, are exact in the restriction's float32."""
     fine, coarse = build_unit_box_mesh(dim, n), build_unit_box_mesh(dim, n // 2)
-    return (_restriction(fine, coarse),
-            dof_prolongation_kron(fine, coarse).T.tocsr())
+    oracle = dof_prolongation_kron(fine, coarse).T.tocsr()
+    return _restriction(fine, coarse), oracle.astype(np.float32)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 4), (2, 6), (2, 8), (2, 64), (2, 128),
@@ -144,12 +167,13 @@ def test_restriction_property(case):
     assert _same_csr(*_kron_restriction(*case))
 
 
-def _kron_family(levels):
+def _kron_family(levels, dtype=np.float32):
     """The levels with P and R from the Kronecker-product oracle."""
     out = []
     for k, lv in enumerate(levels):
         if lv.P is not None:
-            P = dof_prolongation_kron(lv.mesh, levels[k + 1].mesh)
+            P = dof_prolongation_kron(lv.mesh,
+                                      levels[k + 1].mesh).astype(dtype)
             lv = replace(lv, P=P, R=P.T.tocsr())
         out.append(lv)
     return out
@@ -160,7 +184,8 @@ def test_transfers_and_vcycle_match_the_kron_family(dim, n):
     levels = build_levels(dim, n, LameParams(1.0, 50.0))
     oracle = _kron_family(levels)
     rng = np.random.default_rng(n)
-    for lv, ref in zip(levels, oracle):
+    for lv, ref, ref64 in zip(levels, oracle,
+                              _kron_family(levels, np.float64)):
         if lv.P is None:
             continue
         # P is R's transpose, a view of the same arrays
@@ -169,12 +194,17 @@ def test_transfers_and_vcycle_match_the_kron_family(dim, n):
                    for k in ("data", "indices", "indptr"))
         v = rng.standard_normal(lv.P.shape[1])
         w = rng.standard_normal(lv.R.shape[1])
+        # float64 vectors get the float64 matrices' bits, float32 ones
+        # the float32 products of the V-cycle
+        assert same_bits(lv.P @ v, ref64.P @ v)
+        assert same_bits(lv.R @ w, ref64.R @ w)
+        v, w = v.astype(np.float32), w.astype(np.float32)
         assert same_bits(lv.P @ v, ref.P @ v)
         assert same_bits(lv.R @ w, ref.R @ w)
     r = rng.standard_normal(levels[0].mesh.num_free_dofs)
     Mr = _vcycle(levels, r)
     assert same_bits(Mr, _vcycle(oracle, r))
-    assert same_bits(Mr, vcycle_allocating(oracle, r))
+    assert same_bits(Mr, vcycle_allocating(_cycle_levels(oracle), r))
 
 
 class _Assembled:
@@ -188,7 +218,9 @@ class _Assembled:
         self.shape = A.shape
 
     def with_work(self, work):
-        return self
+        if self.A.dtype == work.dtype:
+            return self
+        return _Assembled(self.A.astype(work.dtype))
 
     def diagonal(self):
         return self.A.diagonal()
@@ -202,12 +234,15 @@ class _Assembled:
 
 
 def _assembled_levels(levels, params):
-    """The levels with the assembled stiffness and its Jacobi data."""
+    """The levels with the assembled stiffness and its Jacobi data,
+    inv_diag rounded to float32 as build_levels stores it."""
     out = []
     for lv in levels:
         A = assemble_stiffness(lv.mesh, params, GRAD_DIV)
         inv_diag, lmax = (jacobi_bound_whole_matrix(A) if A.shape[0]
                           else (None, None))
+        if inv_diag is not None:
+            inv_diag = inv_diag.astype(np.float32)
         out.append(replace(lv, A=_Assembled(A), inv_diag=inv_diag,
                            lmax=lmax))
     return out
@@ -226,7 +261,7 @@ def test_plane_operators_solve_as_the_assembled_matrices(dim, n, lam):
     r = np.random.default_rng(n).standard_normal(levels[0].mesh.num_free_dofs)
     Mr = _vcycle(levels, r)
     assert same_bits(Mr, _vcycle(oracle, r))
-    assert same_bits(Mr, vcycle_allocating(oracle, r))
+    assert same_bits(Mr, vcycle_allocating(_cycle_levels(oracle), r))
     _, u, stats = _solve_level(levels, _load(dim), 1e-10, None)
     _, u_ref, stats_ref = _solve_level(oracle, _load(dim), 1e-10, None)
     assert same_bits(u, u_ref)
@@ -276,7 +311,8 @@ def test_workspace_solve_equals_the_allocating_oracle(dim, n, data, lam,
     mesh, u, stats = _solve_level(levels, loads, 1e-10, None)
     b = assemble_point_load(mesh, loads)
     x_ref, stats_ref = cg_allocating(
-        levels[0].A, b, precond=partial(vcycle_allocating, levels))
+        levels[0].A, b,
+        precond=partial(vcycle_allocating, _cycle_levels(levels)))
     assert same_bits(u, x_ref)
     assert stats == stats_ref
     if n <= 16:
@@ -298,11 +334,12 @@ def test_sparse_product_has_the_bits_of_the_public_products(dim, n):
     Z = rng.standard_normal((W.shape[1], lv.A.planes))
     out = np.full((W.shape[0], lv.A.planes), np.nan)
     assert same_bits(_sparse_product(W, Z, out), W @ Z)
-    v = rng.standard_normal(lv.R.shape[1])
-    out = np.full(lv.R.shape[0], np.nan)
+    # the transfers in the float32 of the V-cycle
+    v = rng.standard_normal(lv.R.shape[1], dtype=np.float32)
+    out = np.full(lv.R.shape[0], np.nan, dtype=np.float32)
     assert same_bits(_sparse_product(lv.R, v, out), lv.R @ v)
-    e = rng.standard_normal(lv.R.shape[0])
-    out = np.full(lv.R.shape[1], np.nan)
+    e = rng.standard_normal(lv.R.shape[0], dtype=np.float32)
+    out = np.full(lv.R.shape[1], np.nan, dtype=np.float32)
     assert lv.P.format == "csc"
     assert same_bits(_sparse_product(lv.P, e, out), lv.R.T @ e)
 
@@ -327,8 +364,9 @@ def test_vcycle_allocates_nothing_of_level_size(dim, n):
 
 # a second solve on a family at 2D n=128 and 3D n=32 allocates this many
 # vectors of the top level's size: 15.0 when every step of CG and of
-# the V-cycle allocates its results; 13.3 to 13.7 with the workspace
-# (load 1, CG 5, plane stack and product 4, scratch 3, coarse levels)
+# the V-cycle allocates its results; 13.0 to 13.4 with the workspace
+# (load 1, CG 5, plane stack and product 4, and in float32 the scratch,
+# every level's right side and iterate and the levels' copies of W)
 SOLVE_VECTORS = 15
 
 
@@ -363,16 +401,52 @@ def test_restriction_of_point_loads_is_exact(dim, points):
         assert np.abs(fine.P.T @ b_fine - b_coarse).max() <= 1e-14
 
 
-# 2D n=66 bottoms out at n=33, whose 2048 free dofs are only smoothed
+# 2D n=66 bottoms out at n=33, whose 2048 free dofs are only smoothed;
+# the float32 V-cycle is symmetric only up to float32 rounding, so the
+# symmetry is checked on the family in float64
 @pytest.mark.parametrize("dim,n", [(2, 16), (2, 66), (3, 8)])
 def test_vcycle_is_symmetric_positive(dim, n):
-    levels = build_levels(dim, n, LameParams(1.0, 10.0))
+    levels = _float64_family(build_levels(dim, n, LameParams(1.0, 10.0)))
     rng = np.random.default_rng(7)
     x, y = rng.standard_normal((2, levels[0].mesh.num_free_dofs))
     Mx, My = _vcycle(levels, x), _vcycle(levels, y)
     scale = np.linalg.norm(Mx) * np.linalg.norm(y)
     assert abs(Mx @ y - x @ My) <= 1e-12 * scale
     assert Mx @ x > 0.0
+
+
+# relative distance of the float32 V-cycle from the float64 one, in
+# units of float32's eps: 0.94 to 1.68 over the cases below
+FLOAT32_CYCLE_EPS = 4
+
+
+@pytest.mark.parametrize("lam", [1.0, 1000.0])
+@pytest.mark.parametrize("dim,n", [(2, 16), (2, 66), (2, 128), (3, 8),
+                                   (3, 16)])
+def test_float32_vcycle_rounds_the_float64_one(dim, n, lam):
+    levels = build_levels(dim, n, LameParams(1.0, lam))
+    assert levels[0].inv_diag.dtype == np.float32
+    r = np.random.default_rng(3).standard_normal(levels[0].A.shape[0])
+    M32r = _vcycle(levels, r)
+    M64r = _vcycle(_float64_family(levels), r)
+    eps = np.finfo(np.float32).eps
+    assert (np.linalg.norm(M32r - M64r)
+            <= FLOAT32_CYCLE_EPS * eps * np.linalg.norm(M64r))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (2, 33), (3, 8)])
+@pytest.mark.parametrize("k", [200, -200])
+def test_scaled_force_scales_the_solve_exactly(dim, n, k):
+    # 2^200 is far outside float32's range, so without the V-cycle's
+    # power-of-two scaling this solve would overflow or underflow
+    levels = build_levels(dim, n, LameParams(1.0, 50.0))
+    point, force = _load(dim).points, _load(dim).forces
+    _, u, stats = _solve_level(levels, PointLoadSet(point, force), 1e-10,
+                               None)
+    _, u_k, stats_k = _solve_level(
+        levels, PointLoadSet(point, force * 2.0 ** k), 1e-10, None)
+    assert same_bits(u_k, u * 2.0 ** k)
+    assert stats_k == stats
 
 
 @pytest.mark.parametrize("dim,n", [(2, 8), (2, 15), (2, 16), (2, 66),
@@ -413,6 +487,21 @@ def test_multigrid_iterations_are_few():
     _, stats = _mg_cg(levels, b)
     assert stats.converged
     assert stats.iterations <= 30
+
+
+# MG-CG iterations to a relative residual of 1e-10 for a 2D load at
+# (0.4, 0.55) at n=64, mu = 1: the README's lambda table, which states
+# the tested range (lambda up to 1e5)
+README_LAMBDA_ITERATIONS = {50.0: 50, 1e3: 170, 1e4: 305, 1e5: 371}
+
+
+@pytest.mark.parametrize("lam", sorted(README_LAMBDA_ITERATIONS))
+def test_iterations_over_the_lambda_range(lam):
+    levels = build_levels(2, 64, LameParams(1.0, lam))
+    loads = PointLoadSet([[0.4, 0.55]], [[1.0, 0.0]])
+    _, _, stats = _solve_level(levels, loads, 1e-10, None)
+    assert stats.converged
+    assert stats.iterations <= README_LAMBDA_ITERATIONS[lam]
 
 
 def test_nearly_incompressible_solve_and_converge(tmp_path, capsys):
