@@ -17,7 +17,9 @@ returns, and the slab length does not change a single bit of it.
 The unweighted stiffness is the same on every vertex plane, so
 stiffness_operator keeps the rows of one plane, from the same slab
 writer, as a PlaneOperator whose products equal the matrix's bit for
-bit; the multigrid solve uses it and assembles no matrix.
+bit; the multigrid solve uses it and assembles no matrix. Its large
+products split their rows across two threads on a host that gives the
+process two CPUs, with the same bits as on one.
 
 Free degrees of freedom are the (vertex, component) pairs of the
 interior (n-1)^d sub-lattice, vertex-major with the component inner.
@@ -26,6 +28,8 @@ nodal arrays to and from it, the forms are scipy CSR matrices over
 it, and a PlaneOperator acts on it plane by plane.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 from math import factorial
 
@@ -47,6 +51,29 @@ EPS_DIV = "EPS_DIV"
 # temporaries take about 5 kB per slab vertex in 3D; one plane per
 # slab at 3D n=32 was also the fastest length measured.
 _SLAB_VERTICES = 1024
+
+# multiply-adds, nnz(M) x columns of the block, from which
+# _sparse_product splits a CSR times dense product by rows across two
+# threads. Kernel alone (csr_matvecs on the plane rows W, float64 and
+# float32, 2-core host): 3D n=32 (3.2M) ran 1.74-1.89x faster on two
+# threads, 3D n=64 (27M) 1.81-1.96x and 2D n=256 (1.56M) 1.37-1.62x.
+# 2D n=128 (0.39M) and 3D n=16 (0.35M) stay serial: splitting 2D n=128
+# as well made the 2D point-load study about 10 % slower.
+_SPLIT_MULTIPLY_ADDS = 1_000_000
+# the one worker thread of the split, made by the first split product
+_row_pool = None
+_row_pool_lock = threading.Lock()
+
+
+def _forget_row_pool():
+    # a forked child has no worker thread behind the inherited pool
+    global _row_pool, _row_pool_lock
+    _row_pool = None
+    _row_pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_row_pool)
 
 
 @dataclass(frozen=True)
@@ -327,6 +354,14 @@ def assemble_stiffness(mesh, params, form=GRAD_DIV):
     return vector_p1_form_matrix(mesh, None, *_stiffness_coeffs(params, form))
 
 
+def _cpus():
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
 def _sparse_product(M, x, out):
     """out = M @ x for a CSR or CSC matrix M, without allocating.
 
@@ -337,16 +372,44 @@ def _sparse_product(M, x, out):
     bits are those of M @ x. out must be a C-ordered array of the
     product's shape and x a C-ordered array, both of M's dtype (float64
     or float32); the kernels sum in that dtype.
+
+    A CSR times block product of at least _SPLIT_MULTIPLY_ADDS
+    multiply-adds, in a process that may run on two CPUs or more, is
+    split by rows: one worker thread computes the second half of the
+    rows while the caller computes the first, and the call returns
+    only when both halves have stopped. Each output row is the same
+    sum either way, so the bits do not change. The kernel releases the
+    GIL; the worker's half reads the full indices and data through a
+    view of indptr, so nothing is copied.
     """
     out.fill(0.0)
     rows, cols = M.shape
-    if x.ndim == 2:
-        getattr(_sparsetools, M.format + "_matvecs")(
-            rows, cols, x.shape[1], M.indptr, M.indices, M.data,
-            x.ravel(), out.ravel())
-    else:
+    if x.ndim == 1:
         getattr(_sparsetools, M.format + "_matvec")(
             rows, cols, M.indptr, M.indices, M.data, x, out)
+        return out
+    nv = x.shape[1]
+    x, flat = x.ravel(), out.ravel()
+    if (M.format != "csr" or M.nnz * nv < _SPLIT_MULTIPLY_ADDS
+            or _cpus() < 2):
+        getattr(_sparsetools, M.format + "_matvecs")(
+            rows, cols, nv, M.indptr, M.indices, M.data, x, flat)
+        return out
+    global _row_pool
+    with _row_pool_lock:
+        if _row_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _row_pool = ThreadPoolExecutor(1, "elastopoint-rows")
+    h = rows // 2
+    second = _row_pool.submit(_sparsetools.csr_matvecs, rows - h, cols, nv,
+                              M.indptr[h:], M.indices, M.data, x,
+                              flat[h * nv:])
+    try:
+        _sparsetools.csr_matvecs(h, cols, nv, M.indptr, M.indices, M.data,
+                                 x, flat)
+    finally:
+        # the worker writes into out until its half has stopped
+        second.result()
     return out
 
 
@@ -367,7 +430,10 @@ class PlaneOperator:
     matvec(x, out) writes A @ x into out. It builds Z and W Z in work,
     a buffer of at least 4 n values (n = shape[0]) of W's dtype, when
     the operator has one (with_work), and in fresh arrays otherwise;
-    A @ x is matvec into a fresh out. x and out have W's dtype.
+    A @ x is matvec into a fresh out. x and out have W's dtype. W Z is
+    one _sparse_product, which splits its rows across two threads from
+    3D n=23 and 2D n=206 on (at least 1e6 multiply-adds) when the
+    process may run on two CPUs, with the same bits either way.
     """
 
     def __init__(self, W, planes, work=None):
@@ -380,16 +446,19 @@ class PlaneOperator:
                        if work is not None and planes else None)
 
     def with_work(self, work):
-        """The same operator in work's dtype, its products built in work.
+        """The same operator, its products built in work (of W's dtype)."""
+        if work.dtype != self.W.dtype:
+            raise ValueError("work is %s, the operator %s"
+                             % (work.dtype, self.W.dtype))
+        return PlaneOperator(self.W, self.planes, work)
 
-        W is rounded to work's dtype when it has another; the column
-        indices and row pointers are shared.
-        """
+    def astype(self, dtype):
+        """The same operator with W's data rounded to dtype; the column
+        indices and row pointers are shared."""
         W = self.W
-        if W.dtype != work.dtype:
-            W = sp.csr_matrix((W.data.astype(work.dtype), W.indices,
-                               W.indptr), shape=W.shape)
-        return PlaneOperator(W, self.planes, work)
+        return PlaneOperator(sp.csr_matrix(
+            (W.data.astype(dtype), W.indices, W.indptr), shape=W.shape),
+            self.planes)
 
     def diagonal(self):
         return np.tile(self.W.diagonal(self.W.shape[0]), self.planes)

@@ -11,13 +11,16 @@ matrix is formed. The V-cycle smooths with Chebyshev-Jacobi
 polynomials (Adams, Brezina, Hu and Tuminaro, "Parallel multigrid
 smoothing: polynomial versus Gauss-Seidel", J. Comput. Phys. 2003)
 and preconditions CG. It runs in the precision of the level data,
-which build_levels stores in float32, under a CG that stays in
-float64 (Goddeke, Strzodka and Turek, Int. J. Parallel Emergent
-Distrib. Syst. 2007): it is symmetric up to float32 rounding, and it
-moves half the bytes. A solve's V-cycle (VCycle) runs in place on
-buffers it allocates once per solve, with the same operations in the
-same order as a V-cycle that allocates every result, so with the same
-bits.
+which build_levels stores in float32, the plane rows included, once
+per family, under a CG that stays in float64 (Goddeke, Strzodka and
+Turek, Int. J. Parallel Emergent Distrib. Syst. 2007): it is symmetric
+up to float32 rounding, and it moves half the bytes. A solve's V-cycle
+(VCycle) runs in place on buffers it allocates once per solve, with
+the same operations in the same order as a V-cycle that allocates
+every result, so with the same bits. Plane products of at least 1e6
+multiply-adds (3D n >= 23, 2D n >= 206), in CG and in the V-cycle,
+split their rows across one worker thread when the process may run on
+two CPUs (assembly._sparse_product); the bits do not change.
 """
 
 from dataclasses import dataclass, replace
@@ -48,7 +51,9 @@ class GridLevel:
     mesh and the GRAD_DIV stiffness A on its free dofs are what a solve
     at this size needs. A is a float64 PlaneOperator: it stores the
     rows of one vertex plane, not the matrix, and A @ x equals the
-    assembled stiffness times x bit for bit. inv_diag is 1 / diag(A)
+    assembled stiffness times x bit for bit. cycle_A is A with those
+    rows rounded to float32, sharing their column indices and row
+    pointers: the operator of the V-cycle. inv_diag is 1 / diag(A)
     rounded to float32, and lmax the Gershgorin bound max_i sum_j
     |A_ij| / A_ii on the spectrum of D^-1 A, formed in float64; it is
     never below the largest eigenvalue, which the smoother needs. R
@@ -56,7 +61,8 @@ class GridLevel:
     one, and P = R^T, a CSC view of R's arrays, is the exact P1
     prolongation back; their float32 entries are exactly 1 and 1/2, so
     a float64 vector times P or R has the bits of the float64 matrix's
-    product. inv_diag, R and P set the precision of the V-cycle. A
+    product. cycle_A, inv_diag, R and P set the precision of the
+    V-cycle, and must share one dtype. A
     level without P (odd n, or n <= 2) is the bottom of every V-cycle
     that reaches it; there factor holds a float64 dense Cholesky factor
     of the assembled stiffness when 0 < n_free <= DENSE_BOTTOM_LIMIT.
@@ -69,6 +75,7 @@ class GridLevel:
     P: Optional[sp.csc_matrix] = None
     R: Optional[sp.csr_matrix] = None
     factor: Optional[tuple] = None
+    cycle_A: Optional[PlaneOperator] = None
 
 
 def _restriction(fine, coarse):
@@ -111,9 +118,10 @@ def build_levels(dim, n, params):
     level coarsens (holds R, and P as R's transpose view) when its n is
     even and above 2. Every level's operator is a stiffness_operator;
     only a bottom level small enough for the dense factor assembles its
-    stiffness. inv_diag and R are stored in float32, so the V-cycle
-    runs in float32. No level holds a cell table or a second copy of a
-    transfer matrix.
+    stiffness. cycle_A, inv_diag and R are stored in float32, once per
+    family, so the V-cycle runs in float32 and rounds nothing per
+    solve. No level holds a cell table or a second copy of a transfer
+    matrix.
     """
     meshes = []
     m = n
@@ -140,7 +148,8 @@ def build_levels(dim, n, params):
         elif 0 < mesh.num_free_dofs <= DENSE_BOTTOM_LIMIT:
             dense = assemble_stiffness(mesh, params, GRAD_DIV).toarray()
             factor = scipy.linalg.cho_factor(dense, lower=True)
-        levels.append(GridLevel(mesh, A, inv_diag, lmax, P, R, factor))
+        levels.append(GridLevel(mesh, A, inv_diag, lmax, P, R, factor,
+                                A.astype(np.float32)))
     return levels
 
 
@@ -169,16 +178,16 @@ class VCycle:
     """The V-cycle preconditioner of one solve, on buffers kept for it.
 
     levels is a tail of a build_levels family; the V-cycle runs in the
-    dtype of its inv_diag, R and P (float32 from build_levels, float64
-    for a copy with float64 data). An instance serves one solve and
-    allocates one block, once: a float64 plane stack and product of
+    dtype of its cycle_A, inv_diag, R and P (float32 from build_levels,
+    float64 for a copy with float64 data). An instance serves one solve
+    and allocates one block, once: a float64 plane stack and product of
     4 n values (n the free dofs of levels[0]) and, in the cycle's
     dtype, three scratch vectors of n values shared by all levels and
     every level's right side and iterate. self.A is levels[0].A in
     float64 on the plane buffers, for CG's products; self.levels hold
-    the operators in the cycle's dtype on a view of the same bytes
-    (PlaneOperator.with_work), which CG does not use while a V-cycle
-    runs.
+    the levels' cycle_A as their A, bound to a view of the same bytes
+    in the cycle's dtype (PlaneOperator.with_work), which CG does not
+    use while a V-cycle runs.
 
     Called as precond(r, out) on float64 r and out, it writes one
     V-cycle applied to r into out and leaves r as it is: pre-smoothing,
@@ -210,8 +219,8 @@ class VCycle:
         planes = block[:plane_bytes].view(np.float64)
         cycle = block[plane_bytes:].view(dtype)
         self.A = top.A.with_work(planes)
-        self.levels = [replace(lv, A=lv.A.with_work(planes.view(dtype)))
-                       for lv in levels]
+        self.levels = [replace(lv, A=lv.cycle_A.with_work(
+            planes.view(dtype))) for lv in levels]
         # per level: the residual, step and product scratch views, the
         # smoother's coefficients, and the level's right side and iterate
         scratch = cycle[:3 * n].reshape(3, n)

@@ -248,6 +248,13 @@ def test_stiffness_operator_stores_one_plane():
     assert op.data is op.W.data and op.indices is op.W.indices
     assert op.indptr is op.W.indptr
     assert op.W.nnz <= 45 * pd
+    # rounding keeps the index arrays, and work must have W's dtype
+    op32 = op.astype(np.float32)
+    assert op32.W.dtype == np.float32
+    assert np.shares_memory(op32.indices, op.indices)
+    assert np.shares_memory(op32.indptr, op.indptr)
+    with pytest.raises(ValueError, match="float32"):
+        op.with_work(np.empty(4 * op.shape[0], np.float32))
 
 
 def test_form_matrix_peak_memory_is_near_its_output():

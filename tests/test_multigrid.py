@@ -1,6 +1,12 @@
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +14,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elastopoint import assembly
 from elastopoint.assembly import (GRAD_DIV, LameParams, PointLoadSet,
                                   _sparse_product, assemble_point_load,
                                   assemble_stiffness, from_free)
@@ -45,10 +52,12 @@ def _cycle_levels(levels):
 
 
 def _float64_family(levels):
-    """The levels with float64 Jacobi data and transfers, 1 / diag(A)
-    formed in float64, so that a V-cycle on them runs in float64."""
+    """The levels with float64 operators, Jacobi data and transfers,
+    1 / diag(A) formed in float64, so that a V-cycle on them runs in
+    float64."""
     out = []
     for lv in levels:
+        lv = replace(lv, cycle_A=lv.A)
         if lv.inv_diag is not None:
             lv = replace(lv, inv_diag=1.0 / lv.A.diagonal())
         if lv.R is not None:
@@ -116,10 +125,11 @@ def test_build_levels_peak_stays_below_its_csr():
     assert peak < CSR_BYTES_3D_32
 
 
-# what build_levels(3, 32) holds: 4.5 MB of vertices, plane rows,
-# float32 restrictions and Jacobi data (tracemalloc; 5.5 MB with those
-# in float64); a family that stores its cell tables and a transposed
-# copy of every restriction holds 15.2 MB
+# what build_levels(3, 32) holds: 5.0 MB of vertices, plane rows in
+# float64 and float32, float32 restrictions and Jacobi data
+# (tracemalloc; 4.5 MB without the float32 plane rows, 5.5 MB with the
+# restrictions and Jacobi data in float64); a family that stores its
+# cell tables and a transposed copy of every restriction holds 15.2 MB
 HELD_BYTES_3D_32 = 7_000_000
 
 
@@ -132,6 +142,16 @@ def test_build_levels_holds_no_cells_or_transfer_copies():
         tracemalloc.stop()
     assert len(levels) == 6
     assert held < HELD_BYTES_3D_32
+    # the V-cycle's plane rows are rounded once, here, and share the
+    # float64 rows' indices; a V-cycle binds them without a copy. The
+    # n=1 bottom has no rows to share.
+    cycle = VCycle(levels)
+    for lv, bound in zip(levels[:-1], cycle.levels):
+        W, W32 = lv.A.W, lv.cycle_A.W
+        assert same_bits(W32.data, W.data.astype(np.float32))
+        assert np.shares_memory(W32.indices, W.indices)
+        assert np.shares_memory(W32.indptr, W.indptr)
+        assert bound.A.W is W32
 
 
 def _same_csr(A, B):
@@ -218,9 +238,7 @@ class _Assembled:
         self.shape = A.shape
 
     def with_work(self, work):
-        if self.A.dtype == work.dtype:
-            return self
-        return _Assembled(self.A.astype(work.dtype))
+        return self
 
     def diagonal(self):
         return self.A.diagonal()
@@ -235,7 +253,8 @@ class _Assembled:
 
 def _assembled_levels(levels, params):
     """The levels with the assembled stiffness and its Jacobi data,
-    inv_diag rounded to float32 as build_levels stores it."""
+    cycle_A and inv_diag rounded to float32 as build_levels stores
+    them."""
     out = []
     for lv in levels:
         A = assemble_stiffness(lv.mesh, params, GRAD_DIV)
@@ -244,7 +263,8 @@ def _assembled_levels(levels, params):
         if inv_diag is not None:
             inv_diag = inv_diag.astype(np.float32)
         out.append(replace(lv, A=_Assembled(A), inv_diag=inv_diag,
-                           lmax=lmax))
+                           lmax=lmax,
+                           cycle_A=_Assembled(A.astype(np.float32))))
     return out
 
 
@@ -322,18 +342,34 @@ def test_workspace_solve_equals_the_allocating_oracle(dim, n, data, lam,
                 <= 1e-8 * np.linalg.norm(x_direct))
 
 
+def _two_cpus(monkeypatch):
+    """Let _sparse_product split its rows whatever this host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 # scipy's private kernels behind _sparse_product must keep the bits of
-# its public products; a scipy that changes them fails here
+# its public products; a scipy that changes them fails here. The plane
+# rows' products are checked split by rows across two threads (every
+# size crosses a zero threshold) and serial, in both precisions, and on
+# their first 1, 2 and 3 rows; pd = d (n-1)^(d-1) rows are even in 2D
+# and odd in 3D for even n.
 @pytest.mark.parametrize("dim,n", [(2, 4), (2, 8), (2, 16), (2, 32), (2, 64),
-                                   (2, 128), (3, 4), (3, 8), (3, 16),
-                                   (3, 32)])
-def test_sparse_product_has_the_bits_of_the_public_products(dim, n):
+                                   (2, 128), (2, 256), (3, 4), (3, 8),
+                                   (3, 16), (3, 32), (3, 64)])
+def test_sparse_product_has_the_bits_of_the_public_products(dim, n,
+                                                            monkeypatch):
+    _two_cpus(monkeypatch)
     lv = build_levels(dim, n, LameParams(1.0, 50.0))[0]
     rng = np.random.default_rng(n)
-    W = lv.A.W
-    Z = rng.standard_normal((W.shape[1], lv.A.planes))
-    out = np.full((W.shape[0], lv.A.planes), np.nan)
-    assert same_bits(_sparse_product(W, Z, out), W @ Z)
+    for W in (lv.A.W, lv.cycle_A.W):
+        Z = rng.standard_normal((W.shape[1], lv.A.planes)).astype(W.dtype)
+        for M in (W, W[:1], W[:2], W[:3]):
+            ref = M @ Z
+            for threshold in (0, np.inf):
+                monkeypatch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS",
+                                    threshold)
+                out = np.full(ref.shape, np.nan, dtype=W.dtype)
+                assert same_bits(_sparse_product(M, Z, out), ref)
     # the transfers in the float32 of the V-cycle
     v = rng.standard_normal(lv.R.shape[1], dtype=np.float32)
     out = np.full(lv.R.shape[0], np.nan, dtype=np.float32)
@@ -342,6 +378,114 @@ def test_sparse_product_has_the_bits_of_the_public_products(dim, n):
     out = np.full(lv.R.shape[1], np.nan, dtype=np.float32)
     assert lv.P.format == "csc"
     assert same_bits(_sparse_product(lv.P, e, out), lv.R.T @ e)
+
+
+def test_one_cpu_solve_starts_no_thread_and_has_the_split_bits(monkeypatch):
+    levels = build_levels(3, 32, LameParams(1.0, 1.0))
+    _two_cpus(monkeypatch)
+    _, x_split, stats_split = _solve_level(levels, _load(3), 1e-10, None)
+    assert assembly._row_pool is not None
+    # hide the worker: a solve on one CPU must not make another
+    monkeypatch.setattr(assembly, "_row_pool", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    threads = threading.active_count()
+    _, x, stats = _solve_level(levels, _load(3), 1e-10, None)
+    assert threading.active_count() == threads
+    assert assembly._row_pool is None
+    assert same_bits(x, x_split)
+    assert stats == stats_split
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_split_product_raises_only_after_both_halves_stop(failing,
+                                                          monkeypatch):
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS", 0)
+    W = build_levels(2, 8, LameParams(1.0, 1.0))[0].A.W
+    Z = np.random.default_rng(0).standard_normal((W.shape[1], 7))
+    kernel = assembly._sparsetools.csr_matvecs
+    caller = threading.current_thread()
+    stopped = []
+
+    def matvecs(*args):
+        # the worker's half is still running when the caller's is done
+        if threading.current_thread() is not caller:
+            time.sleep(0.2)
+        try:
+            if failing == ("caller" if threading.current_thread() is caller
+                           else "worker"):
+                raise RuntimeError(failing + " half")
+            kernel(*args)
+        finally:
+            stopped.append(threading.current_thread() is caller)
+
+    monkeypatch.setattr(assembly, "_sparsetools",
+                        SimpleNamespace(csr_matvecs=matvecs))
+    out = np.full((W.shape[0], 7), np.nan)
+    with pytest.raises(RuntimeError, match=failing + " half"):
+        _sparse_product(W, Z, out)
+    assert sorted(stopped) == [False, True]
+    h = W.shape[0] // 2
+    half = slice(h, None) if failing == "caller" else slice(None, h)
+    assert same_bits(out[half], (W @ Z)[half])
+
+
+def test_split_products_from_many_threads_keep_their_bits(monkeypatch):
+    # more callers than cores share the one worker, which none of them
+    # has made yet, with the interpreter switching threads often
+    W = build_levels(2, 16, LameParams(1.0, 1.0))[0].A.W
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS", 0)
+    monkeypatch.setattr(assembly, "_row_pool", None)
+    Z = np.random.default_rng(0).standard_normal((W.shape[1], 15))
+    ref = W @ Z
+    exact = []
+    start = threading.Barrier(6, timeout=60)
+
+    def products():
+        out = np.empty_like(ref)
+        start.wait()
+        for _ in range(50):
+            out.fill(np.nan)
+            exact.append(same_bits(_sparse_product(W, Z, out), ref))
+
+    threads = threading.active_count()
+    callers = [threading.Thread(target=products) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(exact) == 300 and all(exact)
+    # one worker thread, however many callers raced to make it
+    assert threading.active_count() == threads + 1
+
+
+def _solve_after_fork(levels):
+    # the child must not inherit the parent's worker, and makes its own
+    assert assembly._row_pool is None
+    _solve_level(levels, _load(3), 1e-10, None)
+    assert assembly._row_pool is not None
+
+
+def test_forked_child_solves_after_a_threaded_solve(monkeypatch):
+    _two_cpus(monkeypatch)
+    levels = build_levels(3, 32, LameParams(1.0, 1.0))
+    _solve_level(levels, _load(3), 1e-10, None)
+    assert assembly._row_pool is not None
+    child = multiprocessing.get_context("fork").Process(
+        target=_solve_after_fork, args=(levels,))
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
 
 
 @pytest.mark.parametrize("dim,n", [(2, 128), (3, 32)])
@@ -357,16 +501,19 @@ def test_vcycle_allocates_nothing_of_level_size(dim, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 1.6 kB: the dense bottom solve's vectors of 2 or 3 entries;
+    # about 1.5 kB: the dense bottom solve's vectors of 2 or 3 entries,
+    # and at 3D n=32 up to 3.2 kB with the hand-off objects of the
+    # products split across two threads (a future per product);
     # one vector of the top level is 258 kB (2D) or 715 kB (3D)
     assert peak < 4096
 
 
 # a second solve on a family at 2D n=128 and 3D n=32 allocates this many
 # vectors of the top level's size: 15.0 when every step of CG and of
-# the V-cycle allocates its results; 13.0 to 13.4 with the workspace
-# (load 1, CG 5, plane stack and product 4, and in float32 the scratch,
-# every level's right side and iterate and the levels' copies of W)
+# the V-cycle allocates its results; 12.9 and 12.7 with the workspace
+# (load 1, CG 5, plane stack and product 4, and in float32 the scratch
+# and every level's right side and iterate); 13.0 and 13.4 when each
+# solve also rounded the levels' W to float32
 SOLVE_VECTORS = 15
 
 
