@@ -14,18 +14,21 @@ formed per lattice offset and written straight into CSR, one slab of
 vertex planes at a time. The CSR arrays are the only allocation of
 the matrix's size, so a form peaks at about 1.5 times the matrix it
 returns, and the slab length does not change a single bit of it.
-The unweighted stiffness is the same on every vertex plane, so
-stiffness_operator keeps the rows of one plane, from the same slab
-writer, as a PlaneOperator whose products equal the matrix's bit for
-bit; the multigrid solve uses it and assembles no matrix. Its large
-products split their rows across two threads on a host that gives the
-process two CPUs, with the same bits as on one.
+The unweighted stiffness is the same at every interior vertex, so a
+LatticeStencil reads the rows of one vertex from the same slab writer
+and tiles them over any mesh of the family as a StencilOperator, whose
+products equal the matrix's bit for bit; the multigrid solve uses it
+and assembles no matrix. Its large products split their rows across
+two threads on a host that gives the process two CPUs, with the same
+bits as on one.
 
 Free degrees of freedom are the (vertex, component) pairs of the
 interior (n-1)^d sub-lattice, vertex-major with the component inner.
-This module alone decides that numbering: to_free and from_free move
-nodal arrays to and from it, the forms are scipy CSR matrices over
-it, and a PlaneOperator acts on it plane by plane.
+This module alone decides that numbering and the plane-padded layout
+of the solve's vectors: to_free and from_free move nodal arrays to and
+from the free dofs, to_padded and from_padded move free-dof vectors to
+and from the padded layout, the forms are scipy CSR matrices over the
+free dofs, and a StencilOperator acts on padded vectors.
 """
 
 import os
@@ -52,13 +55,14 @@ EPS_DIV = "EPS_DIV"
 # slab at 3D n=32 was also the fastest length measured.
 _SLAB_VERTICES = 1024
 
-# multiply-adds, nnz(M) x columns of the block, from which
-# _sparse_product splits a CSR times dense product by rows across two
-# threads. Kernel alone (csr_matvecs on the plane rows W, float64 and
-# float32, 2-core host): 3D n=32 (3.2M) ran 1.74-1.89x faster on two
-# threads, 3D n=64 (27M) 1.81-1.96x and 2D n=256 (1.56M) 1.37-1.62x.
-# 2D n=128 (0.39M) and 3D n=16 (0.35M) stay serial: splitting 2D n=128
-# as well made the 2D point-load study about 10 % slower.
+# multiply-adds, nnz x (p + 1) for a StencilOperator's product, from
+# which the product splits its rows across two threads. Kernel alone
+# (csr_matvecs on one plane's rows, float64 and float32, 2-core host):
+# 3D n=32 (3.3M) ran 1.74-1.89x faster on two threads, 3D n=64 (28M)
+# 1.81-1.96x and 2D n=256 (1.56M) 1.37-1.62x. 2D n=128 (0.39M) and 3D
+# n=16 (0.37M) stay serial: splitting 2D n=128 as well made the 2D
+# point-load study about 10 % slower. Products split from 3D n=22 and
+# 2D n=205 on.
 _SPLIT_MULTIPLY_ADDS = 1_000_000
 # the one worker thread of the split, made by the first split product
 _row_pool = None
@@ -362,165 +366,287 @@ def _cpus():
         return 1
 
 
-def _sparse_product(M, x, out):
-    """out = M @ x for a CSR or CSC matrix M, without allocating.
-
-    Runs the kernel of scipy's own M @ x on M's arrays: csr_matvec or
-    csc_matvec for a vector x, csr_matvecs or csc_matvecs for a
-    C-ordered block x of column vectors. The kernels add to their
-    output, so out is zeroed first, as scipy's fresh result is; the
-    bits are those of M @ x. out must be a C-ordered array of the
-    product's shape and x a C-ordered array, both of M's dtype (float64
-    or float32); the kernels sum in that dtype.
-
-    A CSR times block product of at least _SPLIT_MULTIPLY_ADDS
-    multiply-adds, in a process that may run on two CPUs or more, is
-    split by rows: one worker thread computes the second half of the
-    rows while the caller computes the first, and the call returns
-    only when both halves have stopped. Each output row is the same
-    sum either way, so the bits do not change. The kernel releases the
-    GIL; the worker's half reads the full indices and data through a
-    view of indptr, so nothing is copied.
-    """
-    out.fill(0.0)
-    rows, cols = M.shape
-    if x.ndim == 1:
-        getattr(_sparsetools, M.format + "_matvec")(
-            rows, cols, M.indptr, M.indices, M.data, x, out)
-        return out
-    nv = x.shape[1]
-    x, flat = x.ravel(), out.ravel()
-    if (M.format != "csr" or M.nnz * nv < _SPLIT_MULTIPLY_ADDS
-            or _cpus() < 2):
-        getattr(_sparsetools, M.format + "_matvecs")(
-            rows, cols, nv, M.indptr, M.indices, M.data, x, flat)
-        return out
+def _worker():
+    """The one worker thread of the split products, made on first use."""
     global _row_pool
     with _row_pool_lock:
         if _row_pool is None:
             from concurrent.futures import ThreadPoolExecutor
             _row_pool = ThreadPoolExecutor(1, "elastopoint-rows")
-    h = rows // 2
-    second = _row_pool.submit(_sparsetools.csr_matvecs, rows - h, cols, nv,
-                              M.indptr[h:], M.indices, M.data, x,
-                              flat[h * nv:])
-    try:
-        _sparsetools.csr_matvecs(h, cols, nv, M.indptr, M.indices, M.data,
-                                 x, flat)
-    finally:
-        # the worker writes into out until its half has stopped
-        second.result()
+        return _row_pool
+
+
+def _sparse_product(M, x, out):
+    """out = M @ x for a CSR or CSC matrix M and a vector x, allocating
+    nothing.
+
+    Runs the kernel of scipy's own M @ x, csr_matvec or csc_matvec, on
+    M's arrays. The kernels add to their output, so out is zeroed
+    first, as scipy's fresh result is; the bits are those of M @ x. x
+    and out are C-ordered vectors of M's dtype; the kernels sum in it.
+    """
+    out.fill(0.0)
+    rows, cols = M.shape
+    getattr(_sparsetools, M.format + "_matvec")(
+        rows, cols, M.indptr, M.indices, M.data, x, out)
     return out
 
 
-class PlaneOperator:
-    """A free-dof operator that repeats along the first lattice axis.
+def _plane_layout(mesh):
+    """(p, pd): the interior vertex planes along the first lattice axis
+    and the free dofs of each, d (n-1)^(d-1); (0, 0) without free dofs."""
+    if mesh.num_free_dofs == 0:
+        return 0, 0
+    return mesh.n - 1, mesh.num_free_dofs // (mesh.n - 1)
 
-    W is the CSR block of the rows of one interior vertex plane, pd =
-    d (n-1)^(d-1) of them, over the columns of that plane and its two
-    neighbours, 3 pd in all. The free dofs are plane-major, so A @ x
-    is (W @ Z).T, with Z the (3 pd, n-1) stack of the planes of x
-    shifted by -1, 0 and +1 and zero where a shift leaves the interior.
-    scipy's CSR times dense product sums each output entry over the
-    row of W in ascending column order: the terms of the assembled
-    row in its order, plus +0 x terms from the zero planes. So A @ x
-    equals the assembled matrix times x bit for bit. data, indices
-    and indptr are W's arrays, for code that sizes a matrix by them.
 
-    matvec(x, out) writes A @ x into out. It builds Z and W Z in work,
-    a buffer of at least 4 n values (n = shape[0]) of W's dtype, when
-    the operator has one (with_work), and in fresh arrays otherwise;
-    A @ x is matvec into a fresh out. x and out have W's dtype. W Z is
-    one _sparse_product, which splits its rows across two threads from
-    3D n=23 and 2D n=206 on (at least 1e6 multiply-adds) when the
-    process may run on two CPUs, with the same bits either way.
+def _padded_size(p, pd):
+    return pd * (p + 1) + 2 if pd else 0
+
+
+def _padded_position(p, plane, dof):
+    """Where free dof (plane, in-plane dof) sits in a padded vector."""
+    return 1 + dof * (p + 1) + plane
+
+
+def _free_slots(x, p, pd):
+    """The (pd, p) view of the free slots of a padded vector."""
+    return x[1:1 + pd * (p + 1)].reshape(pd, p + 1)[:, :p]
+
+
+def to_padded(mesh, x):
+    """The plane-padded vector of a free-dof vector, in x's dtype.
+
+    The free dofs are plane-major: dof f = j pd + c is in-plane dof c
+    of interior vertex plane j. The padded layout stores it at 1 + c
+    (p+1) + j, so each in-plane dof's p plane values are contiguous,
+    and every other entry is zero: the leading one, the slot after each
+    run of p values and a trailing one, which the view shifted by +1
+    plane reads after the last run. A shift by one plane is then a
+    shift by one entry, and the zero slots stand for the boundary
+    planes on both sides.
+    """
+    p, pd = _plane_layout(mesh)
+    x = np.asarray(x)
+    out = np.zeros(_padded_size(p, pd), dtype=x.dtype)
+    _free_slots(out, p, pd).T[...] = x.reshape(p, pd)
+    return out
+
+
+def from_padded(mesh, x):
+    """The free-dof vector of a plane-padded vector (a copy)."""
+    p, pd = _plane_layout(mesh)
+    return _free_slots(x, p, pd).T.reshape(-1)
+
+
+class StencilOperator:
+    """A level's GRAD_DIV stiffness on the plane-padded layout.
+
+    The rows of every interior vertex plane are the same: the tiles of
+    one vertex's stencil over that plane. Block s (s = 0, 1, 2) is the
+    pd x pd CSR block of the columns on the plane shifted by s - 1,
+    numbered as in-plane dofs. The three blocks share data and indices;
+    indptr[s] holds block s's row pointers into them, so data, indices
+    and indptr size the whole operator.
+
+    matvec(x, out) writes A x into out for plane-padded x and out of
+    the operator's dtype, with no copy: out is zeroed, each block adds
+    its products through scipy's csr_matvecs on the view of x shifted
+    by s entries (its pd rows of p + 1 values are the planes shifted by
+    s - 1), and the zero slots, which collect products from the
+    neighbouring planes, are zeroed again. Each output entry adds the
+    terms of its assembled row in column order, plus +0 x terms where a
+    shifted plane is a boundary one, so the bits are those of the
+    assembled matrix's product. A product of at least
+    _SPLIT_MULTIPLY_ADDS multiply-adds, nnz (p + 1), in a process that
+    may run on two CPUs, splits its rows: one worker thread computes
+    rows pd/2 .. pd of all three blocks while the caller computes the
+    first half, and the product returns only when both have stopped.
+
+    A @ x takes a free-dof or a plane-padded vector and returns one of
+    the same kind; diagonal() is the free-dof diagonal.
     """
 
-    def __init__(self, W, planes, work=None):
-        self.W = W
+    def __init__(self, planes, data, indices, indptr):
         self.planes = planes
-        self.shape = (W.shape[0] * planes,) * 2
-        self.data, self.indices, self.indptr = W.data, W.indices, W.indptr
-        # an operator without free dofs has no product to take
-        self._views = (self._product_views(work)
-                       if work is not None and planes else None)
-
-    def with_work(self, work):
-        """The same operator, its products built in work (of W's dtype)."""
-        if work.dtype != self.W.dtype:
-            raise ValueError("work is %s, the operator %s"
-                             % (work.dtype, self.W.dtype))
-        return PlaneOperator(self.W, self.planes, work)
+        self.pd = indptr.shape[1] - 1
+        size = _padded_size(planes, self.pd)
+        self.shape = (size, size)
+        self.data, self.indices, self.indptr = data, indices, indptr
 
     def astype(self, dtype):
-        """The same operator with W's data rounded to dtype; the column
-        indices and row pointers are shared."""
-        W = self.W
-        return PlaneOperator(sp.csr_matrix(
-            (W.data.astype(dtype), W.indices, W.indptr), shape=W.shape),
-            self.planes)
+        """The same operator with its data rounded to dtype; indices and
+        indptr are shared."""
+        return StencilOperator(self.planes, self.data.astype(dtype),
+                               self.indices, self.indptr)
+
+    def block(self, s):
+        """Block s as a pd x pd CSR matrix."""
+        lo, hi = self.indptr[s, 0], self.indptr[s, -1]
+        return sp.csr_matrix((self.data[lo:hi], self.indices[lo:hi],
+                              self.indptr[s] - lo), shape=(self.pd,) * 2)
 
     def diagonal(self):
-        return np.tile(self.W.diagonal(self.W.shape[0]), self.planes)
+        return np.tile(self.block(1).diagonal(), self.planes)
 
-    def __abs__(self):
-        return PlaneOperator(abs(self.W), self.planes)
+    def jacobi_bound(self):
+        """(1 / the diagonal of one plane's rows, in float64, and the
+        Gershgorin bound max_i sum_j |A_ij| / A_ii).
 
-    def _product_views(self, work):
-        """The views of work that one product writes and reads.
-
-        Z is work's first 3 n values as (3, pd, p) and W Z the next n
-        as (pd, p). Returns Z's middle plane; the boundary column of
-        the -1 and the +1 shifted plane, which are zero; the interior
-        of each shifted plane and its source in the middle plane; Z as
-        (3 pd, p); W Z; and W Z transposed.
+        A row of plane j adds the terms of the blocks s with j + s - 1 a
+        plane, in column order, as the assembled row does; the rows of
+        the first plane, the second and the last cover every kind of
+        row, so the bound has the bits of the assembled matrix's.
         """
-        pd, p = self.W.shape[0], self.planes
-        n = pd * p
-        z = work[:3 * n].reshape(3, pd, p)
-        y = work[3 * n:4 * n].reshape(pd, p)
-        return (z[1], z[0, :, 0], z[2, :, -1], z[0, :, 1:], z[1, :, :-1],
-                z[2, :, :-1], z[1, :, 1:], z.reshape(3 * pd, p), y, y.T)
+        p, pd = self.planes, self.pd
+        inv = 1.0 / self.block(1).diagonal()
+        magnitude = np.abs(self.data)
+        ones = np.ones(pd)
+        lmax = 0.0
+        for j in sorted({0, min(1, p - 1), p - 1}):
+            sums = np.zeros(pd)
+            for s in range(3):
+                if 0 <= j + s - 1 < p:
+                    _sparsetools.csr_matvec(pd, pd, self.indptr[s],
+                                            self.indices, magnitude, ones,
+                                            sums)
+            lmax = max(lmax, float((inv * sums).max()))
+        return inv, lmax
+
+    def toarray(self):
+        """The dense matrix on the free dofs."""
+        p, pd = self.planes, self.pd
+        dense = np.zeros((p, pd, p, pd), dtype=self.data.dtype)
+        for s in range(3):
+            tile = self.block(s).toarray()
+            for j in range(max(0, 1 - s), min(p, p + 1 - s)):
+                dense[j, :, j + s - 1] = tile
+        return dense.reshape(p * pd, p * pd)
+
+    def _rows(self, lo, hi, x, y):
+        p1 = self.planes + 1
+        size = self.pd * p1
+        for s in range(3):
+            _sparsetools.csr_matvecs(hi - lo, self.pd, p1, self.indptr[s, lo:],
+                                     self.indices, self.data, x[s:s + size],
+                                     y[lo * p1:])
 
     def matvec(self, x, out):
-        views = self._views
-        if views is None:
-            views = self._product_views(np.empty(4 * self.shape[0],
-                                                 self.W.dtype))
-        (middle, low_edge, high_edge, low, low_source, high, high_source,
-         stack, prod, prod_t) = views
-        middle[...] = x.reshape(prod_t.shape).T
-        low_edge.fill(0.0)
-        high_edge.fill(0.0)
-        low[...] = low_source
-        high[...] = high_source
-        _sparse_product(self.W, stack, prod)
-        out.reshape(prod_t.shape)[...] = prod_t
+        out.fill(0.0)
+        p, pd = self.planes, self.pd
+        if not pd:
+            return out
+        y = out[1:1 + pd * (p + 1)]
+        if self.data.size * (p + 1) < _SPLIT_MULTIPLY_ADDS or _cpus() < 2:
+            self._rows(0, pd, x, y)
+        else:
+            h = pd // 2
+            second = _worker().submit(self._rows, h, pd, x, y)
+            try:
+                self._rows(0, h, x, y)
+            finally:
+                # the worker writes into out until its half has stopped
+                second.result()
+        out[1 + p::p + 1] = 0.0
         return out
 
     def __matmul__(self, x):
-        return self.matvec(x, np.empty(self.shape[0], self.W.dtype))
+        if x.shape[0] == self.shape[0]:
+            return self.matvec(x, np.empty(self.shape[0], self.data.dtype))
+        p, pd = self.planes, self.pd
+        padded = np.zeros(self.shape[0], self.data.dtype)
+        _free_slots(padded, p, pd).T[...] = x.reshape(p, pd)
+        out = self.matvec(padded, np.empty_like(padded))
+        return _free_slots(out, p, pd).T.reshape(-1)
 
 
-def stiffness_operator(mesh, params):
-    """assemble_stiffness(mesh, params) as a PlaneOperator.
+class LatticeStencil:
+    """The GRAD_DIV stiffness rows of one interior lattice vertex.
 
-    The cells all have one volume, so every interior vertex plane has
-    the rows of the first one, less the columns on a boundary plane.
-    W is those rows from the slab writer of vector_p1_form_matrix,
-    with the columns of vertex planes 0, 1 and 2 all kept.
+    All cells have one volume, so every interior vertex carries the
+    same d x d blocks towards its 3^d lattice neighbours, and they
+    scale by h^(d-2). The rows are read once, from _form_rows on the
+    first interior plane of mesh (n0 = mesh.n >= 4) with the columns of
+    vertex planes 0, 1 and 2 kept, at the vertex floor(n0/2) in every
+    axis, whose neighbours are all free. Each row keeps its stored
+    entries, none of which is zero, in column order: plane shift, then
+    in-plane vertex, then component.
+
+    operator(m) tiles the rows over the interior planes of the mesh of
+    size m, scaled by (n0/m)^(d-2): an exact power of two when m / n0
+    is one, so each entry has the bits _form_rows gives at size m. The
+    tiles drop the neighbours that leave the plane and keep the column
+    order, so block s holds the rows of _form_rows' one-plane CSR, its
+    columns on the plane shifted by s - 1, bit for bit.
     """
-    d, n = mesh.dim, mesh.n
-    if mesh.num_free_dofs == 0:
-        return PlaneOperator(sp.csr_matrix((0, 0)), 0)
-    pd = mesh.num_free_dofs // (n - 1)
-    table = np.full((n + 1,) * d + (d,), CONSTRAINED, dtype=np.int64)
-    table[(slice(0, 3),) + _interior(mesh)[1:]] = np.arange(
-        3 * pd).reshape((3,) + (n - 1,) * (d - 1) + (d,))
-    coeffs = _stiffness_coeffs(params, GRAD_DIV)
-    W = _form_rows(mesh, cell_volumes(mesh), coeffs, table.reshape(-1, d),
-                   1, 3 * pd)
-    return PlaneOperator(W, n - 1)
+
+    def __init__(self, mesh, params):
+        d, n0 = mesh.dim, mesh.n
+        q = n0 - 1
+        pd = d * q ** (d - 1)
+        table = np.full((n0 + 1,) * d + (d,), CONSTRAINED, dtype=np.int64)
+        table[(slice(0, 3),) + _interior(mesh)[1:]] = np.arange(
+            3 * pd).reshape((3,) + (q,) * (d - 1) + (d,))
+        W = _form_rows(mesh, cell_volumes(mesh),
+                       _stiffness_coeffs(params, GRAD_DIV),
+                       table.reshape(-1, d), 1, 3 * pd)
+        centre = n0 // 2 - 1
+        # in-plane vertex number of the centre, its interior coordinates
+        # all equal to centre
+        v0 = sum(centre * q ** k for k in range(d - 1))
+        self.dim, self.n0 = d, n0
+        # per row component a: the plane shift s, the in-plane offset,
+        # the column component b and the value of each stored entry
+        self.rows = []
+        for a in range(d):
+            lo, hi = W.indptr[v0 * d + a], W.indptr[v0 * d + a + 1]
+            cols = W.indices[lo:hi].astype(np.int64)
+            s, col = np.divmod(cols, pd)
+            vert, b = np.divmod(col, d)
+            offset = np.array(np.unravel_index(vert, (q,) * (d - 1))).T
+            offset -= centre
+            self.rows.append((s, offset, b, W.data[lo:hi]))
+
+    def operator(self, m):
+        """The StencilOperator of the mesh of size m."""
+        d = self.dim
+        q = m - 1
+        if q < 1:
+            return StencilOperator(0, np.zeros(0), np.zeros(0, np.int32),
+                                   np.zeros((3, 1), np.int32))
+        scale = (self.n0 / m) ** (d - 2)
+        nv = q ** (d - 1)
+        pd = d * nv
+        # each in-plane vertex's interior coordinates, and the strides
+        coords = np.indices((q,) * (d - 1)).reshape(d - 1, -1).T
+        strides = np.array([q ** (d - 2 - k) for k in range(d - 1)])
+        itype = np.int32 if 45 * pd < 2 ** 31 else np.int64
+        data, indices, counts = [], [], []
+        for s in range(3):
+            # entries of block s, padded to one length for all a
+            parts = [tuple(x[self.rows[a][0] == s] for x in self.rows[a][1:])
+                     for a in range(d)]
+            width = max(len(part[2]) for part in parts)
+            offset = np.zeros((d, width, d - 1), dtype=np.int64)
+            b = np.zeros((d, width), dtype=np.int64)
+            val = np.zeros((d, width))
+            stored = np.zeros((d, width), dtype=bool)
+            for a, (off, comp, v) in enumerate(parts):
+                k = len(v)
+                offset[a, :k], b[a, :k], val[a, :k] = off, comp, v
+                stored[a, :k] = True
+            # (vertex, a, entry): the neighbour's in-plane coordinates
+            nb = coords[:, None, None, :] + offset[None]
+            keep = stored[None] & np.all((nb >= 0) & (nb < q), axis=-1)
+            cols = (nb @ strides) * d + b[None]
+            data.append(np.broadcast_to(val * scale, keep.shape)[keep])
+            indices.append(cols[keep].astype(itype))
+            counts.append(keep.reshape(pd, width).sum(axis=1))
+        indptr = np.zeros((3, pd + 1), dtype=itype)
+        np.cumsum(counts, axis=1, out=indptr[:, 1:])
+        indptr[1:] += indptr[:-1, -1:].cumsum(axis=0)
+        return StencilOperator(q, np.concatenate(data),
+                               np.concatenate(indices), indptr)
 
 
 def point_load_nodal(mesh, loads):

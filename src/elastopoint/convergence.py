@@ -15,11 +15,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .assembly import (LameParams, PointLoadSet, assemble_point_load,
-                       assemble_smooth_load, from_free)
+                       assemble_smooth_load, from_free, from_padded,
+                       to_padded)
 from .mesh import _chain_templates, cell_volumes
 from .multigrid import VCycle, build_levels
 from .quadrature import simplex_rule
-from .solver import cg_solve
+from .solver import cg_solve, default_max_iter
 
 
 class StudyError(RuntimeError):
@@ -97,8 +98,9 @@ def l2_error_nested(levels, u_level, u_ref):
     levels is a slice family[:k+1] of a build_levels family, finest
     first: the reference is levels[0], the level levels[-1], and the
     reference must be at least two levels finer (k >= 2). u_level and
-    u_ref are free-dof vectors. The level solution is prolongated
-    through each level's exact P, so the distance has no
+    u_ref are free-dof vectors. The level solution is scattered into
+    the plane-padded layout, prolongated through each level's exact P
+    and gathered at the reference, so the distance has no
     interpolation error.
     """
     u_level = np.asarray(u_level, dtype=float)
@@ -110,12 +112,12 @@ def l2_error_nested(levels, u_level, u_ref):
     if (u_level.shape != (levels[-1].mesh.num_free_dofs,)
             or u_ref.shape != (levels[0].mesh.num_free_dofs,)):
         raise ValueError("free-dof vectors do not match the levels")
-    v = u_level
+    v = to_padded(levels[-1].mesh, u_level)
     for lv in levels[-2::-1]:
         # only n = 2 holds no P; its coarser n = 1 has no free dofs
-        v = (np.zeros(lv.mesh.num_free_dofs) if lv.P is None
-             else lv.P @ v)
+        v = np.zeros(lv.A.shape[0]) if lv.P is None else lv.P @ v
     ref_mesh = levels[0].mesh
+    v = from_padded(ref_mesh, v)
     return sqrt(l2_norm_sq_p1(ref_mesh, from_free(ref_mesh, v - u_ref)))
 
 
@@ -154,8 +156,9 @@ def _solve_level(levels, forcing, rel_tol, max_iter):
     levels is a tail of a build_levels family; its first entry supplies
     the mesh and the stiffness operator, and the V-cycle runs over the
     coarser entries after it. The V-cycle's buffers are allocated here,
-    for this solve only, and CG runs in float64 on the top operator
-    bound to them (VCycle.A).
+    for this solve only. CG runs in float64 on plane-padded vectors,
+    with the top operator (VCycle.A); max_iter None means
+    default_max_iter of the free dofs, so the padding does not raise it.
     Returns (mesh, free-dof solution vector, SolveStats).
     Raises StudyError when CG does not converge.
     """
@@ -165,6 +168,9 @@ def _solve_level(levels, forcing, rel_tol, max_iter):
         b = assemble_point_load(mesh, forcing)
     else:
         b = assemble_smooth_load(mesh, forcing.f)
+    b = to_padded(mesh, b)
+    if max_iter is None:
+        max_iter = default_max_iter(mesh.num_free_dofs)
     x, stats = cg_solve(precond.A, b, rel_tol=rel_tol, max_iter=max_iter,
                         precond=precond)
     if not stats.converged:
@@ -172,7 +178,7 @@ def _solve_level(levels, forcing, rel_tol, max_iter):
             "cg did not converge at level n=%d (%d iterations, relative "
             "residual %.3e)" % (mesh.n, stats.iterations,
                                 stats.final_relative_residual))
-    return mesh, x, stats
+    return mesh, from_padded(mesh, x), stats
 
 
 def run_convergence_study(dim, levels, params, forcing, ref_extra_levels=2,

@@ -5,22 +5,28 @@ between neighbouring sizes is exact, and the rediscretized coarse
 stiffness equals the Galerkin product P^T A_fine P. P is the same
 stencil at every fine vertex, so each level writes its restriction
 R = P^T straight into CSR and uses its transpose view as P. Every
-level's operator is therefore rediscretized, as a plane operator of
-assembly.stiffness_operator; no sparse triple product and no level
-matrix is formed. The V-cycle smooths with Chebyshev-Jacobi
-polynomials (Adams, Brezina, Hu and Tuminaro, "Parallel multigrid
-smoothing: polynomial versus Gauss-Seidel", J. Comput. Phys. 2003)
-and preconditions CG. It runs in the precision of the level data,
-which build_levels stores in float32, the plane rows included, once
-per family, under a CG that stays in float64 (Goddeke, Strzodka and
-Turek, Int. J. Parallel Emergent Distrib. Syst. 2007): it is symmetric
-up to float32 rounding, and it moves half the bytes. A solve's V-cycle
-(VCycle) runs in place on buffers it allocates once per solve, with
-the same operations in the same order as a V-cycle that allocates
-every result, so with the same bits. Plane products of at least 1e6
-multiply-adds (3D n >= 23, 2D n >= 206), in CG and in the V-cycle,
-split their rows across one worker thread when the process may run on
-two CPUs (assembly._sparse_product); the bits do not change.
+level's operator is rediscretized by tiling one vertex's stiffness
+stencil (assembly.LatticeStencil), read once per family and scaled by
+an exact power of two per level, the structured-block operator of
+hierarchical hybrid grids (Bergen, Gradl, Hulsemann and Rude, Comput.
+Sci. Eng. 2006); no level is assembled and no sparse triple product
+is formed. Vectors, R and P are plane-padded (the layout is defined by
+assembly.to_padded), so an operator's product reads the neighbouring
+planes of x at offsets of one entry and copies nothing. The V-cycle
+smooths with Chebyshev-Jacobi polynomials (Adams, Brezina, Hu and
+Tuminaro, "Parallel multigrid smoothing: polynomial versus
+Gauss-Seidel", J. Comput. Phys. 2003) and preconditions CG. It runs in
+the precision of the level data, which build_levels stores in
+float32, the stencil tiles included, once per family, under a CG that
+stays in float64 (Goddeke, Strzodka and Turek, Int. J. Parallel
+Emergent Distrib. Syst. 2007): it is symmetric up to float32 rounding,
+and it moves half the bytes. A solve's V-cycle (VCycle) runs in place
+on buffers it allocates once per solve, with the same operations in
+the same order as a V-cycle that allocates every result, so with the
+same bits. Operator products of at least 1e6 multiply-adds (3D n >=
+22, 2D n >= 205), in CG and in the V-cycle, split their rows across
+one worker thread when the process may run on two CPUs
+(assembly.StencilOperator); the bits do not change.
 """
 
 from dataclasses import dataclass, replace
@@ -31,8 +37,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import (GRAD_DIV, PlaneOperator, _sparse_product,
-                       assemble_stiffness, stiffness_operator)
+from .assembly import (LatticeStencil, StencilOperator, _free_slots,
+                       _padded_position, _padded_size, _plane_layout,
+                       _sparse_product)
 from .mesh import Mesh, build_unit_box_mesh
 
 # Chebyshev-Jacobi smoother: polynomial degree, and the smoothed part
@@ -42,72 +49,97 @@ CHEB_RATIO = 30.0
 # largest bottom-level system that is factored densely; a larger
 # bottom level (odd n) is only smoothed
 DENSE_BOTTOM_LIMIT = 2000
+# largest lambda / mu a family is built for: the top of the tested
+# range, where MG-CG still converges in a few hundred iterations
+MAX_LAMBDA_OVER_MU = 1e5
 
 
 @dataclass(frozen=True)
 class GridLevel:
     """One size of the nested family and its multigrid data.
 
-    mesh and the GRAD_DIV stiffness A on its free dofs are what a solve
-    at this size needs. A is a float64 PlaneOperator: it stores the
-    rows of one vertex plane, not the matrix, and A @ x equals the
-    assembled stiffness times x bit for bit. cycle_A is A with those
-    rows rounded to float32, sharing their column indices and row
-    pointers: the operator of the V-cycle. inv_diag is 1 / diag(A)
-    rounded to float32, and lmax the Gershgorin bound max_i sum_j
+    Vectors are plane-padded (assembly.to_padded defines the layout).
+    mesh and the GRAD_DIV stiffness A are what a solve at this size
+    needs. A is a float64 StencilOperator: the stencil tiles of one
+    vertex plane, not the matrix, and its products equal the assembled
+    stiffness's bit for bit. cycle_A is A with its data rounded to
+    float32, sharing the column indices and row pointers: the operator
+    of the V-cycle. inv_diag is 1 / diag(A) rounded to float32 and
+    padded with zeros, and lmax the Gershgorin bound max_i sum_j
     |A_ij| / A_ii on the spectrum of D^-1 A, formed in float64; it is
     never below the largest eigenvalue, which the smoother needs. R
-    restricts the free dofs of this level to those of the next coarser
-    one, and P = R^T, a CSC view of R's arrays, is the exact P1
+    restricts padded vectors of this level to those of the next
+    coarser one, and P = R^T, a CSC view of R's arrays, is the exact P1
     prolongation back; their float32 entries are exactly 1 and 1/2, so
     a float64 vector times P or R has the bits of the float64 matrix's
     product. cycle_A, inv_diag, R and P set the precision of the
-    V-cycle, and must share one dtype. A
-    level without P (odd n, or n <= 2) is the bottom of every V-cycle
-    that reaches it; there factor holds a float64 dense Cholesky factor
-    of the assembled stiffness when 0 < n_free <= DENSE_BOTTOM_LIMIT.
+    V-cycle, and must share one dtype. A level without P (odd n, or n
+    <= 2) is the bottom of every V-cycle that reaches it; there factor
+    holds a float64 dense Cholesky factor of the stiffness on the free
+    dofs when 0 < n_free <= DENSE_BOTTOM_LIMIT.
     """
 
     mesh: Mesh
-    A: PlaneOperator
+    A: StencilOperator
     inv_diag: Optional[np.ndarray] = None
     lmax: Optional[float] = None
     P: Optional[sp.csc_matrix] = None
     R: Optional[sp.csr_matrix] = None
     factor: Optional[tuple] = None
-    cycle_A: Optional[PlaneOperator] = None
+    cycle_A: Optional[StencilOperator] = None
 
 
 def _restriction(fine, coarse):
-    """Free-dof restriction R = P^T from the fine mesh to the coarse one.
+    """Restriction R = P^T from the fine mesh to the coarse one, on
+    plane-padded vectors.
 
     Fine lattice vertex 2J + t is the midpoint of the coarse Kuhn edge
     from J to J + t whenever t = +-s with s in {0, 1}^d, so coarse dof
     (J, c) collects fine dof (2J, c) with weight 1 and (2J +- s, c) with
     weight 1/2 for the 2^d - 1 non-zero s: 7 entries per row in 2D, 15
-    in 3D, all on interior fine vertices. The stencil is written
-    straight into CSR with the columns ascending, the same arrays as
-    the transpose of the free rows and columns of the lattice
-    prolongation, with the weights in float32, which holds them
-    exactly.
+    in 3D, all on interior fine vertices, in ascending order of their
+    free-dof numbers, which is the order of the transpose of the free
+    rows and columns of the lattice prolongation. The rows are the
+    coarse padded positions (a zero slot has no entry) and the columns
+    the fine padded positions of those dofs; the weights are float32,
+    which holds them exactly.
     """
-    d, m = fine.dim, fine.n - 1
+    d = fine.dim
+    p, pd = _plane_layout(coarse)
+    fp, fpd = _plane_layout(fine)
     # the t = +-s have no two entries of opposite sign; product lists
     # them lexicographically, which on a fine interior lattice at least
     # 3 wide (fine n >= 4) is the ascending order of their shifts
     offsets = np.array([t for t in product((-1, 0, 1), repeat=d)
                         if not min(t) < 0 < max(t)])
-    strides = [m ** (d - 1 - k) for k in range(d)]
-    shifts = offsets @ strides
     weights = np.where(offsets.any(axis=1), 0.5, 1.0).astype(np.float32)
-    # 2J in the coordinates of the fine interior sub-lattice
-    odd = 2 * np.arange(coarse.n - 1) + 1
-    centre = sum(np.ix_(*[odd * s for s in strides]))
-    cols = (centre.reshape(-1, 1, 1) + shifts) * d + np.arange(d)[:, None]
-    rows = coarse.num_free_dofs
-    return sp.csr_matrix((np.tile(weights, rows), cols.ravel(),
-                          np.arange(rows + 1) * len(shifts)),
-                         shape=(rows, fine.num_free_dofs))
+    strides = np.array([fp ** (d - 2 - k) for k in range(d - 1)])
+    # 2J in fine interior coordinates, J over the coarse interior; the
+    # rows are the coarse dofs in padded order (in-plane vertex,
+    # component, plane) and hold the fine plane and in-plane dof of
+    # each 2J + t
+    odd = 2 * np.arange(p) + 1
+    inplane = sum(np.ix_(*[odd * s for s in strides])).reshape(-1)
+    vertex = inplane[:, None] + offsets[:, 1:] @ strides
+    dof = (vertex[:, None] * d + np.arange(d)[:, None])[:, :, None]
+    plane = odd[:, None] + offsets[:, 0]
+    cols = _padded_position(fp, plane, dof).astype(np.int32)
+    counts = np.zeros(_padded_size(p, pd), dtype=np.int32)
+    _free_slots(counts, p, pd)[...] = len(offsets)
+    indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int32)])
+    return sp.csr_matrix((np.tile(weights, p * pd), cols.reshape(-1),
+                          indptr), shape=(len(counts), _padded_size(fp, fpd)))
+
+
+def _stencil_size(n):
+    """n0 with n0 >= 4 and every size n / 2^k of n's family n0 times a
+    power of two: n halved while even and at least 8, or 1, 2 and 3
+    doubled to 4, 4 and 6."""
+    while n % 2 == 0 and n // 2 >= 4:
+        n //= 2
+    while n < 4:
+        n *= 2
+    return n
 
 
 def build_levels(dim, n, params):
@@ -116,13 +148,18 @@ def build_levels(dim, n, params):
     Halves while n is even, so every size n / 2^k of the family is
     meshed once, down to the odd part of n (1 for powers of two). A
     level coarsens (holds R, and P as R's transpose view) when its n is
-    even and above 2. Every level's operator is a stiffness_operator;
-    only a bottom level small enough for the dense factor assembles its
-    stiffness. cycle_A, inv_diag and R are stored in float32, once per
-    family, so the V-cycle runs in float32 and rounds nothing per
-    solve. No level holds a cell table or a second copy of a transfer
-    matrix.
+    even and above 2. Every level's operator is tiled from one
+    LatticeStencil, read at the size _stencil_size(n), so the family
+    assembles no level and _form_rows runs once. cycle_A, inv_diag and
+    R are stored in float32, once per family, so the V-cycle runs in
+    float32 and rounds nothing per solve. No level holds a cell table or
+    a second copy of a transfer matrix. lambda / mu above
+    MAX_LAMBDA_OVER_MU raises a ValueError before anything is meshed.
     """
+    if params.lam > MAX_LAMBDA_OVER_MU * params.mu:
+        raise ValueError("lambda/mu = %.7g is outside the supported range "
+                         "(0, %.0e]" % (params.lam / params.mu,
+                                        MAX_LAMBDA_OVER_MU))
     meshes = []
     m = n
     while True:
@@ -131,23 +168,23 @@ def build_levels(dim, n, params):
         if meshes[-1].n % 2:
             break
         m = meshes[-1].n // 2
+    n0 = _stencil_size(n)
+    base = next((mesh for mesh in meshes if mesh.n == n0), None)
+    stencil = LatticeStencil(base or build_unit_box_mesh(dim, n0), params)
 
     levels = []
     for k, mesh in enumerate(meshes):
-        A = stiffness_operator(mesh, params)
+        A = stencil.operator(mesh.n)
         inv_diag = lmax = P = R = factor = None
         if mesh.num_free_dofs:
-            inv_diag = 1.0 / A.diagonal()
-            # the Gershgorin bound, each row of |A| summed as in A's
-            # matvec: the same bits as from the assembled matrix
-            lmax = float((inv_diag * (abs(A) @ np.ones(A.shape[0]))).max())
-            inv_diag = inv_diag.astype(np.float32)
+            inv, lmax = A.jacobi_bound()
+            inv_diag = np.zeros(A.shape[0], dtype=np.float32)
+            _free_slots(inv_diag, A.planes, A.pd)[...] = inv[:, None]
         if mesh.n % 2 == 0 and mesh.n > 2:
             R = _restriction(mesh, meshes[k + 1])
             P = R.T
         elif 0 < mesh.num_free_dofs <= DENSE_BOTTOM_LIMIT:
-            dense = assemble_stiffness(mesh, params, GRAD_DIV).toarray()
-            factor = scipy.linalg.cho_factor(dense, lower=True)
+            factor = scipy.linalg.cho_factor(A.toarray(), lower=True)
         levels.append(GridLevel(mesh, A, inv_diag, lmax, P, R, factor,
                                 A.astype(np.float32)))
     return levels
@@ -179,27 +216,26 @@ class VCycle:
 
     levels is a tail of a build_levels family; the V-cycle runs in the
     dtype of its cycle_A, inv_diag, R and P (float32 from build_levels,
-    float64 for a copy with float64 data). An instance serves one solve
-    and allocates one block, once: a float64 plane stack and product of
-    4 n values (n the free dofs of levels[0]) and, in the cycle's
-    dtype, three scratch vectors of n values shared by all levels and
-    every level's right side and iterate. self.A is levels[0].A in
-    float64 on the plane buffers, for CG's products; self.levels hold
-    the levels' cycle_A as their A, bound to a view of the same bytes
-    in the cycle's dtype (PlaneOperator.with_work), which CG does not
-    use while a V-cycle runs.
+    float64 for a copy with float64 data), on plane-padded vectors. An
+    instance serves one solve and allocates one block of the cycle's
+    dtype, once: three scratch vectors of the top level's padded size,
+    shared by all levels, and every level's right side and iterate.
+    self.A is levels[0].A, in float64, for CG's products; self.levels
+    hold the levels' cycle_A as their A. No product needs a buffer of
+    its own.
 
-    Called as precond(r, out) on float64 r and out, it writes one
-    V-cycle applied to r into out and leaves r as it is: pre-smoothing,
-    coarse correction through R and P, post-smoothing, the bottom level
-    solved by its dense factor or only smoothed. The cycle sees r
-    scaled by the 2^-e that puts max |r| in [0.5, 1), rounded to its
+    Called as precond(r, out) on float64 padded r and out, it writes
+    one V-cycle applied to r into out and leaves r as it is:
+    pre-smoothing, coarse correction through R and P, post-smoothing,
+    the bottom level solved by its dense factor, through a gather of
+    the free slots and a scatter back, or only smoothed. The cycle sees
+    r scaled by the 2^-e that puts max |r| in [0.5, 1), rounded to its
     dtype, and out gets 2^e times its result. The scaling is exact, so
     2^k r gives 2^k M r bit for bit and no force leaves float32's range
     (a plain cast overflows above 3.4e38). M is linear up to rounding
     and symmetric up to the rounding of the cycle's dtype. Every array
     operation is that of the allocating V-cycle, in its order, so the
-    bits are the same.
+    bits are the same; every zero slot of out stays zero.
     """
 
     def __init__(self, levels):
@@ -212,15 +248,9 @@ class VCycle:
         # mapping of its own, which goes back to the system when the
         # solve ends; separate buffers could stay behind as free heap
         # that later, larger allocations do not reuse
-        plane_bytes = 4 * n * 8
-        block = np.empty(plane_bytes
-                         + (3 * n + 2 * sum(sizes)) * dtype.itemsize,
-                         dtype=np.uint8)
-        planes = block[:plane_bytes].view(np.float64)
-        cycle = block[plane_bytes:].view(dtype)
-        self.A = top.A.with_work(planes)
-        self.levels = [replace(lv, A=lv.cycle_A.with_work(
-            planes.view(dtype))) for lv in levels]
+        cycle = np.empty(3 * n + 2 * sum(sizes), dtype=dtype)
+        self.A = top.A
+        self.levels = [replace(lv, A=lv.cycle_A) for lv in levels]
         # per level: the residual, step and product scratch views, the
         # smoother's coefficients, and the level's right side and iterate
         scratch = cycle[:3 * n].reshape(3, n)
@@ -249,7 +279,10 @@ class VCycle:
     def _cycle(self, k, b, x):
         lv = self.levels[k]
         if lv.factor is not None:
-            x[...] = scipy.linalg.cho_solve(lv.factor, b)
+            p, pd = lv.A.planes, lv.A.pd
+            x.fill(0.0)
+            _free_slots(x, p, pd).T[...] = scipy.linalg.cho_solve(
+                lv.factor, _free_slots(b, p, pd).T.reshape(-1)).reshape(p, pd)
             return
         self._chebyshev(k, b, x, True)
         if lv.P is not None:

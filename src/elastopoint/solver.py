@@ -2,7 +2,8 @@
 
 The default preconditioner is Jacobi; the solves of the package pass
 the multigrid V-cycle of the multigrid module, which runs in float32
-while CG, its true-residual stop and its tolerance stay in float64.
+while CG, its true-residual stop and its tolerance stay in float64,
+on plane-padded vectors.
 Jacobi-CG stays as the reference the tests compare against.
 """
 
@@ -34,17 +35,20 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     one, formed once more after the loop only when CG did not converge.
     Non-convergence within max_iter is reported via stats, not raised.
     The iteration runs in place on five vectors allocated per solve (x,
-    r, z, p and A p); with a PlaneOperator on kept work buffers and a
-    precond that works in place, such as a multigrid VCycle, no step
-    allocates a vector of the system's size. Each update keeps the
+    r, z, p and A p); with an operator whose matvec writes into its
+    output, such as a multigrid level's StencilOperator, and a precond
+    that works in place, such as a multigrid VCycle, no step allocates
+    a vector of the system's size. Each update keeps the
     operations, and their order, of its allocating form, so the
     iterates have its bits.
 
     Parameters
     ----------
-    A : SPD over free dofs: a scipy sparse matrix, an ndarray, or a
-        multigrid level operator (assembly.PlaneOperator); only
-        A.shape, the product and, for Jacobi, A.diagonal() are used.
+    A : SPD: a scipy sparse matrix or an ndarray over the free dofs,
+        or a multigrid level operator (assembly.StencilOperator) over
+        plane-padded vectors, SPD on their free slots, with a precond
+        (its diagonal() is over the free dofs); only A.shape, the
+        product and, for Jacobi, A.diagonal() are used.
         The product is A.matvec(x, out) when A has that method, and
         A @ x copied into out otherwise.
     b : ndarray

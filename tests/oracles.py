@@ -8,7 +8,9 @@ proposal-and-replay pencil search, whole-matrix row sums instead of
 row blocks, a Kronecker product instead of the restriction stencil,
 full-lattice prolongations instead of a multigrid family's transfers,
 allocating expressions instead of the in-place multigrid-CG
-workspace, per-line file writers instead of block formatting, and
+workspace, one assembled vertex plane instead of a tiled stencil,
+index loops instead of the plane-padded layout's views, per-line file
+writers instead of block formatting, and
 seeded Monte
 Carlo for integrals without a convenient closed form. Keep these slow
 and obvious.
@@ -21,8 +23,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from elastopoint.assembly import (_corner_pair_blocks, _element_matrices,
-                                  _interior, build_dof_map, to_free)
+from elastopoint.assembly import (CONSTRAINED, GRAD_DIV, _corner_pair_blocks,
+                                  _element_matrices, _form_rows, _interior,
+                                  _stiffness_coeffs, build_dof_map, to_free)
 from elastopoint.convergence import l2_norm_sq_p1
 from elastopoint.mesh import (_lattice_strides, _reference_gradients,
                               cell_volumes)
@@ -470,6 +473,87 @@ def jacobi_bound_whole_matrix(A):
     return inv_diag, float((inv_diag * (absA @ np.ones(A.shape[0]))).max())
 
 
+def plane_rows(mesh, params):
+    """The GRAD_DIV rows of the first interior vertex plane, as CSR.
+
+    pd = d (n-1)^(d-1) rows over the 3 pd columns of vertex planes 0, 1
+    and 2, numbered plane-major as the free dofs, from the slab writer
+    of vector_p1_form_matrix. Every interior plane has these rows, less
+    the columns on a boundary plane.
+    """
+    d, n = mesh.dim, mesh.n
+    pd = mesh.num_free_dofs // (n - 1)
+    table = np.full((n + 1,) * d + (d,), CONSTRAINED, dtype=np.int64)
+    table[(slice(0, 3),) + _interior(mesh)[1:]] = np.arange(
+        3 * pd).reshape((3,) + (n - 1,) * (d - 1) + (d,))
+    return _form_rows(mesh, cell_volumes(mesh),
+                      _stiffness_coeffs(params, GRAD_DIV),
+                      table.reshape(-1, d), 1, 3 * pd)
+
+
+def plane_rows_product(W, planes, x):
+    """A x for the free-dof vector x from one plane's rows W: (W Z)^T,
+    with Z the (3 pd, planes) stack of the planes of x shifted by -1, 0
+    and +1 and zero where a shift leaves the interior."""
+    pd = W.shape[0]
+    X = np.asarray(x).reshape(planes, pd).T
+    Z = np.zeros((3, pd, planes), dtype=X.dtype)
+    Z[0, :, 1:] = X[:, :-1]
+    Z[1] = X
+    Z[2, :, :-1] = X[:, 1:]
+    return (W @ Z.reshape(3 * pd, planes)).T.reshape(-1)
+
+
+def jacobi_bound_plane_rows(W, planes):
+    """(1 / diag(A), max_i sum_j |A_ij| / A_ii) from one plane's rows,
+    with the row sums of |W| taken by plane_rows_product."""
+    pd = W.shape[0]
+    inv_diag = 1.0 / np.tile(W.diagonal(pd), planes)
+    sums = plane_rows_product(abs(W), planes, np.ones(pd * planes))
+    return inv_diag, float((inv_diag * sums).max())
+
+
+def padded_positions(mesh):
+    """Position of each free dof in a plane-padded vector, by a loop:
+    free dof j pd + c (plane j, in-plane dof c) sits at 1 + c (p+1) + j."""
+    p = mesh.n - 1
+    pd = mesh.num_free_dofs // p if p else 0
+    pos = np.empty(mesh.num_free_dofs, dtype=np.int64)
+    for j in range(p):
+        for c in range(pd):
+            pos[j * pd + c] = 1 + c * (p + 1) + j
+    return pos, pd * (p + 1) + 2 if pd else 0
+
+
+def pad_vector(mesh, x):
+    """The plane-padded vector of a free-dof vector, zero elsewhere."""
+    pos, size = padded_positions(mesh)
+    out = np.zeros(size, dtype=np.asarray(x).dtype)
+    out[pos] = x
+    return out
+
+
+def pad_matrix(M, row_mesh, col_mesh):
+    """A free-dof CSR matrix on plane-padded vectors: each free row moves
+    to its padded position with its entries in their order and their
+    columns moved to theirs; the zero slots have empty rows."""
+    M = sp.csr_matrix(M)
+    rows, nrows = padded_positions(row_mesh)
+    cols, ncols = padded_positions(col_mesh)
+    free = {int(r): f for f, r in enumerate(rows)}
+    data, indices, indptr = [], [], [0]
+    for r in range(nrows):
+        if r in free:
+            lo, hi = M.indptr[free[r]], M.indptr[free[r] + 1]
+            data.extend(M.data[lo:hi])
+            indices.extend(cols[M.indices[lo:hi]])
+        indptr.append(len(data))
+    return sp.csr_matrix((np.array(data, dtype=M.dtype),
+                          np.array(indices, dtype=np.int32),
+                          np.array(indptr, dtype=np.int32)),
+                         shape=(nrows, ncols))
+
+
 def prolongation_matrix(dim, n):
     """P1 prolongation from the (n+1)^d to the (2n+1)^d vertex lattice.
 
@@ -574,7 +658,10 @@ def vcycle_allocating(levels, r):
 def _cycle_allocating(levels, r):
     lv = levels[0]
     if lv.factor is not None:
-        return scipy.linalg.cho_solve(lv.factor, r).astype(r.dtype)
+        pos, _ = padded_positions(lv.mesh)
+        x = np.zeros_like(r)
+        x[pos] = scipy.linalg.cho_solve(lv.factor, r[pos])
+        return x
     x = chebyshev_allocating(lv, r, None)
     if lv.P is not None:
         x += lv.P @ _cycle_allocating(levels[1:], lv.R @ (r - lv.A @ x))

@@ -9,22 +9,26 @@ from elastopoint.assembly import (
     EPS_DIV,
     GRAD_DIV,
     LameParams,
+    LatticeStencil,
     PointLoadSet,
     assemble_point_load,
     assemble_smooth_load,
     assemble_stiffness,
     build_dof_map,
     from_free,
+    from_padded,
     point_load_nodal,
-    stiffness_operator,
     to_free,
+    to_padded,
     vector_p1_form_matrix,
 )
 from elastopoint.mesh import build_unit_box_mesh, cell_volumes, locate_point
+from elastopoint.multigrid import _stencil_size, build_levels
 
 from oracles import (dense_form_loop, dense_stiffness_loop,
-                     form_matrix_fullgrid, free_dof_numbering,
-                     restrict_to_free, same_bits)
+                     form_matrix_fullgrid, free_dof_numbering, pad_vector,
+                     padded_positions, plane_rows, restrict_to_free,
+                     same_bits)
 
 
 def test_lame_params_validate():
@@ -206,6 +210,51 @@ def test_slab_length_does_not_change_the_matrix(dim, n, weighted,
         monkeypatch.undo()
 
 
+def _operator(dim, n, params):
+    """The level operator of size n, tiled from its family's stencil."""
+    stencil = LatticeStencil(build_unit_box_mesh(dim, _stencil_size(n)),
+                             params)
+    return stencil.operator(n)
+
+
+# the stencil is read at n0 = 4, 5, 6 or an odd n >= 7 and tiled over
+# sizes n0 2^k, k = -2 .. 4; the tiles must be the rows that _form_rows
+# writes for one plane at that size, bit for bit
+@pytest.mark.parametrize("lam", [1.0, 50.0, 1e3])
+@pytest.mark.parametrize("dim,n", [(dim, n) for dim in (2, 3)
+                                   for n in (2, 3, 4, 5, 6, 8, 12, 24, 32,
+                                             33, 64)])
+def test_tiled_rows_equal_the_plane_rows(dim, n, lam):
+    params = LameParams(1.0, lam)
+    op = _operator(dim, n, params)
+    W = plane_rows(build_unit_box_mesh(dim, n), params)
+    pd = W.shape[0]
+    assert (op.planes, op.pd) == (n - 1, pd)
+    for s in range(3):
+        ref, block = W[:, s * pd:(s + 1) * pd], op.block(s)
+        assert same_bits(block.data, ref.data)
+        assert np.array_equal(block.indices, ref.indices)
+        assert block.indices.dtype == ref.indices.dtype
+        assert np.array_equal(block.indptr, ref.indptr)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_padded_layout_matches_the_loop_oracle(dim, n):
+    mesh = build_unit_box_mesh(dim, n)
+    x = np.random.default_rng(n).standard_normal(mesh.num_free_dofs)
+    padded = to_padded(mesh, x)
+    assert same_bits(padded, pad_vector(mesh, x))
+    assert same_bits(from_padded(mesh, padded), x)
+    # every slot that holds no free dof is zero
+    pos, size = padded_positions(mesh)
+    assert size == padded.size
+    assert np.count_nonzero(np.delete(padded, pos)) == 0
+    x32 = x.astype(np.float32)
+    assert same_bits(from_padded(mesh, to_padded(mesh, x32)),
+                     x32)
+
+
 @pytest.mark.parametrize("lam", [1.0, 50.0, 1000.0])
 @pytest.mark.parametrize("dim,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 6),
                                    (2, 33), (2, 64), (2, 66), (2, 96),
@@ -216,45 +265,46 @@ def test_stiffness_operator_is_the_assembled_matrix_bit_for_bit(dim, n, lam):
     params = LameParams(1.0, lam)
     rng = np.random.default_rng(n)
     A = assemble_stiffness(mesh, params, GRAD_DIV)
-    op = stiffness_operator(mesh, params)
-    assert op.shape == A.shape
+    op = build_levels(dim, n, params)[0].A
+    assert op.shape == (padded_positions(mesh)[1],) * 2
+    assert op.planes * op.pd == A.shape[0]
     if A.shape[0] == 0:
         return
     assert same_bits(op.diagonal(), A.diagonal())
     for x in (rng.standard_normal(A.shape[0]), np.ones(A.shape[0])):
         assert same_bits(op @ x, A @ x)
-        assert same_bits(abs(op) @ x, abs(A) @ x)
+        assert same_bits(op @ to_padded(mesh, x), to_padded(mesh, A @ x))
+    if A.shape[0] <= 2000:
+        assert same_bits(op.toarray(), A.toarray())
 
 
 def test_stiffness_operator_returns_fresh_arrays():
     for n in (2, 5):
         mesh = build_unit_box_mesh(3, n)
-        op = stiffness_operator(mesh, LameParams(1.0, 1.0))
-        x, z = np.random.default_rng(n).standard_normal((2, op.shape[0]))
-        y = op @ x
-        kept = y.copy()
-        w = op @ z
-        assert not np.shares_memory(y, x) and not np.shares_memory(y, w)
-        assert np.array_equal(y, kept)
-        y[:] = 0.0
-        assert np.array_equal(op @ x, kept)
+        op = _operator(3, n, LameParams(1.0, 1.0))
+        for size in (op.planes * op.pd, op.shape[0]):
+            x, z = np.random.default_rng(n).standard_normal((2, size))
+            y = op @ x
+            kept = y.copy()
+            w = op @ z
+            assert not np.shares_memory(y, x)
+            assert not np.shares_memory(y, w)
+            assert np.array_equal(y, kept)
+            y[:] = 0.0
+            assert np.array_equal(op @ x, kept)
 
 
 def test_stiffness_operator_stores_one_plane():
-    mesh = build_unit_box_mesh(3, 16)
-    op = stiffness_operator(mesh, LameParams(1.0, 1.0))
+    op = _operator(3, 16, LameParams(1.0, 1.0))
     pd = 3 * 15 ** 2
-    assert op.W.shape == (pd, 3 * pd)
-    assert op.data is op.W.data and op.indices is op.W.indices
-    assert op.indptr is op.W.indptr
-    assert op.W.nnz <= 45 * pd
-    # rounding keeps the index arrays, and work must have W's dtype
+    assert op.indptr.shape == (3, pd + 1)
+    assert all(op.block(s).shape == (pd, pd) for s in range(3))
+    assert op.data.size == op.indices.size == op.indptr[2, -1] <= 45 * pd
+    # rounding keeps the index arrays
     op32 = op.astype(np.float32)
-    assert op32.W.dtype == np.float32
-    assert np.shares_memory(op32.indices, op.indices)
-    assert np.shares_memory(op32.indptr, op.indptr)
-    with pytest.raises(ValueError, match="float32"):
-        op.with_work(np.empty(4 * op.shape[0], np.float32))
+    assert op32.data.dtype == np.float32
+    assert same_bits(op32.data, op.data.astype(np.float32))
+    assert op32.indices is op.indices and op32.indptr is op.indptr
 
 
 def test_form_matrix_peak_memory_is_near_its_output():

@@ -10,22 +10,28 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastopoint import assembly
+from elastopoint import assembly, mesh as mesh_module
 from elastopoint.assembly import (GRAD_DIV, LameParams, PointLoadSet,
                                   _sparse_product, assemble_point_load,
-                                  assemble_stiffness, from_free)
+                                  assemble_stiffness, from_free, from_padded,
+                                  to_padded)
 from elastopoint.cli import main
 from elastopoint.convergence import _solve_level
 from elastopoint.mesh import build_unit_box_mesh
 from elastopoint.multigrid import VCycle, _restriction, build_levels
-from elastopoint.solver import cg_solve
+from elastopoint.solver import cg_solve, default_max_iter
 
 from oracles import (cg_allocating, dof_prolongation_kron,
-                     jacobi_bound_whole_matrix, same_bits, vcycle_allocating)
+                     jacobi_bound_plane_rows, jacobi_bound_whole_matrix,
+                     pad_matrix, pad_vector, padded_positions, plane_rows,
+                     plane_rows_product,
+                     same_bits, vcycle_allocating)
 
 
 def _load(dim):
@@ -41,9 +47,20 @@ def _vcycle(levels, r):
 
 
 def _mg_cg(levels, b, **kwargs):
-    """cg_solve at levels[0] preconditioned by a V-cycle workspace."""
+    """cg_solve at levels[0] preconditioned by a V-cycle workspace, on
+    the padded b; returns the free-dof solution."""
     precond = VCycle(levels)
-    return cg_solve(precond.A, b, precond=precond, **kwargs)
+    mesh = levels[0].mesh
+    x, stats = cg_solve(precond.A, to_padded(mesh, b), precond=precond,
+                        max_iter=default_max_iter(mesh.num_free_dofs),
+                        **kwargs)
+    return from_padded(mesh, x), stats
+
+
+def _random_padded(mesh, seed):
+    """A padded vector with standard normal free dofs."""
+    rng = np.random.default_rng(seed)
+    return to_padded(mesh, rng.standard_normal(mesh.num_free_dofs))
 
 
 def _cycle_levels(levels):
@@ -59,9 +76,12 @@ def _float64_family(levels):
     for lv in levels:
         lv = replace(lv, cycle_A=lv.A)
         if lv.inv_diag is not None:
-            lv = replace(lv, inv_diag=1.0 / lv.A.diagonal())
+            lv = replace(lv, inv_diag=to_padded(lv.mesh,
+                                                1.0 / lv.A.diagonal()))
         if lv.R is not None:
-            R = lv.R.astype(np.float64)
+            # not R.astype, which sorts each row's columns
+            R = sp.csr_matrix((lv.R.data.astype(np.float64), lv.R.indices,
+                               lv.R.indptr), shape=lv.R.shape)
             lv = replace(lv, R=R, P=R.T)
         out.append(lv)
     return out
@@ -73,7 +93,10 @@ def test_galerkin_product_equals_rediscretization(dim, n, lam):
     params = LameParams(1.0, lam)
     fine, coarse = build_levels(dim, n, params)[:2]
     A_fine = assemble_stiffness(fine.mesh, params, GRAD_DIV)
-    galerkin = (fine.P.T @ A_fine @ fine.P).toarray()
+    # P between free dofs: its padded rows and columns at the free slots
+    P = fine.P.toarray()[np.ix_(padded_positions(fine.mesh)[0],
+                                padded_positions(coarse.mesh)[0])]
+    galerkin = P.T @ A_fine.toarray() @ P
     direct = assemble_stiffness(coarse.mesh, params, GRAD_DIV).toarray()
     assert np.abs(galerkin - direct).max() <= 1e-14 * np.abs(direct).max()
 
@@ -84,7 +107,8 @@ def test_jacobi_data_is_the_gershgorin_bound(dim, n):
     for lv in build_levels(dim, n, params)[:-1]:
         A = assemble_stiffness(lv.mesh, params, GRAD_DIV)
         inv_diag = 1.0 / A.diagonal()
-        assert same_bits(lv.inv_diag, inv_diag.astype(np.float32))
+        assert same_bits(lv.inv_diag,
+                         pad_vector(lv.mesh, inv_diag.astype(np.float32)))
         # the same csr row sums as abs(A), so the bound is bit-identical
         bound = (inv_diag * (abs(A) @ np.ones(A.shape[0]))).max()
         assert lv.lmax == bound
@@ -105,8 +129,14 @@ def test_level_jacobi_bound_equals_whole_matrix(dim, n):
                 continue
             ref_inv_diag, ref_lmax = jacobi_bound_whole_matrix(
                 assemble_stiffness(lv.mesh, params, GRAD_DIV))
-            assert same_bits(lv.inv_diag, ref_inv_diag.astype(np.float32))
+            assert same_bits(lv.inv_diag, pad_vector(
+                lv.mesh, ref_inv_diag.astype(np.float32)))
             assert lv.lmax == ref_lmax
+            # and the formula on one vertex plane's assembled rows
+            plane_inv_diag, plane_lmax = jacobi_bound_plane_rows(
+                plane_rows(lv.mesh, params), lv.mesh.n - 1)
+            assert same_bits(plane_inv_diag, ref_inv_diag)
+            assert plane_lmax == lv.lmax
 
 
 # bytes of the assembled 3D n=32 stiffness in CSR: 3,153,339 nonzeros
@@ -142,16 +172,14 @@ def test_build_levels_holds_no_cells_or_transfer_copies():
         tracemalloc.stop()
     assert len(levels) == 6
     assert held < HELD_BYTES_3D_32
-    # the V-cycle's plane rows are rounded once, here, and share the
-    # float64 rows' indices; a V-cycle binds them without a copy. The
-    # n=1 bottom has no rows to share.
+    # the V-cycle's stencil tiles are rounded once, here, and share the
+    # float64 tiles' indices; a V-cycle uses them as they are
     cycle = VCycle(levels)
-    for lv, bound in zip(levels[:-1], cycle.levels):
-        W, W32 = lv.A.W, lv.cycle_A.W
-        assert same_bits(W32.data, W.data.astype(np.float32))
-        assert np.shares_memory(W32.indices, W.indices)
-        assert np.shares_memory(W32.indptr, W.indptr)
-        assert bound.A.W is W32
+    for lv, bound in zip(levels, cycle.levels):
+        A, A32 = lv.A, lv.cycle_A
+        assert same_bits(A32.data, A.data.astype(np.float32))
+        assert A32.indices is A.indices and A32.indptr is A.indptr
+        assert bound.A is A32
 
 
 def _same_csr(A, B):
@@ -162,11 +190,14 @@ def _same_csr(A, B):
 
 
 def _kron_restriction(dim, n):
-    """The restriction and its Kronecker-product oracle; the oracle's
-    entries, 1 and 1/2, are exact in the restriction's float32."""
+    """The restriction and its Kronecker-product oracle, moved to the
+    padded layouts; the oracle's entries, 1 and 1/2, are exact in the
+    restriction's float32."""
     fine, coarse = build_unit_box_mesh(dim, n), build_unit_box_mesh(dim, n // 2)
     oracle = dof_prolongation_kron(fine, coarse).T.tocsr()
-    return _restriction(fine, coarse), oracle.astype(np.float32)
+    # scipy's astype sorts each row's columns, so it goes first
+    return (_restriction(fine, coarse),
+            pad_matrix(oracle.astype(np.float32), coarse, fine))
 
 
 @pytest.mark.parametrize("dim,n", [(2, 4), (2, 6), (2, 8), (2, 64), (2, 128),
@@ -175,7 +206,11 @@ def _kron_restriction(dim, n):
 def test_restriction_equals_the_kron_build(dim, n):
     R, oracle = _kron_restriction(dim, n)
     assert _same_csr(R, oracle)
-    assert np.all(np.diff(R.indptr) == 2 ** (dim + 1) - 1)
+    # a full stencil in every free row, nothing in the zero slots
+    counts = np.diff(R.indptr)
+    coarse = build_unit_box_mesh(dim, n // 2)
+    assert same_bits(counts, pad_vector(coarse, np.full(
+        coarse.num_free_dofs, 2 ** (dim + 1) - 1, dtype=counts.dtype)))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -192,9 +227,10 @@ def _kron_family(levels, dtype=np.float32):
     out = []
     for k, lv in enumerate(levels):
         if lv.P is not None:
-            P = dof_prolongation_kron(lv.mesh,
-                                      levels[k + 1].mesh).astype(dtype)
-            lv = replace(lv, P=P, R=P.T.tocsr())
+            coarse = levels[k + 1].mesh
+            R = dof_prolongation_kron(lv.mesh, coarse).T.tocsr()
+            R = pad_matrix(R.astype(dtype), coarse, lv.mesh)
+            lv = replace(lv, P=R.T, R=R)
         out.append(lv)
     return out
 
@@ -221,7 +257,7 @@ def test_transfers_and_vcycle_match_the_kron_family(dim, n):
         v, w = v.astype(np.float32), w.astype(np.float32)
         assert same_bits(lv.P @ v, ref.P @ v)
         assert same_bits(lv.R @ w, ref.R @ w)
-    r = rng.standard_normal(levels[0].mesh.num_free_dofs)
+    r = _random_padded(levels[0].mesh, n)
     Mr = _vcycle(levels, r)
     assert same_bits(Mr, _vcycle(oracle, r))
     assert same_bits(Mr, vcycle_allocating(_cycle_levels(oracle), r))
@@ -230,41 +266,41 @@ def test_transfers_and_vcycle_match_the_kron_family(dim, n):
 class _Assembled:
     """An assembled matrix behind the level-operator interface.
 
-    Its products are scipy's public A @ x, with or without work.
+    Its products are scipy's public A @ x on the free slots of a padded
+    vector, moved back to the padded layout.
     """
 
-    def __init__(self, A):
-        self.A = A
-        self.shape = A.shape
-
-    def with_work(self, work):
-        return self
-
-    def diagonal(self):
-        return self.A.diagonal()
+    def __init__(self, A, mesh, like):
+        self.A, self.mesh = A, mesh
+        self.shape, self.planes, self.pd = like.shape, like.planes, like.pd
 
     def matvec(self, x, out):
-        out[...] = self.A @ x
+        out[...] = pad_vector(self.mesh, self.A @ from_padded(self.mesh, x))
         return out
 
     def __matmul__(self, x):
-        return self.A @ x
+        return self.matvec(x, np.empty(self.shape[0], self.A.dtype))
 
 
 def _assembled_levels(levels, params):
-    """The levels with the assembled stiffness and its Jacobi data,
-    cycle_A and inv_diag rounded to float32 as build_levels stores
-    them."""
+    """The levels with the assembled stiffness, its Jacobi data and its
+    dense bottom factor, cycle_A and inv_diag rounded to float32 as
+    build_levels stores them."""
     out = []
     for lv in levels:
         A = assemble_stiffness(lv.mesh, params, GRAD_DIV)
         inv_diag, lmax = (jacobi_bound_whole_matrix(A) if A.shape[0]
                           else (None, None))
         if inv_diag is not None:
-            inv_diag = inv_diag.astype(np.float32)
-        out.append(replace(lv, A=_Assembled(A), inv_diag=inv_diag,
-                           lmax=lmax,
-                           cycle_A=_Assembled(A.astype(np.float32))))
+            inv_diag = pad_vector(lv.mesh, inv_diag.astype(np.float32))
+        factor = lv.factor
+        if factor is not None:
+            factor = scipy.linalg.cho_factor(A.toarray(), lower=True)
+            assert same_bits(factor[0], lv.factor[0])
+        out.append(replace(lv, A=_Assembled(A, lv.mesh, lv.A),
+                           inv_diag=inv_diag, lmax=lmax, factor=factor,
+                           cycle_A=_Assembled(A.astype(np.float32), lv.mesh,
+                                              lv.A)))
     return out
 
 
@@ -278,7 +314,7 @@ def test_plane_operators_solve_as_the_assembled_matrices(dim, n, lam):
     params = LameParams(1.0, lam)
     levels = build_levels(dim, n, params)
     oracle = _assembled_levels(levels, params)
-    r = np.random.default_rng(n).standard_normal(levels[0].mesh.num_free_dofs)
+    r = _random_padded(levels[0].mesh, n)
     Mr = _vcycle(levels, r)
     assert same_bits(Mr, _vcycle(oracle, r))
     assert same_bits(Mr, vcycle_allocating(_cycle_levels(oracle), r))
@@ -331,8 +367,10 @@ def test_workspace_solve_equals_the_allocating_oracle(dim, n, data, lam,
     mesh, u, stats = _solve_level(levels, loads, 1e-10, None)
     b = assemble_point_load(mesh, loads)
     x_ref, stats_ref = cg_allocating(
-        levels[0].A, b,
+        levels[0].A, pad_vector(mesh, b),
+        max_iter=default_max_iter(mesh.num_free_dofs),
         precond=partial(vcycle_allocating, _cycle_levels(levels)))
+    x_ref = from_padded(mesh, x_ref)
     assert same_bits(u, x_ref)
     assert stats == stats_ref
     if n <= 16:
@@ -347,29 +385,37 @@ def _two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
-# scipy's private kernels behind _sparse_product must keep the bits of
-# its public products; a scipy that changes them fails here. The plane
-# rows' products are checked split by rows across two threads (every
-# size crosses a zero threshold) and serial, in both precisions, and on
-# their first 1, 2 and 3 rows; pd = d (n-1)^(d-1) rows are even in 2D
-# and odd in 3D for even n.
+def _zero_slots(mesh, x):
+    """The entries of a padded vector that hold no free dof."""
+    return np.delete(x, padded_positions(mesh)[0])
+
+
+# scipy's private kernels behind the stencil product and _sparse_product
+# must keep the bits of the public products; a scipy that changes them
+# fails here. The stencil products are checked against one vertex
+# plane's assembled rows times the plane-shifted stack of x, split by
+# rows across two threads (every size crosses a zero threshold) and
+# serial, in both precisions; pd = d (n-1)^(d-1) rows are even in 2D and
+# odd in 3D for even n.
 @pytest.mark.parametrize("dim,n", [(2, 4), (2, 8), (2, 16), (2, 32), (2, 64),
                                    (2, 128), (2, 256), (3, 4), (3, 8),
                                    (3, 16), (3, 32), (3, 64)])
 def test_sparse_product_has_the_bits_of_the_public_products(dim, n,
                                                             monkeypatch):
     _two_cpus(monkeypatch)
-    lv = build_levels(dim, n, LameParams(1.0, 50.0))[0]
+    params = LameParams(1.0, 50.0)
+    lv = build_levels(dim, n, params)[0]
+    W = plane_rows(lv.mesh, params)
     rng = np.random.default_rng(n)
-    for W in (lv.A.W, lv.cycle_A.W):
-        Z = rng.standard_normal((W.shape[1], lv.A.planes)).astype(W.dtype)
-        for M in (W, W[:1], W[:2], W[:3]):
-            ref = M @ Z
-            for threshold in (0, np.inf):
-                monkeypatch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS",
-                                    threshold)
-                out = np.full(ref.shape, np.nan, dtype=W.dtype)
-                assert same_bits(_sparse_product(M, Z, out), ref)
+    for A, dtype in ((lv.A, np.float64), (lv.cycle_A, np.float32)):
+        x = rng.standard_normal(lv.mesh.num_free_dofs).astype(dtype)
+        ref = plane_rows_product(W.astype(dtype), n - 1, x)
+        for threshold in (0, np.inf):
+            monkeypatch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS", threshold)
+            out = np.full(A.shape[0], np.nan, dtype=dtype)
+            A.matvec(to_padded(lv.mesh, x), out)
+            assert same_bits(from_padded(lv.mesh, out), ref)
+            assert not np.any(_zero_slots(lv.mesh, out))
     # the transfers in the float32 of the V-cycle
     v = rng.standard_normal(lv.R.shape[1], dtype=np.float32)
     out = np.full(lv.R.shape[0], np.nan, dtype=np.float32)
@@ -378,6 +424,33 @@ def test_sparse_product_has_the_bits_of_the_public_products(dim, n,
     out = np.full(lv.R.shape[1], np.nan, dtype=np.float32)
     assert lv.P.format == "csc"
     assert same_bits(_sparse_product(lv.P, e, out), lv.R.T @ e)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.sampled_from([2, 3]).flatmap(
+    lambda dim: st.tuples(st.just(dim),
+                          st.integers(2, 40 if dim == 2 else 12))),
+       seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1.0, 2.0 ** -60, 3.0e30]),
+       split=st.booleans())
+def test_stencil_product_equals_the_assembled_product(case, seed, scale,
+                                                      split):
+    dim, n = case
+    params = LameParams(1.0, 7.0)
+    lv = build_levels(dim, n, params)[0]
+    A = assemble_stiffness(lv.mesh, params, GRAD_DIV)
+    x = np.random.default_rng(seed).standard_normal(A.shape[0]) * scale
+    with pytest.MonkeyPatch.context() as patch:
+        _two_cpus(patch)
+        patch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS",
+                      0 if split else np.inf)
+        for op, dtype in ((lv.A, np.float64), (lv.cycle_A, np.float32)):
+            xd = x.astype(dtype)
+            out = np.full(op.shape[0], np.nan, dtype=dtype)
+            op.matvec(to_padded(lv.mesh, xd), out)
+            assert same_bits(from_padded(lv.mesh, out),
+                             A.astype(dtype) @ xd)
+            assert not np.any(_zero_slots(lv.mesh, out))
 
 
 def test_one_cpu_solve_starts_no_thread_and_has_the_split_bits(monkeypatch):
@@ -401,8 +474,10 @@ def test_split_product_raises_only_after_both_halves_stop(failing,
                                                           monkeypatch):
     _two_cpus(monkeypatch)
     monkeypatch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS", 0)
-    W = build_levels(2, 8, LameParams(1.0, 1.0))[0].A.W
-    Z = np.random.default_rng(0).standard_normal((W.shape[1], 7))
+    lv = build_levels(2, 8, LameParams(1.0, 1.0))[0]
+    A = lv.A
+    x = _random_padded(lv.mesh, 0)
+    ref = A @ x
     kernel = assembly._sparsetools.csr_matvecs
     caller = threading.current_thread()
     stopped = []
@@ -410,7 +485,7 @@ def test_split_product_raises_only_after_both_halves_stop(failing,
     def matvecs(*args):
         # the worker's half is still running when the caller's is done
         if threading.current_thread() is not caller:
-            time.sleep(0.2)
+            time.sleep(0.1)
         try:
             if failing == ("caller" if threading.current_thread() is caller
                            else "worker"):
@@ -421,24 +496,31 @@ def test_split_product_raises_only_after_both_halves_stop(failing,
 
     monkeypatch.setattr(assembly, "_sparsetools",
                         SimpleNamespace(csr_matvecs=matvecs))
-    out = np.full((W.shape[0], 7), np.nan)
+    out = np.full(A.shape[0], np.nan)
     with pytest.raises(RuntimeError, match=failing + " half"):
-        _sparse_product(W, Z, out)
-    assert sorted(stopped) == [False, True]
-    h = W.shape[0] // 2
-    half = slice(h, None) if failing == "caller" else slice(None, h)
-    assert same_bits(out[half], (W @ Z)[half])
+        A.matvec(x, out)
+    # the failing half stops at its first block, the other runs all
+    # three, and the product returns only after both
+    assert sorted(stopped) == ([False] + [True] * 3 if failing == "worker"
+                               else [False] * 3 + [True])
+    h = A.pd // 2
+    rows = slice(h, None) if failing == "caller" else slice(None, h)
+    p = A.planes
+    grid = out[1:1 + A.pd * (p + 1)].reshape(A.pd, p + 1)[rows, :p]
+    want = ref[1:1 + A.pd * (p + 1)].reshape(A.pd, p + 1)[rows, :p]
+    assert same_bits(grid, want)
 
 
 def test_split_products_from_many_threads_keep_their_bits(monkeypatch):
     # more callers than cores share the one worker, which none of them
     # has made yet, with the interpreter switching threads often
-    W = build_levels(2, 16, LameParams(1.0, 1.0))[0].A.W
+    lv = build_levels(2, 16, LameParams(1.0, 1.0))[0]
+    A = lv.A
+    x = _random_padded(lv.mesh, 0)
+    ref = A @ x
     _two_cpus(monkeypatch)
     monkeypatch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS", 0)
     monkeypatch.setattr(assembly, "_row_pool", None)
-    Z = np.random.default_rng(0).standard_normal((W.shape[1], 15))
-    ref = W @ Z
     exact = []
     start = threading.Barrier(6, timeout=60)
 
@@ -447,7 +529,7 @@ def test_split_products_from_many_threads_keep_their_bits(monkeypatch):
         start.wait()
         for _ in range(50):
             out.fill(np.nan)
-            exact.append(same_bits(_sparse_product(W, Z, out), ref))
+            exact.append(same_bits(A.matvec(x, out), ref))
 
     threads = threading.active_count()
     callers = [threading.Thread(target=products) for _ in range(6)]
@@ -492,7 +574,7 @@ def test_forked_child_solves_after_a_threaded_solve(monkeypatch):
 def test_vcycle_allocates_nothing_of_level_size(dim, n):
     levels = build_levels(dim, n, LameParams(1.0, 1.0))
     precond = VCycle(levels)
-    r = np.random.default_rng(1).standard_normal(levels[0].A.shape[0])
+    r = _random_padded(levels[0].mesh, 1)
     out = np.empty_like(r)
     precond(r, out)
     tracemalloc.start()
@@ -509,11 +591,13 @@ def test_vcycle_allocates_nothing_of_level_size(dim, n):
 
 
 # a second solve on a family at 2D n=128 and 3D n=32 allocates this many
-# vectors of the top level's size: 15.0 when every step of CG and of
-# the V-cycle allocates its results; 12.9 and 12.7 with the workspace
-# (load 1, CG 5, plane stack and product 4, and in float32 the scratch
-# and every level's right side and iterate); 13.0 and 13.4 when each
-# solve also rounded the levels' W to float32
+# vectors of the top level's free dofs: 15.0 when every step of CG and
+# of the V-cycle allocates its results; 12.9 and 12.7 with the
+# workspace and a float64 plane stack and product of 4 n values; 13.0
+# and 13.4 when each solve also rounded the levels' plane rows to
+# float32; 8.9 with copy-free products on padded vectors (the load, its
+# padded copy, CG 5, and in float32 the scratch and every level's
+# right side and iterate)
 SOLVE_VECTORS = 15
 
 
@@ -543,9 +627,10 @@ def test_restriction_of_point_loads_is_exact(dim, points):
     rng = np.random.default_rng(4)
     for x in points:
         loads = PointLoadSet([x], [rng.standard_normal(dim)])
-        b_fine = assemble_point_load(fine.mesh, loads)
+        b_fine = to_padded(fine.mesh, assemble_point_load(fine.mesh, loads))
         b_coarse = assemble_point_load(coarse.mesh, loads)
-        assert np.abs(fine.P.T @ b_fine - b_coarse).max() <= 1e-14
+        restricted = from_padded(coarse.mesh, fine.P.T @ b_fine)
+        assert np.abs(restricted - b_coarse).max() <= 1e-14
 
 
 # 2D n=66 bottoms out at n=33, whose 2048 free dofs are only smoothed;
@@ -554,8 +639,7 @@ def test_restriction_of_point_loads_is_exact(dim, points):
 @pytest.mark.parametrize("dim,n", [(2, 16), (2, 66), (3, 8)])
 def test_vcycle_is_symmetric_positive(dim, n):
     levels = _float64_family(build_levels(dim, n, LameParams(1.0, 10.0)))
-    rng = np.random.default_rng(7)
-    x, y = rng.standard_normal((2, levels[0].mesh.num_free_dofs))
+    x, y = (_random_padded(levels[0].mesh, seed) for seed in (7, 8))
     Mx, My = _vcycle(levels, x), _vcycle(levels, y)
     scale = np.linalg.norm(Mx) * np.linalg.norm(y)
     assert abs(Mx @ y - x @ My) <= 1e-12 * scale
@@ -573,7 +657,7 @@ FLOAT32_CYCLE_EPS = 4
 def test_float32_vcycle_rounds_the_float64_one(dim, n, lam):
     levels = build_levels(dim, n, LameParams(1.0, lam))
     assert levels[0].inv_diag.dtype == np.float32
-    r = np.random.default_rng(3).standard_normal(levels[0].A.shape[0])
+    r = _random_padded(levels[0].mesh, 3)
     M32r = _vcycle(levels, r)
     M64r = _vcycle(_float64_family(levels), r)
     eps = np.finfo(np.float32).eps
@@ -603,8 +687,8 @@ def test_multigrid_cg_matches_jacobi_cg_and_direct(dim, n):
     top = levels[0]
     b = assemble_point_load(top.mesh, _load(dim))
     x_mg, st_mg = _mg_cg(levels, b, rel_tol=1e-12)
-    x_jac, st_jac = cg_solve(top.A, b, rel_tol=1e-12)
     A = assemble_stiffness(top.mesh, LameParams(1.0, 5.0), GRAD_DIV)
+    x_jac, st_jac = cg_solve(A, b, rel_tol=1e-12)
     x_ref = spla.spsolve(A.tocsc(), b)
     assert st_mg.converged and st_jac.converged
     scale = np.linalg.norm(x_ref)
@@ -669,3 +753,35 @@ def test_nearly_incompressible_solve_and_converge(tmp_path, capsys):
 def test_nonpositive_size_fails_fast(n):
     with pytest.raises(ValueError, match="positive"):
         build_levels(2, n, LameParams(1.0, 1.0))
+
+
+@pytest.mark.parametrize("lam", [1.000001e5, 1e9])
+def test_lambda_over_mu_above_the_tested_range_fails_fast(lam, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+    def no_mesh(*args):
+        raise AssertionError("meshed before the parameter check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mesh_module, "build_unit_box_mesh", no_mesh)
+        patch.setattr(sys.modules["elastopoint.multigrid"],
+                      "build_unit_box_mesh", no_mesh)
+        with pytest.raises(ValueError, match=r"outside the supported "
+                           r"range \(0, 1e\+05\]"):
+            build_levels(2, 64, LameParams(1.0, lam))
+        # the ratio counts, not lambda alone
+        with pytest.raises(ValueError, match="supported range"):
+            build_levels(3, 8, LameParams(0.5, lam / 2.0))
+    # the top of the range is still built
+    assert build_levels(2, 4, LameParams(1.0, 1e5))[0].lmax > 0
+    loads = tmp_path / "loads.txt"
+    loads.write_text("point 0.4 0.55 1 0\n")
+    for argv in (["solve", "--dim", "2", "--levels", "64"],
+                 ["converge", "--dim", "2", "--levels", "4", "8",
+                  "--out", str(tmp_path / "study.csv")]):
+        rc = main(argv + ["--lambda", repr(lam), "--loads", str(loads)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "outside the supported range (0, 1e+05]" in captured.err
+    assert not (tmp_path / "study.csv").exists()
