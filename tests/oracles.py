@@ -16,6 +16,7 @@ Carlo for integrals without a convenient closed form. Keep these slow
 and obvious.
 """
 
+import functools
 import itertools
 import math
 
@@ -515,13 +516,20 @@ def jacobi_bound_plane_rows(W, planes):
 
 def padded_positions(mesh):
     """Position of each free dof in a plane-padded vector, by a loop:
-    free dof j pd + c (plane j, in-plane dof c) sits at 1 + c (p+1) + j."""
-    p = mesh.n - 1
-    pd = mesh.num_free_dofs // p if p else 0
-    pos = np.empty(mesh.num_free_dofs, dtype=np.int64)
+    free dof j pd + c (plane j, in-plane dof c) sits at 1 + c (p+1) + j.
+    Returns (positions, padded length); the loop runs once per size."""
+    return _padded_positions(mesh.dim, mesh.n)
+
+
+@functools.lru_cache(maxsize=None)
+def _padded_positions(dim, n):
+    p = n - 1
+    pd = dim * p ** (dim - 1) if p else 0
+    pos = np.empty(p * pd, dtype=np.int64)
     for j in range(p):
         for c in range(pd):
             pos[j * pd + c] = 1 + c * (p + 1) + j
+    pos.flags.writeable = False
     return pos, pd * (p + 1) + 2 if pd else 0
 
 
