@@ -24,7 +24,7 @@ bits as on one.
 
 Free degrees of freedom are the (vertex, component) pairs of the
 interior (n-1)^d sub-lattice, vertex-major with the component inner.
-This module alone decides that numbering and the plane-padded layout
+This module alone decides that numbering and the pencil-padded layout
 of the solve's vectors: to_free and from_free move nodal arrays to and
 from the free dofs, to_padded and from_padded move free-dof vectors to
 and from the padded layout, the forms are scipy CSR matrices over the
@@ -34,14 +34,16 @@ free dofs, and a StencilOperator acts on padded vectors.
 import os
 import threading
 from dataclasses import dataclass
+from itertools import product
 from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .mesh import (_cell_vertices, _chain_templates, _lattice_strides,
-                   _reference_gradients, cell_volumes, locate_point)
+from .mesh import (_cell_vertices, _cell_volume, _chain_templates,
+                   _lattice_strides, _reference_gradients, cell_volumes,
+                   locate_point)
 from .quadrature import simplex_rule
 
 CONSTRAINED = -1
@@ -55,14 +57,16 @@ EPS_DIV = "EPS_DIV"
 # slab at 3D n=32 was also the fastest length measured.
 _SLAB_VERTICES = 1024
 
-# multiply-adds, nnz x (p + 1) for a StencilOperator's product, from
-# which the product splits its rows across two threads. Kernel alone
-# (csr_matvecs on one plane's rows, float64 and float32, 2-core host):
-# 3D n=32 (3.3M) ran 1.74-1.89x faster on two threads, 3D n=64 (28M)
-# 1.81-1.96x and 2D n=256 (1.56M) 1.37-1.62x. 2D n=128 (0.39M) and 3D
-# n=16 (0.37M) stay serial: splitting 2D n=128 as well made the 2D
-# point-load study about 10 % slower. Products split from 3D n=22 and
-# 2D n=205 on.
+# multiply-adds, nnz x (p+1)^(d-1) for a StencilOperator's product,
+# from which the product splits its rows across two threads. Kernel
+# alone (csr_matvecs on one plane's rows of the 2D layout and the 3D
+# plane-padded layout before the pencil one, float64 and float32, 2-core
+# host): 3D n=32 (3.3M) ran 1.74-1.89x faster on two threads, 3D n=64
+# (28M) 1.81-1.96x and 2D n=256 (1.56M) 1.37-1.62x. 2D n=128 (0.39M)
+# and 3D n=16 (0.41M) stay serial: splitting 2D n=128 as well made the
+# 2D point-load study about 10 % slower, and splitting the pencil
+# products of 3D n=16 gained nothing in the 3D n=32 solve. Products
+# split from 3D n=22 and 2D n=205 on.
 _SPLIT_MULTIPLY_ADDS = 1_000_000
 # the one worker thread of the split, made by the first split product
 _row_pool = None
@@ -246,9 +250,10 @@ def vector_p1_form_matrix(mesh, cell_weights=None, c_grad=0.0, c_div=0.0,
 def _form_rows(mesh, weights, coeffs, table, planes, ncols):
     """CSR of a form's rows at the interior vertex planes 1 .. planes.
 
-    The slab writer of vector_p1_form_matrix. table is the (nv, d)
-    column number of each (vertex, component), CONSTRAINED where the
-    column is dropped; coeffs are (c_grad, c_div, c_eps). The rows are
+    The slab writer of vector_p1_form_matrix. table is the column
+    number of each (vertex, component), CONSTRAINED where the column is
+    dropped, with a row for each vertex of planes 0 .. planes + 1 at
+    least; coeffs are (c_grad, c_div, c_eps). The rows are
     numbered as the free dofs of those planes. Each entry sums the same
     terms in the same order whatever the slab length and whatever
     table, so a column kept by two tables holds the same value.
@@ -274,7 +279,9 @@ def _form_rows(mesh, weights, coeffs, table, planes, ncols):
     bound = nrows * width
     itype = np.int32 if bound < 2 ** 31 else np.int64
     table = table.astype(itype)
-    lattice = np.arange((n + 1) ** d).reshape((n + 1,) * d)
+    # vertex numbers of planes 0 .. planes + 1, all that the rows reach
+    lattice = np.arange((planes + 2) * (n + 1) ** (d - 1)).reshape(
+        (planes + 2,) + (n + 1,) * (d - 1))
     # untouched pages of the upper-bound arrays take no memory
     data = np.empty(bound)
     indices = np.empty(bound, dtype=itype)
@@ -316,7 +323,10 @@ def _slab_blocks(cube_weights, plan, offsets, lo, hi):
     d = cube_weights.ndim - 1
     m = len(offsets) - 1
     w = hi - lo + 1
-    cw = cube_weights[lo - 1:hi].reshape(-1, cube_weights.shape[-1])
+    # contiguous, so that a broadcast weight takes the matmul path of a
+    # weight array
+    cw = np.ascontiguousarray(cube_weights[lo - 1:hi]).reshape(
+        -1, cube_weights.shape[-1])
     # half[k][v] is the (v, v + offsets[k]) block, shape (d, d)
     half = np.zeros((m + 1, w) + (n + 1,) * (d - 1) + (d, d))
     for k, ci, blocks in plan:
@@ -392,122 +402,168 @@ def _sparse_product(M, x, out):
     return out
 
 
-def _plane_layout(mesh):
-    """(p, pd): the interior vertex planes along the first lattice axis
-    and the free dofs of each, d (n-1)^(d-1); (0, 0) without free dofs."""
-    if mesh.num_free_dofs == 0:
-        return 0, 0
-    return mesh.n - 1, mesh.num_free_dofs // (mesh.n - 1)
+def _pencil_shifts(dim):
+    """The shifts of the padded axes (all lattice axes but the last)
+    between two vertices of one cell, in lexicographic order: 3 in 2D,
+    7 in 3D. Two vertices of a Kuhn cell differ by a 0/1 vector or its
+    negative, so no shift mixes signs."""
+    return [t for t in product((-1, 0, 1), repeat=dim - 1)
+            if not min(t) < 0 < max(t)]
 
 
-def _padded_size(p, pd):
-    return pd * (p + 1) + 2 if pd else 0
+def _layout(dim, p):
+    """(margin, run) of the pencil-padded layout with p interior
+    vertices per axis: the zero entries before the first line, and the
+    (p+1)^(d-1) entries of each line's row."""
+    return sum((p + 1) ** k for k in range(dim - 1)), (p + 1) ** (dim - 1)
 
 
-def _padded_position(p, plane, dof):
-    """Where free dof (plane, in-plane dof) sits in a padded vector."""
-    return 1 + dof * (p + 1) + plane
+def _padded_size(dim, p):
+    margin, run = _layout(dim, p)
+    return 2 * margin + dim * p * run if p else 0
 
 
-def _free_slots(x, p, pd):
-    """The (pd, p) view of the free slots of a padded vector."""
-    return x[1:1 + pd * (p + 1)].reshape(pd, p + 1)[:, :p]
+def _shift_offset(dim, p, shift):
+    """The entry offset in a padded vector of the lattice shift, a
+    length-dim sequence."""
+    _, run = _layout(dim, p)
+    return (sum(s * (p + 1) ** (dim - 2 - k) for k, s in enumerate(shift[:-1]))
+            + shift[-1] * dim * run)
+
+
+def _padded_position(dim, p, vertex, comp):
+    """Where free dof (vertex, comp) sits in a padded vector; vertex is
+    an (..., dim) array of interior coordinates, 0 .. p-1."""
+    margin, run = _layout(dim, p)
+    position = margin + (vertex[..., -1] * dim + comp) * run
+    for k in range(dim - 1):
+        position += vertex[..., k] * (p + 1) ** (dim - 2 - k)
+    return position
+
+
+def _free_slots(x, dim, p):
+    """The free slots of a padded vector, as a (p,)*dim + (dim,) view
+    indexed as the free dofs: interior vertex, then component."""
+    margin, run = _layout(dim, p)
+    lines = x[margin:margin + dim * p * run].reshape(
+        (p, dim) + (p + 1,) * (dim - 1))
+    return np.moveaxis(lines[(slice(None),) * 2 + (slice(p),) * (dim - 1)],
+                       (0, 1), (dim - 1, dim))
 
 
 def to_padded(mesh, x):
-    """The plane-padded vector of a free-dof vector, in x's dtype.
+    """The pencil-padded vector of a free-dof vector, in x's dtype.
 
-    The free dofs are plane-major: dof f = j pd + c is in-plane dof c
-    of interior vertex plane j. The padded layout stores it at 1 + c
-    (p+1) + j, so each in-plane dof's p plane values are contiguous,
-    and every other entry is zero: the leading one, the slot after each
-    run of p values and a trailing one, which the view shifted by +1
-    plane reads after the last run. A shift by one plane is then a
-    shift by one entry, and the zero slots stand for the boundary
-    planes on both sides.
+    Every lattice axis but the last is padded. With p = n-1 interior
+    vertices per axis, the free dof (j_0 .. j_{d-2}; i, component c)
+    sits at margin + (i d + c) (p+1)^(d-1) + sum_k j_k (p+1)^(d-2-k),
+    margin = sum_{k < d-1} (p+1)^k. So the d p dofs (i, c) of one
+    lattice line along the last axis are the rows of a (d p, (p+1)^(d-1))
+    array, whose columns are the lines, and every other entry is zero:
+    the slots with some j_k = p, which stand for the boundary on both
+    sides of axis k, and a margin before and after the rows. A shift
+    of the padded axes by t is then a shift by sum_k t_k (p+1)^(d-2-k)
+    entries that reads zeros where it leaves the interior, and a shift
+    by one vertex along the last axis is one of d rows. In 2D this is
+    the plane-padded layout: dof (plane j, in-plane dof c) at
+    1 + c (p+1) + j.
     """
-    p, pd = _plane_layout(mesh)
+    d, p = mesh.dim, mesh.n - 1
     x = np.asarray(x)
-    out = np.zeros(_padded_size(p, pd), dtype=x.dtype)
-    _free_slots(out, p, pd).T[...] = x.reshape(p, pd)
+    out = np.zeros(_padded_size(d, p), dtype=x.dtype)
+    _free_slots(out, d, p)[...] = x.reshape((p,) * d + (d,))
     return out
 
 
 def from_padded(mesh, x):
-    """The free-dof vector of a plane-padded vector (a copy)."""
-    p, pd = _plane_layout(mesh)
-    return _free_slots(x, p, pd).T.reshape(-1)
+    """The free-dof vector of a pencil-padded vector (a copy)."""
+    return _free_slots(np.asarray(x), mesh.dim, mesh.n - 1).flatten()
 
 
 class StencilOperator:
-    """A level's GRAD_DIV stiffness on the plane-padded layout.
+    """A level's GRAD_DIV stiffness on the pencil-padded layout.
 
-    The rows of every interior vertex plane are the same: the tiles of
-    one vertex's stencil over that plane. Block s (s = 0, 1, 2) is the
-    pd x pd CSR block of the columns on the plane shifted by s - 1,
-    numbered as in-plane dofs. The three blocks share data and indices;
-    indptr[s] holds block s's row pointers into them, so data, indices
-    and indptr size the whole operator.
+    The rows of every lattice line along the last axis are the same:
+    the tiles of one vertex's stencil along the line. Block k is the
+    d p x d p CSR block of the columns on the line shifted by
+    shifts[k] in the padded axes, rows and columns numbered (i, c) as
+    the line's dofs; the blocks are in lexicographic shift order, so a
+    row's blocks and then their columns come in the order of the
+    assembled row's columns. The blocks share data and indices;
+    indptr[k] holds block k's row pointers into them, so data, indices
+    and indptr size the whole operator: O(n) entries, 3,387 at 3D n=32.
 
-    matvec(x, out) writes A x into out for plane-padded x and out of
-    the operator's dtype, with no copy: out is zeroed, each block adds
-    its products through scipy's csr_matvecs on the view of x shifted
-    by s entries (its pd rows of p + 1 values are the planes shifted by
-    s - 1), and the zero slots, which collect products from the
-    neighbouring planes, are zeroed again. Each output entry adds the
-    terms of its assembled row in column order, plus +0 x terms where a
-    shifted plane is a boundary one, so the bits are those of the
+    matvec(x, out) writes A x into out for padded x and out of the
+    operator's dtype, with no copy: out is zeroed, each block adds its
+    products through scipy's csr_matvecs on the view of x shifted by
+    its shift, whose d p rows of (p+1)^(d-1) values are the shifted
+    lines, and the pad slots, which collect products from the
+    neighbouring lines, are zeroed again. Each output entry adds the
+    terms of its assembled row in column order, plus +0 x terms where
+    a shifted line leaves the interior, so the bits are those of the
     assembled matrix's product. A product of at least
-    _SPLIT_MULTIPLY_ADDS multiply-adds, nnz (p + 1), in a process that
-    may run on two CPUs, splits its rows: one worker thread computes
-    rows pd/2 .. pd of all three blocks while the caller computes the
-    first half, and the product returns only when both have stopped.
+    _SPLIT_MULTIPLY_ADDS multiply-adds, nnz (p+1)^(d-1), in a process
+    that may run on two CPUs, splits its rows: one worker thread
+    computes rows d p/2 .. d p of all blocks while the caller computes
+    the first half, and the product returns only when both have
+    stopped.
 
-    A @ x takes a free-dof or a plane-padded vector and returns one of
-    the same kind; diagonal() is the free-dof diagonal.
+    A @ x takes a free-dof or a padded vector and returns one of the
+    same kind; diagonal() is the free-dof diagonal.
     """
 
-    def __init__(self, planes, data, indices, indptr):
-        self.planes = planes
-        self.pd = indptr.shape[1] - 1
-        size = _padded_size(planes, self.pd)
+    def __init__(self, dim, p, data, indices, indptr):
+        self.dim, self.p, self.rows = dim, p, dim * p
+        self.margin, self.run = _layout(dim, p)
+        size = _padded_size(dim, p)
         self.shape = (size, size)
+        self.shifts = _pencil_shifts(dim)
+        # where each block's view of x starts, and the pad slots of a
+        # (rows, p+1, ..., p+1) view of the rows
+        self._starts = [self.margin + _shift_offset(dim, p, t + (0,))
+                        for t in self.shifts]
+        self._pads = [(slice(None),) * k + (p,) for k in range(1, dim)]
         self.data, self.indices, self.indptr = data, indices, indptr
 
     def astype(self, dtype):
         """The same operator with its data rounded to dtype; indices and
         indptr are shared."""
-        return StencilOperator(self.planes, self.data.astype(dtype),
+        return StencilOperator(self.dim, self.p, self.data.astype(dtype),
                                self.indices, self.indptr)
 
-    def block(self, s):
-        """Block s as a pd x pd CSR matrix."""
-        lo, hi = self.indptr[s, 0], self.indptr[s, -1]
+    def block(self, k):
+        """Block k as a d p x d p CSR matrix."""
+        lo, hi = self.indptr[k, 0], self.indptr[k, -1]
         return sp.csr_matrix((self.data[lo:hi], self.indices[lo:hi],
-                              self.indptr[s] - lo), shape=(self.pd,) * 2)
+                              self.indptr[k] - lo), shape=(self.rows,) * 2)
+
+    def _line_diagonal(self):
+        return self.block(self.shifts.index((0,) * (self.dim - 1))).diagonal()
 
     def diagonal(self):
-        return np.tile(self.block(1).diagonal(), self.planes)
+        return np.tile(self._line_diagonal(), self.p ** (self.dim - 1))
 
     def jacobi_bound(self):
-        """(1 / the diagonal of one plane's rows, in float64, and the
+        """(1 / the diagonal of one line's rows, in float64, and the
         Gershgorin bound max_i sum_j |A_ij| / A_ii).
 
-        A row of plane j adds the terms of the blocks s with j + s - 1 a
-        plane, in column order, as the assembled row does; the rows of
-        the first plane, the second and the last cover every kind of
-        row, so the bound has the bits of the assembled matrix's.
+        A row of the line at padded coordinates j adds the terms of the
+        blocks whose shifted line j + t is interior, in column order, as
+        the assembled row does; the lines with every j_k in {0, 1, p-1}
+        cover every kind of row, so the bound has the bits of the
+        assembled matrix's.
         """
-        p, pd = self.planes, self.pd
-        inv = 1.0 / self.block(1).diagonal()
+        p, rows = self.p, self.rows
+        inv = 1.0 / self._line_diagonal()
         magnitude = np.abs(self.data)
-        ones = np.ones(pd)
+        ones = np.ones(rows)
         lmax = 0.0
-        for j in sorted({0, min(1, p - 1), p - 1}):
-            sums = np.zeros(pd)
-            for s in range(3):
-                if 0 <= j + s - 1 < p:
-                    _sparsetools.csr_matvec(pd, pd, self.indptr[s],
+        for j in product(sorted({0, min(1, p - 1), p - 1}),
+                         repeat=self.dim - 1):
+            sums = np.zeros(rows)
+            for k, t in enumerate(self.shifts):
+                if all(0 <= a + b < p for a, b in zip(j, t)):
+                    _sparsetools.csr_matvec(rows, rows, self.indptr[k],
                                             self.indices, magnitude, ones,
                                             sums)
             lmax = max(lmax, float((inv * sums).max()))
@@ -515,49 +571,55 @@ class StencilOperator:
 
     def toarray(self):
         """The dense matrix on the free dofs."""
-        p, pd = self.planes, self.pd
-        dense = np.zeros((p, pd, p, pd), dtype=self.data.dtype)
-        for s in range(3):
-            tile = self.block(s).toarray()
-            for j in range(max(0, 1 - s), min(p, p + 1 - s)):
-                dense[j, :, j + s - 1] = tile
-        return dense.reshape(p * pd, p * pd)
+        d, p, rows = self.dim, self.p, self.rows
+        lines = (p,) * (d - 1)
+        dense = np.zeros(lines + (rows,) + lines + (rows,),
+                         dtype=self.data.dtype)
+        for k, t in enumerate(self.shifts):
+            tile = self.block(k).toarray()
+            for j in product(range(p), repeat=d - 1):
+                nb = tuple(a + b for a, b in zip(j, t))
+                if all(0 <= a < p for a in nb):
+                    dense[j + (slice(None),) + nb] = tile
+        return dense.reshape(p ** (d - 1) * rows, -1)
 
-    def _rows(self, lo, hi, x, y):
-        p1 = self.planes + 1
-        size = self.pd * p1
-        for s in range(3):
-            _sparsetools.csr_matvecs(hi - lo, self.pd, p1, self.indptr[s, lo:],
-                                     self.indices, self.data, x[s:s + size],
-                                     y[lo * p1:])
+    def _products(self, lo, hi, x, y):
+        size = self.rows * self.run
+        for k, start in enumerate(self._starts):
+            _sparsetools.csr_matvecs(hi - lo, self.rows, self.run,
+                                     self.indptr[k, lo:], self.indices,
+                                     self.data, x[start:start + size],
+                                     y[lo * self.run:])
 
     def matvec(self, x, out):
         out.fill(0.0)
-        p, pd = self.planes, self.pd
-        if not pd:
+        p, rows = self.p, self.rows
+        if not p:
             return out
-        y = out[1:1 + pd * (p + 1)]
-        if self.data.size * (p + 1) < _SPLIT_MULTIPLY_ADDS or _cpus() < 2:
-            self._rows(0, pd, x, y)
+        y = out[self.margin:self.margin + rows * self.run]
+        if self.data.size * self.run < _SPLIT_MULTIPLY_ADDS or _cpus() < 2:
+            self._products(0, rows, x, y)
         else:
-            h = pd // 2
-            second = _worker().submit(self._rows, h, pd, x, y)
+            h = rows // 2
+            second = _worker().submit(self._products, h, rows, x, y)
             try:
-                self._rows(0, h, x, y)
+                self._products(0, h, x, y)
             finally:
                 # the worker writes into out until its half has stopped
                 second.result()
-        out[1 + p::p + 1] = 0.0
+        lines = y.reshape((rows,) + (p + 1,) * (self.dim - 1))
+        for pad in self._pads:
+            lines[pad] = 0.0
         return out
 
     def __matmul__(self, x):
         if x.shape[0] == self.shape[0]:
             return self.matvec(x, np.empty(self.shape[0], self.data.dtype))
-        p, pd = self.planes, self.pd
+        d, p = self.dim, self.p
         padded = np.zeros(self.shape[0], self.data.dtype)
-        _free_slots(padded, p, pd).T[...] = x.reshape(p, pd)
-        out = self.matvec(padded, np.empty_like(padded))
-        return _free_slots(out, p, pd).T.reshape(-1)
+        _free_slots(padded, d, p)[...] = x.reshape((p,) * d + (d,))
+        return _free_slots(self.matvec(padded, np.empty_like(padded)),
+                           d, p).flatten()
 
 
 class LatticeStencil:
@@ -566,28 +628,32 @@ class LatticeStencil:
     All cells have one volume, so every interior vertex carries the
     same d x d blocks towards its 3^d lattice neighbours, and they
     scale by h^(d-2). The rows are read once, from _form_rows on the
-    first interior plane of mesh (n0 = mesh.n >= 4) with the columns of
-    vertex planes 0, 1 and 2 kept, at the vertex floor(n0/2) in every
-    axis, whose neighbours are all free. Each row keeps its stored
-    entries, none of which is zero, in column order: plane shift, then
-    in-plane vertex, then component.
+    first interior plane of mesh (n0 = mesh.n >= 4), with a dof table
+    of vertex planes 0, 1 and 2 alone and the one cell volume
+    broadcast, at the vertex floor(n0/2) in every axis, whose
+    neighbours are all free. Each row keeps its stored entries, none of
+    which is zero, in column order, which is the lexicographic order of
+    the lattice shift and then the component.
 
-    operator(m) tiles the rows over the interior planes of the mesh of
+    operator(m) tiles the rows along the lattice lines of the mesh of
     size m, scaled by (n0/m)^(d-2): an exact power of two when m / n0
     is one, so each entry has the bits _form_rows gives at size m. The
-    tiles drop the neighbours that leave the plane and keep the column
-    order, so block s holds the rows of _form_rows' one-plane CSR, its
-    columns on the plane shifted by s - 1, bit for bit.
+    tiles drop the neighbours that leave the line along the last axis
+    and keep the column order, so block k holds the rows of one line
+    with their columns on the line shifted by shifts[k], bit for bit.
     """
 
     def __init__(self, mesh, params):
         d, n0 = mesh.dim, mesh.n
         q = n0 - 1
         pd = d * q ** (d - 1)
-        table = np.full((n0 + 1,) * d + (d,), CONSTRAINED, dtype=np.int64)
-        table[(slice(0, 3),) + _interior(mesh)[1:]] = np.arange(
+        # the rows of plane 1 reach no column beyond plane 2
+        table = np.full((3,) + (n0 + 1,) * (d - 1) + (d,), CONSTRAINED,
+                        dtype=np.int64)
+        table[(slice(None),) + _interior(mesh)[1:]] = np.arange(
             3 * pd).reshape((3,) + (q,) * (d - 1) + (d,))
-        W = _form_rows(mesh, cell_volumes(mesh),
+        W = _form_rows(mesh, np.broadcast_to(_cell_volume(mesh),
+                                             (mesh.num_cells,)),
                        _stiffness_coeffs(params, GRAD_DIV),
                        table.reshape(-1, d), 1, 3 * pd)
         centre = n0 // 2 - 1
@@ -595,57 +661,60 @@ class LatticeStencil:
         # all equal to centre
         v0 = sum(centre * q ** k for k in range(d - 1))
         self.dim, self.n0 = d, n0
-        # per row component a: the plane shift s, the in-plane offset,
-        # the column component b and the value of each stored entry
-        self.rows = []
+        # per row component a: the shift of the padded axes as the
+        # balanced ternary number sum_k t_k 3^(d-2-k), and the last-axis
+        # shift, column component b and value of each stored entry
+        ternary = 3 ** np.arange(d - 2, -1, -1)
+        rows = []
         for a in range(d):
             lo, hi = W.indptr[v0 * d + a], W.indptr[v0 * d + a + 1]
-            cols = W.indices[lo:hi].astype(np.int64)
-            s, col = np.divmod(cols, pd)
+            plane, col = np.divmod(W.indices[lo:hi].astype(np.int64), pd)
             vert, b = np.divmod(col, d)
-            offset = np.array(np.unravel_index(vert, (q,) * (d - 1))).T
-            offset -= centre
-            self.rows.append((s, offset, b, W.data[lo:hi]))
+            shift = np.column_stack(
+                (plane - 1,) + np.unravel_index(vert, (q,) * (d - 1)))
+            shift[:, 1:] -= centre
+            rows.append((shift[:, :-1] @ ternary, shift[:, -1], b,
+                         W.data[lo:hi]))
+        # per block: the (d, width) last-axis offsets, column components,
+        # values and stored flags of its entries, padded to one width
+        # for all a
+        self.blocks = []
+        for t in _pencil_shifts(d):
+            key = np.dot(t, ternary)
+            parts = [tuple(x[code == key] for x in (off, b, v))
+                     for code, off, b, v in rows]
+            width = max(len(part[2]) for part in parts)
+            offset = np.zeros((d, width), dtype=np.int64)
+            comp = np.zeros((d, width), dtype=np.int64)
+            val = np.zeros((d, width))
+            stored = np.zeros((d, width), dtype=bool)
+            for a, (off, c, v) in enumerate(parts):
+                k = len(v)
+                offset[a, :k], comp[a, :k], val[a, :k] = off, c, v
+                stored[a, :k] = True
+            self.blocks.append((offset, comp, val, stored))
 
     def operator(self, m):
         """The StencilOperator of the mesh of size m."""
-        d = self.dim
-        q = m - 1
-        if q < 1:
-            return StencilOperator(0, np.zeros(0), np.zeros(0, np.int32),
-                                   np.zeros((3, 1), np.int32))
+        d, p = self.dim, m - 1
+        shifts = _pencil_shifts(d)
+        if p < 1:
+            return StencilOperator(d, 0, np.zeros(0), np.zeros(0, np.int32),
+                                   np.zeros((len(shifts), 1), np.int32))
         scale = (self.n0 / m) ** (d - 2)
-        nv = q ** (d - 1)
-        pd = d * nv
-        # each in-plane vertex's interior coordinates, and the strides
-        coords = np.indices((q,) * (d - 1)).reshape(d - 1, -1).T
-        strides = np.array([q ** (d - 2 - k) for k in range(d - 1)])
-        itype = np.int32 if 45 * pd < 2 ** 31 else np.int64
+        line = np.arange(p)
         data, indices, counts = [], [], []
-        for s in range(3):
-            # entries of block s, padded to one length for all a
-            parts = [tuple(x[self.rows[a][0] == s] for x in self.rows[a][1:])
-                     for a in range(d)]
-            width = max(len(part[2]) for part in parts)
-            offset = np.zeros((d, width, d - 1), dtype=np.int64)
-            b = np.zeros((d, width), dtype=np.int64)
-            val = np.zeros((d, width))
-            stored = np.zeros((d, width), dtype=bool)
-            for a, (off, comp, v) in enumerate(parts):
-                k = len(v)
-                offset[a, :k], b[a, :k], val[a, :k] = off, comp, v
-                stored[a, :k] = True
-            # (vertex, a, entry): the neighbour's in-plane coordinates
-            nb = coords[:, None, None, :] + offset[None]
-            keep = stored[None] & np.all((nb >= 0) & (nb < q), axis=-1)
-            cols = (nb @ strides) * d + b[None]
+        for offset, comp, val, stored in self.blocks:
+            # (vertex on the line, a, entry): the neighbour on the line
+            nb = line[:, None, None] + offset[None]
+            keep = stored[None] & (nb >= 0) & (nb < p)
             data.append(np.broadcast_to(val * scale, keep.shape)[keep])
-            indices.append(cols[keep].astype(itype))
-            counts.append(keep.reshape(pd, width).sum(axis=1))
-        indptr = np.zeros((3, pd + 1), dtype=itype)
+            indices.append((nb * d + comp[None])[keep].astype(np.int32))
+            counts.append(keep.reshape(d * p, -1).sum(axis=1))
+        indptr = np.zeros((len(shifts), d * p + 1), dtype=np.int32)
         np.cumsum(counts, axis=1, out=indptr[:, 1:])
         indptr[1:] += indptr[:-1, -1:].cumsum(axis=0)
-        return StencilOperator(q, np.concatenate(data),
+        return StencilOperator(d, p, np.concatenate(data),
                                np.concatenate(indices), indptr)
 
 

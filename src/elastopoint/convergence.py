@@ -9,15 +9,16 @@ quadrature instead.
 """
 
 from dataclasses import dataclass
-from math import log, sqrt
+from itertools import combinations
+from math import factorial, log, sqrt
 from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import (LameParams, PointLoadSet, assemble_point_load,
-                       assemble_smooth_load, from_free, from_padded,
-                       to_padded)
-from .mesh import _chain_templates, cell_volumes
+from .assembly import (LameParams, PointLoadSet, _shift_offset,
+                       assemble_point_load, assemble_smooth_load, from_free,
+                       from_padded, to_padded)
+from .mesh import _cell_volume, _chain_templates, cell_volumes
 from .multigrid import VCycle, build_levels
 from .quadrature import simplex_rule
 from .solver import cg_solve, default_max_iter
@@ -92,6 +93,33 @@ def l2_norm_sq_p1(mesh, values):
     return total * cell_volumes(mesh)[0] / ((d + 1) * (d + 2))
 
 
+def _l2_norm_sq_padded(mesh, x):
+    """Exact integral of |v_h|^2 for the P1 field of a padded vector.
+
+    The field is zero on the boundary, so only interior vertices count,
+    and the mass matrix is one stencil there: vertex i couples to
+    itself through the (d+1) d! cells at it, and to i + s, for each
+    nonzero 0/1 vector s, through the c_s cells that hold that edge,
+    the chain-template vertex pairs with offset s. With kappa =
+    |T| / ((d+1)(d+2)) that gives
+    2 kappa [(d+1) d! sum v.v + sum_s c_s sum v.v_{+s}],
+    one dot product per offset (4 in 2D, 8 in 3D) over the padded
+    vector, whose zero slots stand for the boundary.
+    """
+    d, p = mesh.dim, mesh.n - 1
+    x = np.asarray(x, dtype=float)
+    pairs = {}
+    for corners in _chain_templates(d):
+        for a, b in combinations(corners, 2):
+            s = tuple(np.abs(b - a))
+            pairs[s] = pairs.get(s, 0) + 1
+    total = (d + 1) * factorial(d) * float(x @ x)
+    for s, count in sorted(pairs.items()):
+        k = _shift_offset(d, p, s)
+        total += count * float(x[:-k] @ x[k:])
+    return 2.0 * total * _cell_volume(mesh) / ((d + 1) * (d + 2))
+
+
 def l2_error_nested(levels, u_level, u_ref):
     """L2 distance between a level solution and a nested reference.
 
@@ -99,9 +127,10 @@ def l2_error_nested(levels, u_level, u_ref):
     first: the reference is levels[0], the level levels[-1], and the
     reference must be at least two levels finer (k >= 2). u_level and
     u_ref are free-dof vectors. The level solution is scattered into
-    the plane-padded layout, prolongated through each level's exact P
-    and gathered at the reference, so the distance has no
-    interpolation error.
+    the padded layout and prolongated through each level's exact P, so
+    the distance has no interpolation error; the reference is
+    subtracted in the padded layout, and the difference, zero on the
+    boundary, is measured by the interior mass stencil.
     """
     u_level = np.asarray(u_level, dtype=float)
     u_ref = np.asarray(u_ref, dtype=float)
@@ -117,8 +146,8 @@ def l2_error_nested(levels, u_level, u_ref):
         # only n = 2 holds no P; its coarser n = 1 has no free dofs
         v = np.zeros(lv.A.shape[0]) if lv.P is None else lv.P @ v
     ref_mesh = levels[0].mesh
-    v = from_padded(ref_mesh, v)
-    return sqrt(l2_norm_sq_p1(ref_mesh, from_free(ref_mesh, v - u_ref)))
+    v -= to_padded(ref_mesh, u_ref)
+    return sqrt(_l2_norm_sq_padded(ref_mesh, v))
 
 
 def l2_error_quadrature(mesh, values, u_exact):
@@ -156,7 +185,7 @@ def _solve_level(levels, forcing, rel_tol, max_iter):
     levels is a tail of a build_levels family; its first entry supplies
     the mesh and the stiffness operator, and the V-cycle runs over the
     coarser entries after it. The V-cycle's buffers are allocated here,
-    for this solve only. CG runs in float64 on plane-padded vectors,
+    for this solve only. CG runs in float64 on pencil-padded vectors,
     with the top operator (VCycle.A); max_iter None means
     default_max_iter of the free dofs, so the padding does not raise it.
     Returns (mesh, free-dof solution vector, SolveStats).

@@ -181,10 +181,14 @@ def _reference_gradients(dim, n):
     return grads
 
 
+def _cell_volume(mesh):
+    """The volume that every cell has, 1/(d! n^d)."""
+    return 1.0 / (factorial(mesh.dim) * mesh.n ** mesh.dim)
+
+
 def cell_volumes(mesh):
     """Volumes of all cells, shape (nc,); all equal 1/(d! n^d)."""
-    vol = 1.0 / (factorial(mesh.dim) * mesh.n ** mesh.dim)
-    return np.full(mesh.num_cells, vol)
+    return np.full(mesh.num_cells, _cell_volume(mesh))
 
 
 def cell_geometry(mesh):

@@ -10,9 +10,12 @@ stencil (assembly.LatticeStencil), read once per family and scaled by
 an exact power of two per level, the structured-block operator of
 hierarchical hybrid grids (Bergen, Gradl, Hulsemann and Rude, Comput.
 Sci. Eng. 2006); no level is assembled and no sparse triple product
-is formed. Vectors, R and P are plane-padded (the layout is defined by
-assembly.to_padded), so an operator's product reads the neighbouring
-planes of x at offsets of one entry and copies nothing. The V-cycle
+is formed. Vectors, R and P are pencil-padded (the layout is defined
+by assembly.to_padded): every lattice axis but the last is padded, so
+the neighbouring lines of a lattice line along the last axis are
+views of x at fixed offsets, and an operator's product is one
+csr_matvecs call per shift of the padded axes (3 in 2D, 7 in 3D) on
+runs of (n-1)^(d-1) values, which copies nothing. The V-cycle
 smooths with Chebyshev-Jacobi polynomials (Adams, Brezina, Hu and
 Tuminaro, "Parallel multigrid smoothing: polynomial versus
 Gauss-Seidel", J. Comput. Phys. 2003) and preconditions CG. It runs in
@@ -38,8 +41,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .assembly import (LatticeStencil, StencilOperator, _free_slots,
-                       _padded_position, _padded_size, _plane_layout,
-                       _sparse_product)
+                       _padded_position, _padded_size, _shift_offset,
+                       _sparse_product, to_padded)
 from .mesh import Mesh, build_unit_box_mesh
 
 # Chebyshev-Jacobi smoother: polynomial degree, and the smoothed part
@@ -58,10 +61,10 @@ MAX_LAMBDA_OVER_MU = 1e5
 class GridLevel:
     """One size of the nested family and its multigrid data.
 
-    Vectors are plane-padded (assembly.to_padded defines the layout).
+    Vectors are pencil-padded (assembly.to_padded defines the layout).
     mesh and the GRAD_DIV stiffness A are what a solve at this size
     needs. A is a float64 StencilOperator: the stencil tiles of one
-    vertex plane, not the matrix, and its products equal the assembled
+    lattice line, not the matrix, and its products equal the assembled
     stiffness's bit for bit. cycle_A is A with its data rounded to
     float32, sharing the column indices and row pointers: the operator
     of the V-cycle. inv_diag is 1 / diag(A) rounded to float32 and
@@ -91,7 +94,7 @@ class GridLevel:
 
 def _restriction(fine, coarse):
     """Restriction R = P^T from the fine mesh to the coarse one, on
-    plane-padded vectors.
+    pencil-padded vectors.
 
     Fine lattice vertex 2J + t is the midpoint of the coarse Kuhn edge
     from J to J + t whenever t = +-s with s in {0, 1}^d, so coarse dof
@@ -101,34 +104,29 @@ def _restriction(fine, coarse):
     free-dof numbers, which is the order of the transpose of the free
     rows and columns of the lattice prolongation. The rows are the
     coarse padded positions (a zero slot has no entry) and the columns
-    the fine padded positions of those dofs; the weights are float32,
-    which holds them exactly.
+    the fine padded positions of those dofs, stored in that order, not
+    sorted; the weights are float32, which holds them exactly.
     """
     d = fine.dim
-    p, pd = _plane_layout(coarse)
-    fp, fpd = _plane_layout(fine)
+    p, fp = coarse.n - 1, fine.n - 1
     # the t = +-s have no two entries of opposite sign; product lists
     # them lexicographically, which on a fine interior lattice at least
     # 3 wide (fine n >= 4) is the ascending order of their shifts
     offsets = np.array([t for t in product((-1, 0, 1), repeat=d)
                         if not min(t) < 0 < max(t)])
     weights = np.where(offsets.any(axis=1), 0.5, 1.0).astype(np.float32)
-    strides = np.array([fp ** (d - 2 - k) for k in range(d - 1)])
-    # 2J in fine interior coordinates, J over the coarse interior; the
-    # rows are the coarse dofs in padded order (in-plane vertex,
-    # component, plane) and hold the fine plane and in-plane dof of
-    # each 2J + t
-    odd = 2 * np.arange(p) + 1
-    inplane = sum(np.ix_(*[odd * s for s in strides])).reshape(-1)
-    vertex = inplane[:, None] + offsets[:, 1:] @ strides
-    dof = (vertex[:, None] * d + np.arange(d)[:, None])[:, :, None]
-    plane = odd[:, None] + offsets[:, 0]
-    cols = _padded_position(fp, plane, dof).astype(np.int32)
-    counts = np.zeros(_padded_size(p, pd), dtype=np.int32)
-    _free_slots(counts, p, pd)[...] = len(offsets)
+    # the coarse free dofs in the order of their padded positions: line
+    # row (i, c), then the padded coordinates (j_0 .. j_{d-2}); their
+    # interior vertices J, and the fine padded positions of (2J + t, c)
+    grid = np.indices((p, d) + (p,) * (d - 1)).reshape(d + 1, -1)
+    twice = 2 * np.concatenate([grid[2:], grid[:1]]).T + 1
+    cols = (_padded_position(d, fp, twice, grid[1])[:, None]
+            + [_shift_offset(d, fp, t) for t in offsets])
+    counts = to_padded(coarse, np.full(d * p ** d, len(offsets), np.int32))
     indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int32)])
-    return sp.csr_matrix((np.tile(weights, p * pd), cols.reshape(-1),
-                          indptr), shape=(len(counts), _padded_size(fp, fpd)))
+    return sp.csr_matrix((np.tile(weights, d * p ** d),
+                          cols.reshape(-1).astype(np.int32), indptr),
+                         shape=(len(counts), _padded_size(d, fp)))
 
 
 def _stencil_size(n):
@@ -179,7 +177,7 @@ def build_levels(dim, n, params):
         if mesh.num_free_dofs:
             inv, lmax = A.jacobi_bound()
             inv_diag = np.zeros(A.shape[0], dtype=np.float32)
-            _free_slots(inv_diag, A.planes, A.pd)[...] = inv[:, None]
+            _free_slots(inv_diag, A.dim, A.p)[...] = inv.reshape(A.p, A.dim)
         if mesh.n % 2 == 0 and mesh.n > 2:
             R = _restriction(mesh, meshes[k + 1])
             P = R.T
@@ -211,12 +209,22 @@ def _chebyshev_coefficients(lmax):
     return theta, steps
 
 
+def _times_power_of_two(x, e, out):
+    """out = x 2^e with the bits of np.ldexp(x, e): a multiplication by
+    2^e, which is exact and so rounds the product as ldexp does, and
+    four times faster; ldexp itself where 2^e or 2^-e is not a finite
+    double (|e| > 1021)."""
+    if abs(e) <= 1021:
+        return np.multiply(x, 2.0 ** e, out=out)
+    return np.ldexp(x, e, out=out)
+
+
 class VCycle:
     """The V-cycle preconditioner of one solve, on buffers kept for it.
 
     levels is a tail of a build_levels family; the V-cycle runs in the
     dtype of its cycle_A, inv_diag, R and P (float32 from build_levels,
-    float64 for a copy with float64 data), on plane-padded vectors. An
+    float64 for a copy with float64 data), on pencil-padded vectors. An
     instance serves one solve and allocates one block of the cycle's
     dtype, once: three scratch vectors of the top level's padded size,
     shared by all levels, and every level's right side and iterate.
@@ -230,9 +238,10 @@ class VCycle:
     the bottom level solved by its dense factor, through a gather of
     the free slots and a scatter back, or only smoothed. The cycle sees
     r scaled by the 2^-e that puts max |r| in [0.5, 1), rounded to its
-    dtype, and out gets 2^e times its result. The scaling is exact, so
-    2^k r gives 2^k M r bit for bit and no force leaves float32's range
-    (a plain cast overflows above 3.4e38). M is linear up to rounding
+    dtype, and out gets 2^e times its result, both by
+    _times_power_of_two. The scaling is exact, so 2^k r gives 2^k M r
+    bit for bit and no force leaves float32's range (a plain cast
+    overflows above 3.4e38). M is linear up to rounding
     and symmetric up to the rounding of the cycle's dtype. Every array
     operation is that of the allocating V-cycle, in its order, so the
     bits are the same; every zero slot of out stays zero.
@@ -270,19 +279,20 @@ class VCycle:
         # cast needs a buffer
         e = int(np.frexp(max(r.max(), -r.min()))[1])
         b, x = self._vectors[0]
-        np.ldexp(r, -e, out=out)
+        _times_power_of_two(r, -e, out)
         b[...] = out
         self._cycle(0, b, x)
         out[...] = x
-        np.ldexp(out, e, out=out)
+        _times_power_of_two(out, e, out)
 
     def _cycle(self, k, b, x):
         lv = self.levels[k]
         if lv.factor is not None:
-            p, pd = lv.A.planes, lv.A.pd
             x.fill(0.0)
-            _free_slots(x, p, pd).T[...] = scipy.linalg.cho_solve(
-                lv.factor, _free_slots(b, p, pd).T.reshape(-1)).reshape(p, pd)
+            slots = _free_slots(x, lv.A.dim, lv.A.p)
+            slots[...] = scipy.linalg.cho_solve(
+                lv.factor, _free_slots(b, lv.A.dim, lv.A.p).reshape(-1)
+            ).reshape(slots.shape)
             return
         self._chebyshev(k, b, x, True)
         if lv.P is not None:

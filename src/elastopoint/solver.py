@@ -3,7 +3,7 @@
 The default preconditioner is Jacobi; the solves of the package pass
 the multigrid V-cycle of the multigrid module, which runs in float32
 while CG, its true-residual stop and its tolerance stay in float64,
-on plane-padded vectors.
+on pencil-padded vectors.
 Jacobi-CG stays as the reference the tests compare against.
 """
 
@@ -34,8 +34,12 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     the reported status is honest; the reported residual is that true
     one, formed once more after the loop only when CG did not converge.
     Non-convergence within max_iter is reported via stats, not raised.
-    The iteration runs in place on five vectors allocated per solve (x,
-    r, z, p and A p); with an operator whose matvec writes into its
+    CG solves for b times the power of two 2^-e that puts max |b| in
+    [0.5, 1) and scales x back by 2^e: a b whose norm underflows to 0
+    in float64 (max |b| below about 1.5e-154) solves as its scaled
+    copy, and 2^k b gives 2^k x bit for bit. The iteration runs in
+    place on six vectors allocated per solve (the scaled b, x, r, z, p
+    and A p); with an operator whose matvec writes into its
     output, such as a multigrid level's StencilOperator, and a precond
     that works in place, such as a multigrid VCycle, no step allocates
     a vector of the system's size. Each update keeps the
@@ -46,7 +50,7 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     ----------
     A : SPD: a scipy sparse matrix or an ndarray over the free dofs,
         or a multigrid level operator (assembly.StencilOperator) over
-        plane-padded vectors, SPD on their free slots, with a precond
+        pencil-padded vectors, SPD on their free slots, with a precond
         (its diagonal() is over the free dofs); only A.shape, the
         product and, for Jacobi, A.diagonal() are used.
         The product is A.matvec(x, out) when A has that method, and
@@ -54,8 +58,8 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     b : ndarray
     rel_tol : float in (0, 1)
     max_iter : int, defaults to 20 sqrt(n) + 200
-    callback : optional callable receiving the iterate after each step
-        (diagnostics only).
+    callback : optional callable receiving the iterate after each step,
+        scaled back (diagnostics only).
     precond : optional callable precond(r, out) that writes M r into
         out, for a symmetric positive definite M (a float32 V-cycle is
         one up to float32 rounding), and leaves r as it is; r and out
@@ -94,6 +98,12 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
         def matvec(v, out):
             out[...] = A @ v
 
+    # solve for b times the power of two 2^-e that puts max |b| in
+    # [0.5, 1), and scale x back: the scaling is exact and commutes with
+    # every step, so the bits of a normal-range b stay those of its
+    # unscaled solve, and the norm of a tiny b does not underflow to 0
+    e = int(np.frexp(max(b.max(), -b.min()))[1])
+    b = np.ldexp(b, -e)
     bnorm = np.linalg.norm(b)
     x = np.zeros(n)
     if bnorm == 0.0:
@@ -120,7 +130,7 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
         r -= Ap
         it += 1
         if callback is not None:
-            callback(x.copy())
+            callback(np.ldexp(x, e))
         if np.linalg.norm(r) <= rel_tol * bnorm:
             matvec(x, Ap)
             np.subtract(b, Ap, out=r)
@@ -146,4 +156,4 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     final_rel = float(np.linalg.norm(r) / bnorm)
     if converged:
         converged = final_rel <= rel_tol
-    return x, SolveStats(it, final_rel, converged)
+    return np.ldexp(x, e, out=x), SolveStats(it, final_rel, converged)

@@ -26,8 +26,9 @@ import scipy.sparse as sp
 
 from elastopoint.assembly import (CONSTRAINED, GRAD_DIV, _corner_pair_blocks,
                                   _element_matrices, _form_rows, _interior,
-                                  _stiffness_coeffs, build_dof_map, to_free)
-from elastopoint.convergence import l2_norm_sq_p1
+                                  _stiffness_coeffs, build_dof_map, to_free,
+                                  to_padded)
+from elastopoint.convergence import _l2_norm_sq_padded
 from elastopoint.mesh import (_lattice_strides, _reference_gradients,
                               cell_volumes)
 from elastopoint.multigrid import CHEB_DEGREE, CHEB_RATIO
@@ -515,22 +516,52 @@ def jacobi_bound_plane_rows(W, planes):
 
 
 def padded_positions(mesh):
-    """Position of each free dof in a plane-padded vector, by a loop:
-    free dof j pd + c (plane j, in-plane dof c) sits at 1 + c (p+1) + j.
-    Returns (positions, padded length); the loop runs once per size."""
+    """Position of each free dof in a pencil-padded vector, by a loop:
+    with p = n-1, free dof (vertex (j_0, ..., j_{d-2}, i), component c)
+    sits at margin + (i d + c) (p+1)^(d-1) + sum_k j_k (p+1)^(d-2-k),
+    margin = sum_{k < d-1} (p+1)^k; the padded length is 2 margin +
+    d p (p+1)^(d-1). Returns (positions, padded length); the loop runs
+    once per size."""
     return _padded_positions(mesh.dim, mesh.n)
 
 
 @functools.lru_cache(maxsize=None)
 def _padded_positions(dim, n):
     p = n - 1
-    pd = dim * p ** (dim - 1) if p else 0
-    pos = np.empty(p * pd, dtype=np.int64)
-    for j in range(p):
-        for c in range(pd):
-            pos[j * pd + c] = 1 + c * (p + 1) + j
+    margin = sum((p + 1) ** k for k in range(dim - 1))
+    run = (p + 1) ** (dim - 1)
+    pos = np.empty(dim * p ** dim, dtype=np.int64)
+    f = 0
+    for vertex in itertools.product(range(p), repeat=dim):
+        for c in range(dim):
+            pos[f] = margin + (vertex[-1] * dim + c) * run
+            for k, j in enumerate(vertex[:-1]):
+                pos[f] += j * (p + 1) ** (dim - 2 - k)
+            f += 1
     pos.flags.writeable = False
-    return pos, pd * (p + 1) + 2 if pd else 0
+    return pos, 2 * margin + dim * p * run if p else 0
+
+
+def line_rows(mesh, params):
+    """The GRAD_DIV rows of one lattice line along the last axis, as CSR.
+
+    The line of the first interior vertex in every other axis: its d
+    (n-1) rows, numbered (last-axis vertex, component), come from the
+    slab writer's rows of the first interior plane. The columns number
+    the dofs of the 3^(d-1) lines at the shifts t in {-1, 0, 1}^(d-1)
+    of the other axes, boundary lines included, in lexicographic order
+    of t, d (n-1) columns each, in the order of the rows.
+    """
+    d, n = mesh.dim, mesh.n
+    line = d * (n - 1)
+    table = np.full((3,) + (n + 1,) * (d - 1) + (d,), CONSTRAINED,
+                    dtype=np.int64)
+    table[(slice(0, 3),) * (d - 1) + (slice(1, n),)] = np.arange(
+        3 ** (d - 1) * line).reshape((3,) * (d - 1) + (n - 1, d))
+    W = _form_rows(mesh, cell_volumes(mesh),
+                   _stiffness_coeffs(params, GRAD_DIV),
+                   table.reshape(-1, d), 1, 3 ** (d - 1) * line)
+    return W[:line]
 
 
 def pad_vector(mesh, x):
@@ -597,6 +628,10 @@ def l2_error_nested_lattice(level_mesh, u_level, ref_mesh, u_ref):
 
     The level field is prolongated by prolongation_matrix, rebuilt at
     every doubling, onto the reference mesh at least two levels finer.
+    The difference, zero on the boundary, is measured as the library
+    measures it, by the interior mass stencil (tested on its own
+    against l2_norm_sq_p1 and l2_norm_sq_p1_percell), so that a nested
+    error equals this one bit for bit when its chain does.
     """
     if level_mesh.dim != ref_mesh.dim:
         raise ValueError("meshes have different dimensions")
@@ -611,7 +646,8 @@ def l2_error_nested_lattice(level_mesh, u_level, ref_mesh, u_ref):
     while n < ref_mesh.n:
         v = prolongation_matrix(level_mesh.dim, n) @ v
         n *= 2
-    return math.sqrt(l2_norm_sq_p1(ref_mesh, v - u_ref))
+    diff = to_padded(ref_mesh, to_free(ref_mesh, v - u_ref))
+    return math.sqrt(_l2_norm_sq_padded(ref_mesh, diff))
 
 
 def dof_prolongation_kron(fine, coarse):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -26,8 +27,8 @@ from elastopoint.mesh import build_unit_box_mesh, cell_volumes, locate_point
 from elastopoint.multigrid import _stencil_size, build_levels
 
 from oracles import (dense_form_loop, dense_stiffness_loop,
-                     form_matrix_fullgrid, free_dof_numbering, pad_vector,
-                     padded_positions, plane_rows, restrict_to_free,
+                     form_matrix_fullgrid, free_dof_numbering, line_rows,
+                     pad_vector, padded_positions, restrict_to_free,
                      same_bits)
 
 
@@ -219,23 +220,56 @@ def _operator(dim, n, params):
 
 # the stencil is read at n0 = 4, 5, 6 or an odd n >= 7 and tiled over
 # sizes n0 2^k, k = -2 .. 4; the tiles must be the rows that _form_rows
-# writes for one plane at that size, bit for bit
+# writes for one line of the first plane at that size, bit for bit
 @pytest.mark.parametrize("lam", [1.0, 50.0, 1e3])
 @pytest.mark.parametrize("dim,n", [(dim, n) for dim in (2, 3)
                                    for n in (2, 3, 4, 5, 6, 8, 12, 24, 32,
                                              33, 64)])
 def test_tiled_rows_equal_the_plane_rows(dim, n, lam):
     params = LameParams(1.0, lam)
-    op = _operator(dim, n, params)
-    W = plane_rows(build_unit_box_mesh(dim, n), params)
-    pd = W.shape[0]
-    assert (op.planes, op.pd) == (n - 1, pd)
-    for s in range(3):
-        ref, block = W[:, s * pd:(s + 1) * pd], op.block(s)
+    _same_line_rows(_operator(dim, n, params),
+                    line_rows(build_unit_box_mesh(dim, n), params))
+
+
+def _same_line_rows(op, W):
+    """Each block of op is the part of one line's rows W at its shift,
+    bit for bit, and W holds no entry at a mixed-sign shift."""
+    rows = W.shape[0]
+    assert op.rows == rows
+    assert op.indptr.shape == (len(op.shifts), rows + 1)
+    assert op.shifts == sorted(op.shifts)
+    shifts = list(itertools.product((-1, 0, 1), repeat=op.dim - 1))
+    for k, t in enumerate(shifts):
+        ref = W[:, k * rows:(k + 1) * rows]
+        if t not in op.shifts:
+            # a Kuhn cell has no two vertices at a mixed-sign shift
+            assert ref.nnz == 0
+            continue
+        block = op.block(op.shifts.index(t))
         assert same_bits(block.data, ref.data)
         assert np.array_equal(block.indices, ref.indices)
         assert block.indices.dtype == ref.indices.dtype
         assert np.array_equal(block.indptr, ref.indptr)
+
+
+# at 3D n0=63 the rows were read through a dof table of the whole
+# lattice and every cell's volume: 39.3 MB at peak (tracemalloc); with
+# a table of three planes and one broadcast volume, 16.7 MB, most of it
+# the slab writer's blocks and CSR bound of one 62 x 62 vertex plane
+STENCIL_PEAK_BYTES_63 = 20_000_000
+
+
+def test_stencil_read_at_a_large_odd_size_keeps_its_bits_in_little_memory():
+    mesh = build_unit_box_mesh(3, 63)
+    params = LameParams(1.0, 50.0)
+    tracemalloc.start()
+    try:
+        stencil = LatticeStencil(mesh, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < STENCIL_PEAK_BYTES_63
+    _same_line_rows(stencil.operator(63), line_rows(mesh, params))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -258,8 +292,8 @@ def test_padded_layout_matches_the_loop_oracle(dim, n):
 @pytest.mark.parametrize("lam", [1.0, 50.0, 1000.0])
 @pytest.mark.parametrize("dim,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 6),
                                    (2, 33), (2, 64), (2, 66), (2, 96),
-                                   (3, 1), (3, 2), (3, 3), (3, 4), (3, 9),
-                                   (3, 16), (3, 30)])
+                                   (3, 1), (3, 2), (3, 3), (3, 4), (3, 5),
+                                   (3, 6), (3, 8), (3, 9), (3, 16), (3, 30)])
 def test_stiffness_operator_is_the_assembled_matrix_bit_for_bit(dim, n, lam):
     mesh = build_unit_box_mesh(dim, n)
     params = LameParams(1.0, lam)
@@ -267,7 +301,7 @@ def test_stiffness_operator_is_the_assembled_matrix_bit_for_bit(dim, n, lam):
     A = assemble_stiffness(mesh, params, GRAD_DIV)
     op = build_levels(dim, n, params)[0].A
     assert op.shape == (padded_positions(mesh)[1],) * 2
-    assert op.planes * op.pd == A.shape[0]
+    assert op.p ** (dim - 1) * op.rows == A.shape[0]
     if A.shape[0] == 0:
         return
     assert same_bits(op.diagonal(), A.diagonal())
@@ -282,7 +316,7 @@ def test_stiffness_operator_returns_fresh_arrays():
     for n in (2, 5):
         mesh = build_unit_box_mesh(3, n)
         op = _operator(3, n, LameParams(1.0, 1.0))
-        for size in (op.planes * op.pd, op.shape[0]):
+        for size in (mesh.num_free_dofs, op.shape[0]):
             x, z = np.random.default_rng(n).standard_normal((2, size))
             y = op @ x
             kept = y.copy()
@@ -295,16 +329,28 @@ def test_stiffness_operator_returns_fresh_arrays():
 
 
 def test_stiffness_operator_stores_one_plane():
+    # one line's rows, the plane's rows in a single line: 3 (n-1) rows in
+    # 7 blocks, one per shift of the padded axes
     op = _operator(3, 16, LameParams(1.0, 1.0))
-    pd = 3 * 15 ** 2
-    assert op.indptr.shape == (3, pd + 1)
-    assert all(op.block(s).shape == (pd, pd) for s in range(3))
-    assert op.data.size == op.indices.size == op.indptr[2, -1] <= 45 * pd
+    rows = 3 * 15
+    assert op.indptr.shape == (7, rows + 1)
+    assert all(op.block(k).shape == (rows, rows) for k in range(7))
+    assert op.data.size == op.indices.size == op.indptr[6, -1] <= 45 * rows
     # rounding keeps the index arrays
     op32 = op.astype(np.float32)
     assert op32.data.dtype == np.float32
     assert same_bits(op32.data, op.data.astype(np.float32))
     assert op32.indices is op.indices and op32.indptr is op.indptr
+
+
+def test_stiffness_operator_stores_entries_linear_in_n():
+    # a plane's rows held 103,347 entries at 3D n=32 and 433,779 at 64
+    params = LameParams(1.0, 1.0)
+    assert _operator(3, 32, params).data.size == 3387
+    op = _operator(3, 64, params)
+    assert op.rows == 189
+    assert op.data.size == op.indices.size == 6939 < 45 * op.rows
+    assert op.indptr.size == 7 * (op.rows + 1)
 
 
 def test_form_matrix_peak_memory_is_near_its_output():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from elastopoint.assembly import LameParams, PointLoadSet, from_free, to_free
+from elastopoint.assembly import (LameParams, PointLoadSet, from_free, to_free,
+                                  to_padded)
 from elastopoint.convergence import (
     ManufacturedSolution,
     StudyError,
+    _l2_norm_sq_padded,
     _solve_level,
     eoc,
     l2_error_nested,
@@ -120,6 +122,24 @@ def test_l2_norm_matches_percell_oracle(dim, n, components):
     got = l2_norm_sq_p1(mesh, field)
     ref = l2_norm_sq_p1_percell(mesh, field)
     assert abs(got - ref) <= 1e-13 * ref
+
+
+# fields that vanish on the boundary: random ones, and the interpolant
+# of a product of sines, which is far from its own shifts on coarse
+# meshes and close to them on fine ones
+@pytest.mark.parametrize("dim,n", [(2, 1), (2, 2), (2, 3), (2, 8), (2, 17),
+                                   (3, 1), (3, 2), (3, 3), (3, 4), (3, 7)])
+def test_interior_mass_stencil_norm_matches_the_general_norms(dim, n):
+    mesh = build_unit_box_mesh(dim, n)
+    rng = np.random.default_rng(10 * dim + n)
+    sines = np.prod(np.sin(np.pi * mesh.vertices), axis=1)
+    smooth = to_free(mesh, sines[:, None] * np.arange(1.0, dim + 1.0))
+    for x in (rng.standard_normal(mesh.num_free_dofs), smooth):
+        got = _l2_norm_sq_padded(mesh, to_padded(mesh, x))
+        field = from_free(mesh, x)
+        for ref in (l2_norm_sq_p1(mesh, field),
+                    l2_norm_sq_p1_percell(mesh, field)):
+            assert abs(got - ref) <= 1e-13 * ref
 
 
 def test_nested_error_of_prolonged_field_is_zero():

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastopoint import assembly, mesh as mesh_module
+from elastopoint import assembly, mesh as mesh_module, multigrid
 from elastopoint.assembly import (GRAD_DIV, LameParams, PointLoadSet,
                                   _sparse_product, assemble_point_load,
                                   assemble_stiffness, from_free, from_padded,
@@ -272,7 +272,7 @@ class _Assembled:
 
     def __init__(self, A, mesh, like):
         self.A, self.mesh = A, mesh
-        self.shape, self.planes, self.pd = like.shape, like.planes, like.pd
+        self.shape, self.dim, self.p = like.shape, like.dim, like.p
 
     def matvec(self, x, out):
         out[...] = pad_vector(self.mesh, self.A @ from_padded(self.mesh, x))
@@ -503,11 +503,11 @@ def test_split_product_raises_only_after_both_halves_stop(failing,
     # three, and the product returns only after both
     assert sorted(stopped) == ([False] + [True] * 3 if failing == "worker"
                                else [False] * 3 + [True])
-    h = A.pd // 2
+    h = A.rows // 2
     rows = slice(h, None) if failing == "caller" else slice(None, h)
-    p = A.planes
-    grid = out[1:1 + A.pd * (p + 1)].reshape(A.pd, p + 1)[rows, :p]
-    want = ref[1:1 + A.pd * (p + 1)].reshape(A.pd, p + 1)[rows, :p]
+    lines = slice(A.margin, A.margin + A.rows * A.run)
+    grid = out[lines].reshape(A.rows, A.p + 1)[rows, :A.p]
+    want = ref[lines].reshape(A.rows, A.p + 1)[rows, :A.p]
     assert same_bits(grid, want)
 
 
@@ -678,6 +678,40 @@ def test_scaled_force_scales_the_solve_exactly(dim, n, k):
         levels, PointLoadSet(point, force * 2.0 ** k), 1e-10, None)
     assert same_bits(u_k, u * 2.0 ** k)
     assert stats_k == stats
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_tiny_force_solves_as_the_unit_force_scaled(dim, n):
+    # CG took the norm of b, 0 in float64 for a force of 2^-1000, and
+    # returned x = 0 after no iteration
+    levels = build_levels(dim, n, LameParams(1.0, 50.0))
+    point, force = _load(dim).points, _load(dim).forces
+    _, u, stats = _solve_level(levels, PointLoadSet(point, force), 1e-10,
+                               None)
+    _, u_tiny, stats_tiny = _solve_level(
+        levels, PointLoadSet(point, force * 2.0 ** -1000), 1e-10, None)
+    assert stats.converged and stats.iterations > 0
+    assert stats_tiny == stats
+    assert same_bits(u_tiny, u * 2.0 ** -1000)
+
+
+# 2^e is a finite double for |e| <= 1021 on both sides of the V-cycle's
+# scaling; beyond, the scaling falls back to ldexp
+@pytest.mark.parametrize("e", [-1074, -1022, -1021, 0, 1021, 1024])
+def test_power_of_two_scaling_has_the_bits_of_ldexp(e):
+    rng = np.random.default_rng(abs(e))
+    exponents = rng.integers(-1074, 1024, 4096).astype(float)
+    x = rng.standard_normal(4096) * np.exp2(exponents)
+    tiny = np.finfo(float).smallest_subnormal
+    x[:8] = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny,
+             np.finfo(float).max, np.finfo(float).tiny]
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.ldexp(x, e)
+        out = np.full_like(x, np.nan)
+        assert multigrid._times_power_of_two(x, e, out) is out
+        assert same_bits(out, want)
+        # in place, as the V-cycle scales its output
+        assert same_bits(multigrid._times_power_of_two(x, e, x), want)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 8), (2, 15), (2, 16), (2, 66),

@@ -86,3 +86,18 @@ def test_default_max_iter_formula():
     assert default_max_iter(0) == 200
     assert default_max_iter(100) == 400
     assert default_max_iter(10000) == 2200
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600])
+def test_cg_solves_a_scaled_force_as_the_unit_force_scaled(k):
+    # below max |b| ~ 1.5e-154 the norm of b underflowed to 0, and a
+    # force of 1e-300 returned x = 0 after no iteration
+    mesh = build_unit_box_mesh(2, 12)
+    A = assemble_stiffness(mesh, LameParams(1.0, 1.0))
+    b = assemble_point_load(mesh, PointLoadSet([[0.4, 0.55]], [[1.0, 0.5]]))
+    x, stats = cg_solve(A, b)
+    x_k, stats_k = cg_solve(A, b * 2.0 ** k)
+    assert stats.converged and stats.iterations > 0
+    assert stats_k == stats
+    assert np.array_equal(x_k, x * 2.0 ** k)
+    assert np.all(np.isfinite(x_k)) and np.count_nonzero(x_k) == x.size
