@@ -424,21 +424,21 @@ def _padded_size(dim, p):
 
 
 def _shift_offset(dim, p, shift):
-    """The entry offset in a padded vector of the lattice shift, a
-    length-dim sequence."""
+    """The entry offset in a padded vector of a lattice shift, or of an
+    (..., dim) array of them."""
+    shift = np.asarray(shift)
     _, run = _layout(dim, p)
-    return (sum(s * (p + 1) ** (dim - 2 - k) for k, s in enumerate(shift[:-1]))
-            + shift[-1] * dim * run)
+    offset = shift[..., -1] * (dim * run)
+    for k in range(dim - 1):
+        offset = offset + shift[..., k] * (p + 1) ** (dim - 2 - k)
+    return offset
 
 
 def _padded_position(dim, p, vertex, comp):
     """Where free dof (vertex, comp) sits in a padded vector; vertex is
     an (..., dim) array of interior coordinates, 0 .. p-1."""
     margin, run = _layout(dim, p)
-    position = margin + (vertex[..., -1] * dim + comp) * run
-    for k in range(dim - 1):
-        position += vertex[..., k] * (p + 1) ** (dim - 2 - k)
-    return position
+    return margin + comp * run + _shift_offset(dim, p, vertex)
 
 
 def _free_slots(x, dim, p):

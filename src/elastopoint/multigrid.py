@@ -15,7 +15,7 @@ by assembly.to_padded): every lattice axis but the last is padded, so
 the neighbouring lines of a lattice line along the last axis are
 views of x at fixed offsets, and an operator's product is one
 csr_matvecs call per shift of the padded axes (3 in 2D, 7 in 3D) on
-runs of (n-1)^(d-1) values, which copies nothing. The V-cycle
+runs of n^(d-1) values, which copies nothing. The V-cycle
 smooths with Chebyshev-Jacobi polynomials (Adams, Brezina, Hu and
 Tuminaro, "Parallel multigrid smoothing: polynomial versus
 Gauss-Seidel", J. Comput. Phys. 2003) and preconditions CG. It runs in
@@ -211,9 +211,9 @@ def _chebyshev_coefficients(lmax):
 
 def _times_power_of_two(x, e, out):
     """out = x 2^e with the bits of np.ldexp(x, e): a multiplication by
-    2^e, which is exact and so rounds the product as ldexp does, and
-    four times faster; ldexp itself where 2^e or 2^-e is not a finite
-    double (|e| > 1021)."""
+    the exact 2^e, which rounds the product as ldexp does and runs
+    about four times faster; ldexp itself for |e| > 1021, where 2^e
+    nears the ends of the double range."""
     if abs(e) <= 1021:
         return np.multiply(x, 2.0 ** e, out=out)
     return np.ldexp(x, e, out=out)
