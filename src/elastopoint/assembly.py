@@ -520,8 +520,9 @@ class StencilOperator:
         self.shifts = _pencil_shifts(dim)
         # where each block's view of x starts, and the pad slots of a
         # (rows, p+1, ..., p+1) view of the rows
-        self._starts = [self.margin + _shift_offset(dim, p, t + (0,))
+        self._starts = [int(self.margin + _shift_offset(dim, p, t + (0,)))
                         for t in self.shifts]
+        self._lines = (self.rows,) + (p + 1,) * (dim - 1)
         self._pads = [(slice(None),) * k + (p,) for k in range(1, dim)]
         self.data, self.indices, self.indptr = data, indices, indptr
 
@@ -584,12 +585,13 @@ class StencilOperator:
         return dense.reshape(p ** (d - 1) * rows, -1)
 
     def _products(self, lo, hi, x, y):
-        size = self.rows * self.run
-        for k, start in enumerate(self._starts):
-            _sparsetools.csr_matvecs(hi - lo, self.rows, self.run,
-                                     self.indptr[k, lo:], self.indices,
-                                     self.data, x[start:start + size],
-                                     y[lo * self.run:])
+        rows, run, indices, data = self.rows, self.run, self.indices, self.data
+        size = rows * run
+        y = y[lo * run:]
+        kernel = _sparsetools.csr_matvecs
+        for indptr, start in zip(self.indptr, self._starts):
+            kernel(hi - lo, rows, run, indptr[lo:], indices, data,
+                   x[start:start + size], y)
 
     def matvec(self, x, out):
         out.fill(0.0)
@@ -607,7 +609,7 @@ class StencilOperator:
             finally:
                 # the worker writes into out until its half has stopped
                 second.result()
-        lines = y.reshape((rows,) + (p + 1,) * (self.dim - 1))
+        lines = y.reshape(self._lines)
         for pad in self._pads:
             lines[pad] = 0.0
         return out

@@ -38,8 +38,8 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     [0.5, 1) and scales x back by 2^e: a b whose norm underflows to 0
     in float64 (max |b| below about 1.5e-154) solves as its scaled
     copy, and 2^k b gives 2^k x bit for bit. The iteration runs in
-    place on six vectors allocated per solve (the scaled b, x, r, z, p
-    and A p); with an operator whose matvec writes into its
+    place on five vectors allocated per solve (x, r, z, p and A p);
+    with an operator whose matvec writes into its
     output, such as a multigrid level's StencilOperator, and a precond
     that works in place, such as a multigrid VCycle, no step allocates
     a vector of the system's size. Each update keeps the
@@ -101,15 +101,15 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     # solve for b times the power of two 2^-e that puts max |b| in
     # [0.5, 1), and scale x back: the scaling is exact and commutes with
     # every step, so the bits of a normal-range b stay those of its
-    # unscaled solve, and the norm of a tiny b does not underflow to 0
+    # unscaled solve, and the norm of a tiny b does not underflow to 0.
+    # The scaled b is formed where it is read, first as r
     e = int(np.frexp(max(b.max(), -b.min()))[1])
-    b = np.ldexp(b, -e)
-    bnorm = np.linalg.norm(b)
+    r = np.ldexp(b, -e)
+    bnorm = np.linalg.norm(r)
     x = np.zeros(n)
     if bnorm == 0.0:
         return x, SolveStats(0, 0.0, True)
 
-    r = b.copy()
     z = np.empty(n)
     Ap = np.empty(n)
     precond(r, z)
@@ -133,7 +133,8 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
             callback(np.ldexp(x, e))
         if np.linalg.norm(r) <= rel_tol * bnorm:
             matvec(x, Ap)
-            np.subtract(b, Ap, out=r)
+            np.ldexp(b, -e, out=r)
+            r -= Ap
             if np.linalg.norm(r) <= rel_tol * bnorm:
                 converged = True
                 break
@@ -152,7 +153,8 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     # a converged loop broke with r = b - A x; otherwise form it
     if not converged:
         matvec(x, Ap)
-        np.subtract(b, Ap, out=r)
+        np.ldexp(b, -e, out=r)
+        r -= Ap
     final_rel = float(np.linalg.norm(r) / bnorm)
     if converged:
         converged = final_rel <= rel_tol
