@@ -386,20 +386,23 @@ def _worker():
         return _row_pool
 
 
-def _sparse_product(M, x, out):
-    """out = M @ x for a CSR or CSC matrix M and a vector x, allocating
-    nothing.
+def _bind_sparse(M, x, out):
+    """The product out = M @ x for a CSR or CSC matrix M, as a function
+    of no arguments that allocates nothing and returns out.
 
     Runs the kernel of scipy's own M @ x, csr_matvec or csc_matvec, on
     M's arrays. The kernels add to their output, so out is zeroed
     first, as scipy's fresh result is; the bits are those of M @ x. x
     and out are C-ordered vectors of M's dtype; the kernels sum in it.
     """
-    out.fill(0.0)
-    rows, cols = M.shape
-    getattr(_sparsetools, M.format + "_matvec")(
-        rows, cols, M.indptr, M.indices, M.data, x, out)
-    return out
+    kernel = getattr(_sparsetools, M.format + "_matvec")
+    args = M.shape + (M.indptr, M.indices, M.data, x, out)
+
+    def product():
+        out.fill(0.0)
+        kernel(*args)
+        return out
+    return product
 
 
 def _pencil_shifts(dim):
@@ -493,8 +496,10 @@ class StencilOperator:
     indptr[k] holds block k's row pointers into them, so data, indices
     and indptr size the whole operator: O(n) entries, 3,387 at 3D n=32.
 
-    matvec(x, out) writes A x into out for padded x and out of the
-    operator's dtype, with no copy: out is zeroed, each block adds its
+    bind(x, out) returns the product A x into out, for padded x and out
+    of the operator's dtype, as a function of no arguments whose kernel
+    arguments and views are made once; matvec(x, out) binds and runs
+    it. A product copies nothing: out is zeroed, each block adds its
     products through scipy's csr_matvecs on the view of x shifted by
     its shift, whose d p rows of (p+1)^(d-1) values are the shifted
     lines, and the pad slots, which collect products from the
@@ -502,8 +507,8 @@ class StencilOperator:
     terms of its assembled row in column order, plus +0 x terms where
     a shifted line leaves the interior, so the bits are those of the
     assembled matrix's product. A product of at least
-    _SPLIT_MULTIPLY_ADDS multiply-adds, nnz (p+1)^(d-1), in a process
-    that may run on two CPUs, splits its rows: one worker thread
+    _SPLIT_MULTIPLY_ADDS multiply-adds, nnz (p+1)^(d-1), bound in a
+    process that may run on two CPUs, splits its rows: one worker thread
     computes rows d p/2 .. d p of all blocks while the caller computes
     the first half, and the product returns only when both have
     stopped.
@@ -584,35 +589,62 @@ class StencilOperator:
                     dense[j + (slice(None),) + nb] = tile
         return dense.reshape(p ** (d - 1) * rows, -1)
 
-    def _products(self, lo, hi, x, y):
-        rows, run, indices, data = self.rows, self.run, self.indices, self.data
-        size = rows * run
-        y = y[lo * run:]
-        kernel = _sparsetools.csr_matvecs
-        for indptr, start in zip(self.indptr, self._starts):
-            kernel(hi - lo, rows, run, indptr[lo:], indices, data,
-                   x[start:start + size], y)
+    def bind(self, x, out):
+        """The product out = A x as a function of no arguments, for
+        padded x and out of the operator's dtype; it returns out.
 
-    def matvec(self, x, out):
-        out.fill(0.0)
-        p, rows = self.p, self.rows
-        if not p:
-            return out
-        y = out[self.margin:self.margin + rows * self.run]
-        if self.data.size * self.run < _SPLIT_MULTIPLY_ADDS or _cpus() < 2:
-            self._products(0, rows, x, y)
-        else:
-            h = rows // 2
-            second = _worker().submit(self._products, h, rows, x, y)
+        What depends only on x and out is made here, once: the
+        csr_matvecs arguments of each block (its row pointers, the view
+        of x shifted by its shift, the output run), those of the two
+        halves of a split product, and the views of the pad slots. A
+        split product looks its worker up on each call, so a product
+        bound before a fork also runs in the child.
+        """
+        rows, run = self.rows, self.run
+        size = rows * run
+        y = out[self.margin:self.margin + size]
+        pads = [y.reshape(self._lines)[pad] for pad in self._pads]
+        kernel = _sparsetools.csr_matvecs
+
+        def blocks(lo, hi):
+            return [(hi - lo, rows, run, indptr[lo:], self.indices,
+                     self.data, x[start:start + size], y[lo * run:])
+                    for indptr, start in zip(self.indptr, self._starts)]
+
+        def run_all(calls):
+            for args in calls:
+                kernel(*args)
+
+        if self.data.size * run < _SPLIT_MULTIPLY_ADDS or _cpus() < 2:
+            calls = blocks(0, rows)
+
+            def product():
+                out.fill(0.0)
+                for args in calls:
+                    kernel(*args)
+                for pad in pads:
+                    pad.fill(0.0)
+                return out
+            return product
+
+        h = rows // 2
+        first, second = blocks(0, h), blocks(h, rows)
+
+        def split_product():
+            out.fill(0.0)
+            done = _worker().submit(run_all, second)
             try:
-                self._products(0, h, x, y)
+                run_all(first)
             finally:
                 # the worker writes into out until its half has stopped
-                second.result()
-        lines = y.reshape(self._lines)
-        for pad in self._pads:
-            lines[pad] = 0.0
-        return out
+                done.result()
+            for pad in pads:
+                pad.fill(0.0)
+            return out
+        return split_product
+
+    def matvec(self, x, out):
+        return self.bind(x, out)()
 
     def __matmul__(self, x):
         if x.shape[0] == self.shape[0]:

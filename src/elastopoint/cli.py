@@ -17,6 +17,7 @@ fields zero-padded).
 
 import argparse
 import sys
+from itertools import product
 
 import numpy as np
 
@@ -98,12 +99,31 @@ def _write_lines(fh, line, rows):
         fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
+def _write_points(fh, mesh):
+    """The POINTS lines, one lattice line along the last axis at a time.
+
+    The vertices are the lattice in C order, so each coordinate takes
+    one of the n+1 values of the first line's last coordinates. Each is
+    formatted once with "%.16g"; a lattice line is its head (the
+    leading coordinates, each followed by a space) joined over the
+    tails (the last coordinate, a 2D point's literal 0 third component
+    and the newline), the bytes of formatting each point on its own.
+    """
+    d, n = mesh.dim, mesh.n
+    coords = ["%.16g" % c for c in mesh.vertices[:n + 1, -1].tolist()]
+    tails = [c + " 0" * (3 - d) + "\n" for c in coords]
+    for lead in product(coords, repeat=d - 1):
+        head = " ".join(lead) + " "
+        fh.write(head + head.join(tails))
+
+
 def write_vtk_field(mesh, field, path):
     """Legacy ASCII VTK unstructured grid with a displacement field.
 
-    Each section is formatted and written in blocks of lines. "%.16g"
-    and "%d" give the same bytes as formatting each line on its own,
-    and a 2D point or vector gets its zero third component as the
+    The points are written by lattice line (_write_points), and the
+    other sections are formatted and written in blocks of lines.
+    "%.16g" and "%d" give the same bytes as formatting each line on its
+    own, and a 2D point or vector gets its zero third component as the
     literal 0 that "%.16g" writes for it.
     """
     field = np.asarray(field, dtype=float)
@@ -119,7 +139,7 @@ def write_vtk_field(mesh, field, path):
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write("POINTS %d double\n" % mesh.num_vertices)
-        _write_lines(fh, xyz, mesh.vertices)
+        _write_points(fh, mesh)
         fh.write("CELLS %d %d\n" % (mesh.num_cells,
                                     mesh.num_cells * (nv_cell + 1)))
         _write_lines(fh, "%d" % nv_cell + " %d" * nv_cell + "\n", cells)

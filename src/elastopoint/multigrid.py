@@ -26,7 +26,11 @@ Emergent Distrib. Syst. 2007): it is symmetric up to float32 rounding,
 and it moves half the bytes. A solve's V-cycle (VCycle) runs in place
 on buffers it allocates once per solve, with the same operations in
 the same order as a V-cycle that allocates every result, so with the
-same bits. Operator products of at least 1e6 multiply-adds (3D n >=
+same bits. Its products are bound to those buffers once per solve
+(StencilOperator.bind, assembly._bind_sparse), as a structured-block
+solver sets a constant stencil's application up once, so a call pays
+no Python set-up on the small levels, where it cost more than the
+arithmetic. Operator products of at least 1e6 multiply-adds (3D n >=
 22, 2D n >= 205), in CG and in the V-cycle, split their rows across
 one worker thread when the process may run on two CPUs
 (assembly.StencilOperator); the bits do not change.
@@ -40,9 +44,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import (LatticeStencil, StencilOperator, _free_slots,
-                       _padded_position, _padded_size, _shift_offset,
-                       _sparse_product, to_padded)
+from .assembly import (LatticeStencil, StencilOperator, _bind_sparse,
+                       _free_slots, _padded_position, _padded_size,
+                       _shift_offset, to_padded)
 from .mesh import Mesh, build_unit_box_mesh
 
 # Chebyshev-Jacobi smoother: polynomial degree, and the smoothed part
@@ -230,13 +234,19 @@ class VCycle:
     shared by all levels, and every level's right side and iterate.
     self.A is levels[0].A, in float64, for CG's products; self.levels
     hold the levels' cycle_A as their A. No product needs a buffer of
-    its own.
+    its own, and each is bound once, here, to the buffers it reads and
+    writes: per level the stencil products of the iterate and of the
+    smoother's step, R and P, and at a dense bottom the free-slot views
+    of its right side and iterate.
 
     Called as precond(r, out) on float64 padded r and out, it writes
     one V-cycle applied to r into out and leaves r as it is:
     pre-smoothing, coarse correction through R and P, post-smoothing,
     the bottom level solved by its dense factor, through a gather of
-    the free slots and a scatter back, or only smoothed. The cycle sees
+    the free slots and a scatter back, or only smoothed. The bottom
+    solve skips scipy's finiteness check: point forces are refused
+    unless finite, and a non-finite right side gives a non-finite
+    iterate, which CG reports as not converged. The cycle sees
     r scaled by the 2^-e that puts max |r| in [0.5, 1), rounded to its
     dtype, and out gets 2^e times its result, both by
     _times_power_of_two. The scaling is exact, so 2^k r gives 2^k M r
@@ -273,6 +283,23 @@ class VCycle:
             self._vectors.append(tuple(cycle[start:start + 2 * m]
                                        .reshape(2, m)))
             start += 2 * m
+        # per level, bound once to the buffers they read and write: at a
+        # dense bottom, the free-slot views of the right side and the
+        # iterate; elsewhere the stencil products x -> q and d -> q and,
+        # where the level coarsens, R r -> bc and P xc -> q
+        self._bound = []
+        for k, lv in enumerate(self.levels):
+            (r, d, q), (b, x) = self._scratch[k], self._vectors[k]
+            if lv.factor is not None:
+                bound = (_free_slots(b, lv.A.dim, lv.A.p),
+                         _free_slots(x, lv.A.dim, lv.A.p))
+            else:
+                bound = (lv.A.bind(x, q), lv.A.bind(d, q))
+                if lv.P is not None:
+                    bc, xc = self._vectors[k + 1]
+                    bound += (_bind_sparse(lv.R, r, bc),
+                              _bind_sparse(lv.P, xc, q))
+            self._bound.append(bound)
 
     def __call__(self, r, out):
         # out serves as float64 scratch for the exactly scaled r, so no
@@ -281,48 +308,51 @@ class VCycle:
         b, x = self._vectors[0]
         _times_power_of_two(r, -e, out)
         b[...] = out
-        self._cycle(0, b, x)
+        self._cycle(0)
         out[...] = x
         _times_power_of_two(out, e, out)
 
-    def _cycle(self, k, b, x):
+    def _cycle(self, k):
         lv = self.levels[k]
+        b, x = self._vectors[k]
         if lv.factor is not None:
+            b_slots, x_slots = self._bound[k]
             x.fill(0.0)
-            slots = _free_slots(x, lv.A.dim, lv.A.p)
-            slots[...] = scipy.linalg.cho_solve(
-                lv.factor, _free_slots(b, lv.A.dim, lv.A.p).reshape(-1)
-            ).reshape(slots.shape)
+            x_slots[...] = scipy.linalg.cho_solve(
+                lv.factor, b_slots.reshape(-1), check_finite=False
+            ).reshape(x_slots.shape)
             return
-        self._chebyshev(k, b, x, True)
+        self._chebyshev(k, True)
         if lv.P is not None:
             res, _, q = self._scratch[k]
-            bc, xc = self._vectors[k + 1]
-            lv.A.matvec(x, q)
+            x_product, _, restrict, prolong = self._bound[k]
+            x_product()
             np.subtract(b, q, out=res)
-            _sparse_product(lv.R, res, bc)
-            self._cycle(k + 1, bc, xc)
+            restrict()
+            self._cycle(k + 1)
             # P e into a zeroed vector, then added: accumulating the
             # product in x would sum in another order
-            _sparse_product(lv.P, xc, q)
+            prolong()
             x += q
-        self._chebyshev(k, b, x, False)
+        self._chebyshev(k, False)
 
-    def _chebyshev(self, k, b, x, zero_start):
-        """CHEB_DEGREE Chebyshev-Jacobi steps on A x = b, in place in x.
+    def _chebyshev(self, k, zero_start):
+        """CHEB_DEGREE Chebyshev-Jacobi steps on A x = b, in place in the
+        level's iterate x, for its right side b.
 
         With zero_start the steps start from zero and x enters unread.
         """
-        lv = self.levels[k]
-        A, inv_diag = lv.A, lv.inv_diag
+        inv_diag = self.levels[k].inv_diag
+        b, x = self._vectors[k]
         r, d, q = self._scratch[k]
+        x_product, d_product = self._bound[k][:2]
         theta, steps = self._smoother[k]
         # res is the residual: b itself from a zero start until the
         # first update writes b - A d into r, so b is never copied
         if zero_start:
             res = b
         else:
-            A.matvec(x, q)
+            x_product()
             res = np.subtract(b, q, out=r)
         np.multiply(inv_diag, res, out=d)
         d /= theta
@@ -331,7 +361,7 @@ class VCycle:
         else:
             x += d
         for c1, c2 in steps:
-            A.matvec(d, q)
+            d_product()
             res = np.subtract(res, q, out=r)
             np.multiply(inv_diag, r, out=q)
             q *= c2

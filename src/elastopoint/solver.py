@@ -8,6 +8,7 @@ Jacobi-CG stays as the reference the tests compare against.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from math import sqrt
 
 import numpy as np
@@ -38,8 +39,9 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     [0.5, 1) and scales x back by 2^e: a b whose norm underflows to 0
     in float64 (max |b| below about 1.5e-154) solves as its scaled
     copy, and 2^k b gives 2^k x bit for bit. The iteration runs in
-    place on five vectors allocated per solve (x, r, z, p and A p);
-    with an operator whose matvec writes into its
+    place on five vectors allocated per solve (x, r, z, p and A p),
+    and its two products, p -> A p and x -> A p, are bound to them
+    once per solve; with an operator whose products write into their
     output, such as a multigrid level's StencilOperator, and a precond
     that works in place, such as a multigrid VCycle, no step allocates
     a vector of the system's size. Each update keeps the
@@ -53,8 +55,9 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
         pencil-padded vectors, SPD on their free slots, with a precond
         (its diagonal() is over the free dofs); only A.shape, the
         product and, for Jacobi, A.diagonal() are used.
-        The product is A.matvec(x, out) when A has that method, and
-        A @ x copied into out otherwise.
+        The products are A.bind(x, out), made once per solve, when A
+        has that method; else A.matvec(x, out) when A has that one,
+        and A @ x copied into out otherwise.
     b : ndarray
     rel_tol : float in (0, 1)
     max_iter : int, defaults to 20 sqrt(n) + 200
@@ -93,10 +96,15 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
         def precond(r, out):
             np.multiply(inv_diag, r, out=out)
 
-    matvec = getattr(A, "matvec", None)
-    if matvec is None:
-        def matvec(v, out):
-            out[...] = A @ v
+    bind = getattr(A, "bind", None)
+    if bind is None:
+        matvec = getattr(A, "matvec", None)
+        if matvec is None:
+            def matvec(v, out):
+                out[...] = A @ v
+
+        def bind(v, out):
+            return partial(matvec, v, out)
 
     # solve for b times the power of two 2^-e that puts max |b| in
     # [0.5, 1), and scale x back: the scaling is exact and commutes with
@@ -114,11 +122,13 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     Ap = np.empty(n)
     precond(r, z)
     p = z.copy()
+    # the two products of the loop, bound once to their vectors
+    p_product, x_product = bind(p, Ap), bind(x, Ap)
     rz = float(r @ z)
     it = 0
     converged = False
     while it < max_iter:
-        matvec(p, Ap)
+        p_product()
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             break
@@ -132,7 +142,7 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
         if callback is not None:
             callback(np.ldexp(x, e))
         if np.linalg.norm(r) <= rel_tol * bnorm:
-            matvec(x, Ap)
+            x_product()
             np.ldexp(b, -e, out=r)
             r -= Ap
             if np.linalg.norm(r) <= rel_tol * bnorm:
@@ -152,7 +162,7 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
 
     # a converged loop broke with r = b - A x; otherwise form it
     if not converged:
-        matvec(x, Ap)
+        x_product()
         np.ldexp(b, -e, out=r)
         r -= Ap
     final_rel = float(np.linalg.norm(r) / bnorm)

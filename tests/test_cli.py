@@ -133,7 +133,8 @@ def test_write_vtk_3d_cell_types(tmp_path):
     assert lines[lines.index("VECTORS displacement double") + 1] == "1 1 1"
 
 
-@pytest.mark.parametrize("dim,n", [(2, 5), (3, 3)])
+@pytest.mark.parametrize("dim,n", [(2, 1), (2, 5), (2, 128), (3, 1), (3, 3),
+                                   (3, 16)])
 def test_write_vtk_matches_per_line_writer(tmp_path, dim, n):
     mesh = build_unit_box_mesh(dim, n)
     rng = np.random.default_rng(7)

@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 
 from elastopoint import assembly, mesh as mesh_module, multigrid
 from elastopoint.assembly import (GRAD_DIV, LameParams, PointLoadSet,
-                                  _sparse_product, assemble_point_load,
-                                  assemble_stiffness, from_free, from_padded,
-                                  to_padded)
+                                  assemble_point_load, assemble_stiffness,
+                                  from_free, from_padded, to_padded)
 from elastopoint.cli import main
 from elastopoint.convergence import _solve_level
 from elastopoint.mesh import build_unit_box_mesh
@@ -278,6 +277,9 @@ class _Assembled:
         out[...] = pad_vector(self.mesh, self.A @ from_padded(self.mesh, x))
         return out
 
+    def bind(self, x, out):
+        return partial(self.matvec, x, out)
+
     def __matmul__(self, x):
         return self.matvec(x, np.empty(self.shape[0], self.A.dtype))
 
@@ -381,7 +383,8 @@ def test_workspace_solve_equals_the_allocating_oracle(dim, n, data, lam,
 
 
 def _two_cpus(monkeypatch):
-    """Let _sparse_product split its rows whatever this host has."""
+    """Let the stencil products split their rows whatever this host
+    has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
@@ -390,9 +393,9 @@ def _zero_slots(mesh, x):
     return np.delete(x, padded_positions(mesh)[0])
 
 
-# scipy's private kernels behind the stencil product and _sparse_product
-# must keep the bits of the public products; a scipy that changes them
-# fails here. The stencil products are checked against one vertex
+# scipy's private kernels behind the stencil product and the bound
+# transfers must keep the bits of the public products; a scipy that
+# changes them fails here. The stencil products are checked against one vertex
 # plane's assembled rows times the plane-shifted stack of x, split by
 # rows across two threads (every size crosses a zero threshold) and
 # serial, in both precisions; pd = d (n-1)^(d-1) rows are even in 2D and
@@ -404,7 +407,8 @@ def test_sparse_product_has_the_bits_of_the_public_products(dim, n,
                                                             monkeypatch):
     _two_cpus(monkeypatch)
     params = LameParams(1.0, 50.0)
-    lv = build_levels(dim, n, params)[0]
+    levels = build_levels(dim, n, params)
+    lv = levels[0]
     W = plane_rows(lv.mesh, params)
     rng = np.random.default_rng(n)
     for A, dtype in ((lv.A, np.float64), (lv.cycle_A, np.float32)):
@@ -416,14 +420,20 @@ def test_sparse_product_has_the_bits_of_the_public_products(dim, n,
             A.matvec(to_padded(lv.mesh, x), out)
             assert same_bits(from_padded(lv.mesh, out), ref)
             assert not np.any(_zero_slots(lv.mesh, out))
-    # the transfers in the float32 of the V-cycle
-    v = rng.standard_normal(lv.R.shape[1], dtype=np.float32)
-    out = np.full(lv.R.shape[0], np.nan, dtype=np.float32)
-    assert same_bits(_sparse_product(lv.R, v, out), lv.R @ v)
-    e = rng.standard_normal(lv.R.shape[0], dtype=np.float32)
-    out = np.full(lv.R.shape[1], np.nan, dtype=np.float32)
+    # the V-cycle's bound transfers, in its float32: R r -> bc and
+    # P xc -> q, each into a vector that holds the previous product
+    precond = VCycle(levels)
+    restrict, prolong = precond._bound[0][2:]
+    r, _, q = precond._scratch[0]
+    bc, xc = precond._vectors[1]
     assert lv.P.format == "csc"
-    assert same_bits(_sparse_product(lv.P, e, out), lv.R.T @ e)
+    for _ in range(2):
+        r[...] = rng.standard_normal(lv.R.shape[1])
+        assert restrict() is bc
+        assert same_bits(bc, lv.R @ r)
+        xc[...] = rng.standard_normal(lv.R.shape[0])
+        assert prolong() is q
+        assert same_bits(q, lv.R.T @ xc)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -451,6 +461,83 @@ def test_stencil_product_equals_the_assembled_product(case, seed, scale,
             assert same_bits(from_padded(lv.mesh, out),
                              A.astype(dtype) @ xd)
             assert not np.any(_zero_slots(lv.mesh, out))
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("dim,n", [(2, 2), (2, 7), (2, 16), (3, 2), (3, 5),
+                                   (3, 8)])
+def test_bound_product_equals_matvec_and_the_assembled_product(dim, n, split,
+                                                               monkeypatch):
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS",
+                        0 if split else np.inf)
+    params = LameParams(1.0, 7.0)
+    lv = build_levels(dim, n, params)[0]
+    A = assemble_stiffness(lv.mesh, params, GRAD_DIV)
+    rng = np.random.default_rng(n)
+    for op, dtype in ((lv.A, np.float64), (lv.cycle_A, np.float32)):
+        x = np.zeros(op.shape[0], dtype=dtype)
+        out = np.full(op.shape[0], np.nan, dtype=dtype)
+        product = op.bind(x, out)
+        # bound to x and out, not to their values at bind time
+        for _ in range(2):
+            xd = rng.standard_normal(A.shape[0]).astype(dtype)
+            x[...] = to_padded(lv.mesh, xd)
+            out.fill(np.nan)
+            assert product() is out
+            assert same_bits(from_padded(lv.mesh, out), A.astype(dtype) @ xd)
+            assert not np.any(_zero_slots(lv.mesh, out))
+            assert same_bits(out, op.matvec(x, np.empty_like(out)))
+
+
+def test_bound_split_product_runs_after_the_pool_is_forgotten(monkeypatch):
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS", 0)
+    lv = build_levels(3, 8, LameParams(1.0, 1.0))[0]
+    x = _random_padded(lv.mesh, 3)
+    ref = lv.A @ x
+    out = np.full_like(x, np.nan)
+    product = lv.A.bind(x, out)
+    assert same_bits(product(), ref)
+    pool = assembly._row_pool
+    assert pool is not None
+    # what a forked child's hook does: the worker is looked up per
+    # call, so the product makes a new one
+    assembly._forget_row_pool()
+    out.fill(np.nan)
+    assert same_bits(product(), ref)
+    assert assembly._row_pool is not None and assembly._row_pool is not pool
+
+
+def _python_calls(f, *args):
+    """Python-level calls of f(*args), f's own included, counted by a
+    profile hook."""
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        f(*args)
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+# Python calls of one V-cycle: 156 at 2D n=128 (7 levels) and 105 at 2D
+# n=16 (4 levels) when every product built its kernel arguments, views
+# and split test on each call and the dense bottom checked its right
+# side for non-finite values; 74 and 47 with the products bound once
+@pytest.mark.parametrize("n,budget", [(128, 78), (16, 52)])
+def test_vcycle_python_call_budget(n, budget):
+    levels = build_levels(2, n, LameParams(1.0, 50.0))
+    precond = VCycle(levels)
+    r = _random_padded(levels[0].mesh, 5)
+    out = np.empty_like(r)
+    precond(r, out)
+    assert _python_calls(precond, r, out) <= budget
 
 
 def test_one_cpu_solve_starts_no_thread_and_has_the_split_bits(monkeypatch):
