@@ -607,13 +607,10 @@ class StencilOperator:
         kernel = _sparsetools.csr_matvecs
 
         def blocks(lo, hi):
+            tail = y[lo * run:]
             return [(hi - lo, rows, run, indptr[lo:], self.indices,
-                     self.data, x[start:start + size], y[lo * run:])
+                     self.data, x[start:start + size], tail)
                     for indptr, start in zip(self.indptr, self._starts)]
-
-        def run_all(calls):
-            for args in calls:
-                kernel(*args)
 
         if self.data.size * run < _SPLIT_MULTIPLY_ADDS or _cpus() < 2:
             calls = blocks(0, rows)
@@ -629,6 +626,10 @@ class StencilOperator:
 
         h = rows // 2
         first, second = blocks(0, h), blocks(h, rows)
+
+        def run_all(calls):
+            for args in calls:
+                kernel(*args)
 
         def split_product():
             out.fill(0.0)

@@ -245,8 +245,8 @@ class VCycle:
     the bottom level solved by its dense factor, through a gather of
     the free slots and a scatter back, or only smoothed. The bottom
     solve skips scipy's finiteness check: point forces are refused
-    unless finite, and a non-finite right side gives a non-finite
-    iterate, which CG reports as not converged. The cycle sees
+    unless finite, and cg_solve refuses a right side that is not, so
+    the residuals it passes are finite. The cycle sees
     r scaled by the 2^-e that puts max |r| in [0.5, 1), rounded to its
     dtype, and out gets 2^e times its result, both by
     _times_power_of_two. The scaling is exact, so 2^k r gives 2^k M r

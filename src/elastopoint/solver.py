@@ -34,7 +34,8 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     b - A x, replacing the recurrence value if the check fails so that
     the reported status is honest; the reported residual is that true
     one, formed once more after the loop only when CG did not converge.
-    Non-convergence within max_iter is reported via stats, not raised.
+    Non-convergence within max_iter is reported via stats, not raised;
+    a b with an inf or a NaN raises a ValueError before any step.
     CG solves for b times the power of two 2^-e that puts max |b| in
     [0.5, 1) and scales x back by 2^e: a b whose norm underflows to 0
     in float64 (max |b| below about 1.5e-154) solves as its scaled
@@ -114,6 +115,10 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     e = int(np.frexp(max(b.max(), -b.min()))[1])
     r = np.ldexp(b, -e)
     bnorm = np.linalg.norm(r)
+    # the scaled r has max |r| < 1, so only an inf or a NaN in b (such
+    # as finite point forces whose sum overflows) gets here
+    if not np.isfinite(bnorm):
+        raise ValueError("the right side must be finite")
     x = np.zeros(n)
     if bnorm == 0.0:
         return x, SolveStats(0, 0.0, True)

@@ -395,8 +395,8 @@ def _zero_slots(mesh, x):
 
 # scipy's private kernels behind the stencil product and the bound
 # transfers must keep the bits of the public products; a scipy that
-# changes them fails here. The stencil products are checked against one vertex
-# plane's assembled rows times the plane-shifted stack of x, split by
+# changes them fails here. The stencil products are checked against one
+# vertex plane's assembled rows times the plane-shifted stack of x, split by
 # rows across two threads (every size crosses a zero threshold) and
 # serial, in both precisions; pd = d (n-1)^(d-1) rows are even in 2D and
 # odd in 3D for even n.
@@ -493,20 +493,26 @@ def test_bound_product_equals_matvec_and_the_assembled_product(dim, n, split,
 def test_bound_split_product_runs_after_the_pool_is_forgotten(monkeypatch):
     _two_cpus(monkeypatch)
     monkeypatch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS", 0)
+    # this test's workers are its own; the module's come back after it
+    monkeypatch.setattr(assembly, "_row_pool", None)
+    monkeypatch.setattr(assembly, "_row_pool_lock", threading.Lock())
     lv = build_levels(3, 8, LameParams(1.0, 1.0))[0]
     x = _random_padded(lv.mesh, 3)
     ref = lv.A @ x
     out = np.full_like(x, np.nan)
     product = lv.A.bind(x, out)
     assert same_bits(product(), ref)
-    pool = assembly._row_pool
-    assert pool is not None
+    first = assembly._row_pool
+    assert first is not None
     # what a forked child's hook does: the worker is looked up per
     # call, so the product makes a new one
     assembly._forget_row_pool()
     out.fill(np.nan)
     assert same_bits(product(), ref)
-    assert assembly._row_pool is not None and assembly._row_pool is not pool
+    second = assembly._row_pool
+    assert second is not None and second is not first
+    first.shutdown()
+    second.shutdown()
 
 
 def _python_calls(f, *args):

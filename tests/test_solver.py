@@ -80,6 +80,11 @@ def test_cg_argument_validation():
     D = sp.csr_matrix(np.diag([1.0, 0.0, 2.0]))
     with pytest.raises(ValueError):
         cg_solve(D, np.ones(3))
+    # a non-finite right side fails at once, not at the iteration cap
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="right side must be finite"):
+            cg_solve(A, np.array([1.0, bad, 0.0, 0.0, 1.0]),
+                     callback=pytest.fail)
 
 
 def test_default_max_iter_formula():
