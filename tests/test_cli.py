@@ -288,11 +288,11 @@ def test_solve_requires_single_level(tmp_path, capsys):
 @pytest.mark.parametrize("record,flags,fragment", [
     ("point 0.4 0.55 nan 0\n", [], "forces must be finite"),
     ("point 0.4 0.55 1 inf\n", [], "forces must be finite"),
+    ("point 0.4 0.55 1 0\n", ["--mu", "inf"], "positive and finite"),
+    ("point 0.4 0.55 1 0\n", ["--lambda", "nan"], "positive and finite"),
     # finite forces whose sum at a vertex overflows to inf: one of the
     # located cell's barycentric weights is at least 1/3
     ("point 0.4 0.55 1.7e308 0\n" * 4, [], "right side must be finite"),
-    ("point 0.4 0.55 1 0\n", ["--mu", "inf"], "positive and finite"),
-    ("point 0.4 0.55 1 0\n", ["--lambda", "nan"], "positive and finite"),
 ])
 def test_solve_refuses_non_finite_input(tmp_path, capsys, record, flags,
                                         fragment):
