@@ -57,8 +57,7 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
         (its diagonal() is over the free dofs); only A.shape, the
         product and, for Jacobi, A.diagonal() are used.
         The products are A.bind(x, out), made once per solve, when A
-        has that method; else A.matvec(x, out) when A has that one,
-        and A @ x copied into out otherwise.
+        has that method, and A @ x copied into out otherwise.
     b : ndarray
     rel_tol : float in (0, 1)
     max_iter : int, defaults to 20 sqrt(n) + 200
@@ -99,10 +98,8 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
 
     bind = getattr(A, "bind", None)
     if bind is None:
-        matvec = getattr(A, "matvec", None)
-        if matvec is None:
-            def matvec(v, out):
-                out[...] = A @ v
+        def matvec(v, out):
+            out[...] = A @ v
 
         def bind(v, out):
             return partial(matvec, v, out)
