@@ -31,6 +31,7 @@ and from the padded layout, the forms are scipy CSR matrices over the
 free dofs, and a StencilOperator acts on padded vectors.
 """
 
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -182,6 +183,39 @@ def _element_matrices(grads, c_grad, c_div, c_eps):
     return K
 
 
+@functools.lru_cache(maxsize=None)
+def _corner_plan(dim):
+    """The corner bookkeeping of _corner_pair_blocks and _form_rows, made
+    once per dimension, as (offsets, pairs, gather).
+
+    pairs lists ((row corner, col corner), k) in the order in which the
+    d! reference cells first couple the pair, with offsets[k] = col
+    corner - row corner; offsets holds the nonnegative offsets in
+    ascending linear stride, which for 0/1 vectors is lexicographic
+    order, so offsets[0] is zero. gather holds index arrays (pair,
+    type, i, j): the block of that type for that pair is K[type, i, :,
+    j, :].
+    """
+    pairs = {}
+    gather = []
+    for t, corners in enumerate(_chain_templates(dim).tolist()):
+        for i, ci in enumerate(corners):
+            for j, cj in enumerate(corners):
+                if all(a <= b for a, b in zip(ci, cj)):
+                    key = (tuple(ci), tuple(cj))
+                    gather.append((pairs.setdefault(key, len(pairs)),
+                                   t, i, j))
+    steps = [tuple(b - a for a, b in zip(*key)) for key in pairs]
+    offsets = sorted(set(steps))
+    # shared by every caller, so read-only
+    gather = np.array(gather).T
+    gather.flags.writeable = False
+    return (tuple(offsets),
+            tuple((key, offsets.index(step))
+                  for key, step in zip(pairs, steps)),
+            tuple(gather))
+
+
 def _corner_pair_blocks(dim, K):
     """Element blocks grouped by the lattice corners they couple.
 
@@ -190,19 +224,13 @@ def _corner_pair_blocks(dim, K):
     the unit cube with col corner >= row corner; type t's block is
     zero unless both corners are vertices of that cell.
     Two vertices of a Kuhn cell always differ by a 0/1 vector or its
-    negative, so these pairs cover every coupling up to symmetry.
+    negative, so these pairs cover every coupling up to symmetry. One
+    gather through _corner_plan fills all blocks.
     """
-    templates = _chain_templates(dim)
-    groups = {}
-    for t, corners in enumerate(templates):
-        for i, ci in enumerate(corners):
-            for j, cj in enumerate(corners):
-                if np.all(cj >= ci):
-                    key = (tuple(ci), tuple(cj))
-                    if key not in groups:
-                        groups[key] = np.zeros((len(templates), dim, dim))
-                    groups[key][t] = K[t, i, :, j, :]
-    return groups
+    _, pairs, (pair, t, i, j) = _corner_plan(dim)
+    blocks = np.zeros((len(pairs), K.shape[0], dim, dim))
+    blocks[pair, t] = K[t, i, :, j, :]
+    return {key: block for (key, _), block in zip(pairs, blocks)}
 
 
 def vector_p1_form_matrix(mesh, cell_weights=None, c_grad=0.0, c_div=0.0,
@@ -262,11 +290,8 @@ def _form_rows(mesh, weights, coeffs, table, planes, ncols):
     K = _element_matrices(_reference_gradients(d, n), *coeffs)
     nt = K.shape[0]
     groups = _corner_pair_blocks(d, K)
-    # nonnegative offsets in ascending linear stride; for 0/1 vectors
-    # that is lexicographic order, and offsets[0] is zero
-    offsets = sorted({tuple(np.subtract(cj, ci)) for ci, cj in groups})
-    plan = [(offsets.index(tuple(np.subtract(cj, ci))), ci,
-             blocks.reshape(nt, d * d)) for (ci, cj), blocks in groups.items()]
+    offsets, pairs, _ = _corner_plan(d)
+    plan = [(k, key[0], groups[key].reshape(nt, d * d)) for key, k in pairs]
     cube_weights = weights.reshape((n,) * d + (nt,))
 
     m = len(offsets) - 1
@@ -386,21 +411,45 @@ def _worker():
         return _row_pool
 
 
+def _sparse_kernel(M):
+    """The kernel of scipy's own M @ x for a CSR, CSC or COO matrix M,
+    csr_matvec, csc_matvec or coo_matvec, and its leading arguments (M's
+    shape or entry count, and its arrays): kernel(*head, x, out) adds
+    M @ x to out. x and out are C-ordered vectors of M's dtype; the
+    kernel sums in it."""
+    if M.format == "coo":
+        return _sparsetools.coo_matvec, (M.nnz, M.row, M.col, M.data)
+    return (getattr(_sparsetools, M.format + "_matvec"),
+            M.shape + (M.indptr, M.indices, M.data))
+
+
 def _bind_sparse(M, x, out):
     """The product out = M @ x for a CSR or CSC matrix M, as a function
     of no arguments that allocates nothing and returns out.
 
-    Runs the kernel of scipy's own M @ x, csr_matvec or csc_matvec, on
-    M's arrays. The kernels add to their output, so out is zeroed
-    first, as scipy's fresh result is; the bits are those of M @ x. x
-    and out are C-ordered vectors of M's dtype; the kernels sum in it.
+    The kernel adds to its output, so out is zeroed first, as scipy's
+    fresh result is; the bits are those of M @ x.
     """
-    kernel = getattr(_sparsetools, M.format + "_matvec")
-    args = M.shape + (M.indptr, M.indices, M.data, x, out)
+    kernel, head = _sparse_kernel(M)
+    args = head + (x, out)
 
     def product():
         out.fill(0.0)
         kernel(*args)
+        return out
+    return product
+
+
+def _sparse_product(M):
+    """x -> M @ x for a CSR, CSC or COO matrix M, without scipy's
+    dispatch: the same kernel into the same freshly zeroed vector, so
+    the same bits."""
+    kernel, head = _sparse_kernel(M)
+    rows, dtype = M.shape[0], M.dtype
+
+    def product(x):
+        out = np.zeros(rows, dtype=dtype)
+        kernel(*head, x, out)
         return out
     return product
 

@@ -2,6 +2,7 @@
 
 Each subcommand's parser declares only the flags its handler reads
 (`_build_parser`); any other flag is a usage error with exit code 2.
+The parser is built once per process, by the first `main` call.
 
 Loads files are plain text, one record per line:
 
@@ -291,6 +292,7 @@ _FLAGS = {
                       help="extra dyadic levels for the reference solve"),
 }
 
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="elastopoint",
@@ -318,9 +320,15 @@ def _build_parser():
     return parser
 
 
+# the parser of this process, built by the first main call
+_parser = None
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError,

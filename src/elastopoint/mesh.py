@@ -13,6 +13,7 @@ gradients and the barycentrics of a located point all have closed
 forms and no per-cell inverse or solve is taken.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
@@ -91,12 +92,14 @@ def _perm_parity(p):
     return inv % 2
 
 
+@functools.lru_cache(maxsize=None)
 def _chain_templates(dim):
     """Integer corner offsets of the d! simplices subdividing a unit cube.
 
     The simplex of permutation pi walks from the cube corner along the
     axes in pi-order. Odd permutations get their last two vertices
-    swapped so that every simplex is positively oriented.
+    swapped so that every simplex is positively oriented. Made once per
+    dimension and shared, so the array is read-only.
     """
     out = []
     for perm in permutations(range(dim)):
@@ -107,7 +110,9 @@ def _chain_templates(dim):
         if _perm_parity(perm):
             corners[[dim - 1, dim]] = corners[[dim, dim - 1]]
         out.append(corners)
-    return np.array(out)
+    out = np.array(out)
+    out.flags.writeable = False
+    return out
 
 
 def _lattice_strides(dim, n):

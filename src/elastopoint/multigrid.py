@@ -37,12 +37,14 @@ one worker thread when the process may run on two CPUs
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrs
 
 from .assembly import (LatticeStencil, StencilOperator, _bind_sparse,
                        _free_slots, _padded_position, _padded_size,
@@ -244,7 +246,8 @@ class VCycle:
     pre-smoothing, coarse correction through R and P, post-smoothing,
     the bottom level solved by its dense factor, through a gather of
     the free slots and a scatter back, or only smoothed. The bottom
-    solve skips scipy's finiteness check: point forces are refused
+    solve is one call of LAPACK's dpotrs, without cho_solve's wrapper
+    and finiteness check: point forces are refused
     unless finite, and cg_solve refuses a right side that is not, so
     the residuals it passes are finite. The cycle sees
     r scaled by the 2^-e that puts max |r| in [0.5, 1), rounded to its
@@ -285,14 +288,18 @@ class VCycle:
             start += 2 * m
         # per level, bound once to the buffers they read and write: at a
         # dense bottom, the free-slot views of the right side and the
-        # iterate; elsewhere the stencil products x -> q and d -> q and,
-        # where the level coarsens, R r -> bc and P xc -> q
+        # iterate and LAPACK's dpotrs on the factor, the routine that
+        # scipy's cho_solve ends in; elsewhere the stencil products
+        # x -> q and d -> q and, where the level coarsens, R r -> bc
+        # and P xc -> q
         self._bound = []
         for k, lv in enumerate(self.levels):
             (r, d, q), (b, x) = self._scratch[k], self._vectors[k]
             if lv.factor is not None:
+                factor, lower = lv.factor
                 bound = (_free_slots(b, lv.A.dim, lv.A.p),
-                         _free_slots(x, lv.A.dim, lv.A.p))
+                         _free_slots(x, lv.A.dim, lv.A.p),
+                         partial(dpotrs, factor, lower=lower))
             else:
                 bound = (lv.A.bind(x, q), lv.A.bind(d, q))
                 if lv.P is not None:
@@ -316,11 +323,10 @@ class VCycle:
         lv = self.levels[k]
         b, x = self._vectors[k]
         if lv.factor is not None:
-            b_slots, x_slots = self._bound[k]
+            b_slots, x_slots, solve = self._bound[k]
             x.fill(0.0)
-            x_slots[...] = scipy.linalg.cho_solve(
-                lv.factor, b_slots.reshape(-1), check_finite=False
-            ).reshape(x_slots.shape)
+            x_slots[...] = solve(b_slots.reshape(-1))[0].reshape(
+                x_slots.shape)
             return
         self._chebyshev(k, True)
         if lv.P is not None:

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dstevd
 
-from .assembly import build_dof_map, vector_p1_form_matrix
+from .assembly import _sparse_product, build_dof_map, vector_p1_form_matrix
 from .mesh import cell_geometry
 from .weights import WeightSpec, cell_weight_integrals
 
@@ -382,7 +383,8 @@ def weighted_pairing_demo(mesh, s, center):
     beta_C = pencil_root(vols ** 2 / w_pos, w_neg)
 
     C = _strain_pairing(mesh, vols, grads)
-    CT = C.T
+    strain = _sparse_product(C)
+    strain_t = _sparse_product(C.T)
     nX = C.shape[1]
     nsym = nX // mesh.num_cells
     dx = np.repeat(w_pos, nsym) ** -0.5
@@ -394,8 +396,7 @@ def weighted_pairing_demo(mesh, s, center):
         return _ritz_width(r, gap) <= _RITZ_RTOL * nu
 
     def largest_eigenvalue(matvec, name):
-        nu, r, gap = _largest_ritz(matvec, v0, nX, converged,
-                                   sp.identity(nX, format="csr"))
+        nu, r, gap = _largest_ritz(matvec, v0, nX, converged, None)
         if not converged(nu, r, gap):
             raise ValueError("Lanczos did not converge for %s at n=%d "
                              "(%dD)" % (name, mesh.n, mesh.dim))
@@ -409,14 +410,13 @@ def weighted_pairing_demo(mesh, s, center):
         ab[at] = values
         if not _cholesky_in_place(ab):
             raise ValueError("degenerate %s: not positive definite" % name)
-        return lambda rhs: scipy.linalg.cho_solve_banded(
-            (ab, True), rhs, check_finite=False)
+        return _band_solver(ab)
 
     S = strain_solver(w_neg, "weighted strain form S")
     tinv2 = tinv * tinv
 
     def full_inverse(b):
-        return tinv2 * (b - dx * (CT @ S(C @ (dx * (tinv2 * b)))))
+        return tinv2 * (b - dx * strain_t(S(strain(dx * (tinv2 * b)))))
 
     alpha_full = 1.0 / math.sqrt(largest_eigenvalue(full_inverse,
                                                     "alpha_full"))
@@ -426,8 +426,8 @@ def weighted_pairing_demo(mesh, s, center):
     E = strain_solver(None, "strain form E")
 
     def kernel_normal(b):
-        u = tinv * (b - dy * (CT @ E(C @ (dx * tinv * b))))
-        return tinv * (u - dx * (CT @ E(C @ (dy * tinv * u))))
+        u = tinv * (b - dy * strain_t(E(strain(dx * tinv * b))))
+        return tinv * (u - dx * strain_t(E(strain(dy * tinv * u))))
 
     alpha_kernel = 1.0 / math.sqrt(largest_eigenvalue(kernel_normal,
                                                       "alpha_kernel"))
@@ -446,33 +446,49 @@ def _band(C):
 
 def _cholesky_in_place(ab):
     """Factor the Fortran-order lower band array ab in place (LAPACK
-    pbtrf); False when the matrix it stores is not positive definite."""
-    try:
-        scipy.linalg.cholesky_banded(ab, lower=True, overwrite_ab=True,
-                                     check_finite=False)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    dpbtrf); False when the matrix it stores is not positive definite."""
+    info = dpbtrf(ab, lower=1, overwrite_ab=1)[1]
+    if info < 0:
+        raise ValueError("illegal value in argument %d of dpbtrf" % -info)
+    return info == 0
+
+
+def _band_solver(ab):
+    """rhs -> A^-1 rhs for the factor of A that _cholesky_in_place left
+    in ab (LAPACK dpbtrs), read in place."""
+    def solve(rhs):
+        x, info = dpbtrs(ab, rhs, lower=1)
+        if info:
+            raise ValueError("illegal value in argument %d of dpbtrs"
+                             % -info)
+        return x
+    return solve
 
 
 def _largest_ritz(solve, x, steps, done, gram):
     """Largest eigenvalue of T by plain Lanczos from x.
 
     T q = solve(gram q) must be self-adjoint in the inner product of the
-    sparse SPD matrix gram (the identity for the Euclidean one). Returns
-    (nu, r, gap): the largest Ritz value nu, its residual norm
+    SPD matrix gram (CSR, CSC or COO), or in the Euclidean one when gram
+    is None.
+    Returns (nu, r, gap): the largest Ritz value nu, its residual norm
     r = beta |s_last| (some eigenvalue lies within r of nu) and the gap
     nu - nu_2 to the second Ritz value (0 after one step). Three-term
     recurrence without reorthogonalization, stopped after the first step
     with done(nu, r, gap) or after min(steps, x.size) solves: lost
     orthogonality only repeats a Ritz value that has already converged
     (Paige, Linear Algebra Appl. 1980), and such a repeat closes the
-    gap.
+    gap. The Ritz pairs come from LAPACK dstevd, the driver that scipy's
+    symmetric tridiagonal eigensolver picks, with that solver's 1 x 1
+    shortcut and its refusal of a non-finite entry; the gram products
+    run scipy's own sparse kernel (_sparse_product). So the bits are
+    those of the scipy functions, without their per-call wrappers.
     """
-    gq = gram @ x
+    product = None if gram is None else _sparse_product(gram)
+    gq = x if product is None else product(x)
     norm = math.sqrt(x @ gq)
     q = x / norm
-    gq /= norm
+    gq = q if product is None else np.divide(gq, norm, out=gq)
     q_prev = np.zeros_like(q)
     beta = 0.0
     alphas = []
@@ -480,17 +496,25 @@ def _largest_ritz(solve, x, steps, done, gram):
     for j in range(min(steps, x.size)):
         w = solve(gq)
         alphas.append(gq @ w)
+        if not (math.isfinite(alphas[-1]) and math.isfinite(beta)):
+            raise ValueError("array must not contain infs or NaNs")
         w -= alphas[-1] * q + beta * q_prev
-        gw = gram @ w
+        gw = w if product is None else product(w)
         beta = math.sqrt(max(w @ gw, 0.0))
-        nu, s = scipy.linalg.eigh_tridiagonal(alphas, betas)
-        r = beta * abs(s[-1, -1])
-        gap = nu[-1] - nu[-2] if j > 0 else 0.0
-        if done(nu[-1], r, gap) or beta == 0.0:
+        if j == 0:
+            top, r, gap = alphas[0], beta, 0.0
+        else:
+            nu, s, info = dstevd(alphas, betas)
+            if info:
+                raise np.linalg.LinAlgError("dstevd failed with info %d"
+                                            % info)
+            top, r, gap = nu[-1], beta * abs(s[-1, -1]), nu[-1] - nu[-2]
+        if done(top, r, gap) or beta == 0.0:
             break
         betas.append(beta)
-        q_prev, q, gq = q, w / beta, gw / beta
-    return nu[-1], r, gap
+        q_prev, q = q, w / beta
+        gq = q if product is None else gw / beta
+    return top, r, gap
 
 
 def _ritz_width(r, gap):
@@ -547,10 +571,8 @@ def _pencil_lambda_min(E, G):
         work[g_at] -= sigma * g_values
         return _cholesky_in_place(work)
 
-    def solve(gq):
-        # work holds the factor of E - slo G
-        return scipy.linalg.cho_solve_banded((work, True), gq,
-                                             check_finite=False)
+    # work holds the factor of E - slo G whenever Lanczos solves
+    solve = _band_solver(work)
 
     def estimate(nu, r, gap):
         # (E - slo G)^-1 G has largest eigenvalue 1 / (lambda_min - slo):

@@ -46,6 +46,21 @@ class WeightSpec:
         return self.centers.shape[1]
 
 
+def _distances(pts, centers):
+    """Euclidean distances of (m, d) points to (K, d) centers, (m, K).
+
+    The squares are added one coordinate at a time, in axis order: the
+    sum that (diff * diff).sum(axis=-1) forms for d <= 3, bit for bit,
+    without the (m, K, d) difference array.
+    """
+    diff = pts[:, 0, None] - centers[:, 0]
+    sq = diff * diff
+    for k in range(1, pts.shape[1]):
+        diff = pts[:, k, None] - centers[:, k]
+        sq += diff * diff
+    return np.sqrt(sq, out=sq)
+
+
 def _eval_many(spec, pts):
     """Weight values at an (m, d) array of points.
 
@@ -53,8 +68,7 @@ def _eval_many(spec, pts):
     center (pole).
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    diff = pts[:, None, :] - spec.centers[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = _distances(pts, spec.centers)
     if spec.alpha < 0 and np.any(dist == 0.0):
         raise ValueError("weight pole: evaluation at a center with "
                          "alpha < 0")
@@ -170,9 +184,7 @@ def a2_ball_products(spec, ball_centers, radii):
 
     out = np.empty(centers.shape[0])
     for i, (c, r) in enumerate(zip(centers, radii)):
-        pts = c[None, :] + r * unit
-        diff = pts[:, None, :] - spec.centers[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
+        dist = _distances(c[None, :] + r * unit, spec.centers)
         ok = np.all(dist > 0.0, axis=1)
         if spec.alpha == 0.0:
             w = np.ones(int(ok.sum()))

@@ -10,7 +10,9 @@ full-lattice prolongations instead of a multigrid family's transfers,
 allocating expressions instead of the in-place multigrid-CG
 workspace, one assembled vertex plane instead of a tiled stencil,
 index loops instead of the plane-padded layout's views, per-line file
-writers instead of block formatting, and
+writers instead of block formatting, per-cell corner loops instead of
+the cached corner plan, scipy's wrappers instead of bound LAPACK
+routines and sparse kernels, and
 seeded Monte
 Carlo for integrals without a convenient closed form. Keep these slow
 and obvious.
@@ -24,13 +26,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from elastopoint.assembly import (CONSTRAINED, GRAD_DIV, _corner_pair_blocks,
-                                  _element_matrices, _form_rows, _interior,
-                                  _stiffness_coeffs, build_dof_map, to_free,
-                                  to_padded)
+from elastopoint.assembly import (CONSTRAINED, GRAD_DIV, _element_matrices,
+                                  _form_rows, _interior, _stiffness_coeffs,
+                                  build_dof_map, to_free, to_padded)
 from elastopoint.convergence import _l2_norm_sq_padded
-from elastopoint.mesh import (_lattice_strides, _reference_gradients,
-                              cell_volumes)
+from elastopoint.mesh import (_chain_templates, _lattice_strides,
+                              _reference_gradients, cell_volumes)
 from elastopoint.multigrid import CHEB_DEGREE, CHEB_RATIO
 from elastopoint.solver import SolveStats
 
@@ -251,6 +252,25 @@ def restrict_to_free(K_full, mesh):
     return K_full[np.ix_(full_ids, full_ids)]
 
 
+def corner_pair_blocks_loop(dim, K):
+    """{(row corner, col corner): (d!, d, d) blocks} of the element
+    matrices K of the d! reference cells, by a loop over every cell and
+    vertex pair with col corner >= row corner, keys in the order in
+    which the loop meets them; the oracle of
+    assembly._corner_pair_blocks."""
+    templates = _chain_templates(dim)
+    groups = {}
+    for t, corners in enumerate(templates):
+        for i, ci in enumerate(corners):
+            for j, cj in enumerate(corners):
+                if np.all(cj >= ci):
+                    key = (tuple(ci), tuple(cj))
+                    if key not in groups:
+                        groups[key] = np.zeros((len(templates), dim, dim))
+                    groups[key][t] = K[t, i, :, j, :]
+    return groups
+
+
 def form_matrix_fullgrid(mesh, cell_weights=None, c_grad=0.0, c_div=0.0,
                          c_eps=0.0):
     """vector_p1_form_matrix's earlier writer, over the whole lattice at once.
@@ -273,7 +293,7 @@ def form_matrix_fullgrid(mesh, cell_weights=None, c_grad=0.0, c_div=0.0,
 
     K = _element_matrices(_reference_gradients(d, n), c_grad, c_div, c_eps)
     nt = K.shape[0]
-    groups = _corner_pair_blocks(d, K)
+    groups = corner_pair_blocks_loop(d, K)
     # nonnegative offsets in ascending linear stride; for 0/1 vectors
     # that is lexicographic order, and offsets[0] is zero
     offsets = sorted({tuple(np.subtract(cj, ci)) for ci, cj in groups})
@@ -465,6 +485,37 @@ def pencil_lambda_min_bisection(E, G):
         else:
             hi = mid
     return lo
+
+
+def largest_ritz_scipy(solve, x, steps, done, gram):
+    """spectral._largest_ritz through scipy's wrappers: gram @ q for the
+    inner products (the identity matrix when gram is None) and
+    eigh_tridiagonal for the Ritz pairs. The oracle that the bound
+    LAPACK and sparse-kernel calls must reproduce bit for bit."""
+    if gram is None:
+        gram = sp.identity(x.size, format="csr")
+    gq = gram @ x
+    norm = math.sqrt(x @ gq)
+    q = x / norm
+    gq /= norm
+    q_prev = np.zeros_like(q)
+    beta = 0.0
+    alphas = []
+    betas = []
+    for j in range(min(steps, x.size)):
+        w = solve(gq)
+        alphas.append(gq @ w)
+        w -= alphas[-1] * q + beta * q_prev
+        gw = gram @ w
+        beta = math.sqrt(max(w @ gw, 0.0))
+        nu, s = scipy.linalg.eigh_tridiagonal(alphas, betas)
+        r = beta * abs(s[-1, -1])
+        gap = nu[-1] - nu[-2] if j > 0 else 0.0
+        if done(nu[-1], r, gap) or beta == 0.0:
+            break
+        betas.append(beta)
+        q_prev, q, gq = q, w / beta, gw / beta
+    return nu[-1], r, gap
 
 
 def jacobi_bound_whole_matrix(A):

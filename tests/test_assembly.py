@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,8 +27,8 @@ from elastopoint.assembly import (
 from elastopoint.mesh import build_unit_box_mesh, cell_volumes, locate_point
 from elastopoint.multigrid import _stencil_size, build_levels
 
-from oracles import (dense_form_loop, dense_stiffness_loop,
-                     form_matrix_fullgrid, free_dof_numbering, line_rows,
+from oracles import (corner_pair_blocks_loop, dense_form_loop,
+                     dense_stiffness_loop, form_matrix_fullgrid, free_dof_numbering, line_rows,
                      pad_vector, padded_positions, restrict_to_free,
                      same_bits)
 
@@ -139,6 +140,19 @@ def test_stiffness_symmetric_and_positive(dim, n):
     assert asym <= 1e-12 * abs(A).max()
     evals = np.linalg.eigvalsh(A.toarray())
     assert evals[0] > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_corner_pair_blocks_match_the_loop_oracle(dim):
+    nt = math.factorial(dim)
+    K = np.random.default_rng(dim).standard_normal(
+        (nt, dim + 1, dim, dim + 1, dim))
+    got = assembly._corner_pair_blocks(dim, K)
+    want = corner_pair_blocks_loop(dim, K)
+    # the same pairs in the same order: _form_rows sums in that order
+    assert list(got) == list(want)
+    for key, blocks in want.items():
+        assert same_bits(got[key], blocks)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 3), (2, 4), (3, 2), (3, 3)])

@@ -1,6 +1,9 @@
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -469,6 +472,43 @@ def test_argparse_rejects_unknown_usage():
         main(["converge", "--levels", "4"])  # --dim missing
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_consecutive_main_calls_print_what_fresh_processes_print(
+        tmp_path, monkeypatch, capsys):
+    # one parser serves every main call of a process; a usage error
+    # (exit 2) in between leaves it as it was
+    calls = [["converge", "--dim", "2", "--levels", "4", "8",
+              "--manufactured", "--out", "study.csv"],
+             ["korn", "--dim", "2", "--levels", "4", "--lambda", "5"],
+             ["korn", "--dim", "2", "--levels", "4", "8", "--out",
+              "korn.csv"]]
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    want = [subprocess.run([sys.executable, "-m", "elastopoint.cli"] + argv,
+                           cwd=fresh, env=env, capture_output=True,
+                           text=True)
+            for argv in calls]
+    assert [p.returncode for p in want] == [0, 2, 0]
+
+    here = tmp_path / "in_process"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    got = []
+    for argv in calls:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        got.append((rc, capsys.readouterr()))
+    assert [rc for rc, _ in got] == [0, 2, 0]
+    assert [c.out for _, c in got] == [p.stdout for p in want]
+    assert [c.err for _, c in got] == [p.stderr for p in want]
+    for name in ("study.csv", "korn.csv"):
+        assert (here / name).read_bytes() == (fresh / name).read_bytes()
 
 
 # the flags each subcommand declares; every other flag is a usage error

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from elastopoint.mesh import (
     _cell_vertices,
+    _chain_templates,
     build_unit_box_mesh,
     cell_geometry,
     cell_volumes,
@@ -301,3 +302,12 @@ def test_invalid_build_arguments():
         build_unit_box_mesh(4, 2)
     with pytest.raises(ValueError):
         build_unit_box_mesh(2, 0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_chain_templates_are_shared_and_read_only(dim):
+    templates = _chain_templates(dim)
+    assert templates is _chain_templates(dim)
+    assert templates.shape == (math.factorial(dim), dim + 1, dim)
+    with pytest.raises(ValueError, match="read-only"):
+        templates[0, 0, 0] = 1

@@ -6,8 +6,11 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from elastopoint.assembly import vector_p1_form_matrix
+from elastopoint.assembly import (LameParams, PointLoadSet,
+                                  vector_p1_form_matrix)
+from elastopoint.convergence import _solve_level
 from elastopoint.mesh import build_unit_box_mesh, cell_geometry
+from elastopoint.multigrid import build_levels
 from elastopoint import spectral
 from elastopoint.spectral import (
     InfSupReport,
@@ -27,9 +30,11 @@ from elastopoint.weights import WeightSpec, cell_weight_integrals
 from oracles import (
     free_dof_numbering,
     infsup_oracle,
+    largest_ritz_scipy,
     pencil_lambda_min_bisection,
     pencil_lambda_min_oracle,
     random_report_instance,
+    same_bits,
     theorem31_oracle,
 )
 
@@ -519,20 +524,75 @@ def test_infsup_pencil_search_equals_bisection(dim, n, s, center):
 
 @pytest.mark.parametrize("dim,n,alpha", [(2, 32, None), (3, 8, 1.0)])
 def test_pencil_search_factorization_count(monkeypatch, dim, n, alpha):
-    # the plain bisection factors 52 or 53 times
+    # the plain bisection factors 52 or 53 times; the count is of the
+    # LAPACK routine the search calls, so a search that stopped calling
+    # it would fail the lower bound
     _, _, E, G = _korn_pencil(dim, n, alpha)
     calls = []
-    factor = scipy.linalg.cholesky_banded
+    factor = spectral.dpbtrf
 
     def counted(*args, **kwargs):
         calls.append(1)
         return factor(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", counted)
+    monkeypatch.setattr(spectral, "dpbtrf", counted)
     lam = _pencil_lambda_min(E, G)
     monkeypatch.undo()
-    assert len(calls) <= 20
+    assert 1 <= len(calls) <= 20
     assert lam == pencil_lambda_min_bisection(E, G)
+
+
+def test_diagnostics_and_vcycle_call_no_scipy_solver_wrapper(monkeypatch):
+    # the banded factor and solves, the tridiagonal eigensolve and the
+    # V-cycle's dense bottom call their LAPACK routines directly
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError("scipy.linalg.%s was called" % name)
+        return call
+
+    for name in ("cholesky_banded", "cho_solve_banded", "eigh_tridiagonal",
+                 "cho_solve"):
+        monkeypatch.setattr(scipy.linalg, name, refused(name))
+    mesh = build_unit_box_mesh(2, 8)
+    assert 1.0 <= discrete_korn_constant(mesh) <= math.sqrt(2.0)
+    assert discrete_korn_constant(
+        mesh, WeightSpec([[0.5, 0.5]], 1.0)) > 1.0
+    assert 1.0 <= discrete_korn_constant(
+        build_unit_box_mesh(3, 4)) <= math.sqrt(2.0)
+    rep = weighted_pairing_demo(build_unit_box_mesh(2, 4), 0.5, [0.5, 0.5])
+    assert 0.0 < rep.alpha_A_kernel <= rep.alpha_A_full + 1e-10
+    levels = build_levels(2, 16, LameParams(1.0, 1.0))
+    assert levels[-2].factor is not None
+    _, _, stats = _solve_level(
+        levels, PointLoadSet([[0.5, 0.5]], [[1.0, 0.0]]), 1e-10, None)
+    assert stats.converged
+
+
+@pytest.mark.parametrize("dim,n", [(2, 4), (2, 8), (2, 16), (3, 4)])
+def test_largest_ritz_matches_the_scipy_wrapper_oracle(monkeypatch, dim, n):
+    # every Lanczos of the Korn pencils (weighted and not) and of the
+    # inf-sup demo, and its one-step truncation, against the same
+    # Lanczos through scipy's wrappers, on the same operator
+    ritz = spectral._largest_ritz
+    compared = []
+
+    def checked(solve, x, steps, done, gram):
+        got = ritz(solve, x, steps, done, gram)
+        for cap in (steps, 1):
+            want = largest_ritz_scipy(solve, x, cap, done, gram)
+            have = got if cap == steps else ritz(solve, x, cap, done, gram)
+            assert same_bits(np.array(have), np.array(want))
+        compared.append(gram is None)
+        return got
+
+    monkeypatch.setattr(spectral, "_largest_ritz", checked)
+    mesh = build_unit_box_mesh(dim, n)
+    center = [0.5] * dim
+    discrete_korn_constant(mesh)
+    discrete_korn_constant(mesh, WeightSpec([center], 1.0))
+    weighted_pairing_demo(mesh, 0.5, center)
+    # one or more per pencil (two Korn, two demo betas), one per alpha
+    assert compared.count(True) == 2 and compared.count(False) >= 4
 
 
 def test_pencil_search_holds_only_the_band_arrays():

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastopoint.convergence import l2_norm_sq_p1
 from elastopoint.mesh import build_unit_box_mesh, cell_volumes
 from elastopoint import weights
 from elastopoint.weights import (
     WeightSpec,
+    _distances,
     _eval_many,
     a2_ball_products,
     cell_weight_integrals,
@@ -245,3 +248,30 @@ def test_a2_estimator_validation():
         default_ball_family(2, [0.5, 0.5], count=0)
     with pytest.raises(ValueError):
         default_ball_family(2, [0.5, 0.5, 0.5])
+
+
+@st.composite
+def _points_and_centers(draw):
+    """d in {2, 3}, K in {1, 2, 3} centers, and points of which some sit
+    on a center."""
+    dim = draw(st.sampled_from([2, 3]))
+    coords = st.floats(-2.0, 3.0, allow_nan=False)
+    centers = np.array(draw(st.lists(
+        st.lists(coords, min_size=dim, max_size=dim), min_size=1,
+        max_size=3)))
+    points = draw(st.lists(st.lists(coords, min_size=dim, max_size=dim),
+                           min_size=1, max_size=6))
+    points += [list(centers[k]) for k in draw(st.lists(
+        st.integers(0, len(centers) - 1), max_size=3))]
+    return np.array(points), centers
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_points_and_centers())
+def test_distances_have_the_bits_of_the_summed_squares(case):
+    pts, centers = case
+    diff = pts[:, None, :] - centers[None, :, :]
+    want = np.sqrt((diff * diff).sum(axis=-1))
+    got = _distances(pts, centers)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
