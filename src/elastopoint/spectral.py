@@ -478,7 +478,7 @@ def _largest_ritz(solve, x, steps, done, gram):
     with done(nu, r, gap) or after min(steps, x.size) solves: lost
     orthogonality only repeats a Ritz value that has already converged
     (Paige, Linear Algebra Appl. 1980), and such a repeat closes the
-    gap. The Ritz pairs come from LAPACK dstevd, the driver that scipy's
+    gap. The Ritz pairs come from LAPACK dstevd, the routine that scipy's
     symmetric tridiagonal eigensolver picks, with that solver's 1 x 1
     shortcut and its refusal of a non-finite entry; the gram products
     run scipy's own sparse kernel (_sparse_product). So the bits are
