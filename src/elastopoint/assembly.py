@@ -15,12 +15,12 @@ vertex planes at a time. The CSR arrays are the only allocation of
 the matrix's size, so a form peaks at about 1.5 times the matrix it
 returns, and the slab length does not change a single bit of it.
 The unweighted stiffness is the same at every interior vertex, so a
-LatticeStencil reads the rows of one vertex from the same slab writer
-and tiles them over any mesh of the family as a StencilOperator, whose
-products equal the matrix's bit for bit; the multigrid solve uses it
-and assembles no matrix. Its large products split their rows across
-two threads on a host that gives the process two CPUs, with the same
-bits as on one.
+LatticeStencil takes one vertex's blocks at the Kuhn shifts straight
+from the slab writer's, with no dof table or matrix, and tiles them
+over any mesh of the family as a StencilOperator, whose products equal
+the matrix's bit for bit; the multigrid solve uses it and assembles no
+matrix. Its large products split their rows across two threads on a
+host that gives the process two CPUs, with the same bits as on one.
 
 Free degrees of freedom are the (vertex, component) pairs of the
 interior (n-1)^d sub-lattice, vertex-major with the component inner.
@@ -43,8 +43,8 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .mesh import (_cell_vertices, _cell_volume, _chain_templates,
-                   _lattice_strides, _reference_gradients, cell_volumes,
-                   locate_point)
+                   _kuhn_shifts, _lattice_strides, _reference_gradients,
+                   cell_volumes, locate_point)
 from .quadrature import simplex_rule
 
 CONSTRAINED = -1
@@ -185,7 +185,7 @@ def _element_matrices(grads, c_grad, c_div, c_eps):
 
 @functools.lru_cache(maxsize=None)
 def _corner_plan(dim):
-    """The corner bookkeeping of _corner_pair_blocks and _form_rows, made
+    """The corner bookkeeping of _corner_pair_blocks and _slab_setup, made
     once per dimension, as (offsets, pairs, gather).
 
     pairs lists ((row corner, col corner), k) in the order in which the
@@ -275,31 +275,37 @@ def vector_p1_form_matrix(mesh, cell_weights=None, c_grad=0.0, c_div=0.0,
                       build_dof_map(mesh), mesh.n - 1, n_free)
 
 
-def _form_rows(mesh, weights, coeffs, table, planes, ncols):
-    """CSR of a form's rows at the interior vertex planes 1 .. planes.
-
-    The slab writer of vector_p1_form_matrix. table is the column
-    number of each (vertex, component), CONSTRAINED where the column is
-    dropped, with a row for each vertex of planes 0 .. planes + 1 at
-    least; coeffs are (c_grad, c_div, c_eps). The rows are
-    numbered as the free dofs of those planes. Each entry sums the same
-    terms in the same order whatever the slab length and whatever
-    table, so a column kept by two tables holds the same value.
-    """
-    d, n = mesh.dim, mesh.n
+def _slab_setup(d, n, weights, coeffs):
+    """(cube weights, plan, offsets), the arguments of _slab_blocks for a
+    form on the mesh of size n. weights is one per cell or one for all;
+    plan lists (offset index, row corner, (d!, d*d) element blocks) per
+    corner pair of _corner_plan."""
     K = _element_matrices(_reference_gradients(d, n), *coeffs)
-    nt = K.shape[0]
+    nt = len(K)
     groups = _corner_pair_blocks(d, K)
     offsets, pairs, _ = _corner_plan(d)
     plan = [(k, key[0], groups[key].reshape(nt, d * d)) for key, k in pairs]
-    cube_weights = weights.reshape((n,) * d + (nt,))
+    cells = np.broadcast_to(weights, (n ** d * nt,))
+    return cells.reshape((n,) * d + (nt,)), plan, offsets
 
-    m = len(offsets) - 1
-    strides = _lattice_strides(d, n)
-    steps = np.array(offsets[:0:-1] + offsets, dtype=np.int64) @ strides
-    steps[:m] *= -1
+
+def _form_rows(mesh, weights, coeffs, table, planes, ncols):
+    """CSR of a form's rows at the interior vertex planes 1 .. planes.
+
+    The slab writer of vector_p1_form_matrix. table, the column number
+    of each (vertex, component) or CONSTRAINED where the column is
+    dropped, with a row for each vertex of planes 0 .. planes + 1 at
+    least, places the blocks at the shifts _kuhn_shifts(d); coeffs are
+    (c_grad, c_div, c_eps). The rows are numbered as the free dofs of
+    those planes. Each entry sums the same terms in the same order
+    whatever the slab length and whatever table, so a column kept by
+    two tables holds the same value.
+    """
+    d, n = mesh.dim, mesh.n
+    setup = _slab_setup(d, n, weights, coeffs)
+    steps = np.array(_kuhn_shifts(d)) @ _lattice_strides(d, n)
     plane = (n - 1) ** (d - 1)
-    width = (2 * m + 1) * d
+    width = len(steps) * d
     nrows = planes * plane * d
     bound = nrows * width
     itype = np.int32 if bound < 2 ** 31 else np.int64
@@ -315,7 +321,7 @@ def _form_rows(mesh, weights, coeffs, table, planes, ncols):
     step = max(1, _SLAB_VERTICES // plane)
     for lo in range(1, planes + 1, step):
         hi = min(lo + step, planes + 1)
-        vals = _slab_blocks(cube_weights, plan, offsets, lo, hi)
+        vals = _slab_blocks(*setup, lo, hi)
         verts = lattice[(slice(lo, hi),) + _interior(mesh)[1:]].reshape(-1)
         cols = table[verts[:, None] + steps[None, :]][:, None]
         keep = (vals != 0.0) & (cols >= 0)
@@ -339,10 +345,10 @@ def _slab_blocks(cube_weights, plan, offsets, lo, hi):
 
     Returns the (rows, d, 2m + 1, d) array of vector_p1_form_matrix's
     slab: row (v, a), column block m + k holds the block (v, v +
-    offsets[k]) and m - k the transpose of (v - offsets[k], v). The
-    window adds plane lo-1 and reads the cubes lo-1 .. hi-1; plane lo-1
-    gets only the blocks from cube plane lo-1, which are all that the
-    blocks towards plane lo need.
+    offsets[k]) and m - k the transpose of (v - offsets[k], v), so block
+    j is at the shift _kuhn_shifts(d)[j]. The window adds plane lo-1 and
+    reads the cubes lo-1 .. hi-1; plane lo-1 gets only the blocks from
+    cube plane lo-1, which are all that the blocks towards plane lo need.
     """
     n = cube_weights.shape[0]
     d = cube_weights.ndim - 1
@@ -454,15 +460,6 @@ def _sparse_product(M):
     return product
 
 
-def _pencil_shifts(dim):
-    """The shifts of the padded axes (all lattice axes but the last)
-    between two vertices of one cell, in lexicographic order: 3 in 2D,
-    7 in 3D. Two vertices of a Kuhn cell differ by a 0/1 vector or its
-    negative, so no shift mixes signs."""
-    return [t for t in product((-1, 0, 1), repeat=dim - 1)
-            if not min(t) < 0 < max(t)]
-
-
 def _layout(dim, p):
     """(margin, run) of the pencil-padded layout with p interior
     vertices per axis: the zero entries before the first line, and the
@@ -484,13 +481,6 @@ def _shift_offset(dim, p, shift):
     for k in range(dim - 1):
         offset = offset + shift[..., k] * (p + 1) ** (dim - 2 - k)
     return offset
-
-
-def _padded_position(dim, p, vertex, comp):
-    """Where free dof (vertex, comp) sits in a padded vector; vertex is
-    an (..., dim) array of interior coordinates, 0 .. p-1."""
-    margin, run = _layout(dim, p)
-    return margin + comp * run + _shift_offset(dim, p, vertex)
 
 
 def _free_slots(x, dim, p):
@@ -539,7 +529,7 @@ class StencilOperator:
     the tiles of one vertex's stencil along the line. Block k is the
     d p x d p CSR block of the columns on the line shifted by
     shifts[k] in the padded axes, rows and columns numbered (i, c) as
-    the line's dofs; the blocks are in lexicographic shift order, so a
+    the line's dofs; shifts is _kuhn_shifts(d - 1), so a
     row's blocks and then their columns come in the order of the
     assembled row's columns. The blocks share data and indices;
     indptr[k] holds block k's row pointers into them, so data, indices
@@ -571,7 +561,7 @@ class StencilOperator:
         self.margin, self.run = _layout(dim, p)
         size = _padded_size(dim, p)
         self.shape = (size, size)
-        self.shifts = _pencil_shifts(dim)
+        self.shifts = _kuhn_shifts(dim - 1)
         # where each block's view of x starts, and the pad slots of a
         # (rows, p+1, ..., p+1) view of the rows
         self._starts = [int(self.margin + _shift_offset(dim, p, t + (0,)))
@@ -710,14 +700,13 @@ class LatticeStencil:
     """The GRAD_DIV stiffness rows of one interior lattice vertex.
 
     All cells have one volume, so every interior vertex carries the
-    same d x d blocks towards its 3^d lattice neighbours, and they
-    scale by h^(d-2). The rows are read once, from _form_rows on the
-    first interior plane of mesh (n0 = mesh.n >= 4), with a dof table
-    of vertex planes 0, 1 and 2 alone and the one cell volume
-    broadcast, at the vertex floor(n0/2) in every axis, whose
-    neighbours are all free. Each row keeps its stored entries, none of
-    which is zero, in column order, which is the lexicographic order of
-    the lattice shift and then the component.
+    same d x d blocks towards its neighbours at the shifts
+    _kuhn_shifts(d), and they scale by h^(d-2). They are read once, at
+    size n0 >= 4, from _slab_blocks on the first interior plane with
+    the one cell volume broadcast: the (d, 2^(d+1) - 1, d) blocks of
+    the vertex floor(n0/2) in every other axis; no mesh, dof table or
+    matrix is made. A row's entries come in column order, by shift and
+    then column component, and its zero entries are not stored.
 
     operator(m) tiles the rows along the lattice lines of the mesh of
     size m, scaled by (n0/m)^(d-2): an exact power of two when m / n0
@@ -727,64 +716,32 @@ class LatticeStencil:
     with their columns on the line shifted by shifts[k], bit for bit.
     """
 
-    def __init__(self, mesh, params):
-        d, n0 = mesh.dim, mesh.n
-        q = n0 - 1
-        pd = d * q ** (d - 1)
-        # the rows of plane 1 reach no column beyond plane 2
-        table = np.full((3,) + (n0 + 1,) * (d - 1) + (d,), CONSTRAINED,
-                        dtype=np.int64)
-        table[(slice(None),) + _interior(mesh)[1:]] = np.arange(
-            3 * pd).reshape((3,) + (q,) * (d - 1) + (d,))
-        W = _form_rows(mesh, np.broadcast_to(_cell_volume(mesh),
-                                             (mesh.num_cells,)),
-                       _stiffness_coeffs(params, GRAD_DIV),
-                       table.reshape(-1, d), 1, 3 * pd)
-        centre = n0 // 2 - 1
-        # in-plane vertex number of the centre, its interior coordinates
-        # all equal to centre
-        v0 = sum(centre * q ** k for k in range(d - 1))
+    def __init__(self, dim, n0, params):
+        d, centre = dim, n0 // 2 - 1
+        setup = _slab_setup(d, n0, _cell_volume(d, n0),
+                            _stiffness_coeffs(params, GRAD_DIV))
+        # of the blocks of the first interior plane, the centre vertex's
+        rows = _slab_blocks(*setup, 1, 2).reshape(
+            (n0 - 1,) * (d - 1) + (d, -1, d))[(centre,) * (d - 1)]
+        shifts = np.array(_kuhn_shifts(d))
         self.dim, self.n0 = d, n0
-        # per row component a: the shift of the padded axes as the
-        # balanced ternary number sum_k t_k 3^(d-2-k), and the last-axis
-        # shift, column component b and value of each stored entry
-        ternary = 3 ** np.arange(d - 2, -1, -1)
-        rows = []
-        for a in range(d):
-            lo, hi = W.indptr[v0 * d + a], W.indptr[v0 * d + a + 1]
-            plane, col = np.divmod(W.indices[lo:hi].astype(np.int64), pd)
-            vert, b = np.divmod(col, d)
-            shift = np.column_stack(
-                (plane - 1,) + np.unravel_index(vert, (q,) * (d - 1)))
-            shift[:, 1:] -= centre
-            rows.append((shift[:, :-1] @ ternary, shift[:, -1], b,
-                         W.data[lo:hi]))
-        # per block: the (d, width) last-axis offsets, column components,
-        # values and stored flags of its entries, padded to one width
-        # for all a
+        # per shift t of the padded axes: the last-axis offsets, column
+        # components, values and stored flags of the row entries at t,
+        # (d, width) each, in the rows' column order
         self.blocks = []
-        for t in _pencil_shifts(d):
-            key = np.dot(t, ternary)
-            parts = [tuple(x[code == key] for x in (off, b, v))
-                     for code, off, b, v in rows]
-            width = max(len(part[2]) for part in parts)
-            offset = np.zeros((d, width), dtype=np.int64)
-            comp = np.zeros((d, width), dtype=np.int64)
-            val = np.zeros((d, width))
-            stored = np.zeros((d, width), dtype=bool)
-            for a, (off, c, v) in enumerate(parts):
-                k = len(v)
-                offset[a, :k], comp[a, :k], val[a, :k] = off, c, v
-                stored[a, :k] = True
-            self.blocks.append((offset, comp, val, stored))
+        for t in _kuhn_shifts(d - 1):
+            at = np.flatnonzero((shifts[:, :-1] == t).all(axis=1))
+            val = rows[:, at].reshape(d, -1)
+            offset = np.broadcast_to(np.repeat(shifts[at, -1], d), val.shape)
+            comp = np.broadcast_to(np.tile(np.arange(d), len(at)), val.shape)
+            self.blocks.append((offset, comp, val, val != 0.0))
 
     def operator(self, m):
         """The StencilOperator of the mesh of size m."""
         d, p = self.dim, m - 1
-        shifts = _pencil_shifts(d)
         if p < 1:
             return StencilOperator(d, 0, np.zeros(0), np.zeros(0, np.int32),
-                                   np.zeros((len(shifts), 1), np.int32))
+                                   np.zeros((len(self.blocks), 1), np.int32))
         scale = (self.n0 / m) ** (d - 2)
         line = np.arange(p)
         data, indices, counts = [], [], []
@@ -795,7 +752,7 @@ class LatticeStencil:
             data.append(np.broadcast_to(val * scale, keep.shape)[keep])
             indices.append((nb * d + comp[None])[keep].astype(np.int32))
             counts.append(keep.reshape(d * p, -1).sum(axis=1))
-        indptr = np.zeros((len(shifts), d * p + 1), dtype=np.int32)
+        indptr = np.zeros((len(self.blocks), d * p + 1), dtype=np.int32)
         np.cumsum(counts, axis=1, out=indptr[:, 1:])
         indptr[1:] += indptr[:-1, -1:].cumsum(axis=0)
         return StencilOperator(d, p, np.concatenate(data),

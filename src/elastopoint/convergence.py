@@ -117,7 +117,7 @@ def _l2_norm_sq_padded(mesh, x):
     for s, count in sorted(pairs.items()):
         k = _shift_offset(d, p, s)
         total += count * float(x[:-k] @ x[k:])
-    return 2.0 * total * _cell_volume(mesh) / ((d + 1) * (d + 2))
+    return 2.0 * total * _cell_volume(d, mesh.n) / ((d + 1) * (d + 2))
 
 
 def l2_error_nested(levels, u_level, u_ref):
@@ -175,6 +175,8 @@ def eoc(errors, hs):
         raise ValueError("errors must be positive for rate computation")
     if any(h <= 0.0 for h in hs):
         raise ValueError("mesh sizes must be positive")
+    if any(a == b for a, b in zip(hs, hs[1:])):
+        raise ValueError("consecutive mesh sizes must differ")
     return [log(errors[i - 1] / errors[i]) / log(hs[i - 1] / hs[i])
             for i in range(1, len(errors))]
 

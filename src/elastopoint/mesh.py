@@ -115,6 +115,15 @@ def _chain_templates(dim):
     return out
 
 
+def _kuhn_shifts(k):
+    """The 2^(k+1) - 1 shifts in {-1, 0, 1}^k that do not mix signs, in
+    lexicographic order: on any k lattice axes, the shifts between two
+    vertices of one Kuhn cell, which differ by a 0/1 vector or its
+    negative."""
+    return [t for t in product((-1, 0, 1), repeat=k)
+            if not min(t) < 0 < max(t)]
+
+
 def _lattice_strides(dim, n):
     return np.array([(n + 1) ** (dim - 1 - k) for k in range(dim)],
                     dtype=np.int64)
@@ -149,7 +158,7 @@ def build_unit_box_mesh(dim, n):
     dim : int
         2 or 3.
     n : int
-        Cells per side, at least 1.
+        Cells per side, an integral value of at least 1.
 
     Returns
     -------
@@ -157,9 +166,9 @@ def build_unit_box_mesh(dim, n):
     """
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3, got %r" % (dim,))
-    n = int(n)
-    if n < 1:
+    if not (float(n) >= 1 and float(n).is_integer()):
         raise ValueError("n must be a positive integer, got %r" % (n,))
+    n = int(n)
 
     grid = np.arange(n + 1, dtype=float) / n
     # one allocation: the coordinates are broadcast views until stacked
@@ -186,14 +195,14 @@ def _reference_gradients(dim, n):
     return grads
 
 
-def _cell_volume(mesh):
-    """The volume that every cell has, 1/(d! n^d)."""
-    return 1.0 / (factorial(mesh.dim) * mesh.n ** mesh.dim)
+def _cell_volume(dim, n):
+    """The volume that every cell of the mesh of size n has, 1/(d! n^d)."""
+    return 1.0 / (factorial(dim) * n ** dim)
 
 
 def cell_volumes(mesh):
     """Volumes of all cells, shape (nc,); all equal 1/(d! n^d)."""
-    return np.full(mesh.num_cells, _cell_volume(mesh))
+    return np.full(mesh.num_cells, _cell_volume(mesh.dim, mesh.n))
 
 
 def cell_geometry(mesh):

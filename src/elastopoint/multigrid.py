@@ -4,18 +4,19 @@ The meshes at n, n/2, n/4, ... are nested, so the P1 prolongation P
 between neighbouring sizes is exact, and the rediscretized coarse
 stiffness equals the Galerkin product P^T A_fine P. P is the same
 stencil at every fine vertex, so each level writes its restriction
-R = P^T straight into CSR and uses its transpose view as P. Every
-level's operator is rediscretized by tiling one vertex's stiffness
-stencil (assembly.LatticeStencil), read once per family and scaled by
-an exact power of two per level, the structured-block operator of
-hierarchical hybrid grids (Bergen, Gradl, Hulsemann and Rude, Comput.
-Sci. Eng. 2006); no level is assembled and no sparse triple product
-is formed. Vectors, R and P are pencil-padded (the layout is defined
-by assembly.to_padded): every lattice axis but the last is padded, so
-the neighbouring lines of a lattice line along the last axis are
-views of x at fixed offsets, and an operator's product is one
-csr_matvecs call per shift of the padded axes (3 in 2D, 7 in 3D) on
-runs of n^(d-1) values, which copies nothing. The V-cycle
+R = P^T straight into CSR, from a strided view of the fine free slots
+and the Kuhn shifts, and uses its transpose view as P. Every level's
+operator is rediscretized by tiling one vertex's stiffness blocks
+(assembly.LatticeStencil), read once per family from the slab blocks
+and scaled by an exact power of two per level, the structured-block
+operator of hierarchical hybrid grids (Bergen, Gradl, Hulsemann and
+Rude, Comput. Sci. Eng. 2006); no level is assembled and no sparse
+triple product is formed. Vectors, R and P are pencil-padded (the
+layout is defined by assembly.to_padded): every lattice axis but the
+last is padded, so the neighbouring lines of a lattice line along the
+last axis are views of x at fixed offsets, and an operator's product
+is one csr_matvecs call per shift of the padded axes (3 in 2D, 7 in
+3D) on runs of n^(d-1) values, which copies nothing. The V-cycle
 smooths with Chebyshev-Jacobi polynomials (Adams, Brezina, Hu and
 Tuminaro, "Parallel multigrid smoothing: polynomial versus
 Gauss-Seidel", J. Comput. Phys. 2003) and preconditions CG. It runs in
@@ -38,7 +39,6 @@ one worker thread when the process may run on two CPUs
 
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -47,9 +47,8 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrs
 
 from .assembly import (LatticeStencil, StencilOperator, _bind_sparse,
-                       _free_slots, _padded_position, _padded_size,
-                       _shift_offset, to_padded)
-from .mesh import Mesh, build_unit_box_mesh
+                       _free_slots, _padded_size, _shift_offset, to_padded)
+from .mesh import Mesh, _kuhn_shifts, build_unit_box_mesh
 
 # Chebyshev-Jacobi smoother: polynomial degree, and the smoothed part
 # [lmax / CHEB_RATIO, lmax] of the spectrum of D^-1 A
@@ -103,32 +102,30 @@ def _restriction(fine, coarse):
     pencil-padded vectors.
 
     Fine lattice vertex 2J + t is the midpoint of the coarse Kuhn edge
-    from J to J + t whenever t = +-s with s in {0, 1}^d, so coarse dof
-    (J, c) collects fine dof (2J, c) with weight 1 and (2J +- s, c) with
-    weight 1/2 for the 2^d - 1 non-zero s: 7 entries per row in 2D, 15
-    in 3D, all on interior fine vertices, in ascending order of their
-    free-dof numbers, which is the order of the transpose of the free
-    rows and columns of the lattice prolongation. The rows are the
-    coarse padded positions (a zero slot has no entry) and the columns
-    the fine padded positions of those dofs, stored in that order, not
-    sorted; the weights are float32, which holds them exactly.
+    from J to J + t for each nonzero t of _kuhn_shifts(d), so coarse
+    dof (J, c) collects fine dof (2J, c) with weight 1 and (2J + t, c)
+    with weight 1/2: 7 entries per row in 2D, 15 in 3D, all on interior
+    fine vertices. The rows are the coarse padded positions (a zero
+    slot has no entry). The fine padded positions of the (2J, c) are a
+    strided view of the fine free slots, in coarse padded order after
+    one moveaxis, and a row's columns add the offsets of the shifts to
+    them in shift order: on a fine interior lattice at least 3 wide
+    (fine n >= 4), the ascending order of their free-dof numbers, which
+    is the order of the transpose of the free rows and columns of the
+    lattice prolongation, not sorted by padded position. The weights
+    are float32, which holds them exactly.
     """
     d = fine.dim
     p, fp = coarse.n - 1, fine.n - 1
-    # the t = +-s have no two entries of opposite sign; product lists
-    # them lexicographically, which on a fine interior lattice at least
-    # 3 wide (fine n >= 4) is the ascending order of their shifts
-    offsets = np.array([t for t in product((-1, 0, 1), repeat=d)
-                        if not min(t) < 0 < max(t)])
-    weights = np.where(offsets.any(axis=1), 0.5, 1.0).astype(np.float32)
-    # the coarse free dofs in the order of their padded positions: line
-    # row (i, c), then the padded coordinates (j_0 .. j_{d-2}); their
-    # interior vertices J, and the fine padded positions of (2J + t, c)
-    grid = np.indices((p, d) + (p,) * (d - 1)).reshape(d + 1, -1)
-    twice = 2 * np.concatenate([grid[2:], grid[:1]]).T + 1
-    cols = (_padded_position(d, fp, twice, grid[1])[:, None]
-            + [_shift_offset(d, fp, t) for t in offsets])
-    counts = to_padded(coarse, np.full(d * p ** d, len(offsets), np.int32))
+    shifts = np.array(_kuhn_shifts(d))
+    weights = np.where(shifts.any(axis=1), 0.5, 1.0).astype(np.float32)
+    # coarse interior vertex J is fine interior vertex 2J + 1; coarse
+    # padded order is last axis, component, then the padded axes
+    centres = _free_slots(np.arange(_padded_size(d, fp)), d, fp)[
+        (slice(1, None, 2),) * d]
+    cols = (np.moveaxis(centres, (d - 1, d), (0, 1)).reshape(-1, 1)
+            + _shift_offset(d, fp, shifts))
+    counts = to_padded(coarse, np.full(d * p ** d, len(shifts), np.int32))
     indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int32)])
     return sp.csr_matrix((np.tile(weights, d * p ** d),
                           cols.reshape(-1).astype(np.int32), indptr),
@@ -154,7 +151,7 @@ def build_levels(dim, n, params):
     level coarsens (holds R, and P as R's transpose view) when its n is
     even and above 2. Every level's operator is tiled from one
     LatticeStencil, read at the size _stencil_size(n), so the family
-    assembles no level and _form_rows runs once. cycle_A, inv_diag and
+    assembles no level and meshes no size outside it. cycle_A, inv_diag and
     R are stored in float32, once per family, so the V-cycle runs in
     float32 and rounds nothing per solve. No level holds a cell table or
     a second copy of a transfer matrix. lambda / mu above
@@ -172,9 +169,7 @@ def build_levels(dim, n, params):
         if meshes[-1].n % 2:
             break
         m = meshes[-1].n // 2
-    n0 = _stencil_size(n)
-    base = next((mesh for mesh in meshes if mesh.n == n0), None)
-    stencil = LatticeStencil(base or build_unit_box_mesh(dim, n0), params)
+    stencil = LatticeStencil(dim, _stencil_size(n), params)
 
     levels = []
     for k, mesh in enumerate(meshes):

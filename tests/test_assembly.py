@@ -24,7 +24,8 @@ from elastopoint.assembly import (
     to_padded,
     vector_p1_form_matrix,
 )
-from elastopoint.mesh import build_unit_box_mesh, cell_volumes, locate_point
+from elastopoint.mesh import (_kuhn_shifts, build_unit_box_mesh, cell_volumes,
+                              locate_point)
 from elastopoint.multigrid import _stencil_size, build_levels
 
 from oracles import (corner_pair_blocks_loop, dense_form_loop,
@@ -227,9 +228,7 @@ def test_slab_length_does_not_change_the_matrix(dim, n, weighted,
 
 def _operator(dim, n, params):
     """The level operator of size n, tiled from its family's stencil."""
-    stencil = LatticeStencil(build_unit_box_mesh(dim, _stencil_size(n)),
-                             params)
-    return stencil.operator(n)
+    return LatticeStencil(dim, _stencil_size(n), params).operator(n)
 
 
 # the stencil is read at n0 = 4, 5, 6 or an odd n >= 7 and tiled over
@@ -243,6 +242,13 @@ def test_tiled_rows_equal_the_plane_rows(dim, n, lam):
     params = LameParams(1.0, lam)
     _same_line_rows(_operator(dim, n, params),
                     line_rows(build_unit_box_mesh(dim, n), params))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_operator_shifts_are_the_kuhn_shifts_of_the_padded_axes(dim):
+    op = LatticeStencil(dim, 4, LameParams(1.0, 1.0)).operator(8)
+    assert op.shifts == _kuhn_shifts(dim - 1)
+    assert len(op.shifts) == op.indptr.shape[0]
 
 
 def _same_line_rows(op, W):
@@ -266,11 +272,12 @@ def _same_line_rows(op, W):
         assert np.array_equal(block.indptr, ref.indptr)
 
 
-# at 3D n0=63 the rows were read through a dof table of the whole
-# lattice and every cell's volume: 39.3 MB at peak (tracemalloc); with
-# a table of three planes and one broadcast volume, 16.7 MB, most of it
-# the slab writer's blocks and CSR bound of one 62 x 62 vertex plane
-STENCIL_PEAK_BYTES_63 = 20_000_000
+# at 3D n0=63 the blocks read straight from _slab_blocks on the first
+# interior plane peak at 9.9 MB (tracemalloc): the slab's window of
+# half blocks (4.7 MB) and the blocks of the 62 x 62 vertex plane
+# (4.2 MB). Reading them as CSR rows of a three-plane dof table through
+# _form_rows peaks at 16.7 MB, so the bound holds the direct read
+STENCIL_PEAK_BYTES_63 = 12_000_000
 
 
 def test_stencil_read_at_a_large_odd_size_keeps_its_bits_in_little_memory():
@@ -278,7 +285,7 @@ def test_stencil_read_at_a_large_odd_size_keeps_its_bits_in_little_memory():
     params = LameParams(1.0, 50.0)
     tracemalloc.start()
     try:
-        stencil = LatticeStencil(mesh, params)
+        stencil = LatticeStencil(3, 63, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -233,6 +233,14 @@ def test_eoc_hand_values():
         eoc([1.0, 0.5], [1.0, -0.5])
 
 
+def test_eoc_refuses_equal_consecutive_mesh_sizes():
+    # the rate's denominator log(h_{i-1}/h_i) would be zero
+    with pytest.raises(ValueError, match="must differ"):
+        eoc([1.0, 0.5], [0.25, 0.25])
+    with pytest.raises(ValueError, match="must differ"):
+        eoc([1.0, 0.5, 0.25], [1.0, 0.5, 0.5])
+
+
 def test_manufactured_study_hits_second_order():
     params = LameParams(1.0, 1.0)
     report = run_convergence_study(2, [4, 8, 16], params,

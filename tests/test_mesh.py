@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from elastopoint.mesh import (
     _cell_vertices,
     _chain_templates,
+    _kuhn_shifts,
     build_unit_box_mesh,
     cell_geometry,
     cell_volumes,
@@ -302,6 +303,34 @@ def test_invalid_build_arguments():
         build_unit_box_mesh(4, 2)
     with pytest.raises(ValueError):
         build_unit_box_mesh(2, 0)
+
+
+@pytest.mark.parametrize("n", [2.5, 4.000001, float("nan"), np.float64(0.5)])
+def test_non_integral_n_is_refused_not_truncated(n):
+    with pytest.raises(ValueError, match="positive integer"):
+        build_unit_box_mesh(2, n)
+
+
+@pytest.mark.parametrize("n", [3, 3.0, np.int32(3), np.int64(3),
+                               np.float64(3.0)])
+def test_integral_n_of_any_numeric_type_builds_the_mesh(n):
+    mesh = build_unit_box_mesh(2, n)
+    assert mesh.n == 3 and type(mesh.n) is int
+    assert mesh.num_vertices == 16
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kuhn_shifts_are_the_vertex_differences_of_one_cell(dim):
+    templates = _chain_templates(dim)
+    diffs = (templates[:, :, None] - templates[:, None, :]).reshape(-1, dim)
+    assert set(_kuhn_shifts(dim)) == set(map(tuple, diffs.tolist()))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kuhn_shifts_are_sorted_and_counted(k):
+    shifts = _kuhn_shifts(k)
+    assert shifts == sorted(shifts)
+    assert len(set(shifts)) == len(shifts) == 2 ** (k + 1) - 1
 
 
 @pytest.mark.parametrize("dim", [2, 3])
