@@ -25,7 +25,6 @@ from .spectral import (InfSupReport, discrete_infsup,
                        theorem31_report, weighted_pairing_demo,
                        weighted_pairing_matrices)
 from .weights import (WeightSpec, a2_ball_products, cell_weight_integrals,
-                      default_ball_family, estimate_a2,
-                      weighted_h1_seminorm_sq)
+                      default_ball_family, estimate_a2)
 
 __version__ = "0.1.0"

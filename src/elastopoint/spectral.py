@@ -20,7 +20,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dstevd
 
-from .assembly import _sparse_product, build_dof_map, vector_p1_form_matrix
+from .assembly import (_sparse_kernel, _sparse_product, build_dof_map,
+                       vector_p1_form_matrix)
 from .mesh import cell_geometry
 from .weights import WeightSpec, cell_weight_integrals
 
@@ -43,6 +44,12 @@ _DENSE_PEAK_ARRAYS = 9
 # the few eps around lambda_min in which banded Cholesky success is not
 # monotone in the shift
 _REPLAY_WIDTH = 1e-13
+# least relative distance of the closing trials from the Lanczos
+# estimate, which lands from 12 eps below to 37 eps above lambda_min on
+# the tests' pencils; with 16 eps one of them (2D n=12, alpha=-1.9) put
+# a trial where Cholesky success is not monotone, and the result left
+# the plain bisection's
+_TRIAL_MARGIN = 32 * np.finfo(float).eps
 # Lanczos solves per factorization that succeeded, at most
 _LANCZOS_STEPS = 24
 # relative width at which the Lanczos of the two coercivity
@@ -404,10 +411,10 @@ def weighted_pairing_demo(mesh, s, center):
 
     def strain_solver(weights, name):
         # banded Cholesky factor of a strain form, factored in place
-        at, values, b = _band(vector_p1_form_matrix(mesh, weights,
-                                                    c_eps=1.0))
-        ab = np.zeros((b + 1, mesh.num_free_dofs), order="F")
-        ab[at] = values
+        diag, col, values = _band(vector_p1_form_matrix(mesh, weights,
+                                                        c_eps=1.0))
+        ab = np.zeros((diag.max() + 1, mesh.num_free_dofs), order="F")
+        ab[diag, col] = values
         if not _cholesky_in_place(ab):
             raise ValueError("degenerate %s: not positive definite" % name)
         return _band_solver(ab)
@@ -435,13 +442,16 @@ def weighted_pairing_demo(mesh, s, center):
 
 
 def _band(C):
-    """Lower triangle of the symmetric sparse matrix C in LAPACK lower
-    band storage, as (at, values, b): ab[at] = values writes it into an
-    ab of shape (b + 1, N), ab[i - j, j] = C[i, j] for j <= i <= j + b."""
-    C = C.tocoo()
-    keep = C.row >= C.col
-    at = (C.row[keep] - C.col[keep], C.col[keep])
-    return at, C.data[keep], int(at[0].max())
+    """Lower triangle of the symmetric sparse matrix C, which holds no
+    duplicate entries, for LAPACK lower band storage: (diag, col,
+    values) with ab[diag, col] = values for ab[i - j, j] = C[i, j],
+    j <= i. Read from C's CSR arrays, with int32 indices."""
+    C = sp.csr_matrix(C)
+    rows = np.repeat(np.arange(C.shape[0], dtype=np.int32),
+                     np.diff(C.indptr))
+    keep = rows >= C.indices
+    col = C.indices[keep].astype(np.int32, copy=False)
+    return rows[keep] - col, col, C.data[keep]
 
 
 def _cholesky_in_place(ab):
@@ -481,15 +491,24 @@ def _largest_ritz(solve, x, steps, done, gram):
     gap. The Ritz pairs come from LAPACK dstevd, the routine that scipy's
     symmetric tridiagonal eigensolver picks, with that solver's 1 x 1
     shortcut and its refusal of a non-finite entry; the gram products
-    run scipy's own sparse kernel (_sparse_product). So the bits are
-    those of the scipy functions, without their per-call wrappers.
+    run scipy's own sparse kernel (_sparse_kernel) into a zeroed vector.
+    So the bits are those of the scipy functions, without their per-call
+    wrappers; a step allocates only the vector that solve returns.
     """
-    product = None if gram is None else _sparse_product(gram)
-    gq = x if product is None else product(x)
+    if gram is None:
+        gq = x
+    else:
+        kernel, head = _sparse_kernel(gram)
+        gq = np.zeros_like(x)
+        kernel(*head, x, gq)
+        gw = np.empty_like(x)
     norm = math.sqrt(x @ gq)
     q = x / norm
-    gq = q if product is None else np.divide(gq, norm, out=gq)
+    gq = q if gram is None else np.divide(gq, norm, out=gq)
+    # each step writes alpha q + beta q_prev, gram w and w / beta into
+    # these buffers, with the rounding of the allocating expressions
     q_prev = np.zeros_like(q)
+    step = np.empty_like(q)
     beta = 0.0
     alphas = []
     betas = []
@@ -498,8 +517,14 @@ def _largest_ritz(solve, x, steps, done, gram):
         alphas.append(gq @ w)
         if not (math.isfinite(alphas[-1]) and math.isfinite(beta)):
             raise ValueError("array must not contain infs or NaNs")
-        w -= alphas[-1] * q + beta * q_prev
-        gw = w if product is None else product(w)
+        np.multiply(alphas[-1], q, out=step)
+        step += np.multiply(beta, q_prev, out=q_prev)
+        w -= step
+        if gram is None:
+            gw = w
+        else:
+            gw.fill(0.0)
+            kernel(*head, w, gw)
         beta = math.sqrt(max(w @ gw, 0.0))
         if j == 0:
             top, r, gap = alphas[0], beta, 0.0
@@ -512,8 +537,8 @@ def _largest_ritz(solve, x, steps, done, gram):
         if done(top, r, gap) or beta == 0.0:
             break
         betas.append(beta)
-        q_prev, q = q, w / beta
-        gq = q if product is None else gw / beta
+        q_prev, q = q, np.divide(w, beta, out=q_prev)
+        gq = q if gram is None else np.divide(gw, beta, out=gq)
     return top, r, gap
 
 
@@ -536,39 +561,49 @@ def _pencil_lambda_min(E, G):
     vector), and stops at relative width 4 eps; the result is its lower
     end, the largest sigma seen to factor.
 
-    That result is found with 9-13 factorizations instead of the
-    bisection's 52, in two phases that move a bracket [slo, shi] only
-    by factorizations: slo to a sigma that factored, shi to one that did
-    not (or h0).
+    That result is found with 7-11 factorizations instead of the
+    bisection's 52 (8.95 on average over the tests' 211 pencils), in
+    two phases that move a bracket [slo, shi] only by factorizations:
+    slo to a sigma that factored, shi to one that did not (or h0).
     1. Proposals. After each factorization that succeeds, Lanczos
        solves with its factor (_largest_ritz in the G inner product,
        at most _LANCZOS_STEPS of them) give an estimate theta
        of lambda_min and an error err. The next trials step down from
-       theta by 2 err, growing 8-fold while they fail; once err is
-       below _REPLAY_WIDTH / 8 relative, theta (1 + _REPLAY_WIDTH / 4)
-       is tried first for a failure. This ends at relative width
-       _REPLAY_WIDTH.
+       theta by max(2 err, _TRIAL_MARGIN theta), growing 8-fold while
+       they fail; once err is below _REPLAY_WIDTH / 8 relative, theta
+       plus that step is tried first for a failure. This ends at
+       relative width _REPLAY_WIDTH, normally with slo and shi that
+       step away from theta.
     2. Replay. The bisection runs from [0, h0], counting a midpoint at
        or below slo as factored and one at or above shi as not, and
-       factors only the midpoints in between (about 7).
+       factors only the midpoints in between (about 5).
     Cholesky success is monotone in sigma except within a few eps of
     lambda_min (at most 2 eps in a scan sigma = lambda (1 + k eps),
     |k| <= 1500, of 2D n=32 and 3D n=8 pencils, weighted and not), and
-    the proposals normally end with slo and shi about _REPLAY_WIDTH / 4
-    away from it, so the replay returns the plain bisection's result
-    bit for bit (tests/oracles.py keeps the plain bisection).
-    Only the work array, the lower triangles of E and G and a few
-    vectors are held; the solves use the factor in place.
+    the closing trials stay _TRIAL_MARGIN or more from theta, so the
+    replay returns the plain bisection's result bit for bit on every
+    tested pencil (tests/oracles.py keeps the plain bisection).
+    Only the work array, the lower triangles of E and G (int32 flat
+    band positions and values) and a few vectors are held; the solves
+    use the factor in place.
     """
-    e_at, e_values, e_b = _band(E)
-    g_at, g_values, g_b = _band(G)
-    # Fortran order, so LAPACK factors work in place
-    work = np.empty((max(e_b, g_b) + 1, E.shape[0]), order="F")
+    e_diag, e_col, e_values = _band(E)
+    g_diag, g_col, g_values = _band(G)
+    width = int(max(e_diag.max(), g_diag.max())) + 1
+    size = E.shape[0]
+    # flat positions in a Fortran-order (width, size) band, for LAPACK;
+    # check_band_size keeps width * size below 2^27, so int32 holds them
+    e_pos = e_col * width + e_diag
+    g_pos = g_col * width + g_diag
+    del e_diag, e_col, g_diag, g_col
+    band = np.empty(width * size)
+    work = band.reshape(size, width).T
 
     def spd(sigma):
-        work.fill(0.0)
-        work[e_at] = e_values
-        work[g_at] -= sigma * g_values
+        # the zeroing also clears the fill-in of the last factor
+        band.fill(0.0)
+        band[e_pos] = e_values
+        band[g_pos] -= sigma * g_values
         return _cholesky_in_place(work)
 
     # work holds the factor of E - slo G whenever Lanczos solves
@@ -594,10 +629,10 @@ def _pencil_lambda_min(E, G):
     while shi - slo > _REPLAY_WIDTH * shi:
         theta, err = estimate(*_largest_ritz(solve, start, _LANCZOS_STEPS,
                                              converged, G))
+        step = max(2.0 * err, _TRIAL_MARGIN * theta)
         trial = None
         if err <= 0.125 * _REPLAY_WIDTH * theta:
-            trial = theta * (1.0 + 0.25 * _REPLAY_WIDTH)
-        step = max(2.0 * err, 0.25 * _REPLAY_WIDTH * theta)
+            trial = theta + step
         while shi - slo > _REPLAY_WIDTH * shi:
             if trial is None:
                 trial = theta - step
@@ -632,7 +667,7 @@ def discrete_korn_constant(mesh, spec=None):
     banded Cholesky factor exactly when sigma lies below lambda_min.
     _pencil_lambda_min returns the result of bisecting to a relative
     width of 4 eps, with Lanczos estimates from each successful factor
-    choosing the trial shifts, in 9-13 factorizations instead of 52;
+    choosing the trial shifts, in 7-11 factorizations instead of 52;
     every point of the final bracket is certified by a factorization
     that succeeded (below) or failed (above). The same path serves
     every mesh size and repeated calls return identical values.

@@ -21,19 +21,23 @@ and obvious.
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.integrate import IntegrationWarning, quad
 
 from elastopoint.assembly import (CONSTRAINED, GRAD_DIV, _element_matrices,
                                   _form_rows, _interior, _stiffness_coeffs,
                                   build_dof_map, to_free, to_padded)
 from elastopoint.convergence import _l2_norm_sq_padded
 from elastopoint.mesh import (_chain_templates, _lattice_strides,
-                              _reference_gradients, cell_volumes)
+                              _reference_gradients, cell_geometry,
+                              cell_volumes)
 from elastopoint.multigrid import CHEB_DEGREE, CHEB_RATIO
 from elastopoint.solver import SolveStats
+from elastopoint.weights import cell_weight_integrals
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +82,69 @@ def centered_ball_a2_product(dim, alpha):
     so the product is d^2 / ((d + alpha)(d - alpha)) for any radius.
     """
     return dim * dim / ((dim + alpha) * (dim - alpha))
+
+
+def a2_ball_product_grid(weight_center, alpha, ball_center, radius, m):
+    """mean(w) * mean(1/w) for w = |x - weight_center|^alpha over one
+    ball, on the nodes of an m^d midpoint grid of its bounding cube that
+    lie in the ball; a node on the weight center is left out. The
+    error falls like a power of 1/m, slowly for |alpha| near d."""
+    center = np.asarray(weight_center, dtype=float)
+    axis = (np.arange(m) + 0.5) / m * 2.0 - 1.0
+    unit = np.stack(np.meshgrid(*[axis] * center.size, indexing="ij"),
+                    axis=-1).reshape(-1, center.size)
+    pts = np.asarray(ball_center, dtype=float) + radius * unit[
+        (unit * unit).sum(axis=1) <= 1.0]
+    dist = np.linalg.norm(pts - center, axis=1)
+    w = dist[dist > 0.0] ** alpha
+    return float(w.mean() * (1.0 / w).mean())
+
+
+def disc_power_mean_polar(t, beta):
+    """Mean of |x|^beta over the unit disc centered at distance t from
+    the origin, by polar coordinates about the origin: the ray at angle
+    theta from the disc's center crosses the circle at
+    t cos(theta) -+ sqrt(1 - t^2 sin^2(theta)), and its radial integral
+    of r^(beta + 1) is closed; scipy's adaptive quad does the angle,
+    split at the right angle, where the ray's length changes fastest
+    when the origin lies just inside the circle."""
+    def ray(theta):
+        mid = t * math.cos(theta)
+        half = math.sqrt(max(1.0 - (t * math.sin(theta)) ** 2, 0.0))
+        # the crossings multiply to t^2 - 1: the one of smaller modulus
+        # is taken from the other, which has no cancellation
+        if mid >= 0.0:
+            far = mid + half
+            near = (t - 1.0) * (t + 1.0) / far if t > 1.0 else 0.0
+        else:
+            far = (1.0 - t) * (1.0 + t) / (half - mid)
+            near = 0.0
+        return (far ** (beta + 2) - near ** (beta + 2)) / (beta + 2)
+
+    if t > 1.0:
+        pieces = [(0.0, math.asin(1.0 / t))]
+    else:
+        pieces = [(0.0, math.pi / 2), (math.pi / 2, math.pi)]
+    with warnings.catch_warnings():
+        # near the circle quad reports roundoff before reaching 1e-12;
+        # its result there is within 3e-14 of a 30-digit quadrature
+        warnings.simplefilter("ignore", IntegrationWarning)
+        total = sum(quad(ray, lo, hi, limit=400, epsabs=0.0,
+                         epsrel=1e-12)[0] for lo, hi in pieces)
+    return 2.0 * total / math.pi
+
+
+def weighted_h1_seminorm_sq(mesh, field, spec):
+    """int rho_alpha |grad v_h|^2 dx; the gradient is cellwise constant."""
+    vals = np.asarray(field, dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    if vals.shape[0] != mesh.num_vertices:
+        raise ValueError("field must carry one value set per vertex")
+    _, grads = cell_geometry(mesh)
+    gv = np.einsum("xia,xic->xca", grads, vals[mesh.cells])
+    gnorm2 = (gv * gv).sum(axis=(1, 2))
+    return float(gnorm2 @ cell_weight_integrals(mesh, spec))
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,15 @@ from elastopoint.weights import (
     cell_weight_integrals,
     default_ball_family,
     estimate_a2,
-    weighted_h1_seminorm_sq,
 )
 
 from oracles import (
+    a2_ball_product_grid,
     box_integral_affine_squared,
     centered_ball_a2_product,
+    disc_power_mean_polar,
     mc_box_integral,
+    weighted_h1_seminorm_sq,
 )
 
 
@@ -203,23 +205,117 @@ def test_ball_products_at_least_one(alpha):
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_centered_ball_product_analytic(monkeypatch, dim, alpha):
     # ball centered at the weight center: product d^2/((d+a)(d-a))
-    spec = WeightSpec([np.full(dim, 0.5)], alpha)
+    center = np.full(dim, 0.5)
     exact = centered_ball_a2_product(dim, alpha)
-    got = a2_ball_products(spec, [np.full(dim, 0.5)], [0.2])[0]
-    assert abs(got - exact) / exact < 5e-2
+    got = a2_ball_products(WeightSpec([center], alpha), [center], [0.2])[0]
+    assert abs(got - exact) <= 1e-13 * exact
     if dim == 2:
+        # two equal centers make the same weight but keep the sampled
+        # means, which refine toward the exact product
+        twice = WeightSpec([center, center], alpha)
+        coarse = a2_ball_products(twice, [center], [0.2])[0]
+        assert abs(coarse - exact) / exact < 5e-2
         monkeypatch.setattr(weights, "_A2_POINTS_PER_AXIS", 160)
-        fine = a2_ball_products(spec, [np.full(dim, 0.5)], [0.2])[0]
+        fine = a2_ball_products(twice, [center], [0.2])[0]
         assert abs(fine - exact) / exact < 1e-2
-        assert abs(fine - exact) < abs(got - exact)
+        assert abs(fine - exact) < abs(coarse - exact)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("dim,alpha", [(2, a) for a in (
+    -1.99, -1.9, -1.5, -1.0, -0.3, 0.3, 1.0, 1.5, 1.9, 1.99)] + [(3, a) for a in (
+    -2.99, -2.5, -2.0, -1.9, -1.0, 0.3, 1.0, 1.9, 2.0, 2.5, 2.99)])
+def test_centered_ball_product_is_exact_across_alpha(dim, alpha):
+    # any radius, and a ball center 1e-9 radii off the weight center,
+    # whose means differ from the centered d / (d +- alpha) by O(1e-18);
+    # the closed form keeps them to roundoff through expm1
+    center = np.full(dim, 0.5)
+    exact = centered_ball_a2_product(dim, alpha)
+    balls = [center, center, center + 1e-10 * np.eye(dim)[0]]
+    got = a2_ball_products(WeightSpec([center], alpha), balls,
+                           [1e-3, 0.4, 0.1])
+    assert np.all(np.abs(got - exact) <= 1e-13 * exact)
+    means = weights._unit_ball_means(dim, np.array([0.0, 1e-9]))
+    for beta in (alpha, -alpha):
+        assert np.allclose(means(beta), dim / (dim + beta), rtol=1e-13,
+                           atol=0.0)
+
+
+_OFF_CENTER_BALLS = [
+    # (distance of the weight center in radii, direction): inside, on
+    # the sphere and outside the ball, along an axis and off the axes
+    pytest.param(0.5, "axis", id="inside-axis"),
+    pytest.param(0.5, "oblique", id="inside-oblique"),
+    pytest.param(1.0, "axis", id="sphere-axis"),
+    pytest.param(1.0, "oblique", id="sphere-oblique"),
+    pytest.param(2.0, "axis", id="outside-axis"),
+    pytest.param(2.0, "oblique", id="outside-oblique"),
+]
+
+
+@pytest.mark.parametrize("alpha", [1.0, -1.0])
+@pytest.mark.parametrize("t,direction", _OFF_CENTER_BALLS)
+@pytest.mark.parametrize("dim,m,tol", [(2, 400, 2.5e-3), (3, 60, 1e-3)])
+def test_off_center_ball_products_match_a_fine_grid(dim, m, tol, t,
+                                                    direction, alpha):
+    # the grid's error at these sizes is at most 1.4e-3 (2D) and
+    # 3.3e-4 (3D) relative
+    center = np.array([0.41, 0.57, 0.63][:dim])
+    if direction == "axis":
+        e = np.eye(dim)[dim - 1]
+    else:
+        e = np.array([0.6, 0.8] if dim == 2 else [0.48, 0.6, 0.64])
+    ball = center + 0.3 * t * e
+    got = a2_ball_products(WeightSpec([center], alpha), [ball], [0.3])[0]
+    want = a2_ball_product_grid(center, alpha, ball, 0.3, m)
+    assert abs(got - want) <= tol * want
+
+
+@pytest.mark.parametrize("beta", [-1.99, -1.9, -1.0, 1.0, 1.9])
+@pytest.mark.parametrize("t", [0.3, 0.999, 1.0 - 1e-9, 1.0, 1.0 + 1e-9,
+                               1.001, 3.0])
+def test_disc_means_near_the_circle_match_polar_quadrature(t, beta):
+    # a weight center near the circle makes the flux integrand
+    # near-singular: a trapezoid rule of 128 points on the circle is off
+    # by 16% at t = 0.99 and beta = -1.9
+    means = weights._unit_ball_means(2, np.array([t]))
+    want = disc_power_mean_polar(t, beta)
+    assert abs(means(beta)[0] - want) <= 1e-11 * want
+
+
+def test_ball_products_scale_with_the_radius_ratio():
+    # the product depends on the distance-to-radius ratio alone; every
+    # ball center is exact in binary, so the ratios are equal bit for bit
+    spec = WeightSpec([[0.25, 0.5, 0.75]], -2.0)
+    ratio = np.array([0.0, 0.25, 0.5, 1.0, 2.0])[:, None]
+    products = [a2_ball_products(spec, spec.centers + radius * ratio * [
+        [0.0, 0.0, 1.0]], np.full(5, radius)) for radius in (2.0**-10, 8.0)]
+    assert np.array_equal(products[0], products[1])
+    assert np.all(np.isfinite(products[0])) and np.all(products[0] >= 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
 def test_single_center_duality(alpha):
-    centers, radii = default_ball_family(2, [0.3, 0.6])
-    plus = estimate_a2(WeightSpec([[0.3, 0.6]], alpha), centers, radii)
-    minus = estimate_a2(WeightSpec([[0.3, 0.6]], -alpha), centers, radii)
-    assert abs(plus - minus) / plus < 1e-12
+    # the product of the means of w and 1/w is the same product for -alpha
+    for dim, focus in ((2, [0.3, 0.6]), (3, [0.3, 0.6, 0.45])):
+        centers, radii = default_ball_family(dim, focus)
+        plus = estimate_a2(WeightSpec([focus], alpha), centers, radii)
+        minus = estimate_a2(WeightSpec([focus], -alpha), centers, radii)
+        assert abs(plus - minus) <= 1e-14 * plus
+    three = WeightSpec([[0.3, 0.6, 0.45]], 0.0)
+    assert estimate_a2(three, *default_ball_family(3, [0.5] * 3)) == 1.0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3]), st.floats(-0.999, 0.999),
+       st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+       st.floats(0.05, 1.0))
+def test_ball_products_are_at_least_one_on_random_balls(dim, fraction, coords,
+                                                       radius):
+    # Cauchy-Schwarz: mean(w) mean(1/w) >= 1 on every ball
+    spec = WeightSpec([coords[:dim]], dim * fraction)
+    ball = np.array(coords[dim:2 * dim])
+    prods = a2_ball_products(spec, [ball, coords[:dim]], [radius, radius])
+    assert np.all(prods >= 1.0 - 1e-12)
 
 
 def test_ball_family_layout():
