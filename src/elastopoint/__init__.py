@@ -1,16 +1,15 @@
 """P1 finite elements for linear elasticity with Dirac point forces.
 
-Structured simplicial meshes of the unit box, dual-form stiffness
-assembly, deterministic multigrid-preconditioned CG, Muckenhoupt
-power-weight utilities, discrete inf-sup/Korn diagnostics, and a
-nested-reference convergence harness with a CLI front end.
+Structured simplicial meshes of the unit box, stiffness assembly,
+deterministic multigrid-preconditioned CG, Muckenhoupt power-weight
+utilities, discrete inf-sup/Korn diagnostics, and a nested-reference
+convergence harness with a CLI front end.
 """
 
-from .assembly import (CONSTRAINED, EPS_DIV, GRAD_DIV, LameParams,
-                       PointLoadSet, assemble_point_load,
-                       assemble_smooth_load, assemble_stiffness,
-                       build_dof_map, from_free, point_load_nodal, to_free,
-                       vector_p1_form_matrix)
+from .assembly import (CONSTRAINED, LameParams, PointLoadSet,
+                       assemble_point_load, assemble_smooth_load,
+                       assemble_stiffness, build_dof_map, from_free,
+                       point_load_nodal, to_free, vector_p1_form_matrix)
 from .convergence import (ConvergenceReport, ManufacturedSolution,
                           ReportRow, StudyError, eoc, l2_error_nested,
                           l2_error_quadrature, l2_norm_sq_p1,

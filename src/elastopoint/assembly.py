@@ -1,12 +1,12 @@
 """Vector P1 assembly for the elasticity forms and load vectors.
 
-The stiffness matrix comes in two algebraically equal flavours on the
-zero-trace space,
+The stiffness matrix is the grad-div form
 
-    GRAD_DIV:  mu (grad u, grad v) + (mu + lambda) (div u, div v)
-    EPS_DIV:   2 mu (eps(u), eps(v)) + lambda (div u, div v)
+    mu (grad u, grad v) + (mu + lambda) (div u, div v),
 
-both built from one parametrized cellwise kernel. All element
+which equals 2 mu (eps(u), eps(v)) + lambda (div u, div v) on the
+zero-trace space; every form, weighted or not, comes from one
+parametrized cellwise kernel (vector_p1_form_matrix). All element
 integrands are cellwise constant for P1, so assembly is exact. The
 kernel is evaluated only on the d! reference cells of the Kuhn
 lattice; cells scale it by their volume or weight, and the sums are
@@ -48,9 +48,6 @@ from .mesh import (_cell_vertices, _cell_volume, _chain_templates,
 from .quadrature import simplex_rule
 
 CONSTRAINED = -1
-
-GRAD_DIV = "GRAD_DIV"
-EPS_DIV = "EPS_DIV"
 
 # interior vertices per slab of the CSR writer _form_rows, rounded down
 # to whole vertex planes along the first axis (at least one). Its
@@ -381,22 +378,18 @@ def _slab_blocks(cube_weights, plan, offsets, lo, hi):
     return vals.reshape(-1, d, 2 * m + 1, d)
 
 
-def _stiffness_coeffs(params, form):
-    """(c_grad, c_div, c_eps) of the stiffness in the given form."""
-    if form == GRAD_DIV:
-        return params.mu, params.mu + params.lam, 0.0
-    if form == EPS_DIV:
-        return 0.0, params.lam, 2.0 * params.mu
-    raise ValueError("form must be GRAD_DIV or EPS_DIV, got %r" % (form,))
+def _stiffness_coeffs(params):
+    """(c_grad, c_div, c_eps) of the grad-div stiffness."""
+    return params.mu, params.mu + params.lam, 0.0
 
 
-def assemble_stiffness(mesh, params, form=GRAD_DIV):
-    """Elasticity stiffness on free dofs in either algebraic form.
+def assemble_stiffness(mesh, params):
+    """Grad-div elasticity stiffness on free dofs.
 
     Returns an empty 0 x 0 matrix when the mesh has no interior
     vertices (n_free = 0); that is a signal, not an error.
     """
-    return vector_p1_form_matrix(mesh, None, *_stiffness_coeffs(params, form))
+    return vector_p1_form_matrix(mesh, None, *_stiffness_coeffs(params))
 
 
 def _cpus():
@@ -523,7 +516,7 @@ def from_padded(mesh, x):
 
 
 class StencilOperator:
-    """A level's GRAD_DIV stiffness on the pencil-padded layout.
+    """A level's grad-div stiffness on the pencil-padded layout.
 
     The rows of every lattice line along the last axis are the same:
     the tiles of one vertex's stencil along the line. Block k is the
@@ -697,7 +690,7 @@ class StencilOperator:
 
 
 class LatticeStencil:
-    """The GRAD_DIV stiffness rows of one interior lattice vertex.
+    """The grad-div stiffness rows of one interior lattice vertex.
 
     All cells have one volume, so every interior vertex carries the
     same d x d blocks towards its neighbours at the shifts
@@ -719,7 +712,7 @@ class LatticeStencil:
     def __init__(self, dim, n0, params):
         d, centre = dim, n0 // 2 - 1
         setup = _slab_setup(d, n0, _cell_volume(d, n0),
-                            _stiffness_coeffs(params, GRAD_DIV))
+                            _stiffness_coeffs(params))
         # of the blocks of the first interior plane, the centre vertex's
         rows = _slab_blocks(*setup, 1, 2).reshape(
             (n0 - 1,) * (d - 1) + (d, -1, d))[(centre,) * (d - 1)]

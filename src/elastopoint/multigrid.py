@@ -67,7 +67,7 @@ class GridLevel:
     """One size of the nested family and its multigrid data.
 
     Vectors are pencil-padded (assembly.to_padded defines the layout).
-    mesh and the GRAD_DIV stiffness A are what a solve at this size
+    mesh and the grad-div stiffness A are what a solve at this size
     needs. A is a float64 StencilOperator: the stencil tiles of one
     lattice line, not the matrix, and its products equal the assembled
     stiffness's bit for bit. cycle_A is A with its data rounded to

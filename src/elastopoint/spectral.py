@@ -28,8 +28,8 @@ from .weights import WeightSpec, cell_weight_integrals
 # relative singular-value cutoff for rank decisions
 RANK_RTOL = 1e-10
 
-# the most memory the dense oracle (_check_dense_size) or the band
-# storage of a Korn or inf-sup pencil (check_band_size) may need
+# the most memory the dense oracle or the band storage of a Korn or
+# inf-sup pencil (check_band_size) may need; _check_memory refuses both
 _MEMORY_LIMIT_BYTES = 2 * 1024**3
 
 # peak of weighted_pairing_matrices followed by theorem31_report in
@@ -183,8 +183,8 @@ def theorem31_report(A, B, C, G_X, G_Y, G_M, G_Q):
         raise ValueError("B must have %d columns, got %s" % (nY, B.shape))
     if C.shape[1] != nX:
         raise ValueError("C must have %d columns, got %s" % (nX, C.shape))
-    _check_dense_size(max(nX, nY), "theorem31_report on a %d x %d pairing"
-                      % (nY, nX))
+    _check_memory(_DENSE_PEAK_ARRAYS, max(nX, nY) ** 2, "theorem31_report "
+                  "on a %d x %d pairing" % (nY, nX), "dense arrays")
 
     beta_B = discrete_infsup(B, G_Y, G_M)
     beta_C = discrete_infsup(C, G_X, G_Q)
@@ -236,26 +236,29 @@ def _sym_tensor_basis(d):
     return np.array(basis)
 
 
-def _check_dense_size(nX, what):
-    """Refuse dense work on nX x nX arrays above the memory limit.
-
-    Raises ValueError naming `what` and the estimate in MB.
-    """
-    need = _DENSE_PEAK_ARRAYS * 8 * nX * nX
+def _check_memory(arrays, size, what, storage):
+    """Refuse work on `arrays` float64 arrays of `size` entries each,
+    the dense arrays or band storage that `what` needs, above the
+    memory limit. Returns the estimate in bytes; raises ValueError
+    naming `what` and the estimate in MB when it exceeds the limit."""
+    need = arrays * 8 * size
     if need > _MEMORY_LIMIT_BYTES:
-        raise ValueError("%s needs about %d MB of dense arrays, above the "
-                         "%d MB limit" % (what, need // 2**20,
-                                          _MEMORY_LIMIT_BYTES // 2**20))
+        raise ValueError("%s needs about %d MB of %s, above the %d MB "
+                         "limit" % (what, need // 2**20, storage,
+                                    _MEMORY_LIMIT_BYTES // 2**20))
+    return need
 
 
 def check_band_size(dim, n):
     """Refuse a Korn or inf-sup level whose banded pencil would not fit.
 
-    _pencil_lambda_min holds three (b + 1) x N float64 band arrays over
-    the N = d m^d free dofs, m = n - 1. The free dofs run vertex by
-    vertex over the interior lattice (C order, component inner), and
-    the farthest coupling is the strain form's: component d-1 of the
-    vertex across the cube diagonal (1, ..., 1) against component 0, so
+    The pencil search and the inf-sup demo hold one (b + 1) x N float64
+    band array at a time over the N = d m^d free dofs, m = n - 1; the
+    estimate charges three, a margin that fixes the admitted range at
+    2D n <= 282 and 3D n <= 25. The free dofs run vertex by vertex over
+    the interior lattice (C order, component inner), and the farthest
+    coupling is the strain form's: component d-1 of the vertex across
+    the cube diagonal (1, ..., 1) against component 0, so
     b = d (1 + m + ... + m^(d-1)) + d - 1 (b = d - 1 when m = 1).
     Returns the estimate in bytes; raises ValueError naming the level
     and the estimate in MB when it exceeds the limit.
@@ -263,13 +266,8 @@ def check_band_size(dim, n):
     m = n - 1
     diagonal = sum(m ** k for k in range(dim)) if m > 1 else 0
     band = dim * diagonal + dim - 1
-    need = 3 * 8 * (band + 1) * dim * max(m, 0) ** dim
-    if need > _MEMORY_LIMIT_BYTES:
-        raise ValueError("level n=%d (%dD) needs about %d MB of band "
-                         "storage, above the %d MB limit"
-                         % (n, dim, need // 2**20,
-                            _MEMORY_LIMIT_BYTES // 2**20))
-    return need
+    return _check_memory(3, (band + 1) * dim * max(m, 0) ** dim,
+                         "level n=%d (%dD)" % (n, dim), "band storage")
 
 
 def _demo_weights(mesh, s, center):
@@ -335,9 +333,9 @@ def weighted_pairing_matrices(mesh, s, center):
     weighted_pairing_demo on small meshes.
     """
     nsym = mesh.dim * (mesh.dim + 1) // 2
-    _check_dense_size(mesh.num_cells * nsym,
-                      "dense weighted pairing at n=%d (%dD)"
-                      % (mesh.n, mesh.dim))
+    _check_memory(_DENSE_PEAK_ARRAYS, (mesh.num_cells * nsym) ** 2,
+                  "dense weighted pairing at n=%d (%dD)" % (mesh.n, mesh.dim),
+                  "dense arrays")
     vols, grads, w_pos, w_neg = _demo_weights(mesh, s, center)
     B = _strain_pairing(mesh, vols, grads).toarray()
     G_X = np.diag(np.repeat(w_pos, nsym))
@@ -381,13 +379,10 @@ def weighted_pairing_demo(mesh, s, center):
     check_band_size(mesh.dim, mesh.n)
     vols, grads, w_pos, w_neg = _demo_weights(mesh, s, center)
 
-    def pencil_root(eps_weights, grad_weights):
-        E = vector_p1_form_matrix(mesh, eps_weights, c_eps=1.0)
-        G = vector_p1_form_matrix(mesh, grad_weights, c_grad=1.0)
-        return math.sqrt(_pencil_lambda_min(E, G))
-
-    beta_B = pencil_root(vols ** 2 / w_neg, w_pos)
-    beta_C = pencil_root(vols ** 2 / w_pos, w_neg)
+    beta_B = math.sqrt(_pencil_lambda_min(
+        *_korn_pencil(mesh, vols ** 2 / w_neg, w_pos)))
+    beta_C = math.sqrt(_pencil_lambda_min(
+        *_korn_pencil(mesh, vols ** 2 / w_pos, w_neg)))
 
     C = _strain_pairing(mesh, vols, grads)
     strain = _sparse_product(C)
@@ -410,14 +405,13 @@ def weighted_pairing_demo(mesh, s, center):
         return nu
 
     def strain_solver(weights, name):
-        # banded Cholesky factor of a strain form, factored in place
-        diag, col, values = _band(vector_p1_form_matrix(mesh, weights,
-                                                        c_eps=1.0))
-        ab = np.zeros((diag.max() + 1, mesh.num_free_dofs), order="F")
-        ab[diag, col] = values
-        if not _cholesky_in_place(ab):
+        # the solves of a strain form's banded Cholesky factor; only the
+        # band outlives the factorization
+        factor, solve = _band_pencil(vector_p1_form_matrix(mesh, weights,
+                                                           c_eps=1.0))
+        if not factor(0.0):
             raise ValueError("degenerate %s: not positive definite" % name)
-        return _band_solver(ab)
+        return solve
 
     S = strain_solver(w_neg, "weighted strain form S")
     tinv2 = tinv * tinv
@@ -441,38 +435,58 @@ def weighted_pairing_demo(mesh, s, center):
     return InfSupReport(beta_B, beta_C, alpha_kernel, alpha_full, True)
 
 
-def _band(C):
-    """Lower triangle of the symmetric sparse matrix C, which holds no
-    duplicate entries, for LAPACK lower band storage: (diag, col,
-    values) with ab[diag, col] = values for ab[i - j, j] = C[i, j],
-    j <= i. Read from C's CSR arrays, with int32 indices."""
-    C = sp.csr_matrix(C)
-    rows = np.repeat(np.arange(C.shape[0], dtype=np.int32),
-                     np.diff(C.indptr))
-    keep = rows >= C.indices
-    col = C.indices[keep].astype(np.int32, copy=False)
-    return rows[keep] - col, col, C.data[keep]
+def _band_pencil(E, G=None):
+    """Banded Cholesky of E - sigma G (of E when G is None) for
+    symmetric sparse E, G without duplicate entries: (factor, solve).
 
+    factor(sigma) zeroes one Fortran-order LAPACK lower band,
+    ab[i - j, j] = (E - sigma G)[i, j] for j <= i, writes E - sigma G
+    into it and factors it in place (dpbtrf); False when that is not
+    positive definite. The zeroing also clears the last factor's
+    fill-in. solve(rhs) applies the last factor's inverse in place
+    (dpbtrs). Only the band and the lower triangles, read once from CSR
+    arrays as int32 flat band positions and values, are held.
+    """
+    def lower(C):
+        C = sp.csr_matrix(C)
+        rows = np.repeat(np.arange(C.shape[0], dtype=np.int32),
+                         np.diff(C.indptr))
+        keep = rows >= C.indices
+        col = C.indices[keep].astype(np.int32, copy=False)
+        return rows[keep] - col, col, C.data[keep]
 
-def _cholesky_in_place(ab):
-    """Factor the Fortran-order lower band array ab in place (LAPACK
-    dpbtrf); False when the matrix it stores is not positive definite."""
-    info = dpbtrf(ab, lower=1, overwrite_ab=1)[1]
-    if info < 0:
-        raise ValueError("illegal value in argument %d of dpbtrf" % -info)
-    return info == 0
+    triangles = [lower(C) for C in (E, G) if C is not None]
+    width = max(int(diag.max()) for diag, _, _ in triangles) + 1
+    size = E.shape[0]
+    # free a form that only this call holds (a demo strain form) first
+    del E, G
+    # flat positions in a Fortran-order (width, size) band; check_band_size
+    # keeps width * size below 2^27, so int32 holds them
+    (e_pos, e_values), *g_part = [(col * width + diag, values)
+                                  for diag, col, values in triangles]
+    del triangles
+    band = np.empty(width * size)
+    ab = band.reshape(size, width).T
 
+    def factor(sigma):
+        band.fill(0.0)
+        band[e_pos] = e_values
+        for g_pos, g_values in g_part:
+            band[g_pos] -= sigma * g_values
+        info = dpbtrf(ab, lower=1, overwrite_ab=1)[1]
+        if info < 0:
+            raise ValueError("illegal value in argument %d of dpbtrf"
+                             % -info)
+        return info == 0
 
-def _band_solver(ab):
-    """rhs -> A^-1 rhs for the factor of A that _cholesky_in_place left
-    in ab (LAPACK dpbtrs), read in place."""
     def solve(rhs):
         x, info = dpbtrs(ab, rhs, lower=1)
         if info:
             raise ValueError("illegal value in argument %d of dpbtrs"
                              % -info)
         return x
-    return solve
+
+    return factor, solve
 
 
 def _largest_ritz(solve, x, steps, done, gram):
@@ -549,6 +563,13 @@ def _ritz_width(r, gap):
     return min(r, r * r / gap) if gap > 0.0 else r
 
 
+def _korn_pencil(mesh, eps_weights, grad_weights):
+    """The pencil (strain form, gradient form) on the free dofs, each
+    with its cell weights (plain volumes where None)."""
+    return (vector_p1_form_matrix(mesh, eps_weights, c_eps=1.0),
+            vector_p1_form_matrix(mesh, grad_weights, c_grad=1.0))
+
+
 def _pencil_lambda_min(E, G):
     """sup{sigma : E - sigma G is SPD} for symmetric sparse E, G.
 
@@ -583,31 +604,10 @@ def _pencil_lambda_min(E, G):
     the closing trials stay _TRIAL_MARGIN or more from theta, so the
     replay returns the plain bisection's result bit for bit on every
     tested pencil (tests/oracles.py keeps the plain bisection).
-    Only the work array, the lower triangles of E and G (int32 flat
-    band positions and values) and a few vectors are held; the solves
-    use the factor in place.
+    Only _band_pencil's band and lower triangles and a few vectors are
+    held; the Lanczos solves use the factor of E - slo G in place.
     """
-    e_diag, e_col, e_values = _band(E)
-    g_diag, g_col, g_values = _band(G)
-    width = int(max(e_diag.max(), g_diag.max())) + 1
-    size = E.shape[0]
-    # flat positions in a Fortran-order (width, size) band, for LAPACK;
-    # check_band_size keeps width * size below 2^27, so int32 holds them
-    e_pos = e_col * width + e_diag
-    g_pos = g_col * width + g_diag
-    del e_diag, e_col, g_diag, g_col
-    band = np.empty(width * size)
-    work = band.reshape(size, width).T
-
-    def spd(sigma):
-        # the zeroing also clears the fill-in of the last factor
-        band.fill(0.0)
-        band[e_pos] = e_values
-        band[g_pos] -= sigma * g_values
-        return _cholesky_in_place(work)
-
-    # work holds the factor of E - slo G whenever Lanczos solves
-    solve = _band_solver(work)
+    spd, solve = _band_pencil(E, G)
 
     def estimate(nu, r, gap):
         # (E - slo G)^-1 G has largest eigenvalue 1 / (lambda_min - slo):
@@ -679,9 +679,7 @@ def discrete_korn_constant(mesh, spec=None):
         wints = None
     else:
         wints = cell_weight_integrals(mesh, spec)
-    E = vector_p1_form_matrix(mesh, wints, c_eps=1.0)
-    G = vector_p1_form_matrix(mesh, wints, c_grad=1.0)
-    lam = _pencil_lambda_min(E, G)
+    lam = _pencil_lambda_min(*_korn_pencil(mesh, wints, wints))
     if not lam > 0.0:
         raise ValueError("degenerate pencil: lambda_min = %r" % (lam,))
     return float(1.0 / math.sqrt(lam))

@@ -28,9 +28,9 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.integrate import IntegrationWarning, quad
 
-from elastopoint.assembly import (CONSTRAINED, GRAD_DIV, _element_matrices,
-                                  _form_rows, _interior, _stiffness_coeffs,
-                                  build_dof_map, to_free, to_padded)
+from elastopoint.assembly import (CONSTRAINED, _element_matrices, _form_rows,
+                                  _interior, _stiffness_coeffs, build_dof_map,
+                                  to_free, to_padded)
 from elastopoint.convergence import _l2_norm_sq_padded
 from elastopoint.mesh import (_chain_templates, _lattice_strides,
                               _reference_gradients, cell_geometry,
@@ -594,7 +594,7 @@ def jacobi_bound_whole_matrix(A):
 
 
 def plane_rows(mesh, params):
-    """The GRAD_DIV rows of the first interior vertex plane, as CSR.
+    """The grad-div rows of the first interior vertex plane, as CSR.
 
     pd = d (n-1)^(d-1) rows over the 3 pd columns of vertex planes 0, 1
     and 2, numbered plane-major as the free dofs, from the slab writer
@@ -607,7 +607,7 @@ def plane_rows(mesh, params):
     table[(slice(0, 3),) + _interior(mesh)[1:]] = np.arange(
         3 * pd).reshape((3,) + (n - 1,) * (d - 1) + (d,))
     return _form_rows(mesh, cell_volumes(mesh),
-                      _stiffness_coeffs(params, GRAD_DIV),
+                      _stiffness_coeffs(params),
                       table.reshape(-1, d), 1, 3 * pd)
 
 
@@ -661,7 +661,7 @@ def _padded_positions(dim, n):
 
 
 def line_rows(mesh, params):
-    """The GRAD_DIV rows of one lattice line along the last axis, as CSR.
+    """The grad-div rows of one lattice line along the last axis, as CSR.
 
     The line of the first interior vertex in every other axis: its d
     (n-1) rows, numbered (last-axis vertex, component), come from the
@@ -677,7 +677,7 @@ def line_rows(mesh, params):
     table[(slice(0, 3),) * (d - 1) + (slice(1, n),)] = np.arange(
         3 ** (d - 1) * line).reshape((3,) * (d - 1) + (n - 1, d))
     W = _form_rows(mesh, cell_volumes(mesh),
-                   _stiffness_coeffs(params, GRAD_DIV),
+                   _stiffness_coeffs(params),
                    table.reshape(-1, d), 1, 3 ** (d - 1) * line)
     return W[:line]
 

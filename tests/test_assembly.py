@@ -8,8 +8,6 @@ import pytest
 from elastopoint import assembly
 from elastopoint.assembly import (
     CONSTRAINED,
-    EPS_DIV,
-    GRAD_DIV,
     LameParams,
     LatticeStencil,
     PointLoadSet,
@@ -111,11 +109,17 @@ def test_free_dof_gather_and_scatter_match_loop_oracle(dim, n):
 
 
 @pytest.mark.parametrize("dim,n", [(2, 2), (2, 3), (3, 2)])
-@pytest.mark.parametrize("form", [GRAD_DIV, EPS_DIV])
+@pytest.mark.parametrize("form", ["GRAD_DIV", "EPS_DIV"])
 @pytest.mark.parametrize("mu,lam", [(1.0, 1.0), (2.0, 0.5)])
 def test_stiffness_matches_loop_oracle(dim, n, form, mu, lam):
+    # each against the loop oracle of its own form: the stiffness, and
+    # the eps-div form that it equals on H^1_0
     mesh = build_unit_box_mesh(dim, n)
-    A = assemble_stiffness(mesh, LameParams(mu, lam), form=form).toarray()
+    if form == "GRAD_DIV":
+        A = assemble_stiffness(mesh, LameParams(mu, lam))
+    else:
+        A = vector_p1_form_matrix(mesh, None, c_eps=2.0 * mu, c_div=lam)
+    A = A.toarray()
     K = restrict_to_free(dense_stiffness_loop(mesh, mu, lam, form), mesh)
     assert np.allclose(A, K, atol=1e-12)
 
@@ -125,8 +129,8 @@ def test_stiffness_matches_loop_oracle(dim, n, form, mu, lam):
 def test_two_forms_agree_after_elimination(dim, n, mu, lam):
     mesh = build_unit_box_mesh(dim, n)
     params = LameParams(mu, lam)
-    A1 = assemble_stiffness(mesh, params, form=GRAD_DIV)
-    A2 = assemble_stiffness(mesh, params, form=EPS_DIV)
+    A1 = assemble_stiffness(mesh, params)
+    A2 = vector_p1_form_matrix(mesh, None, c_eps=2.0 * mu, c_div=lam)
     diff = abs(A1 - A2).max()
     scale = abs(A1).max()
     assert diff <= 1e-12 * scale
@@ -181,7 +185,7 @@ def test_form_matrix_matches_weighted_loop_oracle(dim, n, coeffs, weighted):
 
 
 def _form_cases(mesh, weighted):
-    """Cell weights and the GRAD_DIV, EPS_DIV, c_grad and c_eps forms."""
+    """Cell weights and the grad-div, eps-div, c_grad and c_eps forms."""
     rng = np.random.default_rng(mesh.n)
     vols = cell_volumes(mesh)
     w = vols * rng.uniform(0.5, 2.0, mesh.num_cells) if weighted else None
@@ -319,7 +323,7 @@ def test_stiffness_operator_is_the_assembled_matrix_bit_for_bit(dim, n, lam):
     mesh = build_unit_box_mesh(dim, n)
     params = LameParams(1.0, lam)
     rng = np.random.default_rng(n)
-    A = assemble_stiffness(mesh, params, GRAD_DIV)
+    A = assemble_stiffness(mesh, params)
     op = build_levels(dim, n, params)[0].A
     assert op.shape == (padded_positions(mesh)[1],) * 2
     assert op.p ** (dim - 1) * op.rows == A.shape[0]
@@ -399,12 +403,6 @@ def test_form_matrix_empty_free_space():
     assert mesh.num_free_dofs == 0
     A = vector_p1_form_matrix(mesh, None, c_grad=1.0)
     assert A.shape == (0, 0)
-
-
-def test_invalid_form_name():
-    mesh = build_unit_box_mesh(2, 2)
-    with pytest.raises(ValueError):
-        assemble_stiffness(mesh, LameParams(1.0, 1.0), form="FOO")
 
 
 @pytest.mark.parametrize("dim,n", [(2, 5), (3, 3)])

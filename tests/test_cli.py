@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import pathlib
@@ -223,6 +224,47 @@ def test_point_load_studies_write_the_golden_csv_bytes(tmp_path, name, dim,
     assert out.read_bytes() == (GOLDEN / (name + ".csv")).read_bytes()
 
 
+# the diagnostics at weight centres off the lattice (Korn also
+# unweighted): the CSVs of korn and infsup-demo and the stdout of a2, as
+# the pencil search and the exact one-centre ball means print them
+@pytest.mark.parametrize("name,argv", [
+    ("korn2d.csv", ["korn", "--dim", "2", "--levels", "8", "16", "32"]),
+    ("korn3d_off.csv", ["korn", "--dim", "3", "--levels", "4", "8",
+                        "--alpha", "1.0", "--center", "0.37", "0.61",
+                        "0.43"]),
+    ("infsup_off.csv", ["infsup-demo", "--dim", "2", "--levels", "4", "8",
+                        "12", "--alpha", "1.0", "--center", "0.37",
+                        "0.61"]),
+    ("a2_2d_off.txt", ["a2", "--dim", "2", "--alpha", "1.0", "--center",
+                       "0.37", "0.61"]),
+    ("a2_3d_off.txt", ["a2", "--dim", "3", "--alpha", "-1.5", "--center",
+                       "0.37", "0.61", "0.43"]),
+])
+def test_diagnostics_write_the_golden_bytes(tmp_path, capsys, name, argv):
+    out = tmp_path / name
+    if name.endswith(".csv"):
+        assert main(argv + ["--out", str(out)]) == 0
+        got = out.read_bytes()
+    else:
+        assert main(argv) == 0
+        got = capsys.readouterr().out.encode()
+    assert got == (GOLDEN / name).read_bytes()
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer looks up each (module, name) of its LAYERS
+    # on elastopoint.<module>, so a traced function that is removed or
+    # renamed breaks every traced benchmark run
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.LAYERS
+    for module, name in tracer.LAYERS:
+        owner = importlib.import_module("elastopoint." + module)
+        assert callable(getattr(owner, name, None)), (module, name)
+
+
 def test_converge_with_loads_file(tmp_path):
     loads = tmp_path / "loads.txt"
     loads.write_text("point 0.5 0.5 1 0\n")
@@ -345,7 +387,8 @@ def test_infsup_demo_command(tmp_path, capsys):
 
 
 def test_infsup_demo_refuses_oversized_level(tmp_path, capsys):
-    # 3D n=32: the banded pencil would hold three 2.1 GB arrays
+    # 3D n=32: the banded pencil holds one 2.1 GB array, and the
+    # estimate charges three
     out = tmp_path / "demo.csv"
     rc = main(["infsup-demo", "--dim", "3", "--levels", "32", "--alpha",
                "1.0", "--center", "0.5", "0.5", "0.5", "--out", str(out)])

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastopoint import assembly, mesh as mesh_module, multigrid
-from elastopoint.assembly import (GRAD_DIV, LameParams, PointLoadSet,
+from elastopoint.assembly import (LameParams, PointLoadSet,
                                   assemble_point_load, assemble_stiffness,
                                   from_free, from_padded, to_padded)
 from elastopoint.cli import main
@@ -91,12 +91,12 @@ def _float64_family(levels):
 def test_galerkin_product_equals_rediscretization(dim, n, lam):
     params = LameParams(1.0, lam)
     fine, coarse = build_levels(dim, n, params)[:2]
-    A_fine = assemble_stiffness(fine.mesh, params, GRAD_DIV)
+    A_fine = assemble_stiffness(fine.mesh, params)
     # P between free dofs: its padded rows and columns at the free slots
     P = fine.P.toarray()[np.ix_(padded_positions(fine.mesh)[0],
                                 padded_positions(coarse.mesh)[0])]
     galerkin = P.T @ A_fine.toarray() @ P
-    direct = assemble_stiffness(coarse.mesh, params, GRAD_DIV).toarray()
+    direct = assemble_stiffness(coarse.mesh, params).toarray()
     assert np.abs(galerkin - direct).max() <= 1e-14 * np.abs(direct).max()
 
 
@@ -104,7 +104,7 @@ def test_galerkin_product_equals_rediscretization(dim, n, lam):
 def test_jacobi_data_is_the_gershgorin_bound(dim, n):
     params = LameParams(1.0, 3.0)
     for lv in build_levels(dim, n, params)[:-1]:
-        A = assemble_stiffness(lv.mesh, params, GRAD_DIV)
+        A = assemble_stiffness(lv.mesh, params)
         inv_diag = 1.0 / A.diagonal()
         assert same_bits(lv.inv_diag,
                          pad_vector(lv.mesh, inv_diag.astype(np.float32)))
@@ -127,7 +127,7 @@ def test_level_jacobi_bound_equals_whole_matrix(dim, n):
                 assert lv.inv_diag is None and lv.lmax is None
                 continue
             ref_inv_diag, ref_lmax = jacobi_bound_whole_matrix(
-                assemble_stiffness(lv.mesh, params, GRAD_DIV))
+                assemble_stiffness(lv.mesh, params))
             assert same_bits(lv.inv_diag, pad_vector(
                 lv.mesh, ref_inv_diag.astype(np.float32)))
             assert lv.lmax == ref_lmax
@@ -290,7 +290,7 @@ def _assembled_levels(levels, params):
     build_levels stores them."""
     out = []
     for lv in levels:
-        A = assemble_stiffness(lv.mesh, params, GRAD_DIV)
+        A = assemble_stiffness(lv.mesh, params)
         inv_diag, lmax = (jacobi_bound_whole_matrix(A) if A.shape[0]
                           else (None, None))
         if inv_diag is not None:
@@ -376,7 +376,7 @@ def test_workspace_solve_equals_the_allocating_oracle(dim, n, data, lam,
     assert same_bits(u, x_ref)
     assert stats == stats_ref
     if n <= 16:
-        A = assemble_stiffness(mesh, params, GRAD_DIV)
+        A = assemble_stiffness(mesh, params)
         x_direct = spla.spsolve(A.tocsc(), b)
         assert (np.linalg.norm(x_ref - x_direct)
                 <= 1e-8 * np.linalg.norm(x_direct))
@@ -448,7 +448,7 @@ def test_stencil_product_equals_the_assembled_product(case, seed, scale,
     dim, n = case
     params = LameParams(1.0, 7.0)
     lv = build_levels(dim, n, params)[0]
-    A = assemble_stiffness(lv.mesh, params, GRAD_DIV)
+    A = assemble_stiffness(lv.mesh, params)
     x = np.random.default_rng(seed).standard_normal(A.shape[0]) * scale
     with pytest.MonkeyPatch.context() as patch:
         _two_cpus(patch)
@@ -473,7 +473,7 @@ def test_bound_product_equals_matvec_and_the_assembled_product(dim, n, split,
                         0 if split else np.inf)
     params = LameParams(1.0, 7.0)
     lv = build_levels(dim, n, params)[0]
-    A = assemble_stiffness(lv.mesh, params, GRAD_DIV)
+    A = assemble_stiffness(lv.mesh, params)
     rng = np.random.default_rng(n)
     for op, dtype in ((lv.A, np.float64), (lv.cycle_A, np.float32)):
         x = np.zeros(op.shape[0], dtype=dtype)
@@ -816,7 +816,7 @@ def test_multigrid_cg_matches_jacobi_cg_and_direct(dim, n):
     top = levels[0]
     b = assemble_point_load(top.mesh, _load(dim))
     x_mg, st_mg = _mg_cg(levels, b, rel_tol=1e-12)
-    A = assemble_stiffness(top.mesh, LameParams(1.0, 5.0), GRAD_DIV)
+    A = assemble_stiffness(top.mesh, LameParams(1.0, 5.0))
     x_jac, st_jac = cg_solve(A, b, rel_tol=1e-12)
     x_ref = spla.spsolve(A.tocsc(), b)
     assert st_mg.converged and st_jac.converged

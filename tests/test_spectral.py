@@ -355,9 +355,10 @@ def test_sparse_demo_refuses_an_indefinite_strain_form(monkeypatch):
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 12)])
 def test_sparse_demo_peak_stays_within_the_band_bound(dim, n):
-    # the pencils, then S, then E, each factored alone: the demo peaks
-    # below the three band arrays that check_band_size admits, so that
-    # bound is what limits the supported levels
+    # the pencils, then S, then E, each factored alone: the demo holds
+    # one band array at a time and peaks below check_band_size's
+    # estimate, which charges three, so that bound is what limits the
+    # supported levels
     mesh = build_unit_box_mesh(dim, n)
     center = _DEMO_CENTERS[dim][-1]
     tracemalloc.start()
@@ -397,8 +398,9 @@ def test_report_refuses_oversized_pairing():
 @pytest.mark.parametrize("dim,n", [(2, 2), (2, 3), (2, 5), (2, 8), (3, 2),
                                    (3, 3), (3, 4), (3, 5)])
 def test_band_estimate_matches_assembled_forms(dim, n):
-    # three (b + 1) x N band arrays, b the widest coupling of the
-    # strain and gradient forms _pencil_lambda_min receives
+    # three (b + 1) x N band arrays, the margin over the one that is
+    # held at a time, b the widest coupling of the strain and gradient
+    # forms _pencil_lambda_min receives
     mesh = build_unit_box_mesh(dim, n)
     E = vector_p1_form_matrix(mesh, None, c_eps=1.0).tocoo()
     G = vector_p1_form_matrix(mesh, None, c_grad=1.0).tocoo()
@@ -572,6 +574,35 @@ def test_pencil_search_factorization_count(monkeypatch, dim, n, alpha):
     assert lam == pencil_lambda_min_bisection(E, G)
 
 
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_demo_factors_each_strain_form_once(monkeypatch, n):
+    # the demo's factorizations: at most 11 for each of the beta_B and
+    # beta_C pencils (20, 19 and 20 in all at n = 4, 8, 12), and one each
+    # for the strain forms S and E, whose solves reuse the factor
+    calls = []
+    pencils = []
+    factor = spectral.dpbtrf
+    search = spectral._pencil_lambda_min
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    def searched(E, G):
+        before = len(calls)
+        lam = search(E, G)
+        pencils.append(len(calls) - before)
+        return lam
+
+    monkeypatch.setattr(spectral, "dpbtrf", counted)
+    monkeypatch.setattr(spectral, "_pencil_lambda_min", searched)
+    rep = weighted_pairing_demo(build_unit_box_mesh(2, n), 0.5, [0.37, 0.61])
+    monkeypatch.undo()
+    assert len(pencils) == 2 and all(1 <= k <= 11 for k in pencils)
+    assert len(calls) - sum(pencils) == 2
+    assert 0.0 < rep.alpha_A_kernel <= rep.alpha_A_full + 1e-10
+
+
 def test_diagnostics_and_vcycle_call_no_scipy_solver_wrapper(monkeypatch):
     # the banded factor and solves, the tridiagonal eigensolve and the
     # V-cycle's dense bottom call their LAPACK routines directly
@@ -626,7 +657,8 @@ def test_largest_ritz_matches_the_scipy_wrapper_oracle(monkeypatch, dim, n):
 
 
 def test_pencil_search_holds_only_the_band_arrays():
-    # beyond the three band arrays check_band_size counts, only O(N)
+    # beyond the one band array held (check_band_size charges three
+    # for margin), only O(N)
     # vectors: the Lanczos and work vectors and the band builder's
     # temporaries (about 12 vectors); a copy of a factor would add a
     # whole (b + 1) x N band array (174 vectors here)
