@@ -265,25 +265,26 @@ def vector_p1_form_matrix(mesh, cell_weights=None, c_grad=0.0, c_div=0.0,
     if cell_weights is None:
         weights = cell_volumes(mesh)
     else:
-        weights = np.asarray(cell_weights, dtype=float)
+        # contiguous, so that every slab's cube weights take the matmul
+        # path of a weight array whatever the caller's strides
+        weights = np.ascontiguousarray(cell_weights, dtype=float)
         if weights.shape != (mesh.num_cells,):
             raise ValueError("cell_weights must have one entry per cell")
     return _form_rows(mesh, weights, (c_grad, c_div, c_eps),
                       build_dof_map(mesh), mesh.n - 1, n_free)
 
 
-def _slab_setup(d, n, weights, coeffs):
-    """(cube weights, plan, offsets), the arguments of _slab_blocks for a
-    form on the mesh of size n. weights is one per cell or one for all;
-    plan lists (offset index, row corner, (d!, d*d) element blocks) per
-    corner pair of _corner_plan."""
+def _slab_setup(d, n, coeffs):
+    """(plan, offsets), the arguments of _slab_blocks after the cube
+    weights for a form on cells of the mesh of size n: plan lists
+    (offset index, row corner, (d!, d*d) element blocks) per corner
+    pair of _corner_plan."""
     K = _element_matrices(_reference_gradients(d, n), *coeffs)
     nt = len(K)
     groups = _corner_pair_blocks(d, K)
     offsets, pairs, _ = _corner_plan(d)
     plan = [(k, key[0], groups[key].reshape(nt, d * d)) for key, k in pairs]
-    cells = np.broadcast_to(weights, (n ** d * nt,))
-    return cells.reshape((n,) * d + (nt,)), plan, offsets
+    return plan, offsets
 
 
 def _form_rows(mesh, weights, coeffs, table, planes, ncols):
@@ -293,13 +294,15 @@ def _form_rows(mesh, weights, coeffs, table, planes, ncols):
     of each (vertex, component) or CONSTRAINED where the column is
     dropped, with a row for each vertex of planes 0 .. planes + 1 at
     least, places the blocks at the shifts _kuhn_shifts(d); coeffs are
-    (c_grad, c_div, c_eps). The rows are numbered as the free dofs of
-    those planes. Each entry sums the same terms in the same order
+    (c_grad, c_div, c_eps), and weights the C-contiguous cell weights,
+    one per cell. The rows are numbered as the free dofs of those
+    planes. Each entry sums the same terms in the same order
     whatever the slab length and whatever table, so a column kept by
     two tables holds the same value.
     """
     d, n = mesh.dim, mesh.n
-    setup = _slab_setup(d, n, weights, coeffs)
+    cubes = weights.reshape((n,) * d + (-1,))
+    setup = _slab_setup(d, n, coeffs)
     steps = np.array(_kuhn_shifts(d)) @ _lattice_strides(d, n)
     plane = (n - 1) ** (d - 1)
     width = len(steps) * d
@@ -318,7 +321,7 @@ def _form_rows(mesh, weights, coeffs, table, planes, ncols):
     step = max(1, _SLAB_VERTICES // plane)
     for lo in range(1, planes + 1, step):
         hi = min(lo + step, planes + 1)
-        vals = _slab_blocks(*setup, lo, hi)
+        vals = _slab_blocks(cubes, *setup, lo, hi)
         verts = lattice[(slice(lo, hi),) + _interior(mesh)[1:]].reshape(-1)
         cols = table[verts[:, None] + steps[None, :]][:, None]
         keep = (vals != 0.0) & (cols >= 0)
@@ -340,7 +343,10 @@ def _form_rows(mesh, weights, coeffs, table, planes, ncols):
 def _slab_blocks(cube_weights, plan, offsets, lo, hi):
     """Blocks of the rows at interior vertex planes lo .. hi-1.
 
-    Returns the (rows, d, 2m + 1, d) array of vector_p1_form_matrix's
+    cube_weights is a C-contiguous (n,)*d + (d!,) array, the weights of
+    the cells of each cube of a lattice n cubes wide, so the weights of
+    a run of cube planes are the rows of one matrix and every slab's
+    products take the same matmul path. Returns the (rows, d, 2m + 1, d) array of vector_p1_form_matrix's
     slab: row (v, a), column block m + k holds the block (v, v +
     offsets[k]) and m - k the transpose of (v - offsets[k], v), so block
     j is at the shift _kuhn_shifts(d)[j]. The window adds plane lo-1 and
@@ -351,10 +357,7 @@ def _slab_blocks(cube_weights, plan, offsets, lo, hi):
     d = cube_weights.ndim - 1
     m = len(offsets) - 1
     w = hi - lo + 1
-    # contiguous, so that a broadcast weight takes the matmul path of a
-    # weight array
-    cw = np.ascontiguousarray(cube_weights[lo - 1:hi]).reshape(
-        -1, cube_weights.shape[-1])
+    cw = cube_weights[lo - 1:hi].reshape(-1, cube_weights.shape[-1])
     # half[k][v] is the (v, v + offsets[k]) block, shape (d, d)
     half = np.zeros((m + 1, w) + (n + 1,) * (d - 1) + (d, d))
     for k, ci, blocks in plan:
@@ -694,12 +697,13 @@ class LatticeStencil:
 
     All cells have one volume, so every interior vertex carries the
     same d x d blocks towards its neighbours at the shifts
-    _kuhn_shifts(d), and they scale by h^(d-2). They are read once, at
-    size n0 >= 4, from _slab_blocks on the first interior plane with
-    the one cell volume broadcast: the (d, 2^(d+1) - 1, d) blocks of
-    the vertex floor(n0/2) in every other axis; no mesh, dof table or
-    matrix is made. A row's entries come in column order, by shift and
-    then column component, and its zero entries are not stored.
+    _kuhn_shifts(d), and they depend only on the 2^d cubes around it.
+    They are read once, for cells of the mesh of size n0 >= 1, from
+    _slab_blocks on a window of those 2^d cubes, each cell weighted by
+    the one cell volume: the (d, 2^(d+1) - 1, d) blocks of the window's
+    one interior vertex; no mesh, dof table or matrix is made. A row's
+    entries come in column order, by shift and then column component,
+    and its zero entries are not stored.
 
     operator(m) tiles the rows along the lattice lines of the mesh of
     size m, scaled by (n0/m)^(d-2): an exact power of two when m / n0
@@ -710,12 +714,13 @@ class LatticeStencil:
     """
 
     def __init__(self, dim, n0, params):
-        d, centre = dim, n0 // 2 - 1
-        setup = _slab_setup(d, n0, _cell_volume(d, n0),
-                            _stiffness_coeffs(params))
-        # of the blocks of the first interior plane, the centre vertex's
-        rows = _slab_blocks(*setup, 1, 2).reshape(
-            (n0 - 1,) * (d - 1) + (d, -1, d))[(centre,) * (d - 1)]
+        d = dim
+        # the 2^d cubes around the vertex, whose one interior vertex
+        # holds the rows
+        cubes = np.full((2,) * d + (factorial(d),), _cell_volume(d, n0))
+        rows = _slab_blocks(cubes, *_slab_setup(d, n0,
+                                                _stiffness_coeffs(params)),
+                            1, 2)[0]
         shifts = np.array(_kuhn_shifts(d))
         self.dim, self.n0 = d, n0
         # per shift t of the padded axes: the last-axis offsets, column

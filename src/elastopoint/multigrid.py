@@ -7,11 +7,12 @@ stencil at every fine vertex, so each level writes its restriction
 R = P^T straight into CSR, from a strided view of the fine free slots
 and the Kuhn shifts, and uses its transpose view as P. Every level's
 operator is rediscretized by tiling one vertex's stiffness blocks
-(assembly.LatticeStencil), read once per family from the slab blocks
-and scaled by an exact power of two per level, the structured-block
-operator of hierarchical hybrid grids (Bergen, Gradl, Hulsemann and
-Rude, Comput. Sci. Eng. 2006); no level is assembled and no sparse
-triple product is formed. Vectors, R and P are pencil-padded (the
+(assembly.LatticeStencil), read once per family, at its bottom size,
+from the slab blocks of the 2^d cubes around one vertex and scaled by
+an exact power of two per level, the structured-block operator of
+hierarchical hybrid grids (Bergen, Gradl, Hulsemann and Rude, Comput.
+Sci. Eng. 2006); no level is assembled and no sparse triple product
+is formed. Vectors, R and P are pencil-padded (the
 layout is defined by assembly.to_padded): every lattice axis but the
 last is padded, so the neighbouring lines of a lattice line along the
 last axis are views of x at fixed offsets, and an operator's product
@@ -132,17 +133,6 @@ def _restriction(fine, coarse):
                          shape=(len(counts), _padded_size(d, fp)))
 
 
-def _stencil_size(n):
-    """n0 with n0 >= 4 and every size n / 2^k of n's family n0 times a
-    power of two: n halved while even and at least 8, or 1, 2 and 3
-    doubled to 4, 4 and 6."""
-    while n % 2 == 0 and n // 2 >= 4:
-        n //= 2
-    while n < 4:
-        n *= 2
-    return n
-
-
 def build_levels(dim, n, params):
     """The nested family n, n/2, ... with multigrid data, finest first.
 
@@ -150,8 +140,9 @@ def build_levels(dim, n, params):
     meshed once, down to the odd part of n (1 for powers of two). A
     level coarsens (holds R, and P as R's transpose view) when its n is
     even and above 2. Every level's operator is tiled from one
-    LatticeStencil, read at the size _stencil_size(n), so the family
-    assembles no level and meshes no size outside it. cycle_A, inv_diag and
+    LatticeStencil, read at the family's bottom size, so every level's
+    size is that size times a power of two and the family assembles no
+    level and meshes no size outside it. cycle_A, inv_diag and
     R are stored in float32, once per family, so the V-cycle runs in
     float32 and rounds nothing per solve. No level holds a cell table or
     a second copy of a transfer matrix. lambda / mu above
@@ -169,7 +160,7 @@ def build_levels(dim, n, params):
         if meshes[-1].n % 2:
             break
         m = meshes[-1].n // 2
-    stencil = LatticeStencil(dim, _stencil_size(n), params)
+    stencil = LatticeStencil(dim, meshes[-1].n, params)
 
     levels = []
     for k, mesh in enumerate(meshes):

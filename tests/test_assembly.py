@@ -24,7 +24,7 @@ from elastopoint.assembly import (
 )
 from elastopoint.mesh import (_kuhn_shifts, build_unit_box_mesh, cell_volumes,
                               locate_point)
-from elastopoint.multigrid import _stencil_size, build_levels
+from elastopoint.multigrid import build_levels
 
 from oracles import (corner_pair_blocks_loop, dense_form_loop,
                      dense_stiffness_loop, form_matrix_fullgrid, free_dof_numbering, line_rows,
@@ -230,14 +230,34 @@ def test_slab_length_does_not_change_the_matrix(dim, n, weighted,
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("view", ["strided", "broadcast"])
+def test_non_contiguous_weights_give_the_bits_of_their_copy(view):
+    # a view of other strides than a C-contiguous array's must not move
+    # the slabs' products off the matmul path of the array's copy
+    mesh = build_unit_box_mesh(3, 5)
+    if view == "strided":
+        w = np.random.default_rng(3).uniform(0.1, 1.0,
+                                             2 * mesh.num_cells)[::2]
+    else:
+        w = np.broadcast_to(0.37 / mesh.num_cells, (mesh.num_cells,))
+    assert not w.flags.c_contiguous
+    A = vector_p1_form_matrix(mesh, w, c_grad=1.0, c_div=3.0)
+    B = vector_p1_form_matrix(mesh, w.copy(), c_grad=1.0, c_div=3.0)
+    assert same_bits(A.data, B.data)
+    assert np.array_equal(A.indices, B.indices)
+    assert np.array_equal(A.indptr, B.indptr)
+
+
 def _operator(dim, n, params):
-    """The level operator of size n, tiled from its family's stencil."""
-    return LatticeStencil(dim, _stencil_size(n), params).operator(n)
+    """The level operator of size n, tiled from the stencil read at its
+    family's bottom size, n with its factors of 2 removed."""
+    return LatticeStencil(dim, n // (n & -n), params).operator(n)
 
 
-# the stencil is read at n0 = 4, 5, 6 or an odd n >= 7 and tiled over
-# sizes n0 2^k, k = -2 .. 4; the tiles must be the rows that _form_rows
-# writes for one line of the first plane at that size, bit for bit
+# the stencil is read at the bottom sizes n0 = 1, 3, 5 and 33 and tiled
+# over sizes n0 2^k, k = 0 .. 6; the tiles must be the rows that
+# _form_rows writes for one line of the first plane at that size, bit
+# for bit
 @pytest.mark.parametrize("lam", [1.0, 50.0, 1e3])
 @pytest.mark.parametrize("dim,n", [(dim, n) for dim in (2, 3)
                                    for n in (2, 3, 4, 5, 6, 8, 12, 24, 32,
@@ -276,12 +296,12 @@ def _same_line_rows(op, W):
         assert np.array_equal(block.indptr, ref.indptr)
 
 
-# at 3D n0=63 the blocks read straight from _slab_blocks on the first
-# interior plane peak at 9.9 MB (tracemalloc): the slab's window of
-# half blocks (4.7 MB) and the blocks of the 62 x 62 vertex plane
-# (4.2 MB). Reading them as CSR rows of a three-plane dof table through
-# _form_rows peaks at 16.7 MB, so the bound holds the direct read
-STENCIL_PEAK_BYTES_63 = 12_000_000
+# at 3D n0=63 the blocks read from _slab_blocks on the window of the 8
+# cubes around one vertex peak at 0.034 MB (tracemalloc). Reading them
+# from the first interior plane of the size-63 lattice and keeping one
+# vertex peaked at 9.9 MB, the plane's half blocks (4.7 MB) and its
+# blocks (4.2 MB), so the bound holds the window read
+STENCIL_PEAK_BYTES_63 = 1_000_000
 
 
 def test_stencil_read_at_a_large_odd_size_keeps_its_bits_in_little_memory():
