@@ -15,12 +15,13 @@ vertex planes at a time. The CSR arrays are the only allocation of
 the matrix's size, so a form peaks at about 1.5 times the matrix it
 returns, and the slab length does not change a single bit of it.
 The unweighted stiffness is the same at every interior vertex, so a
-LatticeStencil takes one vertex's blocks at the Kuhn shifts straight
-from the slab writer's, with no dof table or matrix, and tiles them
-over any mesh of the family as a StencilOperator, whose products equal
-the matrix's bit for bit; the multigrid solve uses it and assembles no
-matrix. Its large products split their rows across two threads on a
-host that gives the process two CPUs, with the same bits as on one.
+LatticeStencil takes one vertex's blocks at the Kuhn shifts from the
+slab writer run on the 2^d cubes around it, with no dof table or
+matrix, and tiles them over any mesh of the family as a
+StencilOperator, whose products equal the matrix's bit for bit; the
+multigrid solve uses it and assembles no matrix. Its large products
+split their rows across two threads on a host that gives the process
+two CPUs, with the same bits as on one.
 
 Free degrees of freedom are the (vertex, component) pairs of the
 interior (n-1)^d sub-lattice, vertex-major with the component inner.
@@ -265,8 +266,8 @@ def vector_p1_form_matrix(mesh, cell_weights=None, c_grad=0.0, c_div=0.0,
     if cell_weights is None:
         weights = cell_volumes(mesh)
     else:
-        # contiguous, so that every slab's cube weights take the matmul
-        # path of a weight array whatever the caller's strides
+        # contiguous, so that every slab's weights take one matmul path
+        # whatever the caller's strides
         weights = np.ascontiguousarray(cell_weights, dtype=float)
         if weights.shape != (mesh.num_cells,):
             raise ValueError("cell_weights must have one entry per cell")
@@ -343,15 +344,14 @@ def _form_rows(mesh, weights, coeffs, table, planes, ncols):
 def _slab_blocks(cube_weights, plan, offsets, lo, hi):
     """Blocks of the rows at interior vertex planes lo .. hi-1.
 
-    cube_weights is a C-contiguous (n,)*d + (d!,) array, the weights of
-    the cells of each cube of a lattice n cubes wide, so the weights of
-    a run of cube planes are the rows of one matrix and every slab's
-    products take the same matmul path. Returns the (rows, d, 2m + 1, d) array of vector_p1_form_matrix's
-    slab: row (v, a), column block m + k holds the block (v, v +
-    offsets[k]) and m - k the transpose of (v - offsets[k], v), so block
-    j is at the shift _kuhn_shifts(d)[j]. The window adds plane lo-1 and
-    reads the cubes lo-1 .. hi-1; plane lo-1 gets only the blocks from
-    cube plane lo-1, which are all that the blocks towards plane lo need.
+    cube_weights holds the cell weights of a lattice n cubes wide, C
+    order, shape (n,)*d + (d!,). Returns the (rows, d, 2m + 1, d) array
+    of vector_p1_form_matrix's slab: row (v, a), column block
+    m + k holds the block (v, v + offsets[k]) and m - k the transpose
+    of (v - offsets[k], v), so block j is at the shift
+    _kuhn_shifts(d)[j]. The window adds plane lo-1 and reads the cubes
+    lo-1 .. hi-1; plane lo-1 gets only the blocks from cube plane lo-1,
+    which are all that the blocks towards plane lo need.
     """
     n = cube_weights.shape[0]
     d = cube_weights.ndim - 1

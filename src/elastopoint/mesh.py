@@ -21,6 +21,10 @@ from math import factorial
 import numpy as np
 
 LOCATE_TOL = 1e-12
+# the most memory one piece of work may need: a multigrid family and its
+# solve, the dense oracle, or the band storage of a Korn or inf-sup
+# pencil; _check_memory refuses each above it
+_MEMORY_LIMIT_BYTES = 2 * 1024**3
 
 
 @dataclass(frozen=True)
@@ -175,6 +179,19 @@ def build_unit_box_mesh(dim, n):
     axes = np.meshgrid(*([grid] * dim), indexing="ij", sparse=True)
     vertices = np.stack(np.broadcast_arrays(*axes), axis=-1)
     return Mesh(dim, n, vertices.reshape(-1, dim))
+
+
+def _check_memory(arrays, size, what, storage):
+    """Refuse work on `arrays` float64 arrays of `size` entries each,
+    the storage that `what` needs, above the memory limit. Returns the
+    estimate in bytes; raises ValueError naming `what` and the estimate
+    in MB when it exceeds the limit."""
+    need = arrays * 8 * size
+    if need > _MEMORY_LIMIT_BYTES:
+        raise ValueError("%s needs about %d MB of %s, above the %d MB "
+                         "limit" % (what, need // 2**20, storage,
+                                    _MEMORY_LIMIT_BYTES // 2**20))
+    return need
 
 
 def _reference_gradients(dim, n):

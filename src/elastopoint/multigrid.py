@@ -12,12 +12,12 @@ from the slab blocks of the 2^d cubes around one vertex and scaled by
 an exact power of two per level, the structured-block operator of
 hierarchical hybrid grids (Bergen, Gradl, Hulsemann and Rude, Comput.
 Sci. Eng. 2006); no level is assembled and no sparse triple product
-is formed. Vectors, R and P are pencil-padded (the
-layout is defined by assembly.to_padded): every lattice axis but the
-last is padded, so the neighbouring lines of a lattice line along the
-last axis are views of x at fixed offsets, and an operator's product
-is one csr_matvecs call per shift of the padded axes (3 in 2D, 7 in
-3D) on runs of n^(d-1) values, which copies nothing. The V-cycle
+is formed. Vectors, R and P are pencil-padded (the layout is defined
+by assembly.to_padded): every lattice axis but the last is padded,
+so the neighbouring lines of a lattice line along the last axis are
+views of x at fixed offsets, and an operator's product is one
+csr_matvecs call per shift of the padded axes (3 in 2D, 7 in 3D) on
+runs of n^(d-1) values, which copies nothing. The V-cycle
 smooths with Chebyshev-Jacobi polynomials (Adams, Brezina, Hu and
 Tuminaro, "Parallel multigrid smoothing: polynomial versus
 Gauss-Seidel", J. Comput. Phys. 2003) and preconditions CG. It runs in
@@ -49,7 +49,7 @@ from scipy.linalg.lapack import dpotrs
 
 from .assembly import (LatticeStencil, StencilOperator, _bind_sparse,
                        _free_slots, _padded_size, _shift_offset, to_padded)
-from .mesh import Mesh, _kuhn_shifts, build_unit_box_mesh
+from .mesh import Mesh, _check_memory, _kuhn_shifts, build_unit_box_mesh
 
 # Chebyshev-Jacobi smoother: polynomial degree, and the smoothed part
 # [lmax / CHEB_RATIO, lmax] of the spectrum of D^-1 A
@@ -61,6 +61,11 @@ DENSE_BOTTOM_LIMIT = 2000
 # largest lambda / mu a family is built for: the top of the tested
 # range, where MG-CG still converges in a few hundred iterations
 MAX_LAMBDA_OVER_MU = 1e5
+# float64 values per free dof of the finest level that a family and one
+# solve on that level hold at their peak: traced from build_levels to
+# the end of a point-load solve, 126, 108 and 103 bytes at 3D n = 16,
+# 32 and 64, and 121 to 108 at 2D n = 64 to 512
+FAMILY_PEAK_VALUES = 16
 
 
 @dataclass(frozen=True)
@@ -133,6 +138,19 @@ def _restriction(fine, coarse):
                          shape=(len(counts), _padded_size(d, fp)))
 
 
+def check_family_size(dim, n):
+    """Refuse a family whose build and solve would not fit.
+
+    Charges FAMILY_PEAK_VALUES float64 values per free dof of the
+    finest level, d (n-1)^d, which admits 3D n <= 178 and 2D n <= 2897.
+    Returns the estimate in bytes; raises ValueError naming the level
+    and the estimate in MB when it exceeds the memory limit.
+    """
+    return _check_memory(FAMILY_PEAK_VALUES, dim * max(n - 1, 0) ** dim,
+                         "level n=%d (%dD)" % (n, dim),
+                         "multigrid family and solve workspace")
+
+
 def build_levels(dim, n, params):
     """The nested family n, n/2, ... with multigrid data, finest first.
 
@@ -146,12 +164,14 @@ def build_levels(dim, n, params):
     R are stored in float32, once per family, so the V-cycle runs in
     float32 and rounds nothing per solve. No level holds a cell table or
     a second copy of a transfer matrix. lambda / mu above
-    MAX_LAMBDA_OVER_MU raises a ValueError before anything is meshed.
+    MAX_LAMBDA_OVER_MU, and a size that check_family_size refuses,
+    raise a ValueError before anything is meshed.
     """
     if params.lam > MAX_LAMBDA_OVER_MU * params.mu:
         raise ValueError("lambda/mu = %.7g is outside the supported range "
                          "(0, %.0e]" % (params.lam / params.mu,
                                         MAX_LAMBDA_OVER_MU))
+    check_family_size(dim, n)
     meshes = []
     m = n
     while True:

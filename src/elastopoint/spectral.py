@@ -22,15 +22,11 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dstevd
 
 from .assembly import (_sparse_kernel, _sparse_product, build_dof_map,
                        vector_p1_form_matrix)
-from .mesh import cell_geometry
+from .mesh import _check_memory, cell_geometry
 from .weights import WeightSpec, cell_weight_integrals
 
 # relative singular-value cutoff for rank decisions
 RANK_RTOL = 1e-10
-
-# the most memory the dense oracle or the band storage of a Korn or
-# inf-sup pencil (check_band_size) may need; _check_memory refuses both
-_MEMORY_LIMIT_BYTES = 2 * 1024**3
 
 # peak of weighted_pairing_matrices followed by theorem31_report in
 # units of one nX x nX float64 array: the three diagonal Grams/pairings
@@ -236,19 +232,6 @@ def _sym_tensor_basis(d):
     return np.array(basis)
 
 
-def _check_memory(arrays, size, what, storage):
-    """Refuse work on `arrays` float64 arrays of `size` entries each,
-    the dense arrays or band storage that `what` needs, above the
-    memory limit. Returns the estimate in bytes; raises ValueError
-    naming `what` and the estimate in MB when it exceeds the limit."""
-    need = arrays * 8 * size
-    if need > _MEMORY_LIMIT_BYTES:
-        raise ValueError("%s needs about %d MB of %s, above the %d MB "
-                         "limit" % (what, need // 2**20, storage,
-                                    _MEMORY_LIMIT_BYTES // 2**20))
-    return need
-
-
 def check_band_size(dim, n):
     """Refuse a Korn or inf-sup level whose banded pencil would not fit.
 
@@ -261,9 +244,12 @@ def check_band_size(dim, n):
     the cube diagonal (1, ..., 1) against component 0, so
     b = d (1 + m + ... + m^(d-1)) + d - 1 (b = d - 1 when m = 1).
     Returns the estimate in bytes; raises ValueError naming the level
-    and the estimate in MB when it exceeds the limit.
+    and the estimate in MB when it exceeds the limit, and when the level
+    (n = 1) has no interior vertices.
     """
     m = n - 1
+    if m == 0:
+        raise ValueError("mesh has no interior vertices")
     diagonal = sum(m ** k for k in range(dim)) if m > 1 else 0
     band = dim * diagonal + dim - 1
     return _check_memory(3, (band + 1) * dim * max(m, 0) ** dim,
@@ -284,8 +270,6 @@ def _demo_weights(mesh, s, center):
     if not np.all((center > 0.0) & (center < 1.0)):
         raise ValueError("center must be strictly inside the unit box, "
                          "got %s" % center.tolist())
-    if mesh.num_free_dofs == 0:
-        raise ValueError("mesh has no interior vertices")
 
     vols, grads = cell_geometry(mesh)
     alpha = mesh.dim * float(s)
@@ -332,6 +316,8 @@ def weighted_pairing_matrices(mesh, s, center):
     Returns (A, B, C, G_X, G_Y, G_M, G_Q), all dense: the oracle for
     weighted_pairing_demo on small meshes.
     """
+    if mesh.num_free_dofs == 0:
+        raise ValueError("mesh has no interior vertices")
     nsym = mesh.dim * (mesh.dim + 1) // 2
     _check_memory(_DENSE_PEAK_ARRAYS, (mesh.num_cells * nsym) ** 2,
                   "dense weighted pairing at n=%d (%dD)" % (mesh.n, mesh.dim),
@@ -672,8 +658,6 @@ def discrete_korn_constant(mesh, spec=None):
     that succeeded (below) or failed (above). The same path serves
     every mesh size and repeated calls return identical values.
     """
-    if mesh.num_free_dofs == 0:
-        raise ValueError("mesh has no interior vertices")
     check_band_size(mesh.dim, mesh.n)
     if spec is None:
         wints = None

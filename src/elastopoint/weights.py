@@ -38,7 +38,8 @@ _A2_SINH_RANGE = 40.0
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Centers and exponent of rho_alpha; alpha must lie in (-d, d)."""
+    """Centers and exponent of rho_alpha, d = 2 or 3; alpha must lie in
+    (-d, d)."""
 
     centers: np.ndarray
     alpha: float
@@ -47,6 +48,9 @@ class WeightSpec:
         ctr = np.atleast_2d(np.asarray(self.centers, dtype=float))
         if ctr.ndim != 2 or ctr.shape[0] < 1:
             raise ValueError("centers must be a nonempty (K, d) array")
+        if ctr.shape[1] not in (2, 3):
+            raise ValueError("weight centers must have 2 or 3 coordinates, "
+                             "got %d" % ctr.shape[1])
         bad = ~np.all(np.isfinite(ctr), axis=1)
         if np.any(bad):
             raise ValueError("weight center %s is not finite"
@@ -269,7 +273,7 @@ def _sampled_ball_products(spec, centers, radii):
 def a2_ball_products(spec, ball_centers, radii):
     """Per-ball products mean(w) * mean(1/w), shape (n_balls,).
 
-    With one weight center in 2D or 3D the means are exact
+    With one weight center the means are exact
     (_unit_ball_means: a closed form in 3D, a quadrature within about
     6e-12 in 2D); the product depends only on the ratio of the center's
     distance to the radius, and alpha = 0 gives exactly 1.0. Otherwise
@@ -283,11 +287,16 @@ def a2_ball_products(spec, ball_centers, radii):
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if centers.shape[0] == 0:
         raise ValueError("empty ball family")
+    if centers.ndim != 2 or centers.shape[1] != spec.dim:
+        raise ValueError("ball centers must have the weight's %d "
+                         "coordinates" % spec.dim)
+    if not np.all(np.isfinite(centers)):
+        raise ValueError("ball centers must be finite")
     if centers.shape[0] != radii.shape[0]:
         raise ValueError("ball centers and radii must have equal length")
-    if np.any(radii <= 0):
-        raise ValueError("ball radii must be positive")
-    if spec.centers.shape[0] > 1 or spec.dim not in (2, 3):
+    if not np.all((radii > 0) & np.isfinite(radii)):
+        raise ValueError("ball radii must be positive and finite")
+    if spec.centers.shape[0] > 1:
         return _sampled_ball_products(spec, centers, radii)
     if spec.alpha == 0.0:
         return np.ones(centers.shape[0])

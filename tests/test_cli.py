@@ -423,6 +423,14 @@ def test_infsup_demo_checks_every_level_first(tmp_path, capsys):
     assert "n=32" in captured.err
     assert not out.exists()
     assert peak < 2**20
+    # a level without interior vertices is refused before the first row
+    rc = main(["infsup-demo", "--dim", "2", "--levels", "8", "1",
+               "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no interior vertices" in captured.err
+    assert not out.exists()
 
 
 def test_korn_refuses_oversized_level(tmp_path, capsys):
@@ -445,6 +453,14 @@ def test_korn_checks_every_level_first(tmp_path, capsys):
     assert "n=32" in captured.err
     assert not out.exists()
     assert peak < 2**20
+    # a level without interior vertices is refused before the first row
+    rc = main(["korn", "--dim", "2", "--levels", "8", "1", "--out",
+               str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no interior vertices" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,7 +23,8 @@ from elastopoint.assembly import (LameParams, PointLoadSet,
 from elastopoint.cli import main
 from elastopoint.convergence import _solve_level
 from elastopoint.mesh import build_unit_box_mesh
-from elastopoint.multigrid import VCycle, _restriction, build_levels
+from elastopoint.multigrid import (VCycle, _restriction, build_levels,
+                                   check_family_size)
 from elastopoint.solver import cg_solve, default_max_iter
 
 from oracles import (cg_allocating, dof_prolongation_kron,
@@ -914,3 +915,58 @@ def test_lambda_over_mu_above_the_tested_range_fails_fast(lam, tmp_path,
         assert captured.out == ""
         assert "outside the supported range (0, 1e+05]" in captured.err
     assert not (tmp_path / "study.csv").exists()
+
+
+def test_family_limit_admits_the_supported_range():
+    # the estimate alone: nothing here is built
+    assert check_family_size(3, 128) < 2**31
+    assert check_family_size(2, 1024) < 2**31
+    assert check_family_size(3, 178) <= 2**31
+    assert check_family_size(2, 2897) <= 2**31
+    assert check_family_size(2, 1) == 0
+    for dim, n in ((3, 179), (3, 256), (2, 2898)):
+        with pytest.raises(ValueError, match=r"n=%d \(%dD\) needs about "
+                           r"\d+ MB .* above the 2048 MB limit" % (n, dim)):
+            check_family_size(dim, n)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 128), (3, 32)])
+def test_family_estimate_covers_a_traced_build_and_solve(dim, n):
+    tracemalloc.start()
+    try:
+        family = build_levels(dim, n, LameParams(1.0, 1.0))
+        _solve_level(family, _load(dim), 1e-10, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= check_family_size(dim, n)
+
+
+def test_oversized_family_fails_fast(tmp_path, capsys, monkeypatch):
+    # 3D n=2^15 would need about 2^47 bytes; the refusal comes before
+    # any mesh and allocates next to nothing
+    def no_mesh(*args):
+        raise AssertionError("meshed before the size check")
+
+    monkeypatch.setattr(multigrid, "build_unit_box_mesh", no_mesh)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"n=32768 \(3D\) .* MB"):
+            build_levels(3, 2**15, LameParams(1.0, 1.0))
+        loads = tmp_path / "loads.txt"
+        loads.write_text("point 0.5 0.5 0.5 0 0 1\n")
+        out = tmp_path / "study.csv"
+        # the reference of levels 4, 8 with 12 extra levels is n=2^15
+        rc = main(["converge", "--dim", "3", "--levels", "4", "8",
+                   "--ref-extra", "12", "--loads", str(loads),
+                   "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n=32768 (3D) needs about" in captured.err
+    assert "multigrid family and solve workspace" in captured.err
+    assert not out.exists()
+    assert peak < 2**20

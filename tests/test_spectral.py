@@ -411,9 +411,11 @@ def test_band_estimate_matches_assembled_forms(dim, n):
 def test_band_limit_admits_the_supported_range():
     assert check_band_size(3, 24) < 1.5e9
     assert check_band_size(2, 256) < 1.7e9
-    assert check_band_size(2, 1) == 0
     with pytest.raises(ValueError, match=r"n=32 \(3D\) .* MB"):
         check_band_size(3, 32)
+    # a level without interior vertices has no pencil to factor
+    with pytest.raises(ValueError, match="no interior vertices"):
+        check_band_size(2, 1)
 
 
 @pytest.mark.parametrize("s", [-0.5, 0.5])

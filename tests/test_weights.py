@@ -346,6 +346,29 @@ def test_a2_estimator_validation():
         default_ball_family(2, [0.5, 0.5, 0.5])
 
 
+@pytest.mark.parametrize("centers", [[[0.5]], [[0.5] * 4]],
+                         ids=["1D", "4D"])
+def test_weight_spec_refuses_other_dimensions(centers):
+    with pytest.raises(ValueError, match="2 or 3 coordinates"):
+        WeightSpec(centers, 0.5)
+
+
+@pytest.mark.parametrize("weight_centers", [[[0.5, 0.5]],
+                                            [[0.3, 0.3], [0.7, 0.6]]],
+                         ids=["one", "two"])
+@pytest.mark.parametrize("balls,radii,message", [
+    ([[0.5, 0.5]], [np.nan], "radii must be positive and finite"),
+    ([[0.5, 0.5]], [np.inf], "radii must be positive and finite"),
+    ([[np.nan, 0.5]], [0.1], "centers must be finite"),
+    ([[0.5, 0.5, 0.5]], [0.1], "weight's 2 coordinates"),
+], ids=["nan-radius", "inf-radius", "nan-centre", "3D-centre"])
+def test_a2_ball_products_refuse_bad_balls(weight_centers, balls, radii,
+                                           message):
+    spec = WeightSpec(weight_centers, 1.0)
+    with pytest.raises(ValueError, match=message):
+        a2_ball_products(spec, balls, radii)
+
+
 @st.composite
 def _points_and_centers(draw):
     """d in {2, 3}, K in {1, 2, 3} centers, and points of which some sit
