@@ -414,13 +414,10 @@ def _worker():
 
 
 def _sparse_kernel(M):
-    """The kernel of scipy's own M @ x for a CSR, CSC or COO matrix M,
-    csr_matvec, csc_matvec or coo_matvec, and its leading arguments (M's
-    shape or entry count, and its arrays): kernel(*head, x, out) adds
-    M @ x to out. x and out are C-ordered vectors of M's dtype; the
-    kernel sums in it."""
-    if M.format == "coo":
-        return _sparsetools.coo_matvec, (M.nnz, M.row, M.col, M.data)
+    """The kernel of scipy's own M @ x for a CSR or CSC matrix M,
+    csr_matvec or csc_matvec, and its leading arguments (M's shape and
+    its arrays): kernel(*head, x, out) adds M @ x to out. x and out are
+    C-ordered vectors of M's dtype; the kernel sums in it."""
     return (getattr(_sparsetools, M.format + "_matvec"),
             M.shape + (M.indptr, M.indices, M.data))
 
@@ -443,7 +440,7 @@ def _bind_sparse(M, x, out):
 
 
 def _sparse_product(M):
-    """x -> M @ x for a CSR, CSC or COO matrix M, without scipy's
+    """x -> M @ x for a CSR or CSC matrix M, without scipy's
     dispatch: the same kernel into the same freshly zeroed vector, so
     the same bits."""
     kernel, head = _sparse_kernel(M)
@@ -531,10 +528,10 @@ class StencilOperator:
     indptr[k] holds block k's row pointers into them, so data, indices
     and indptr size the whole operator: O(n) entries, 3,387 at 3D n=32.
 
-    bind(x, out) returns the product A x into out, for padded x and out
-    of the operator's dtype, as a function of no arguments whose kernel
-    arguments and views are made once; matvec(x, out) binds and runs
-    it. A product copies nothing: out is zeroed, each block adds its
+    bind(x, out), the one product entry, returns the product A x into
+    out, for padded x and out of the operator's dtype, as a function of
+    no arguments whose kernel arguments and views are made once. A
+    product copies nothing: out is zeroed, each block adds its
     products through scipy's csr_matvecs on the view of x shifted by
     its shift, whose d p rows of (p+1)^(d-1) values are the shifted
     lines, and the pad slots, which collect products from the
@@ -546,10 +543,7 @@ class StencilOperator:
     process that may run on two CPUs, splits its rows: one worker thread
     computes rows d p/2 .. d p of all blocks while the caller computes
     the first half, and the product returns only when both have
-    stopped.
-
-    A @ x takes a free-dof or a padded vector and returns one of the
-    same kind; diagonal() is the free-dof diagonal.
+    stopped. diagonal() is the free-dof diagonal.
     """
 
     def __init__(self, dim, p, data, indices, indptr):
@@ -678,18 +672,6 @@ class StencilOperator:
                 pad.fill(0.0)
             return out
         return split_product
-
-    def matvec(self, x, out):
-        return self.bind(x, out)()
-
-    def __matmul__(self, x):
-        if x.shape[0] == self.shape[0]:
-            return self.matvec(x, np.empty(self.shape[0], self.data.dtype))
-        d, p = self.dim, self.p
-        padded = np.zeros(self.shape[0], self.data.dtype)
-        _free_slots(padded, d, p)[...] = x.reshape((p,) * d + (d,))
-        return _free_slots(self.matvec(padded, np.empty_like(padded)),
-                           d, p).flatten()
 
 
 class LatticeStencil:

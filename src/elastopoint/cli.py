@@ -25,7 +25,7 @@ import numpy as np
 from .assembly import LameParams, PointLoadSet, from_free
 from .convergence import (_solve_level, manufactured_sine_2d,
                           run_convergence_study)
-from .mesh import build_unit_box_mesh
+from .mesh import _lattice_coordinates, build_unit_box_mesh
 from .multigrid import build_levels
 from .spectral import (check_band_size, discrete_korn_constant,
                        weighted_pairing_demo)
@@ -104,14 +104,14 @@ def _write_points(fh, mesh):
     """The POINTS lines, one lattice line along the last axis at a time.
 
     The vertices are the lattice in C order, so each coordinate takes
-    one of the n+1 values of the first line's last coordinates. Each is
+    one of the n+1 lattice values k/n. Each is
     formatted once with "%.16g"; a lattice line is its head (the
     leading coordinates, each followed by a space) joined over the
     tails (the last coordinate, a 2D point's literal 0 third component
     and the newline), the bytes of formatting each point on its own.
     """
     d, n = mesh.dim, mesh.n
-    coords = ["%.16g" % c for c in mesh.vertices[:n + 1, -1].tolist()]
+    coords = ["%.16g" % c for c in _lattice_coordinates(n).tolist()]
     tails = [c + " 0" * (3 - d) + "\n" for c in coords]
     for lead in product(coords, repeat=d - 1):
         head = " ".join(lead) + " "

@@ -127,10 +127,10 @@ def l2_error_nested(levels, u_level, u_ref):
     first: the reference is levels[0], the level levels[-1], and the
     reference must be at least two levels finer (k >= 2). u_level and
     u_ref are free-dof vectors. The level solution is scattered into
-    the padded layout and prolongated through each level's exact P, so
-    the distance has no interpolation error; the reference is
-    subtracted in the padded layout, and the difference, zero on the
-    boundary, is measured by the interior mass stencil.
+    the padded layout and prolongated through each level's exact
+    prolongation R.T, so the distance has no interpolation error; the
+    reference is subtracted in the padded layout, and the difference,
+    zero on the boundary, is measured by the interior mass stencil.
     """
     u_level = np.asarray(u_level, dtype=float)
     u_ref = np.asarray(u_ref, dtype=float)
@@ -143,8 +143,8 @@ def l2_error_nested(levels, u_level, u_ref):
         raise ValueError("free-dof vectors do not match the levels")
     v = to_padded(levels[-1].mesh, u_level)
     for lv in levels[-2::-1]:
-        # only n = 2 holds no P; its coarser n = 1 has no free dofs
-        v = np.zeros(lv.A.shape[0]) if lv.P is None else lv.P @ v
+        # only n = 2 holds no R; its coarser n = 1 has no free dofs
+        v = np.zeros(lv.A.shape[0]) if lv.R is None else lv.R.T @ v
     ref_mesh = levels[0].mesh
     v -= to_padded(ref_mesh, u_ref)
     return sqrt(_l2_norm_sq_padded(ref_mesh, v))

@@ -29,25 +29,26 @@ _MEMORY_LIMIT_BYTES = 2 * 1024**3
 
 @dataclass(frozen=True)
 class Mesh:
-    """Simplicial triangulation of the unit box.
+    """Simplicial triangulation of the unit box (0,1)^dim, dim = 2 or 3,
+    with n grid subdivisions per axis.
 
-    Only the vertex coordinates are stored: the lattice fixes every
-    cell, so `cells` is computed in closed form on each access and held
-    by no one after the caller drops it.
-
-    Attributes
-    ----------
-    dim : int
-        Space dimension, 2 or 3.
-    n : int
-        Grid subdivisions per axis.
-    vertices : ndarray, shape (nv, dim)
-        Vertex coordinates; grid values k/n.
+    dim and n fix the lattice and so every vertex and cell: `vertices`
+    and `cells` are computed in closed form on each access and held by
+    no one, and two meshes of one size compare equal and hash alike.
     """
 
     dim: int
     n: int
-    vertices: np.ndarray
+
+    @property
+    def vertices(self):
+        """Vertex coordinates k/n in C order, shape ((n+1)^dim, dim); a
+        new float array on every access, so read it once per call."""
+        grid = _lattice_coordinates(self.n)
+        out = np.empty((self.n + 1,) * self.dim + (self.dim,))
+        for k in range(self.dim):
+            out[..., k] = grid.reshape((-1,) + (1,) * (self.dim - 1 - k))
+        return out.reshape(-1, self.dim)
 
     @property
     def cells(self):
@@ -66,7 +67,8 @@ class Mesh:
 
     @property
     def num_vertices(self):
-        return self.vertices.shape[0]
+        """(n+1)^d."""
+        return (self.n + 1) ** self.dim
 
     @property
     def num_cells(self):
@@ -128,6 +130,11 @@ def _kuhn_shifts(k):
             if not min(t) < 0 < max(t)]
 
 
+def _lattice_coordinates(n):
+    """The n+1 coordinates k/n of the lattice along one axis."""
+    return np.arange(n + 1, dtype=float) / n
+
+
 def _lattice_strides(dim, n):
     return np.array([(n + 1) ** (dim - 1 - k) for k in range(dim)],
                     dtype=np.int64)
@@ -155,7 +162,7 @@ def _cell_vertices(mesh, cubes, types):
 
 
 def build_unit_box_mesh(dim, n):
-    """Triangulate the unit box with n subdivisions per axis.
+    """Triangulate the unit box with n subdivisions per axis (validated).
 
     Parameters
     ----------
@@ -172,13 +179,7 @@ def build_unit_box_mesh(dim, n):
         raise ValueError("dim must be 2 or 3, got %r" % (dim,))
     if not (float(n) >= 1 and float(n).is_integer()):
         raise ValueError("n must be a positive integer, got %r" % (n,))
-    n = int(n)
-
-    grid = np.arange(n + 1, dtype=float) / n
-    # one allocation: the coordinates are broadcast views until stacked
-    axes = np.meshgrid(*([grid] * dim), indexing="ij", sparse=True)
-    vertices = np.stack(np.broadcast_arrays(*axes), axis=-1)
-    return Mesh(dim, n, vertices.reshape(-1, dim))
+    return Mesh(dim, int(n))
 
 
 def _check_memory(arrays, size, what, storage):

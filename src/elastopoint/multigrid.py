@@ -3,42 +3,40 @@
 The meshes at n, n/2, n/4, ... are nested, so the P1 prolongation P
 between neighbouring sizes is exact, and the rediscretized coarse
 stiffness equals the Galerkin product P^T A_fine P. P is the same
-stencil at every fine vertex, so each level writes its restriction
-R = P^T straight into CSR, from a strided view of the fine free slots
-and the Kuhn shifts, and uses its transpose view as P. Every level's
-operator is rediscretized by tiling one vertex's stiffness blocks
-(assembly.LatticeStencil), read once per family, at its bottom size,
-from the slab blocks of the 2^d cubes around one vertex and scaled by
-an exact power of two per level, the structured-block operator of
-hierarchical hybrid grids (Bergen, Gradl, Hulsemann and Rude, Comput.
-Sci. Eng. 2006); no level is assembled and no sparse triple product
-is formed. Vectors, R and P are pencil-padded (the layout is defined
-by assembly.to_padded): every lattice axis but the last is padded,
-so the neighbouring lines of a lattice line along the last axis are
-views of x at fixed offsets, and an operator's product is one
-csr_matvecs call per shift of the padded axes (3 in 2D, 7 in 3D) on
-runs of n^(d-1) values, which copies nothing. The V-cycle
-smooths with Chebyshev-Jacobi polynomials (Adams, Brezina, Hu and
-Tuminaro, "Parallel multigrid smoothing: polynomial versus
+stencil at every fine vertex, so each level writes only its
+restriction R = P^T straight into CSR, from a strided view of the
+fine free slots and the Kuhn shifts; R.T, a CSC view of R's arrays,
+is P wherever it is needed. Every level's operator is rediscretized
+by tiling one vertex's stiffness blocks (assembly.LatticeStencil),
+read once per family, at its bottom size, from the slab blocks of the
+2^d cubes around one vertex and scaled by an exact power of two per
+level, the structured-block operator of hierarchical hybrid grids
+(Bergen, Gradl, Hulsemann and Rude, Comput. Sci. Eng. 2006); no level
+is assembled and no sparse triple product is formed. Vectors and R
+are pencil-padded (the layout is defined by assembly.to_padded), so
+an operator's product is one csr_matvecs call per shift of the padded
+axes (3 in 2D, 7 in 3D) on views of x, which copies nothing. The
+V-cycle smooths with Chebyshev-Jacobi polynomials (Adams, Brezina, Hu
+and Tuminaro, "Parallel multigrid smoothing: polynomial versus
 Gauss-Seidel", J. Comput. Phys. 2003) and preconditions CG. It runs in
 the precision of the level data, which build_levels stores in
 float32, the stencil tiles included, once per family, under a CG that
-stays in float64 (Goddeke, Strzodka and Turek, Int. J. Parallel
-Emergent Distrib. Syst. 2007): it is symmetric up to float32 rounding,
-and it moves half the bytes. A solve's V-cycle (VCycle) runs in place
-on buffers it allocates once per solve, with the same operations in
-the same order as a V-cycle that allocates every result, so with the
-same bits. Its products are bound to those buffers once per solve
+stays in float64 and owns the range: CG scales its right side by a
+power of two, and the V-cycle rounds that scaled residual to float32
+as it is (Goddeke, Strzodka and Turek, Int. J. Parallel Emergent
+Distrib. Syst. 2007). The V-cycle is symmetric up to float32 rounding
+and moves half the bytes. A solve's V-cycle (VCycle) runs in place on
+buffers it allocates once per solve, with the same operations in the
+same order as a V-cycle that allocates every result, so with the same
+bits. Its products are bound to those buffers once per solve
 (StencilOperator.bind, assembly._bind_sparse), as a structured-block
 solver sets a constant stencil's application up once, so a call pays
-no Python set-up on the small levels, where it cost more than the
-arithmetic. Operator products of at least 1e6 multiply-adds (3D n >=
-22, 2D n >= 205), in CG and in the V-cycle, split their rows across
-one worker thread when the process may run on two CPUs
-(assembly.StencilOperator); the bits do not change.
+no Python set-up on the small levels. Large products split their rows
+across one worker thread (assembly.StencilOperator), with the same
+bits.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -72,22 +70,21 @@ FAMILY_PEAK_VALUES = 16
 class GridLevel:
     """One size of the nested family and its multigrid data.
 
-    Vectors are pencil-padded (assembly.to_padded defines the layout).
-    mesh and the grad-div stiffness A are what a solve at this size
-    needs. A is a float64 StencilOperator: the stencil tiles of one
-    lattice line, not the matrix, and its products equal the assembled
-    stiffness's bit for bit. cycle_A is A with its data rounded to
-    float32, sharing the column indices and row pointers: the operator
-    of the V-cycle. inv_diag is 1 / diag(A) rounded to float32 and
-    padded with zeros, and lmax the Gershgorin bound max_i sum_j
-    |A_ij| / A_ii on the spectrum of D^-1 A, formed in float64; it is
-    never below the largest eigenvalue, which the smoother needs. R
+    Vectors are pencil-padded (assembly.to_padded). A, the grad-div
+    stiffness, is a float64 StencilOperator: the stencil tiles of one
+    lattice line, whose products equal the assembled stiffness's bit
+    for bit. cycle_A is A with its data rounded to float32, sharing the
+    column indices and row pointers: the operator of the V-cycle.
+    inv_diag is 1 / diag(A) rounded to float32 and padded with zeros,
+    and lmax the Gershgorin bound max_i sum_j |A_ij| / A_ii on the
+    spectrum of D^-1 A, formed in float64; it is never below the
+    largest eigenvalue, which the smoother needs. R
     restricts padded vectors of this level to those of the next
-    coarser one, and P = R^T, a CSC view of R's arrays, is the exact P1
-    prolongation back; their float32 entries are exactly 1 and 1/2, so
-    a float64 vector times P or R has the bits of the float64 matrix's
-    product. cycle_A, inv_diag, R and P set the precision of the
-    V-cycle, and must share one dtype. A level without P (odd n, or n
+    coarser one, and R.T, a CSC view of R's arrays, is the exact P1
+    prolongation back; R's float32 entries are exactly 1 and 1/2, so
+    a float64 vector times R or R.T has the bits of the float64
+    matrix's product. cycle_A, inv_diag and R set the precision of the
+    V-cycle, and must share one dtype. A level without R (odd n, or n
     <= 2) is the bottom of every V-cycle that reaches it; there factor
     holds a float64 dense Cholesky factor of the stiffness on the free
     dofs when 0 < n_free <= DENSE_BOTTOM_LIMIT.
@@ -97,7 +94,6 @@ class GridLevel:
     A: StencilOperator
     inv_diag: Optional[np.ndarray] = None
     lmax: Optional[float] = None
-    P: Optional[sp.csc_matrix] = None
     R: Optional[sp.csr_matrix] = None
     factor: Optional[tuple] = None
     cycle_A: Optional[StencilOperator] = None
@@ -119,23 +115,25 @@ def _restriction(fine, coarse):
     (fine n >= 4), the ascending order of their free-dof numbers, which
     is the order of the transpose of the free rows and columns of the
     lattice prolongation, not sorted by padded position. The weights
-    are float32, which holds them exactly.
+    are float32, which holds them exactly. Positions and offsets are
+    int32 from the start, so no int64 column array or cast copy is
+    made: int32 holds every padded position of a family that
+    check_family_size admits (3D n <= 178, about 1.7e7 positions).
     """
     d = fine.dim
     p, fp = coarse.n - 1, fine.n - 1
-    shifts = np.array(_kuhn_shifts(d))
+    shifts = np.array(_kuhn_shifts(d), dtype=np.int32)
     weights = np.where(shifts.any(axis=1), 0.5, 1.0).astype(np.float32)
     # coarse interior vertex J is fine interior vertex 2J + 1; coarse
     # padded order is last axis, component, then the padded axes
-    centres = _free_slots(np.arange(_padded_size(d, fp)), d, fp)[
-        (slice(1, None, 2),) * d]
+    centres = _free_slots(np.arange(_padded_size(d, fp), dtype=np.int32),
+                          d, fp)[(slice(1, None, 2),) * d]
     cols = (np.moveaxis(centres, (d - 1, d), (0, 1)).reshape(-1, 1)
             + _shift_offset(d, fp, shifts))
     counts = to_padded(coarse, np.full(d * p ** d, len(shifts), np.int32))
     indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int32)])
-    return sp.csr_matrix((np.tile(weights, d * p ** d),
-                          cols.reshape(-1).astype(np.int32), indptr),
-                         shape=(len(counts), _padded_size(d, fp)))
+    return sp.csr_matrix((np.tile(weights, d * p ** d), cols.reshape(-1),
+                          indptr), shape=(len(counts), _padded_size(d, fp)))
 
 
 def check_family_size(dim, n):
@@ -156,14 +154,14 @@ def build_levels(dim, n, params):
 
     Halves while n is even, so every size n / 2^k of the family is
     meshed once, down to the odd part of n (1 for powers of two). A
-    level coarsens (holds R, and P as R's transpose view) when its n is
-    even and above 2. Every level's operator is tiled from one
-    LatticeStencil, read at the family's bottom size, so every level's
-    size is that size times a power of two and the family assembles no
-    level and meshes no size outside it. cycle_A, inv_diag and
-    R are stored in float32, once per family, so the V-cycle runs in
-    float32 and rounds nothing per solve. No level holds a cell table or
-    a second copy of a transfer matrix. lambda / mu above
+    level coarsens (holds R) when its n is even and above 2. Every
+    level's operator is tiled from one LatticeStencil, read at the
+    family's bottom size, so every level's size is that size times a
+    power of two and the family assembles no level and meshes no size
+    outside it. cycle_A, inv_diag and R are stored in float32, once per
+    family, so the V-cycle runs in float32 and rounds nothing per
+    solve. No level holds vertices, cells or a second transfer matrix.
+    lambda / mu above
     MAX_LAMBDA_OVER_MU, and a size that check_family_size refuses,
     raise a ValueError before anything is meshed.
     """
@@ -185,17 +183,16 @@ def build_levels(dim, n, params):
     levels = []
     for k, mesh in enumerate(meshes):
         A = stencil.operator(mesh.n)
-        inv_diag = lmax = P = R = factor = None
+        inv_diag = lmax = R = factor = None
         if mesh.num_free_dofs:
             inv, lmax = A.jacobi_bound()
             inv_diag = np.zeros(A.shape[0], dtype=np.float32)
             _free_slots(inv_diag, A.dim, A.p)[...] = inv.reshape(A.p, A.dim)
         if mesh.n % 2 == 0 and mesh.n > 2:
             R = _restriction(mesh, meshes[k + 1])
-            P = R.T
         elif 0 < mesh.num_free_dofs <= DENSE_BOTTOM_LIMIT:
             factor = scipy.linalg.cho_factor(A.toarray(), lower=True)
-        levels.append(GridLevel(mesh, A, inv_diag, lmax, P, R, factor,
+        levels.append(GridLevel(mesh, A, inv_diag, lmax, R, factor,
                                 A.astype(np.float32)))
     return levels
 
@@ -221,47 +218,34 @@ def _chebyshev_coefficients(lmax):
     return theta, steps
 
 
-def _times_power_of_two(x, e, out):
-    """out = x 2^e with the bits of np.ldexp(x, e): a multiplication by
-    the exact 2^e, which rounds the product as ldexp does and runs
-    about four times faster; ldexp itself for |e| > 1021, where 2^e
-    nears the ends of the double range."""
-    if abs(e) <= 1021:
-        return np.multiply(x, 2.0 ** e, out=out)
-    return np.ldexp(x, e, out=out)
-
-
 class VCycle:
     """The V-cycle preconditioner of one solve, on buffers kept for it.
 
-    levels is a tail of a build_levels family; the V-cycle runs in the
-    dtype of its cycle_A, inv_diag, R and P (float32 from build_levels,
-    float64 for a copy with float64 data), on pencil-padded vectors. An
-    instance serves one solve and allocates one block of the cycle's
-    dtype, once: three scratch vectors of the top level's padded size,
-    shared by all levels, and every level's right side and iterate.
-    self.A is levels[0].A, in float64, for CG's products; self.levels
-    hold the levels' cycle_A as their A. No product needs a buffer of
-    its own, and each is bound once, here, to the buffers it reads and
-    writes: per level the stencil products of the iterate and of the
-    smoother's step, R and P, and at a dense bottom the free-slot views
-    of its right side and iterate.
+    levels is a tail of a build_levels family, kept as given in
+    self.levels; the V-cycle runs in the dtype of their cycle_A,
+    inv_diag and R (float32 from build_levels, float64 for a copy with
+    float64 data), on pencil-padded vectors. An instance serves one
+    solve and allocates one block of the cycle's dtype, once: three
+    scratch vectors of the top level's padded size, shared by all
+    levels, and every level's right side and iterate. self.A is
+    levels[0].A, in float64, for CG's products. Each product is bound
+    once, here, to the buffers it reads and writes: per level the
+    cycle_A products of the iterate and of the smoother's step, R and
+    R.T, and at a dense bottom the free-slot views of its right side
+    and iterate.
 
     Called as precond(r, out) on float64 padded r and out, it writes
     one V-cycle applied to r into out and leaves r as it is:
-    pre-smoothing, coarse correction through R and P, post-smoothing,
-    the bottom level solved by its dense factor, through a gather of
-    the free slots and a scatter back, or only smoothed. The bottom
-    solve is one call of LAPACK's dpotrs, without cho_solve's wrapper
-    and finiteness check: point forces are refused
+    pre-smoothing, coarse correction through R and R.T,
+    post-smoothing, the bottom level solved by its dense factor,
+    through a gather of the free slots and a scatter back, or only
+    smoothed. The bottom solve is one call of LAPACK's dpotrs, without
+    cho_solve's wrapper and finiteness check: point forces are refused
     unless finite, and cg_solve refuses a right side that is not, so
-    the residuals it passes are finite. The cycle sees
-    r scaled by the 2^-e that puts max |r| in [0.5, 1), rounded to its
-    dtype, and out gets 2^e times its result, both by
-    _times_power_of_two. The scaling is exact, so 2^k r gives 2^k M r
-    bit for bit and no force leaves float32's range (a plain cast
-    overflows above 3.4e38). M is linear up to rounding
-    and symmetric up to the rounding of the cycle's dtype. Every array
+    the residuals it passes are finite. r is cg_solve's scaled
+    residual, so it is rounded to the cycle's dtype as it is, and the
+    result is copied back into out. M is linear up to rounding and
+    symmetric up to the rounding of the cycle's dtype. Every array
     operation is that of the allocating V-cycle, in its order, so the
     bits are the same; every zero slot of out stays zero.
     """
@@ -278,7 +262,7 @@ class VCycle:
         # that later, larger allocations do not reuse
         cycle = np.empty(3 * n + 2 * sum(sizes), dtype=dtype)
         self.A = top.A
-        self.levels = [replace(lv, A=lv.cycle_A) for lv in levels]
+        self.levels = levels
         # per level: the residual, step and product scratch views, the
         # smoother's coefficients, and the level's right side and iterate
         scratch = cycle[:3 * n].reshape(3, n)
@@ -296,34 +280,30 @@ class VCycle:
         # dense bottom, the free-slot views of the right side and the
         # iterate and LAPACK's dpotrs on the factor, the routine that
         # scipy's cho_solve ends in; elsewhere the stencil products
-        # x -> q and d -> q and, where the level coarsens, R r -> bc
-        # and P xc -> q
+        # x -> q and d -> q of cycle_A and, where the level coarsens,
+        # R r -> bc and R.T xc -> q
         self._bound = []
-        for k, lv in enumerate(self.levels):
+        for k, lv in enumerate(levels):
             (r, d, q), (b, x) = self._scratch[k], self._vectors[k]
+            A = lv.cycle_A
             if lv.factor is not None:
                 factor, lower = lv.factor
-                bound = (_free_slots(b, lv.A.dim, lv.A.p),
-                         _free_slots(x, lv.A.dim, lv.A.p),
+                bound = (_free_slots(b, A.dim, A.p),
+                         _free_slots(x, A.dim, A.p),
                          partial(dpotrs, factor, lower=lower))
             else:
-                bound = (lv.A.bind(x, q), lv.A.bind(d, q))
-                if lv.P is not None:
+                bound = (A.bind(x, q), A.bind(d, q))
+                if lv.R is not None:
                     bc, xc = self._vectors[k + 1]
                     bound += (_bind_sparse(lv.R, r, bc),
-                              _bind_sparse(lv.P, xc, q))
+                              _bind_sparse(lv.R.T, xc, q))
             self._bound.append(bound)
 
     def __call__(self, r, out):
-        # out serves as float64 scratch for the exactly scaled r, so no
-        # cast needs a buffer
-        e = int(np.frexp(max(r.max(), -r.min()))[1])
         b, x = self._vectors[0]
-        _times_power_of_two(r, -e, out)
-        b[...] = out
+        b[...] = r
         self._cycle(0)
         out[...] = x
-        _times_power_of_two(out, e, out)
 
     def _cycle(self, k):
         lv = self.levels[k]
@@ -335,14 +315,14 @@ class VCycle:
                 x_slots.shape)
             return
         self._chebyshev(k, True)
-        if lv.P is not None:
+        if lv.R is not None:
             res, _, q = self._scratch[k]
             x_product, _, restrict, prolong = self._bound[k]
             x_product()
             np.subtract(b, q, out=res)
             restrict()
             self._cycle(k + 1)
-            # P e into a zeroed vector, then added: accumulating the
+            # R.T e into a zeroed vector, then added: accumulating the
             # product in x would sum in another order
             prolong()
             x += q

@@ -65,9 +65,9 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
         scaled back (diagnostics only).
     precond : optional callable precond(r, out) that writes M r into
         out, for a symmetric positive definite M (a float32 V-cycle is
-        one up to float32 rounding), and leaves r as it is; r and out
-        are CG's float64 residual and preconditioned residual,
-        overwritten between calls. None means Jacobi, M = diag(A)^-1.
+        one up to float32 rounding), and leaves r as it is; r, CG's
+        residual of the scaled b, and out are float64 and overwritten
+        between calls. None means Jacobi, M = diag(A)^-1.
 
     Returns
     -------

@@ -479,7 +479,7 @@ def _largest_ritz(solve, x, steps, done, gram):
     """Largest eigenvalue of T by plain Lanczos from x.
 
     T q = solve(gram q) must be self-adjoint in the inner product of the
-    SPD matrix gram (CSR, CSC or COO), or in the Euclidean one when gram
+    SPD matrix gram (CSR or CSC), or in the Euclidean one when gram
     is None.
     Returns (nu, r, gap): the largest Ritz value nu, its residual norm
     r = beta |s_last| (some eigenvalue lies within r of nu) and the gap
@@ -557,7 +557,7 @@ def _korn_pencil(mesh, eps_weights, grad_weights):
 
 
 def _pencil_lambda_min(E, G):
-    """sup{sigma : E - sigma G is SPD} for symmetric sparse E, G.
+    """sup{sigma : E - sigma G is SPD} for symmetric CSR or CSC E, G.
 
     By Sylvester's law of inertia E - sigma G is positive definite
     exactly when sigma lies below the smallest eigenvalue of the pencil

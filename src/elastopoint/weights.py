@@ -318,9 +318,11 @@ def estimate_a2(spec, ball_centers, radii):
 def default_ball_family(dim, focus, count=50):
     """Deterministic ball family probing a neighborhood of `focus`.
 
-    Alternates balls centered at the focus with balls offset by half
-    a radius, over a geometric range of radii. Meant as the standard
-    family for A2 estimates around a weight center.
+    Over a geometric range of radii r, ball i is offset from the focus
+    along a cycling axis by t_i r, with the ratio t_i = 3 i / (count - 1)
+    swept over [0, 3]: with one weight center the ball product depends
+    on that ratio alone and peaks near t = 0.8 to 1. Meant as the
+    standard family for A2 estimates around a weight center.
     """
     focus = np.asarray(focus, dtype=float).reshape(-1)
     if focus.shape != (dim,):
@@ -333,6 +335,6 @@ def default_ball_family(dim, focus, count=50):
         r = 0.4 * 0.85 ** (i // 2)
         e = np.zeros(dim)
         e[i % dim] = 1.0
-        centers[i] = focus if i % 2 == 0 else focus + 0.5 * r * e
+        centers[i] = focus + 3.0 * i / max(count - 1, 1) * r * e
         radii[i] = r
     return centers, radii

@@ -11,7 +11,8 @@ allocating expressions instead of the in-place multigrid-CG
 workspace, one assembled vertex plane instead of a tiled stencil,
 index loops instead of the plane-padded layout's views, per-line file
 writers instead of block formatting, per-cell corner loops instead of
-the cached corner plan, scipy's wrappers instead of bound LAPACK
+the cached corner plan, a meshgrid stack instead of the lattice
+vertex property, scipy's wrappers instead of bound LAPACK
 routines and sparse kernels, and
 seeded Monte
 Carlo for integrals without a convenient closed form. Keep these slow
@@ -163,9 +164,9 @@ def barycentric_coordinates(vertex_coords, point):
 def containing_cells_bruteforce(mesh, point, tol=1e-12):
     """All (cell_index, barycentric) pairs containing point, by full scan."""
     hits = []
-    cells = mesh.cells
+    cells, verts = mesh.cells, mesh.vertices
     for ci in range(mesh.num_cells):
-        bary = barycentric_coordinates(mesh.vertices[cells[ci]], point)
+        bary = barycentric_coordinates(verts[cells[ci]], point)
         if np.all(bary >= -tol):
             hits.append((ci, bary))
     return hits
@@ -199,8 +200,19 @@ def l2_norm_sq_p1_percell(mesh, values):
     cv = vals[cells]
     ssum = cv.sum(axis=1)
     per_cell = (ssum * ssum + (cv * cv).sum(axis=1)).sum(axis=1)
-    vols = np.array([cell_volume_loop(mesh.vertices[cell]) for cell in cells])
+    verts = mesh.vertices
+    vols = np.array([cell_volume_loop(verts[cell]) for cell in cells])
     return float(vols @ per_cell) / ((mesh.dim + 1) * (mesh.dim + 2))
+
+
+def lattice_vertices_meshgrid(dim, n):
+    """Vertex coordinates of the mesh of size n, ((n+1)^dim, dim), by a
+    stack of meshgrid axes in "ij" order."""
+    grid = np.arange(n + 1, dtype=float) / n
+    # one allocation: the coordinates are broadcast views until stacked
+    axes = np.meshgrid(*([grid] * dim), indexing="ij", sparse=True)
+    vertices = np.stack(np.broadcast_arrays(*axes), axis=-1)
+    return vertices.reshape(-1, dim)
 
 
 def cells_loop(dim, n):
@@ -241,9 +253,10 @@ def dense_stiffness_loop(mesh, mu, lam, form):
     nv = mesh.num_vertices
     d = mesh.dim
     K = np.zeros((nv * d, nv * d))
+    verts = mesh.vertices
     for cell in mesh.cells:
-        vol = cell_volume_loop(mesh.vertices[cell])
-        grads = cell_gradients_loop(mesh.vertices[cell])
+        vol = cell_volume_loop(verts[cell])
+        grads = cell_gradients_loop(verts[cell])
         for i in range(d + 1):
             for j in range(d + 1):
                 gi, gj = grads[i], grads[j]
@@ -274,8 +287,9 @@ def dense_form_loop(mesh, cell_weights, c_grad=0.0, c_div=0.0, c_eps=0.0):
     d = mesh.dim
     K = np.zeros((nv * d, nv * d))
     eye = np.eye(d)
+    verts = mesh.vertices
     for ci, cell in enumerate(mesh.cells):
-        grads = cell_gradients_loop(mesh.vertices[cell])
+        grads = cell_gradients_loop(verts[cell])
         G = {}
         for i in range(d + 1):
             for a in range(d):
@@ -299,8 +313,8 @@ def free_dof_numbering(mesh):
     """
     table = np.full((mesh.num_vertices, mesh.dim), -1, dtype=int)
     k = 0
-    for v in range(mesh.num_vertices):
-        if any(x == 0.0 or x == 1.0 for x in mesh.vertices[v]):
+    for v, xyz in enumerate(mesh.vertices):
+        if any(x == 0.0 or x == 1.0 for x in xyz):
             continue
         for c in range(mesh.dim):
             table[v, c] = k
@@ -783,21 +797,29 @@ def dof_prolongation_kron(fine, coarse):
     return P[rows][:, cols]
 
 
+def product(A, x):
+    """A x into a fresh vector: a level operator's bound product, for a
+    padded x of its dtype, or a matrix's A @ x."""
+    if not hasattr(A, "bind"):
+        return A @ x
+    return A.bind(x, np.empty(A.shape[0], x.dtype))()
+
+
 def chebyshev_allocating(lv, b, x):
-    """CHEB_DEGREE Chebyshev-Jacobi steps on A x = b from x (None: zero),
-    each expression in a fresh array."""
+    """CHEB_DEGREE Chebyshev-Jacobi steps on cycle_A x = b from x (None:
+    zero), each expression in a fresh array."""
     upper = lv.lmax
     lower = upper / CHEB_RATIO
     theta = 0.5 * (upper + lower)
     delta = 0.5 * (upper - lower)
     sigma = theta / delta
     rho = 1.0 / sigma
-    r = b.copy() if x is None else b - lv.A @ x
+    r = b.copy() if x is None else b - product(lv.cycle_A, x)
     d = (lv.inv_diag * r) / theta
     x = d.copy() if x is None else x + d
     for _ in range(CHEB_DEGREE - 1):
         rho_next = 1.0 / (2.0 * sigma - rho)
-        r -= lv.A @ d
+        r -= product(lv.cycle_A, d)
         d = (rho_next * rho) * d + (2.0 * rho_next / delta) * (lv.inv_diag * r)
         x += d
         rho = rho_next
@@ -806,15 +828,11 @@ def chebyshev_allocating(lv, b, x):
 
 def vcycle_allocating(levels, r):
     """One V-cycle from levels[0] applied to the float64 r, in the dtype
-    of the level data, with public products (A @ x, P @ e, R @ v) into
-    fresh arrays. Every level's A must already be in that dtype.
-
-    r is scaled by the power of two that brings max |r| into [0.5, 1)
-    and rounded to the level dtype; the result is scaled back in
-    float64."""
-    e = int(np.frexp(np.abs(r).max())[1])
-    b = (r * 2.0 ** -e).astype(levels[0].inv_diag.dtype)
-    return _cycle_allocating(levels, b).astype(np.float64) * 2.0 ** e
+    of the level data, with public products (R.T @ e, R @ v) and bound
+    cycle_A products into fresh arrays. r is rounded to the level dtype
+    as it is, and the result is returned in float64."""
+    b = r.astype(levels[0].inv_diag.dtype)
+    return _cycle_allocating(levels, b).astype(np.float64)
 
 
 def _cycle_allocating(levels, r):
@@ -825,8 +843,9 @@ def _cycle_allocating(levels, r):
         x[pos] = scipy.linalg.cho_solve(lv.factor, r[pos])
         return x
     x = chebyshev_allocating(lv, r, None)
-    if lv.P is not None:
-        x += lv.P @ _cycle_allocating(levels[1:], lv.R @ (r - lv.A @ x))
+    if lv.R is not None:
+        x += lv.R.T @ _cycle_allocating(
+            levels[1:], lv.R @ (r - product(lv.cycle_A, x)))
     return chebyshev_allocating(lv, r, x)
 
 
@@ -851,7 +870,7 @@ def cg_allocating(A, b, rel_tol=1e-10, max_iter=None, precond=None):
     it = 0
     converged = False
     while it < max_iter:
-        Ap = A @ p
+        Ap = product(A, p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             break
@@ -860,7 +879,7 @@ def cg_allocating(A, b, rel_tol=1e-10, max_iter=None, precond=None):
         r -= alpha * Ap
         it += 1
         if np.linalg.norm(r) <= rel_tol * bnorm:
-            r_true = b - A @ x
+            r_true = b - product(A, x)
             if np.linalg.norm(r_true) <= rel_tol * bnorm:
                 converged = True
                 break
@@ -875,7 +894,7 @@ def cg_allocating(A, b, rel_tol=1e-10, max_iter=None, precond=None):
         p = z + beta * p
         rz = rz_new
 
-    final_rel = float(np.linalg.norm(b - A @ x) / bnorm)
+    final_rel = float(np.linalg.norm(b - product(A, x)) / bnorm)
     if converged:
         converged = final_rel <= rel_tol
     return x, SolveStats(it, final_rel, converged)
@@ -923,7 +942,7 @@ def write_vtk_field_per_line(mesh, field, path):
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write("POINTS %d double\n" % mesh.num_vertices)
-        for p in mesh.vertices:
+        for p in lattice_vertices_meshgrid(mesh.dim, mesh.n):
             xyz = list(p) + [0.0] * (3 - mesh.dim)
             fh.write("%.16g %.16g %.16g\n" % tuple(xyz))
         fh.write("CELLS %d %d\n" % (mesh.num_cells,

@@ -89,8 +89,8 @@ def test_prolongation_interpolates_every_fine_vertex(dim):
     vals = rng.standard_normal((coarse.num_vertices, dim))
     out = prolongation_matrix(dim, coarse.n) @ vals
     cells = coarse.cells
-    for v in range(fine.num_vertices):
-        loc = locate_point(coarse, fine.vertices[v])
+    for v, x in enumerate(fine.vertices):
+        loc = locate_point(coarse, x)
         interp = loc.barycentric @ vals[cells[loc.cell_index]]
         assert np.allclose(out[v], interp, atol=1e-12)
 

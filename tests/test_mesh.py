@@ -23,6 +23,8 @@ from oracles import (
     cell_volume_loop,
     cells_loop,
     containing_cells_bruteforce,
+    lattice_vertices_meshgrid,
+    same_bits,
 )
 
 
@@ -72,9 +74,32 @@ def _traced_peak(fn):
 
 
 def test_mesh_build_peak_memory_is_near_its_output():
-    # the mesh stores only its vertices; no cell table is built
+    # the mesh stores only dim and n; no vertex or cell table is built
     mesh, peak = _traced_peak(lambda: build_unit_box_mesh(3, 32))
-    assert peak <= 2 * mesh.vertices.nbytes
+    assert peak < 4096
+
+
+def test_vertices_peak_memory_is_near_its_result():
+    mesh = build_unit_box_mesh(3, 32)
+    vertices, peak = _traced_peak(lambda: mesh.vertices)
+    assert vertices.shape == (33**3, 3)
+    assert peak <= vertices.nbytes + 4096
+
+
+@pytest.mark.parametrize("dim,n", [(2, 1), (2, 3), (2, 10), (3, 1), (3, 3),
+                                   (3, 7)])
+def test_vertices_have_the_bits_of_the_meshgrid_oracle(dim, n):
+    vertices = build_unit_box_mesh(dim, n).vertices
+    assert vertices.flags.c_contiguous
+    assert same_bits(vertices, lattice_vertices_meshgrid(dim, n))
+
+
+def test_meshes_compare_and_hash_by_size():
+    a, b = build_unit_box_mesh(3, 4), build_unit_box_mesh(3, 4.0)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, build_unit_box_mesh(3, 8)}) == 2
+    for other in (build_unit_box_mesh(2, 4), build_unit_box_mesh(3, 5)):
+        assert a != other and hash(a) != hash(other)
 
 
 def test_cells_peak_memory_is_near_its_result():
@@ -88,8 +113,9 @@ def test_cells_peak_memory_is_near_its_result():
 def test_vertices_on_exact_lattice(dim, n):
     mesh = build_unit_box_mesh(dim, n)
     lattice = np.arange(n + 1) / n
+    verts = mesh.vertices
     for c in range(dim):
-        assert np.isin(mesh.vertices[:, c], lattice).all()
+        assert np.isin(verts[:, c], lattice).all()
 
 
 @pytest.mark.parametrize("dim,n", [(2, 5), (3, 3)])
@@ -110,16 +136,18 @@ def test_positive_volumes_partition_the_box(dim, n):
     assert np.allclose(vols, expected, rtol=1e-13)
     assert abs(vols.sum() - 1.0) < 1e-12
     # orientation: signed determinants positive, not just absolute values
+    verts = mesh.vertices
     for cell in mesh.cells:
-        V = mesh.vertices[cell]
+        V = verts[cell]
         assert np.linalg.det(V[1:] - V[0]) > 0
 
 
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
 def test_cells_stay_within_one_cube(dim, n):
     mesh = build_unit_box_mesh(dim, n)
+    verts = mesh.vertices
     for cell in mesh.cells:
-        V = mesh.vertices[cell]
+        V = verts[cell]
         assert np.all(V.max(axis=0) - V.min(axis=0) <= 1.0 / n + 1e-15)
 
 
@@ -136,8 +164,9 @@ def test_refinement_keeps_coarse_vertices(dim):
 def test_gradients_match_loop_oracle(dim, n):
     mesh = build_unit_box_mesh(dim, n)
     vols, grads = cell_geometry(mesh)
+    verts = mesh.vertices
     for ci, cell in enumerate(mesh.cells):
-        V = mesh.vertices[cell]
+        V = verts[cell]
         g = grads[ci]
         assert np.allclose(g, cell_gradients_loop(V), atol=1e-12)
         assert np.allclose(g.sum(axis=0), 0.0, atol=1e-12)
@@ -151,9 +180,9 @@ def test_cell_geometry_matches_percell_calls(dim, n):
     assert vols.shape == (mesh.num_cells,)
     assert grads.shape == (mesh.num_cells, dim + 1, dim)
     assert np.array_equal(vols, cell_volumes(mesh))
-    cells = mesh.cells
+    cells, verts = mesh.cells, mesh.vertices
     for ci in range(0, mesh.num_cells, max(1, mesh.num_cells // 7)):
-        V = mesh.vertices[cells[ci]]
+        V = verts[cells[ci]]
         assert np.allclose(grads[ci], cell_gradients_loop(V),
                            rtol=1e-13, atol=1e-12)
         assert abs(vols[ci] - cell_volume_loop(V)) <= 1e-15 * vols[ci]
@@ -174,7 +203,7 @@ def test_linear_field_gradient_recovery(dim, n):
 def test_locate_random_points_against_bruteforce(dim, n):
     mesh = build_unit_box_mesh(dim, n)
     rng = np.random.default_rng(42)
-    cells = mesh.cells
+    cells, verts = mesh.cells, mesh.vertices
     for _ in range(25):
         x = rng.random(dim)
         loc = locate_point(mesh, x)
@@ -184,7 +213,7 @@ def test_locate_random_points_against_bruteforce(dim, n):
         assert np.allclose(loc.barycentric, hits[0][1], atol=1e-10)
         assert abs(loc.barycentric.sum() - 1.0) < 1e-12
         # reconstruct the point from the barycentric coordinates
-        V = mesh.vertices[cells[loc.cell_index]]
+        V = verts[cells[loc.cell_index]]
         assert np.allclose(loc.barycentric @ V, x, atol=1e-12)
 
 
@@ -192,11 +221,11 @@ def test_locate_random_points_against_bruteforce(dim, n):
 def test_locate_on_shared_faces_prefers_lowest_cell(dim, n):
     mesh = build_unit_box_mesh(dim, n)
     rng = np.random.default_rng(7)
-    cells = mesh.cells
+    cells, verts = mesh.cells, mesh.vertices
     # midpoints of random shared edges sit on cell interfaces
     for _ in range(10):
         ci = int(rng.integers(mesh.num_cells))
-        V = mesh.vertices[cells[ci]]
+        V = verts[cells[ci]]
         x = 0.5 * (V[0] + V[1])
         loc = locate_point(mesh, x)
         hits = containing_cells_bruteforce(mesh, x)
@@ -206,26 +235,28 @@ def test_locate_on_shared_faces_prefers_lowest_cell(dim, n):
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
 def test_cells_containing_point_at_vertices(dim, n):
     mesh = build_unit_box_mesh(dim, n)
-    boundary = ((mesh.vertices == 0.0) | (mesh.vertices == 1.0)).any(axis=1)
+    verts = mesh.vertices
+    boundary = ((verts == 0.0) | (verts == 1.0)).any(axis=1)
     interior = np.flatnonzero(~boundary)
     v = interior[0]
-    found = cells_containing_point(mesh, mesh.vertices[v])
+    found = cells_containing_point(mesh, verts[v])
     indices = [loc.cell_index for loc in found]
-    oracle = containing_cells_bruteforce(mesh, mesh.vertices[v])
+    oracle = containing_cells_bruteforce(mesh, verts[v])
     assert indices == [ci for ci, _ in oracle]
     assert indices == sorted(indices)
     assert len(indices) > 1
     for loc, (_, bary) in zip(found, oracle):
         assert np.allclose(loc.barycentric, bary, atol=1e-10)
-    loc = locate_point(mesh, mesh.vertices[v])
+    loc = locate_point(mesh, verts[v])
     assert loc.cell_index == indices[0]
 
 
 def _special_points(mesh, rng):
     """Vertices, edge midpoints, face centres and random points."""
-    pts = [mesh.vertices[v] for v in range(mesh.num_vertices)]
+    verts = mesh.vertices
+    pts = list(verts)
     for cell in mesh.cells:
-        V = mesh.vertices[cell]
+        V = verts[cell]
         pts.append(0.5 * (V[0] + V[-1]))
         pts.append(V[1:].mean(axis=0))
     pts.extend(rng.random((20, mesh.dim)))
@@ -289,10 +320,10 @@ def test_locate_outside_raises(dim):
 
 def test_locate_accepts_box_corners():
     mesh = build_unit_box_mesh(2, 2)
-    cells = mesh.cells
+    cells, verts = mesh.cells, mesh.vertices
     for corner in ([0.0, 0.0], [1.0, 1.0], [1.0, 0.0]):
         loc = locate_point(mesh, corner)
-        V = mesh.vertices[cells[loc.cell_index]]
+        V = verts[cells[loc.cell_index]]
         assert np.allclose(loc.barycentric @ V, corner, atol=1e-12)
 
 

@@ -30,8 +30,8 @@ from elastopoint.solver import cg_solve, default_max_iter
 from oracles import (cg_allocating, dof_prolongation_kron,
                      jacobi_bound_plane_rows, jacobi_bound_whole_matrix,
                      pad_matrix, pad_vector, padded_positions, plane_rows,
-                     plane_rows_product,
-                     same_bits, vcycle_allocating)
+                     plane_rows_product, product, same_bits,
+                     vcycle_allocating)
 
 
 def _load(dim):
@@ -63,11 +63,6 @@ def _random_padded(mesh, seed):
     return to_padded(mesh, rng.standard_normal(mesh.num_free_dofs))
 
 
-def _cycle_levels(levels):
-    """The levels as a V-cycle holds them, operators in its dtype."""
-    return VCycle(levels).levels
-
-
 def _float64_family(levels):
     """The levels with float64 operators, Jacobi data and transfers,
     1 / diag(A) formed in float64, so that a V-cycle on them runs in
@@ -82,7 +77,7 @@ def _float64_family(levels):
             # not R.astype, which sorts each row's columns
             R = sp.csr_matrix((lv.R.data.astype(np.float64), lv.R.indices,
                                lv.R.indptr), shape=lv.R.shape)
-            lv = replace(lv, R=R, P=R.T)
+            lv = replace(lv, R=R)
         out.append(lv)
     return out
 
@@ -94,8 +89,8 @@ def test_galerkin_product_equals_rediscretization(dim, n, lam):
     fine, coarse = build_levels(dim, n, params)[:2]
     A_fine = assemble_stiffness(fine.mesh, params)
     # P between free dofs: its padded rows and columns at the free slots
-    P = fine.P.toarray()[np.ix_(padded_positions(fine.mesh)[0],
-                                padded_positions(coarse.mesh)[0])]
+    P = fine.R.T.toarray()[np.ix_(padded_positions(fine.mesh)[0],
+                                  padded_positions(coarse.mesh)[0])]
     galerkin = P.T @ A_fine.toarray() @ P
     direct = assemble_stiffness(coarse.mesh, params).toarray()
     assert np.abs(galerkin - direct).max() <= 1e-14 * np.abs(direct).max()
@@ -155,12 +150,12 @@ def test_build_levels_peak_stays_below_its_csr():
     assert peak < CSR_BYTES_3D_32
 
 
-# what build_levels(3, 32) holds: 5.0 MB of vertices, plane rows in
-# float64 and float32, float32 restrictions and Jacobi data
-# (tracemalloc; 4.5 MB without the float32 plane rows, 5.5 MB with the
-# restrictions and Jacobi data in float64); a family that stores its
-# cell tables and a transposed copy of every restriction holds 15.2 MB
-HELD_BYTES_3D_32 = 7_000_000
+# what build_levels(3, 32) holds: 1.96 MB of float32 restrictions,
+# Jacobi data and stencil tiles in float64 and float32 (tracemalloc);
+# 3.0 MB when every mesh also stores its 1.0 MB of vertices, and 15.2
+# MB when it stores its cell table and every level a transposed copy
+# of its restriction
+HELD_BYTES_3D_32 = 2_500_000
 
 
 def test_build_levels_holds_no_cells_or_transfer_copies():
@@ -173,13 +168,23 @@ def test_build_levels_holds_no_cells_or_transfer_copies():
     assert len(levels) == 6
     assert held < HELD_BYTES_3D_32
     # the V-cycle's stencil tiles are rounded once, here, and share the
-    # float64 tiles' indices; a V-cycle uses them as they are
+    # float64 tiles' indices; a V-cycle's products run on them as they
+    # are, in float32
     cycle = VCycle(levels)
-    for lv, bound in zip(levels, cycle.levels):
+    assert cycle.levels is levels
+    rng = np.random.default_rng(32)
+    for k, lv in enumerate(levels):
         A, A32 = lv.A, lv.cycle_A
         assert same_bits(A32.data, A.data.astype(np.float32))
         assert A32.indices is A.indices and A32.indptr is A.indptr
-        assert bound.A is A32
+        if lv.factor is not None or not lv.mesh.num_free_dofs:
+            continue
+        x = cycle._vectors[k][1]
+        x[...] = to_padded(lv.mesh, rng.standard_normal(
+            lv.mesh.num_free_dofs))
+        q = cycle._bound[k][0]()
+        assert q.dtype == np.float32
+        assert same_bits(q, product(A32, x))
 
 
 def _same_csr(A, B):
@@ -213,6 +218,25 @@ def test_restriction_equals_the_kron_build(dim, n):
         coarse.num_free_dofs, 2 ** (dim + 1) - 1, dtype=counts.dtype)))
 
 
+# the tracemalloc peak of the 3D n=64 restriction, which keeps 11.1 MB:
+# 15.3 MB with int32 positions and offsets from the start, 29.2 MB with
+# int64 ones and their int32 copy
+RESTRICTION_PEAK_3D_64 = 18_000_000
+
+
+def test_restriction_builds_in_int32():
+    fine, coarse = build_unit_box_mesh(3, 64), build_unit_box_mesh(3, 32)
+    tracemalloc.start()
+    try:
+        R = _restriction(fine, coarse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert R.indices.dtype == R.indptr.dtype == np.int32
+    assert R.data.dtype == np.float32
+    assert peak < RESTRICTION_PEAK_3D_64
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.sampled_from([2, 3]).flatmap(
     lambda dim: st.tuples(st.just(dim),
@@ -223,14 +247,14 @@ def test_restriction_property(case):
 
 
 def _kron_family(levels, dtype=np.float32):
-    """The levels with P and R from the Kronecker-product oracle."""
+    """The levels with R from the Kronecker-product oracle."""
     out = []
     for k, lv in enumerate(levels):
-        if lv.P is not None:
+        if lv.R is not None:
             coarse = levels[k + 1].mesh
             R = dof_prolongation_kron(lv.mesh, coarse).T.tocsr()
             R = pad_matrix(R.astype(dtype), coarse, lv.mesh)
-            lv = replace(lv, P=R.T, R=R)
+            lv = replace(lv, R=R)
         out.append(lv)
     return out
 
@@ -242,25 +266,21 @@ def test_transfers_and_vcycle_match_the_kron_family(dim, n):
     rng = np.random.default_rng(n)
     for lv, ref, ref64 in zip(levels, oracle,
                               _kron_family(levels, np.float64)):
-        if lv.P is None:
+        if lv.R is None:
             continue
-        # P is R's transpose, a view of the same arrays
-        assert lv.P.format == "csc"
-        assert all(np.shares_memory(getattr(lv.P, k), getattr(lv.R, k))
-                   for k in ("data", "indices", "indptr"))
-        v = rng.standard_normal(lv.P.shape[1])
+        v = rng.standard_normal(lv.R.shape[0])
         w = rng.standard_normal(lv.R.shape[1])
         # float64 vectors get the float64 matrices' bits, float32 ones
         # the float32 products of the V-cycle
-        assert same_bits(lv.P @ v, ref64.P @ v)
+        assert same_bits(lv.R.T @ v, ref64.R.T @ v)
         assert same_bits(lv.R @ w, ref64.R @ w)
         v, w = v.astype(np.float32), w.astype(np.float32)
-        assert same_bits(lv.P @ v, ref.P @ v)
+        assert same_bits(lv.R.T @ v, ref.R.T @ v)
         assert same_bits(lv.R @ w, ref.R @ w)
     r = _random_padded(levels[0].mesh, n)
     Mr = _vcycle(levels, r)
     assert same_bits(Mr, _vcycle(oracle, r))
-    assert same_bits(Mr, vcycle_allocating(_cycle_levels(oracle), r))
+    assert same_bits(Mr, vcycle_allocating(oracle, r))
 
 
 class _Assembled:
@@ -274,15 +294,12 @@ class _Assembled:
         self.A, self.mesh = A, mesh
         self.shape, self.dim, self.p = like.shape, like.dim, like.p
 
-    def matvec(self, x, out):
+    def _product(self, x, out):
         out[...] = pad_vector(self.mesh, self.A @ from_padded(self.mesh, x))
         return out
 
     def bind(self, x, out):
-        return partial(self.matvec, x, out)
-
-    def __matmul__(self, x):
-        return self.matvec(x, np.empty(self.shape[0], self.A.dtype))
+        return partial(self._product, x, out)
 
 
 def _assembled_levels(levels, params):
@@ -320,7 +337,7 @@ def test_plane_operators_solve_as_the_assembled_matrices(dim, n, lam):
     r = _random_padded(levels[0].mesh, n)
     Mr = _vcycle(levels, r)
     assert same_bits(Mr, _vcycle(oracle, r))
-    assert same_bits(Mr, vcycle_allocating(_cycle_levels(oracle), r))
+    assert same_bits(Mr, vcycle_allocating(oracle, r))
     _, u, stats = _solve_level(levels, _load(dim), 1e-10, None)
     _, u_ref, stats_ref = _solve_level(oracle, _load(dim), 1e-10, None)
     assert same_bits(u, u_ref)
@@ -372,7 +389,7 @@ def test_workspace_solve_equals_the_allocating_oracle(dim, n, data, lam,
     x_ref, stats_ref = cg_allocating(
         levels[0].A, pad_vector(mesh, b),
         max_iter=default_max_iter(mesh.num_free_dofs),
-        precond=partial(vcycle_allocating, _cycle_levels(levels)))
+        precond=partial(vcycle_allocating, levels))
     x_ref = from_padded(mesh, x_ref)
     assert same_bits(u, x_ref)
     assert stats == stats_ref
@@ -418,16 +435,15 @@ def test_sparse_product_has_the_bits_of_the_public_products(dim, n,
         for threshold in (0, np.inf):
             monkeypatch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS", threshold)
             out = np.full(A.shape[0], np.nan, dtype=dtype)
-            A.matvec(to_padded(lv.mesh, x), out)
+            A.bind(to_padded(lv.mesh, x), out)()
             assert same_bits(from_padded(lv.mesh, out), ref)
             assert not np.any(_zero_slots(lv.mesh, out))
     # the V-cycle's bound transfers, in its float32: R r -> bc and
-    # P xc -> q, each into a vector that holds the previous product
+    # R.T xc -> q, each into a vector that holds the previous product
     precond = VCycle(levels)
     restrict, prolong = precond._bound[0][2:]
     r, _, q = precond._scratch[0]
     bc, xc = precond._vectors[1]
-    assert lv.P.format == "csc"
     for _ in range(2):
         r[...] = rng.standard_normal(lv.R.shape[1])
         assert restrict() is bc
@@ -458,7 +474,7 @@ def test_stencil_product_equals_the_assembled_product(case, seed, scale,
         for op, dtype in ((lv.A, np.float64), (lv.cycle_A, np.float32)):
             xd = x.astype(dtype)
             out = np.full(op.shape[0], np.nan, dtype=dtype)
-            op.matvec(to_padded(lv.mesh, xd), out)
+            op.bind(to_padded(lv.mesh, xd), out)()
             assert same_bits(from_padded(lv.mesh, out),
                              A.astype(dtype) @ xd)
             assert not np.any(_zero_slots(lv.mesh, out))
@@ -479,16 +495,17 @@ def test_bound_product_equals_matvec_and_the_assembled_product(dim, n, split,
     for op, dtype in ((lv.A, np.float64), (lv.cycle_A, np.float32)):
         x = np.zeros(op.shape[0], dtype=dtype)
         out = np.full(op.shape[0], np.nan, dtype=dtype)
-        product = op.bind(x, out)
+        bound = op.bind(x, out)
         # bound to x and out, not to their values at bind time
         for _ in range(2):
             xd = rng.standard_normal(A.shape[0]).astype(dtype)
             x[...] = to_padded(lv.mesh, xd)
             out.fill(np.nan)
-            assert product() is out
+            assert bound() is out
             assert same_bits(from_padded(lv.mesh, out), A.astype(dtype) @ xd)
             assert not np.any(_zero_slots(lv.mesh, out))
-            assert same_bits(out, op.matvec(x, np.empty_like(out)))
+            # and a product bound afresh has the same bits
+            assert same_bits(out, product(op, x))
 
 
 def test_bound_split_product_runs_after_the_pool_is_forgotten(monkeypatch):
@@ -499,17 +516,17 @@ def test_bound_split_product_runs_after_the_pool_is_forgotten(monkeypatch):
     monkeypatch.setattr(assembly, "_row_pool_lock", threading.Lock())
     lv = build_levels(3, 8, LameParams(1.0, 1.0))[0]
     x = _random_padded(lv.mesh, 3)
-    ref = lv.A @ x
+    ref = product(lv.A, x)
     out = np.full_like(x, np.nan)
-    product = lv.A.bind(x, out)
-    assert same_bits(product(), ref)
+    bound = lv.A.bind(x, out)
+    assert same_bits(bound(), ref)
     first = assembly._row_pool
     assert first is not None
     # what a forked child's hook does: the worker is looked up per
     # call, so the product makes a new one
     assembly._forget_row_pool()
     out.fill(np.nan)
-    assert same_bits(product(), ref)
+    assert same_bits(bound(), ref)
     second = assembly._row_pool
     assert second is not None and second is not first
     first.shutdown()
@@ -573,7 +590,7 @@ def test_split_product_raises_only_after_both_halves_stop(failing,
     lv = build_levels(2, 8, LameParams(1.0, 1.0))[0]
     A = lv.A
     x = _random_padded(lv.mesh, 0)
-    ref = A @ x
+    ref = product(A, x)
     kernel = assembly._sparsetools.csr_matvecs
     caller = threading.current_thread()
     stopped = []
@@ -594,7 +611,7 @@ def test_split_product_raises_only_after_both_halves_stop(failing,
                         SimpleNamespace(csr_matvecs=matvecs))
     out = np.full(A.shape[0], np.nan)
     with pytest.raises(RuntimeError, match=failing + " half"):
-        A.matvec(x, out)
+        A.bind(x, out)()
     # the failing half stops at its first block, the other runs all
     # three, and the product returns only after both
     assert sorted(stopped) == ([False] + [True] * 3 if failing == "worker"
@@ -613,7 +630,7 @@ def test_split_products_from_many_threads_keep_their_bits(monkeypatch):
     lv = build_levels(2, 16, LameParams(1.0, 1.0))[0]
     A = lv.A
     x = _random_padded(lv.mesh, 0)
-    ref = A @ x
+    ref = product(A, x)
     _two_cpus(monkeypatch)
     monkeypatch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS", 0)
     monkeypatch.setattr(assembly, "_row_pool", None)
@@ -625,7 +642,7 @@ def test_split_products_from_many_threads_keep_their_bits(monkeypatch):
         start.wait()
         for _ in range(50):
             out.fill(np.nan)
-            exact.append(same_bits(A.matvec(x, out), ref))
+            exact.append(same_bits(A.bind(x, out)(), ref))
 
     threads = threading.active_count()
     callers = [threading.Thread(target=products) for _ in range(6)]
@@ -725,7 +742,7 @@ def test_restriction_of_point_loads_is_exact(dim, points):
         loads = PointLoadSet([x], [rng.standard_normal(dim)])
         b_fine = to_padded(fine.mesh, assemble_point_load(fine.mesh, loads))
         b_coarse = assemble_point_load(coarse.mesh, loads)
-        restricted = from_padded(coarse.mesh, fine.P.T @ b_fine)
+        restricted = from_padded(coarse.mesh, fine.R @ b_fine)
         assert np.abs(restricted - b_coarse).max() <= 1e-14
 
 
@@ -764,8 +781,9 @@ def test_float32_vcycle_rounds_the_float64_one(dim, n, lam):
 @pytest.mark.parametrize("dim,n", [(2, 16), (2, 33), (3, 8)])
 @pytest.mark.parametrize("k", [200, -200])
 def test_scaled_force_scales_the_solve_exactly(dim, n, k):
-    # 2^200 is far outside float32's range, so without the V-cycle's
-    # power-of-two scaling this solve would overflow or underflow
+    # 2^200 is far outside float32's range, so without cg_solve's
+    # power-of-two scaling of the right side the float32 V-cycle would
+    # overflow or underflow on this solve
     levels = build_levels(dim, n, LameParams(1.0, 50.0))
     point, force = _load(dim).points, _load(dim).forces
     _, u, stats = _solve_level(levels, PointLoadSet(point, force), 1e-10,
@@ -789,25 +807,6 @@ def test_tiny_force_solves_as_the_unit_force_scaled(dim, n):
     assert stats.converged and stats.iterations > 0
     assert stats_tiny == stats
     assert same_bits(u_tiny, u * 2.0 ** -1000)
-
-
-# 2^e is a finite double for |e| <= 1021 on both sides of the V-cycle's
-# scaling; beyond, the scaling falls back to ldexp
-@pytest.mark.parametrize("e", [-1074, -1022, -1021, 0, 1021, 1024])
-def test_power_of_two_scaling_has_the_bits_of_ldexp(e):
-    rng = np.random.default_rng(abs(e))
-    exponents = rng.integers(-1074, 1024, 4096).astype(float)
-    x = rng.standard_normal(4096) * np.exp2(exponents)
-    tiny = np.finfo(float).smallest_subnormal
-    x[:8] = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny,
-             np.finfo(float).max, np.finfo(float).tiny]
-    with np.errstate(over="ignore", under="ignore"):
-        want = np.ldexp(x, e)
-        out = np.full_like(x, np.nan)
-        assert multigrid._times_power_of_two(x, e, out) is out
-        assert same_bits(out, want)
-        # in place, as the V-cycle scales its output
-        assert same_bits(multigrid._times_power_of_two(x, e, x), want)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 8), (2, 15), (2, 16), (2, 66),
@@ -837,7 +836,8 @@ def test_smallest_meshes_solve(dim, n):
     assert x.shape == (mesh.num_free_dofs,)
     full = from_free(mesh, x)
     assert full.shape == (mesh.num_vertices, dim)
-    boundary = ((mesh.vertices == 0.0) | (mesh.vertices == 1.0)).any(axis=1)
+    verts = mesh.vertices
+    boundary = ((verts == 0.0) | (verts == 1.0)).any(axis=1)
     assert np.all(full[boundary] == 0.0)
 
 

@@ -664,9 +664,8 @@ def test_pencil_search_holds_only_the_band_arrays():
     # vectors: the Lanczos and work vectors and the band builder's
     # temporaries (about 12 vectors); a copy of a factor would add a
     # whole (b + 1) x N band array (174 vectors here)
+    # the CSR forms, as the Korn and inf-sup constants pass them
     mesh, _, E, G = _korn_pencil(3, 8, 1.0)
-    E = E.tocoo()
-    G = G.tocoo()
     tracemalloc.start()
     try:
         _pencil_lambda_min(E, G)

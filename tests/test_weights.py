@@ -159,8 +159,9 @@ def test_unweighted_norm_matches_affine_integral(dim, n):
     mesh = build_unit_box_mesh(dim, n)
     coeffs = np.arange(1.0, dim + 1.0)
     consts = [0.5, -1.0]
+    verts = mesh.vertices
     field = np.stack(
-        [mesh.vertices @ np.roll(coeffs, c) + consts[c % 2] for c in range(dim)],
+        [verts @ np.roll(coeffs, c) + consts[c % 2] for c in range(dim)],
         axis=1,
     )
     exact = sum(
@@ -325,11 +326,29 @@ def test_ball_family_layout():
     assert np.all(radii > 0)
     assert radii.max() == 0.4
     assert np.array_equal(centers[0], [0.5, 0.5, 0.5])
-    assert np.array_equal(centers[2], [0.5, 0.5, 0.5])
-    # odd entries are offset by half a radius along a cycling axis
-    assert abs(centers[1, 1] - (0.5 + 0.5 * radii[1])) < 1e-15
-    assert abs(centers[3, 0] - (0.5 + 0.5 * radii[3])) < 1e-15
+    # ball i is offset by 3 i / 8 radii along a cycling axis, so the
+    # offset ratios sweep [0, 3]
+    offsets = np.linalg.norm(centers - 0.5, axis=1) / radii
+    assert np.allclose(offsets, 3.0 * np.arange(9) / 8, rtol=1e-14,
+                       atol=1e-15)
+    assert abs(centers[1, 1] - (0.5 + 0.375 * radii[1])) < 1e-15
+    assert abs(centers[8, 2] - (0.5 + 3.0 * radii[8])) < 1e-15
     assert centers[3, 1] == 0.5 and centers[3, 2] == 0.5
+    assert np.array_equal(default_ball_family(2, [0.5, 0.5], count=1)[0],
+                          [[0.5, 0.5]])
+
+
+@pytest.mark.parametrize("dim,alpha,focus", [
+    (2, 1.0, [0.37, 0.61]), (3, -1.5, [0.37, 0.61, 0.43])])
+def test_default_family_estimate_is_near_the_exact_a2(dim, alpha, focus):
+    # with one centre the ball product depends on the offset ratio t
+    # alone; its maximum over t is the weight's A2 constant, about t =
+    # 0.8 here, which balls at t = 0 and 1/2 alone missed by 7-8 %
+    means = weights._unit_ball_means(dim, np.linspace(0.0, 3.0, 3001))
+    exact = (means(alpha) * means(-alpha)).max()
+    got = estimate_a2(WeightSpec([focus], alpha),
+                      *default_ball_family(dim, focus))
+    assert exact * (1.0 - 1e-2) <= got <= exact * (1.0 + 1e-6)
 
 
 def test_a2_estimator_validation():
