@@ -264,7 +264,9 @@ def _cmd_a2(args):
         raise ValueError("--alpha is required for a2")
     centers = _centers(args)
     spec = WeightSpec(centers, args.alpha)
-    balls, radii = default_ball_family(args.dim, centers[0])
+    # the balls around every center, so each pole is probed
+    balls, radii = map(np.concatenate, zip(
+        *(default_ball_family(args.dim, c) for c in centers)))
     est = estimate_a2(spec, balls, radii)
     print("a2 characteristic (sampled lower bound): %s" % _fmt(est))
     print("alpha=%s centers=%d balls=%d" % (_fmt(args.alpha), len(centers),

@@ -498,6 +498,18 @@ def test_a2_command(capsys):
     assert line.rsplit(" ", 1)[1] == "1"
 
 
+def test_a2_estimate_does_not_depend_on_the_order_of_the_centers(capsys):
+    # the balls around every center are probed, not those of the first
+    outs = []
+    for first, second in ((["0.3", "0.3"], ["0.7", "0.7"]),
+                          (["0.7", "0.7"], ["0.3", "0.3"])):
+        assert main(["a2", "--dim", "2", "--alpha", "1.0",
+                     "--center", *first, "--center", *second]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[1] == "alpha=1 centers=2 balls=100"
+
+
 def test_a2_requires_alpha(capsys):
     rc = main(["a2", "--dim", "2"])
     assert rc == 1
