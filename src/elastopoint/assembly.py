@@ -19,8 +19,9 @@ LatticeStencil takes one vertex's blocks at the Kuhn shifts from the
 slab writer run on the 2^d cubes around it, with no dof table or
 matrix, and tiles them over any mesh of the family as a
 StencilOperator, whose products equal the matrix's bit for bit; the
-multigrid solve uses it and assembles no matrix. Its products run
-serially, on the calling thread.
+multigrid solve uses it and assembles no matrix. Its large products
+split their rows across two threads on a host that gives the process
+two CPUs, with the same bits as on one.
 
 Free degrees of freedom are the (vertex, component) pairs of the
 interior (n-1)^d sub-lattice, vertex-major with the component inner.
@@ -32,6 +33,8 @@ free dofs, and a StencilOperator acts on padded vectors.
 """
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 from itertools import product
 from math import factorial
@@ -52,6 +55,33 @@ CONSTRAINED = -1
 # temporaries take about 5 kB per slab vertex in 3D; one plane per
 # slab at 3D n=32 was also the fastest length measured.
 _SLAB_VERTICES = 1024
+
+# multiply-adds, nnz x (p+1)^(d-1) for a StencilOperator's product,
+# from which the product splits its rows across two threads. Kernel
+# alone (csr_matvecs on one plane's rows of the 2D layout and the 3D
+# plane-padded layout before the pencil one, float64 and float32, 2-core
+# host): 3D n=32 (3.3M) ran 1.74-1.89x faster on two threads, 3D n=64
+# (28M) 1.81-1.96x and 2D n=256 (1.56M) 1.37-1.62x. 2D n=128 (0.39M)
+# and 3D n=16 (0.41M) stay serial: splitting 2D n=128 as well made the
+# 2D point-load study about 10 % slower, and splitting the pencil
+# products of 3D n=16 gained nothing in the 3D n=32 solve. Products
+# split from 3D n=22 and 2D n=205 on.
+_SPLIT_MULTIPLY_ADDS = 1_000_000
+# the one worker thread of the split, made by the first split product
+_row_pool = None
+_row_pool_lock = threading.Lock()
+
+
+def _forget_row_pool():
+    # a forked child has no worker thread behind the inherited pool
+    global _row_pool, _row_pool_lock
+    _row_pool = None
+    _row_pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_row_pool)
+
 
 @dataclass(frozen=True)
 class LameParams:
@@ -365,6 +395,24 @@ def assemble_stiffness(mesh, params):
     return vector_p1_form_matrix(mesh, None, *_stiffness_coeffs(params))
 
 
+def _cpus():
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _worker():
+    """The one worker thread of the split products, made on first use."""
+    global _row_pool
+    with _row_pool_lock:
+        if _row_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _row_pool = ThreadPoolExecutor(1, "elastopoint-rows")
+        return _row_pool
+
+
 def _sparse_kernel(M):
     """The kernel of scipy's own M @ x for a CSR or CSC matrix M,
     csr_matvec or csc_matvec, and its leading arguments (M's shape and
@@ -490,7 +538,12 @@ class StencilOperator:
     neighbouring lines, are zeroed again. Each output entry adds the
     terms of its assembled row in column order, plus +0 x terms where
     a shifted line leaves the interior, so the bits are those of the
-    assembled matrix's product. diagonal() is the free-dof diagonal.
+    assembled matrix's product. A product of at least
+    _SPLIT_MULTIPLY_ADDS multiply-adds, nnz (p+1)^(d-1), bound in a
+    process that may run on two CPUs, splits its rows: one worker thread
+    computes rows d p/2 .. d p of all blocks while the caller computes
+    the first half, and the product returns only when both have
+    stopped. diagonal() is the free-dof diagonal.
     """
 
     def __init__(self, dim, p, data, indices, indptr):
@@ -571,26 +624,54 @@ class StencilOperator:
 
         What depends only on x and out is made here, once: the
         csr_matvecs arguments of each block (its row pointers, the view
-        of x shifted by its shift, the output run) and the views of the
-        pad slots.
+        of x shifted by its shift, the output run), those of the two
+        halves of a split product, and the views of the pad slots. A
+        split product looks its worker up on each call, so a product
+        bound before a fork also runs in the child.
         """
         rows, run = self.rows, self.run
         size = rows * run
         y = out[self.margin:self.margin + size]
         pads = [y.reshape(self._lines)[pad] for pad in self._pads]
         kernel = _sparsetools.csr_matvecs
-        calls = [(rows, rows, run, indptr, self.indices, self.data,
-                  x[start:start + size], y)
-                 for indptr, start in zip(self.indptr, self._starts)]
 
-        def product():
-            out.fill(0.0)
+        def blocks(lo, hi):
+            tail = y[lo * run:]
+            return [(hi - lo, rows, run, indptr[lo:], self.indices,
+                     self.data, x[start:start + size], tail)
+                    for indptr, start in zip(self.indptr, self._starts)]
+
+        if self.data.size * run < _SPLIT_MULTIPLY_ADDS or _cpus() < 2:
+            calls = blocks(0, rows)
+
+            def product():
+                out.fill(0.0)
+                for args in calls:
+                    kernel(*args)
+                for pad in pads:
+                    pad.fill(0.0)
+                return out
+            return product
+
+        h = rows // 2
+        first, second = blocks(0, h), blocks(h, rows)
+
+        def run_all(calls):
             for args in calls:
                 kernel(*args)
+
+        def split_product():
+            out.fill(0.0)
+            done = _worker().submit(run_all, second)
+            try:
+                run_all(first)
+            finally:
+                # the worker writes into out until its half has stopped
+                done.result()
             for pad in pads:
                 pad.fill(0.0)
             return out
-        return product
+        return split_product
 
 
 class LatticeStencil:

@@ -31,7 +31,9 @@ same order as a V-cycle that allocates every result, so with the same
 bits. Its products are bound to those buffers once per solve
 (StencilOperator.bind, assembly._bind_sparse), as a structured-block
 solver sets a constant stencil's application up once, so a call pays
-no Python set-up on the small levels.
+no Python set-up on the small levels. Large products split their rows
+across one worker thread (assembly.StencilOperator), with the same
+bits.
 """
 
 from dataclasses import dataclass

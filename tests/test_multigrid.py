@@ -1,9 +1,12 @@
+import multiprocessing
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -397,6 +400,12 @@ def test_workspace_solve_equals_the_allocating_oracle(dim, n, data, lam,
                 <= 1e-8 * np.linalg.norm(x_direct))
 
 
+def _two_cpus(monkeypatch):
+    """Let the stencil products split their rows whatever this host
+    has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 def _zero_slots(mesh, x):
     """The entries of a padded vector that hold no free dof."""
     return np.delete(x, padded_positions(mesh)[0])
@@ -405,12 +414,16 @@ def _zero_slots(mesh, x):
 # scipy's private kernels behind the stencil product and the bound
 # transfers must keep the bits of the public products; a scipy that
 # changes them fails here. The stencil products are checked against one
-# vertex plane's assembled rows times the plane-shifted stack of x, in
-# both precisions.
+# vertex plane's assembled rows times the plane-shifted stack of x, split by
+# rows across two threads (every size crosses a zero threshold) and
+# serial, in both precisions; pd = d (n-1)^(d-1) rows are even in 2D and
+# odd in 3D for even n.
 @pytest.mark.parametrize("dim,n", [(2, 4), (2, 8), (2, 16), (2, 32), (2, 64),
                                    (2, 128), (2, 256), (3, 4), (3, 8),
                                    (3, 16), (3, 32), (3, 64)])
-def test_sparse_product_has_the_bits_of_the_public_products(dim, n):
+def test_sparse_product_has_the_bits_of_the_public_products(dim, n,
+                                                            monkeypatch):
+    _two_cpus(monkeypatch)
     params = LameParams(1.0, 50.0)
     levels = build_levels(dim, n, params)
     lv = levels[0]
@@ -419,10 +432,12 @@ def test_sparse_product_has_the_bits_of_the_public_products(dim, n):
     for A, dtype in ((lv.A, np.float64), (lv.cycle_A, np.float32)):
         x = rng.standard_normal(lv.mesh.num_free_dofs).astype(dtype)
         ref = plane_rows_product(W.astype(dtype), n - 1, x)
-        out = np.full(A.shape[0], np.nan, dtype=dtype)
-        A.bind(to_padded(lv.mesh, x), out)()
-        assert same_bits(from_padded(lv.mesh, out), ref)
-        assert not np.any(_zero_slots(lv.mesh, out))
+        for threshold in (0, np.inf):
+            monkeypatch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS", threshold)
+            out = np.full(A.shape[0], np.nan, dtype=dtype)
+            A.bind(to_padded(lv.mesh, x), out)()
+            assert same_bits(from_padded(lv.mesh, out), ref)
+            assert not np.any(_zero_slots(lv.mesh, out))
     # the V-cycle's bound transfers, in its float32: R r -> bc and
     # R.T xc -> q, each into a vector that holds the previous product
     precond = VCycle(levels)
@@ -443,24 +458,36 @@ def test_sparse_product_has_the_bits_of_the_public_products(dim, n):
     lambda dim: st.tuples(st.just(dim),
                           st.integers(2, 40 if dim == 2 else 12))),
        seed=st.integers(0, 2 ** 32 - 1),
-       scale=st.sampled_from([1.0, 2.0 ** -60, 3.0e30]))
-def test_stencil_product_equals_the_assembled_product(case, seed, scale):
+       scale=st.sampled_from([1.0, 2.0 ** -60, 3.0e30]),
+       split=st.booleans())
+def test_stencil_product_equals_the_assembled_product(case, seed, scale,
+                                                      split):
     dim, n = case
     params = LameParams(1.0, 7.0)
     lv = build_levels(dim, n, params)[0]
     A = assemble_stiffness(lv.mesh, params)
     x = np.random.default_rng(seed).standard_normal(A.shape[0]) * scale
-    for op, dtype in ((lv.A, np.float64), (lv.cycle_A, np.float32)):
-        xd = x.astype(dtype)
-        out = np.full(op.shape[0], np.nan, dtype=dtype)
-        op.bind(to_padded(lv.mesh, xd), out)()
-        assert same_bits(from_padded(lv.mesh, out), A.astype(dtype) @ xd)
-        assert not np.any(_zero_slots(lv.mesh, out))
+    with pytest.MonkeyPatch.context() as patch:
+        _two_cpus(patch)
+        patch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS",
+                      0 if split else np.inf)
+        for op, dtype in ((lv.A, np.float64), (lv.cycle_A, np.float32)):
+            xd = x.astype(dtype)
+            out = np.full(op.shape[0], np.nan, dtype=dtype)
+            op.bind(to_padded(lv.mesh, xd), out)()
+            assert same_bits(from_padded(lv.mesh, out),
+                             A.astype(dtype) @ xd)
+            assert not np.any(_zero_slots(lv.mesh, out))
 
 
+@pytest.mark.parametrize("split", [False, True])
 @pytest.mark.parametrize("dim,n", [(2, 2), (2, 7), (2, 16), (3, 2), (3, 5),
                                    (3, 8)])
-def test_bound_product_equals_matvec_and_the_assembled_product(dim, n):
+def test_bound_product_equals_matvec_and_the_assembled_product(dim, n, split,
+                                                               monkeypatch):
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS",
+                        0 if split else np.inf)
     params = LameParams(1.0, 7.0)
     lv = build_levels(dim, n, params)[0]
     A = assemble_stiffness(lv.mesh, params)
@@ -479,6 +506,31 @@ def test_bound_product_equals_matvec_and_the_assembled_product(dim, n):
             assert not np.any(_zero_slots(lv.mesh, out))
             # and a product bound afresh has the same bits
             assert same_bits(out, product(op, x))
+
+
+def test_bound_split_product_runs_after_the_pool_is_forgotten(monkeypatch):
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS", 0)
+    # this test's workers are its own; the module's come back after it
+    monkeypatch.setattr(assembly, "_row_pool", None)
+    monkeypatch.setattr(assembly, "_row_pool_lock", threading.Lock())
+    lv = build_levels(3, 8, LameParams(1.0, 1.0))[0]
+    x = _random_padded(lv.mesh, 3)
+    ref = product(lv.A, x)
+    out = np.full_like(x, np.nan)
+    bound = lv.A.bind(x, out)
+    assert same_bits(bound(), ref)
+    first = assembly._row_pool
+    assert first is not None
+    # what a forked child's hook does: the worker is looked up per
+    # call, so the product makes a new one
+    assembly._forget_row_pool()
+    out.fill(np.nan)
+    assert same_bits(bound(), ref)
+    second = assembly._row_pool
+    assert second is not None and second is not first
+    first.shutdown()
+    second.shutdown()
 
 
 def _python_calls(f, *args):
@@ -514,22 +566,121 @@ def test_vcycle_python_call_budget(n, budget):
     assert _python_calls(precond, r, out) <= budget
 
 
-def test_products_and_solves_start_no_thread(monkeypatch, tmp_path, capsys):
-    # a host that gives the process two CPUs still gets serial products
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    threads = threading.enumerate()
-    lv = build_levels(3, 32, LameParams(1.0, 1.0))[0]
-    for A in (lv.A, lv.cycle_A):
-        x = _random_padded(lv.mesh, 2).astype(A.data.dtype)
-        A.bind(x, np.empty_like(x))()
-    loads = tmp_path / "loads.txt"
-    loads.write_text("point 0.5123 0.5246 0.5369 1 0 0\n")
-    assert main(["solve", "--dim", "3", "--levels", "32",
-                 "--loads", str(loads)]) == 0
-    assert capsys.readouterr().out.startswith("n=32 ")
-    assert "elastopoint-rows" not in [t.name for t in threading.enumerate()]
-    assert threading.enumerate() == threads
-    assert threading.active_count() == len(threads)
+def test_one_cpu_solve_starts_no_thread_and_has_the_split_bits(monkeypatch):
+    levels = build_levels(3, 32, LameParams(1.0, 1.0))
+    _two_cpus(monkeypatch)
+    _, x_split, stats_split = _solve_level(levels, _load(3), 1e-10, None)
+    assert assembly._row_pool is not None
+    # hide the worker: a solve on one CPU must not make another
+    monkeypatch.setattr(assembly, "_row_pool", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    threads = threading.active_count()
+    _, x, stats = _solve_level(levels, _load(3), 1e-10, None)
+    assert threading.active_count() == threads
+    assert assembly._row_pool is None
+    assert same_bits(x, x_split)
+    assert stats == stats_split
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_split_product_raises_only_after_both_halves_stop(failing,
+                                                          monkeypatch):
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS", 0)
+    lv = build_levels(2, 8, LameParams(1.0, 1.0))[0]
+    A = lv.A
+    x = _random_padded(lv.mesh, 0)
+    ref = product(A, x)
+    kernel = assembly._sparsetools.csr_matvecs
+    caller = threading.current_thread()
+    stopped = []
+
+    def matvecs(*args):
+        # the worker's half is still running when the caller's is done
+        if threading.current_thread() is not caller:
+            time.sleep(0.1)
+        try:
+            if failing == ("caller" if threading.current_thread() is caller
+                           else "worker"):
+                raise RuntimeError(failing + " half")
+            kernel(*args)
+        finally:
+            stopped.append(threading.current_thread() is caller)
+
+    monkeypatch.setattr(assembly, "_sparsetools",
+                        SimpleNamespace(csr_matvecs=matvecs))
+    out = np.full(A.shape[0], np.nan)
+    with pytest.raises(RuntimeError, match=failing + " half"):
+        A.bind(x, out)()
+    # the failing half stops at its first block, the other runs all
+    # three, and the product returns only after both
+    assert sorted(stopped) == ([False] + [True] * 3 if failing == "worker"
+                               else [False] * 3 + [True])
+    h = A.rows // 2
+    rows = slice(h, None) if failing == "caller" else slice(None, h)
+    lines = slice(A.margin, A.margin + A.rows * A.run)
+    grid = out[lines].reshape(A.rows, A.p + 1)[rows, :A.p]
+    want = ref[lines].reshape(A.rows, A.p + 1)[rows, :A.p]
+    assert same_bits(grid, want)
+
+
+def test_split_products_from_many_threads_keep_their_bits(monkeypatch):
+    # more callers than cores share the one worker, which none of them
+    # has made yet, with the interpreter switching threads often
+    lv = build_levels(2, 16, LameParams(1.0, 1.0))[0]
+    A = lv.A
+    x = _random_padded(lv.mesh, 0)
+    ref = product(A, x)
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(assembly, "_SPLIT_MULTIPLY_ADDS", 0)
+    monkeypatch.setattr(assembly, "_row_pool", None)
+    exact = []
+    start = threading.Barrier(6, timeout=60)
+
+    def products():
+        out = np.empty_like(ref)
+        start.wait()
+        for _ in range(50):
+            out.fill(np.nan)
+            exact.append(same_bits(A.bind(x, out)(), ref))
+
+    threads = threading.active_count()
+    callers = [threading.Thread(target=products) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(exact) == 300 and all(exact)
+    # one worker thread, however many callers raced to make it
+    assert threading.active_count() == threads + 1
+
+
+def _solve_after_fork(levels):
+    # the child must not inherit the parent's worker, and makes its own
+    assert assembly._row_pool is None
+    _solve_level(levels, _load(3), 1e-10, None)
+    assert assembly._row_pool is not None
+
+
+def test_forked_child_solves_after_a_threaded_solve(monkeypatch):
+    _two_cpus(monkeypatch)
+    levels = build_levels(3, 32, LameParams(1.0, 1.0))
+    _solve_level(levels, _load(3), 1e-10, None)
+    assert assembly._row_pool is not None
+    child = multiprocessing.get_context("fork").Process(
+        target=_solve_after_fork, args=(levels,))
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
 
 
 @pytest.mark.parametrize("dim,n", [(2, 128), (3, 32)])
@@ -545,7 +696,9 @@ def test_vcycle_allocates_nothing_of_level_size(dim, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 1.5 kB: the dense bottom solve's vectors of 2 or 3 entries;
+    # about 1.5 kB: the dense bottom solve's vectors of 2 or 3 entries,
+    # and at 3D n=32 up to 3.2 kB with the hand-off objects of the
+    # products split across two threads (a future per product);
     # one vector of the top level is 258 kB (2D) or 715 kB (3D)
     assert peak < 4096
 
