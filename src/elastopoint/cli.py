@@ -19,13 +19,15 @@ fields zero-padded).
 import argparse
 import sys
 from itertools import product
+from math import factorial
 
 import numpy as np
 
 from .assembly import LameParams, PointLoadSet, from_free
 from .convergence import (_solve_level, manufactured_sine_2d,
                           run_convergence_study)
-from .mesh import _lattice_coordinates, build_unit_box_mesh
+from .mesh import (_cell_vertices, _lattice_coordinates,
+                   build_unit_box_mesh)
 from .multigrid import build_levels
 from .spectral import (check_band_size, discrete_korn_constant,
                        weighted_pairing_demo)
@@ -92,12 +94,31 @@ def write_csv_report(report, path):
     _write_csv(path, "level,n,h,ndof,error_l2,eoc", rows)
 
 
-def _write_lines(fh, line, rows):
-    """Write each row of a 2-D array as one %-formatted line, in blocks
-    of _VTK_BLOCK_LINES lines, so only one block is ever formatted."""
-    for start in range(0, len(rows), _VTK_BLOCK_LINES):
-        block = rows[start:start + _VTK_BLOCK_LINES]
+def _write_lines(fh, line, blocks):
+    """Write each row of each 2-D array in blocks as one %-formatted
+    line, one block at a time, so only one block is ever formatted."""
+    for block in blocks:
         fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
+def _row_blocks(rows):
+    """The rows in blocks of _VTK_BLOCK_LINES."""
+    return (rows[start:start + _VTK_BLOCK_LINES]
+            for start in range(0, len(rows), _VTK_BLOCK_LINES))
+
+
+def _cell_blocks(mesh):
+    """The rows of mesh.cells in blocks of whole cubes, at most
+    _VTK_BLOCK_LINES cells each (one cube if that is fewer than its d!
+    cells), each made from _cell_vertices when it is reached, so the
+    whole cell table is never built."""
+    types = np.arange(factorial(mesh.dim))
+    step = max(_VTK_BLOCK_LINES // len(types), 1)
+    cubes = mesh.n ** mesh.dim
+    for start in range(0, cubes, step):
+        block = _cell_vertices(
+            mesh, np.arange(start, min(start + step, cubes))[:, None], types)
+        yield block.reshape(-1, mesh.dim + 1)
 
 
 def _write_points(fh, mesh):
@@ -122,7 +143,9 @@ def write_vtk_field(mesh, field, path):
     """Legacy ASCII VTK unstructured grid with a displacement field.
 
     The points are written by lattice line (_write_points), and the
-    other sections are formatted and written in blocks of lines.
+    other sections are formatted and written in blocks of lines; the
+    cells are made block by block from their cubes (_cell_blocks), so
+    the write holds no array of the mesh's size but the field.
     "%.16g" and "%d" give the same bytes as formatting each line on its
     own, and a 2D point or vector gets its zero third component as the
     literal 0 that "%.16g" writes for it.
@@ -132,7 +155,6 @@ def write_vtk_field(mesh, field, path):
         raise ValueError("field must be (num_vertices, dim)")
     nv_cell = mesh.dim + 1
     xyz = " ".join(["%.16g"] * mesh.dim + ["0"] * (3 - mesh.dim)) + "\n"
-    cells = mesh.cells
     cell_type = "%d\n" % _VTK_CELL_TYPE[mesh.dim]
     with open(path, "w", newline="") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
@@ -143,14 +165,15 @@ def write_vtk_field(mesh, field, path):
         _write_points(fh, mesh)
         fh.write("CELLS %d %d\n" % (mesh.num_cells,
                                     mesh.num_cells * (nv_cell + 1)))
-        _write_lines(fh, "%d" % nv_cell + " %d" * nv_cell + "\n", cells)
+        _write_lines(fh, "%d" % nv_cell + " %d" * nv_cell + "\n",
+                     _cell_blocks(mesh))
         fh.write("CELL_TYPES %d\n" % mesh.num_cells)
         for start in range(0, mesh.num_cells, _VTK_BLOCK_LINES):
             fh.write(cell_type * min(_VTK_BLOCK_LINES,
                                      mesh.num_cells - start))
         fh.write("POINT_DATA %d\n" % mesh.num_vertices)
         fh.write("VECTORS displacement double\n")
-        _write_lines(fh, xyz, field)
+        _write_lines(fh, xyz, _row_blocks(field))
 
 
 def _centers(args):

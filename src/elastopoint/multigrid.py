@@ -61,8 +61,8 @@ DENSE_BOTTOM_LIMIT = 2000
 MAX_LAMBDA_OVER_MU = 1e5
 # float64 values per free dof of the finest level that a family and one
 # solve on that level hold at their peak: traced from build_levels to
-# the end of a point-load solve, 126, 108 and 103 bytes at 3D n = 16,
-# 32 and 64, and 121 to 108 at 2D n = 64 to 512
+# the end of a point-load solve, 94, 80 and 77 bytes at 3D n = 16, 32
+# and 64, and 92 to 81 at 2D n = 64 to 512
 FAMILY_PEAK_VALUES = 16
 
 
@@ -227,7 +227,12 @@ class VCycle:
     float64 data), on pencil-padded vectors. An instance serves one
     solve and allocates one block of the cycle's dtype, once: three
     scratch vectors of the top level's padded size, shared by all
-    levels, and every level's right side and iterate. self.A is
+    levels, and every level's right side and iterate. self.out is a
+    float64 vector of the top level's padded size in the block's
+    first bytes, the scratch vectors of the residual and the
+    smoother's step in float32 (of the residual alone in float64):
+    cg_solve works in it, as A p, alpha p and M r, and the cycle
+    overwrites it until it writes its result. self.A is
     levels[0].A, in float64, for CG's products. Each product is bound
     once, here, to the buffers it reads and writes: per level the
     cycle_A products of the iterate and of the smoother's step, R and
@@ -261,6 +266,10 @@ class VCycle:
         # solve ends; separate buffers could stay behind as free heap
         # that later, larger allocations do not reuse
         cycle = np.empty(3 * n + 2 * sum(sizes), dtype=dtype)
+        # CG's float64 work vector: the bytes of the residual and step
+        # scratch in float32, of the residual scratch alone in float64.
+        # Both are dead when __call__ writes its result
+        self.out = cycle[:8 // dtype.itemsize * n].view(np.float64)
         self.A = top.A
         self.levels = levels
         # per level: the residual, step and product scratch views, the

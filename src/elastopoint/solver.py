@@ -40,14 +40,18 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     [0.5, 1) and scales x back by 2^e: a b whose norm underflows to 0
     in float64 (max |b| below about 1.5e-154) solves as its scaled
     copy, and 2^k b gives 2^k x bit for bit. The iteration runs in
-    place on five vectors allocated per solve (x, r, z, p and A p),
-    and its two products, p -> A p and x -> A p, are bound to them
-    once per solve; with an operator whose products write into their
-    output, such as a multigrid level's StencilOperator, and a precond
-    that works in place, such as a multigrid VCycle, no step allocates
-    a vector of the system's size. Each update keeps the
-    operations, and their order, of its allocating form, so the
-    iterates have its bits.
+    place on four vectors besides b: x, r, p and one work vector w
+    that holds A p until r -= alpha A p, then alpha p until x +=
+    alpha p, then M r. w is precond.out when the preconditioner has
+    one, such as a multigrid VCycle, whose scratch shares its bytes,
+    and a vector allocated per solve otherwise. The two products,
+    p -> A p and x -> A p, are bound to p, x and w once per solve; with an
+    operator whose products write into their output, such as a
+    multigrid level's StencilOperator, and a precond that works in
+    place, no step allocates a vector of the system's size. Each
+    update keeps the operations, and their order, of its allocating
+    form, so the iterates have its bits: r is updated before x, which
+    it does not read.
 
     Parameters
     ----------
@@ -67,7 +71,10 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
         out, for a symmetric positive definite M (a float32 V-cycle is
         one up to float32 rounding), and leaves r as it is; r, CG's
         residual of the scaled b, and out are float64 and overwritten
-        between calls. None means Jacobi, M = diag(A)^-1.
+        between calls. Its attribute out, if it has one, is the float64
+        vector of b's size that CG passes as out and works in; the
+        precond may use it as scratch while it runs. None means
+        Jacobi, M = diag(A)^-1.
 
     Returns
     -------
@@ -120,53 +127,54 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     if bnorm == 0.0:
         return x, SolveStats(0, 0.0, True)
 
-    z = np.empty(n)
-    Ap = np.empty(n)
-    precond(r, z)
-    p = z.copy()
+    # w holds A p, then alpha p, then M r
+    w = getattr(precond, "out", None)
+    if w is None:
+        w = np.empty(n)
+    precond(r, w)
+    p = w.copy()
     # the two products of the loop, bound once to their vectors
-    p_product, x_product = bind(p, Ap), bind(x, Ap)
-    rz = float(r @ z)
+    p_product, x_product = bind(p, w), bind(x, w)
+    rz = float(r @ w)
     it = 0
     converged = False
     while it < max_iter:
         p_product()
-        pAp = float(p @ Ap)
+        pAp = float(p @ w)
         if pAp <= 0.0:
             break
         alpha = rz / pAp
-        # z is free until the next precond: it holds alpha p
-        np.multiply(p, alpha, out=z)
-        x += z
-        Ap *= alpha
-        r -= Ap
+        w *= alpha
+        r -= w
+        np.multiply(p, alpha, out=w)
+        x += w
         it += 1
         if callback is not None:
             callback(np.ldexp(x, e))
         if np.linalg.norm(r) <= rel_tol * bnorm:
             x_product()
             np.ldexp(b, -e, out=r)
-            r -= Ap
+            r -= w
             if np.linalg.norm(r) <= rel_tol * bnorm:
                 converged = True
                 break
             # recurrence drifted; keep the true residual and go on
-            precond(r, z)
-            p[...] = z
-            rz = float(r @ z)
+            precond(r, w)
+            p[...] = w
+            rz = float(r @ w)
             continue
-        precond(r, z)
-        rz_new = float(r @ z)
+        precond(r, w)
+        rz_new = float(r @ w)
         beta = rz_new / rz
         p *= beta
-        p += z
+        p += w
         rz = rz_new
 
     # a converged loop broke with r = b - A x; otherwise form it
     if not converged:
         x_product()
         np.ldexp(b, -e, out=r)
-        r -= Ap
+        r -= w
     final_rel = float(np.linalg.norm(r) / bnorm)
     if converged:
         converged = final_rel <= rel_tol

@@ -708,14 +708,16 @@ def test_vcycle_allocates_nothing_of_level_size(dim, n):
 # of the V-cycle allocates its results; 12.9 and 12.7 with the
 # workspace and a float64 plane stack and product of 4 n values; 13.0
 # and 13.4 when each solve also rounded the levels' plane rows to
-# float32; 8.9 with copy-free products on padded vectors (the load, its
-# padded copy, CG 5, and in float32 the scratch and every level's
-# right side and iterate)
-SOLVE_VECTORS = 15
+# float32; 9.0 and 9.3 with copy-free products on padded vectors (the
+# load, its padded copy, CG 5, and in float32 the scratch and every
+# level's right side and iterate); 7.0 and 7.1 with CG's A p, alpha p
+# and M r in one vector, VCycle.out, in the bytes of the V-cycle's
+# residual and step scratch (CG 4)
+SOLVE_VECTORS = 8
 
 
 @pytest.mark.parametrize("dim,n", [(2, 128), (3, 32)])
-def test_solve_allocates_at_most_15_level_vectors(dim, n):
+def test_solve_allocates_at_most_8_level_vectors(dim, n):
     levels = build_levels(dim, n, LameParams(1.0, 1.0))
     _solve_level(levels, _load(dim), 1e-10, None)
     tracemalloc.start()
@@ -725,6 +727,50 @@ def test_solve_allocates_at_most_15_level_vectors(dim, n):
     finally:
         tracemalloc.stop()
     assert peak <= SOLVE_VECTORS * 8 * levels[0].mesh.num_free_dofs
+
+
+@pytest.mark.parametrize("data", ["float32", "float64"])
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 8)])
+def test_solve_works_in_the_vcycle_output(dim, n, data):
+    levels = build_levels(dim, n, LameParams(1.0, 50.0))
+    if data == "float64":
+        levels = _float64_family(levels)
+    precond = VCycle(levels)
+    out = precond.out
+    assert out.dtype == np.float64 and out.shape == (precond.A.shape[0],)
+    # the top level's residual and step scratch lie in out's bytes in
+    # float32; in float64 out holds the residual scratch alone
+    res, step, q = precond._scratch[0]
+    assert np.shares_memory(res, out)
+    assert np.shares_memory(step, out) == (data == "float32")
+    assert not np.shares_memory(q, out)
+    # CG binds both of its products to out, and passes out to every
+    # preconditioner call
+    A, bound, calls = precond.A, [], []
+
+    class Products:
+        shape = A.shape
+
+        def bind(self, x, y):
+            bound.append(y)
+            return A.bind(x, y)
+
+    def spy(r, y):
+        calls.append(y)
+        precond(r, y)
+    spy.out = out
+
+    b = to_padded(levels[0].mesh,
+                  assemble_point_load(levels[0].mesh, _load(dim)))
+    x, stats = cg_solve(Products(), b, precond=spy)
+    assert stats.converged and len(calls) >= stats.iterations
+    assert len(bound) == 2 and all(y is out for y in bound + calls)
+    # a preconditioner without out gets a vector of CG's own, and the
+    # same V-cycle, with its scratch apart from that vector, gives the
+    # same bits
+    other = VCycle(levels)
+    x_ref, stats_ref = cg_solve(A, b, precond=lambda r, y: other(r, y))
+    assert same_bits(x, x_ref) and stats == stats_ref
 
 
 @pytest.mark.parametrize("dim,points", [
