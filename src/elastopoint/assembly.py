@@ -19,9 +19,9 @@ LatticeStencil takes one vertex's blocks at the Kuhn shifts from the
 slab writer run on the 2^d cubes around it, with no dof table or
 matrix, and tiles them over any mesh of the family as a
 StencilOperator, whose products equal the matrix's bit for bit; the
-multigrid solve uses it and assembles no matrix. Its large products
-split their rows across two threads on a host that gives the process
-two CPUs, with the same bits as on one.
+multigrid solve uses it and assembles only its dense bottom. Its large
+products split their rows across two threads on a host that gives the
+process two CPUs, with the same bits as on one.
 
 Free degrees of freedom are the (vertex, component) pairs of the
 interior (n-1)^d sub-lattice, vertex-major with the component inner.
@@ -520,30 +520,29 @@ class StencilOperator:
 
     The rows of every lattice line along the last axis are the same:
     the tiles of one vertex's stencil along the line. Block k is the
-    d p x d p CSR block of the columns on the line shifted by
-    shifts[k] in the padded axes, rows and columns numbered (i, c) as
-    the line's dofs; shifts is _kuhn_shifts(d - 1), so a
-    row's blocks and then their columns come in the order of the
-    assembled row's columns. The blocks share data and indices;
-    indptr[k] holds block k's row pointers into them, so data, indices
-    and indptr size the whole operator: O(n) entries, 3,387 at 3D n=32.
+    d p x d p CSR block of the columns on the line shifted by shifts[k]
+    in the padded axes, rows and columns numbered (i, c) as the line's
+    dofs; shifts is _kuhn_shifts(d - 1), so a row's blocks and then
+    their columns come in the order of the assembled row's columns. The
+    blocks share data and indices; indptr[k] holds block k's row
+    pointers into them, so data, indices and indptr size the whole
+    operator: O(n) entries, 3,387 at 3D n=32.
 
     bind(x, out), the one product entry, returns the product A x into
     out, for padded x and out of the operator's dtype, as a function of
     no arguments whose kernel arguments and views are made once. A
-    product copies nothing: out is zeroed, each block adds its
-    products through scipy's csr_matvecs on the view of x shifted by
-    its shift, whose d p rows of (p+1)^(d-1) values are the shifted
-    lines, and the pad slots, which collect products from the
-    neighbouring lines, are zeroed again. Each output entry adds the
-    terms of its assembled row in column order, plus +0 x terms where
-    a shifted line leaves the interior, so the bits are those of the
-    assembled matrix's product. A product of at least
-    _SPLIT_MULTIPLY_ADDS multiply-adds, nnz (p+1)^(d-1), bound in a
-    process that may run on two CPUs, splits its rows: one worker thread
-    computes rows d p/2 .. d p of all blocks while the caller computes
-    the first half, and the product returns only when both have
-    stopped. diagonal() is the free-dof diagonal.
+    product copies nothing: out is zeroed, each block adds its products
+    through scipy's csr_matvecs on the view of x shifted by its shift,
+    whose d p rows of (p+1)^(d-1) values are the shifted lines, and the
+    pad slots, which collect products from the neighbouring lines, are
+    zeroed again. Each output entry adds the terms of its assembled row
+    in column order, plus +0 x terms where a shifted line leaves the
+    interior, so the bits are those of the assembled matrix's product. A
+    product of at least _SPLIT_MULTIPLY_ADDS multiply-adds, nnz
+    (p+1)^(d-1), bound in a process that may run on two CPUs, splits its
+    rows: one worker thread computes rows d p/2 .. d p of all blocks
+    while the caller computes the first half, and the product returns
+    only when both have stopped.
     """
 
     def __init__(self, dim, p, data, indices, indptr):
@@ -575,9 +574,6 @@ class StencilOperator:
     def _line_diagonal(self):
         return self.block(self.shifts.index((0,) * (self.dim - 1))).diagonal()
 
-    def diagonal(self):
-        return np.tile(self._line_diagonal(), self.p ** (self.dim - 1))
-
     def jacobi_bound(self):
         """(1 / the diagonal of one line's rows, in float64, and the
         Gershgorin bound max_i sum_j |A_ij| / A_ii).
@@ -603,20 +599,6 @@ class StencilOperator:
                                             sums)
             lmax = max(lmax, float((inv * sums).max()))
         return inv, lmax
-
-    def toarray(self):
-        """The dense matrix on the free dofs."""
-        d, p, rows = self.dim, self.p, self.rows
-        lines = (p,) * (d - 1)
-        dense = np.zeros(lines + (rows,) + lines + (rows,),
-                         dtype=self.data.dtype)
-        for k, t in enumerate(self.shifts):
-            tile = self.block(k).toarray()
-            for j in product(range(p), repeat=d - 1):
-                nb = tuple(a + b for a, b in zip(j, t))
-                if all(0 <= a < p for a in nb):
-                    dense[j + (slice(None),) + nb] = tile
-        return dense.reshape(p ** (d - 1) * rows, -1)
 
     def bind(self, x, out):
         """The product out = A x as a function of no arguments, for

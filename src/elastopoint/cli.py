@@ -29,6 +29,7 @@ from .convergence import (_solve_level, manufactured_sine_2d,
 from .mesh import (_cell_vertices, _lattice_coordinates,
                    build_unit_box_mesh)
 from .multigrid import build_levels
+from .solver import check_rel_tol
 from .spectral import (check_band_size, discrete_korn_constant,
                        weighted_pairing_demo)
 from .weights import WeightSpec, default_ball_family, estimate_a2
@@ -222,6 +223,7 @@ def _cmd_converge(args):
 def _cmd_solve(args):
     if len(args.levels) != 1:
         raise ValueError("solve expects exactly one --levels value")
+    check_rel_tol(args.tol)
     params = LameParams(args.mu, args.lam)
     loads = parse_loads_file(args.loads, args.dim)
     n = args.levels[0]

@@ -21,7 +21,7 @@ from .assembly import (LameParams, PointLoadSet, _shift_offset,
 from .mesh import _cell_volume, _chain_templates, cell_volumes
 from .multigrid import VCycle, build_levels
 from .quadrature import simplex_rule
-from .solver import cg_solve, default_max_iter
+from .solver import cg_solve, check_rel_tol, default_max_iter
 
 
 class StudyError(RuntimeError):
@@ -202,8 +202,8 @@ def _solve_level(levels, forcing, rel_tol, max_iter):
     b = to_padded(mesh, b)
     if max_iter is None:
         max_iter = default_max_iter(mesh.num_free_dofs)
-    x, stats = cg_solve(precond.A, b, rel_tol=rel_tol, max_iter=max_iter,
-                        precond=precond)
+    x, stats = cg_solve(precond.A, b, precond, rel_tol=rel_tol,
+                        max_iter=max_iter)
     if not stats.converged:
         raise StudyError(
             "cg did not converge at level n=%d (%d iterations, relative "
@@ -218,8 +218,10 @@ def run_convergence_study(dim, levels, params, forcing, ref_extra_levels=2,
 
     forcing is either a PointLoadSet (errors against a nested reference
     ref_extra_levels finer than the last level) or a
-    ManufacturedSolution (errors against the exact field).
+    ManufacturedSolution (errors against the exact field). A rel_tol
+    outside (0, 1) raises a ValueError before anything is meshed.
     """
+    check_rel_tol(rel_tol)
     levels = [int(n) for n in levels]
     if not levels or levels[0] < 1:
         raise ValueError("levels must start at a positive n")

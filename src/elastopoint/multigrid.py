@@ -4,31 +4,31 @@ The meshes at n, n/2, n/4, ... are nested, so the P1 prolongation P
 between neighbouring sizes is exact, and the rediscretized coarse
 stiffness equals the Galerkin product P^T A_fine P. P is the same
 stencil at every fine vertex, so each level writes only its
-restriction R = P^T straight into CSR, from a strided view of the
-fine free slots and the Kuhn shifts; R.T, a CSC view of R's arrays,
-is P wherever it is needed. Every level's operator is rediscretized
-by tiling one vertex's stiffness blocks (assembly.LatticeStencil),
-read once per family, at its bottom size, from the slab blocks of the
-2^d cubes around one vertex and scaled by an exact power of two per
-level, the structured-block operator of hierarchical hybrid grids
-(Bergen, Gradl, Hulsemann and Rude, Comput. Sci. Eng. 2006); no level
-is assembled and no sparse triple product is formed. Vectors and R
-are pencil-padded (the layout is defined by assembly.to_padded), so
-an operator's product is one csr_matvecs call per shift of the padded
-axes (3 in 2D, 7 in 3D) on views of x, which copies nothing. The
-V-cycle smooths with Chebyshev-Jacobi polynomials (Adams, Brezina, Hu
-and Tuminaro, "Parallel multigrid smoothing: polynomial versus
+restriction R = P^T straight into CSR, from a strided view of the fine
+free slots and the Kuhn shifts; R.T, a CSC view of R's arrays, is P
+wherever it is needed. Every level's operator is rediscretized by
+tiling one vertex's stiffness blocks (assembly.LatticeStencil), read
+once per family, at its bottom size, from the slab blocks of the 2^d
+cubes around one vertex and scaled by an exact power of two per level,
+the structured-block operator of hierarchical hybrid grids (Bergen,
+Gradl, Hulsemann and Rude, Comput. Sci. Eng. 2006); only a dense
+bottom is assembled, and no sparse triple product is formed. Vectors
+and R are pencil-padded (the layout is defined by assembly.to_padded),
+so an operator's product is one csr_matvecs call per shift of the
+padded axes (3 in 2D, 7 in 3D) on views of x, which copies nothing.
+The V-cycle smooths with Chebyshev-Jacobi polynomials (Adams, Brezina,
+Hu and Tuminaro, "Parallel multigrid smoothing: polynomial versus
 Gauss-Seidel", J. Comput. Phys. 2003) and preconditions CG. It runs in
-the precision of the level data, which build_levels stores in
-float32, the stencil tiles included, once per family, under a CG that
-stays in float64 and owns the range: CG scales its right side by a
-power of two, and the V-cycle rounds that scaled residual to float32
-as it is (Goddeke, Strzodka and Turek, Int. J. Parallel Emergent
-Distrib. Syst. 2007). The V-cycle is symmetric up to float32 rounding
-and moves half the bytes. A solve's V-cycle (VCycle) runs in place on
-buffers it allocates once per solve, with the same operations in the
-same order as a V-cycle that allocates every result, so with the same
-bits. Its products are bound to those buffers once per solve
+the precision of the level data, which build_levels stores in float32,
+the stencil tiles included, once per family, under a CG that stays in
+float64 and owns the range: CG scales its right side by a power of
+two, and the V-cycle rounds that scaled residual to float32 as it is
+(Goddeke, Strzodka and Turek, Int. J. Parallel Emergent Distrib. Syst.
+2007). The V-cycle is symmetric up to float32 rounding and moves half
+the bytes. A solve's V-cycle (VCycle) runs in place on buffers it
+allocates once per solve, with the same operations in the same order
+as a V-cycle that allocates every result, so with the same bits. Its
+products are bound to those buffers once per solve
 (StencilOperator.bind, assembly._bind_sparse), as a structured-block
 solver sets a constant stencil's application up once, so a call pays
 no Python set-up on the small levels. Large products split their rows
@@ -46,7 +46,8 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrs
 
 from .assembly import (LatticeStencil, StencilOperator, _bind_sparse,
-                       _free_slots, _padded_size, _shift_offset, to_padded)
+                       _free_slots, _padded_size, _shift_offset,
+                       assemble_stiffness, to_padded)
 from .mesh import Mesh, _check_memory, _kuhn_shifts, build_unit_box_mesh
 
 # Chebyshev-Jacobi smoother: polynomial degree, and the smoothed part
@@ -72,21 +73,21 @@ class GridLevel:
 
     Vectors are pencil-padded (assembly.to_padded). A, the grad-div
     stiffness, is a float64 StencilOperator: the stencil tiles of one
-    lattice line, whose products equal the assembled stiffness's bit
-    for bit. cycle_A is A with its data rounded to float32, sharing the
+    lattice line, whose products equal the assembled stiffness's bit for
+    bit. cycle_A is A with its data rounded to float32, sharing the
     column indices and row pointers: the operator of the V-cycle.
     inv_diag is 1 / diag(A) rounded to float32 and padded with zeros,
     and lmax the Gershgorin bound max_i sum_j |A_ij| / A_ii on the
-    spectrum of D^-1 A, formed in float64; it is never below the
-    largest eigenvalue, which the smoother needs. R
-    restricts padded vectors of this level to those of the next
-    coarser one, and R.T, a CSC view of R's arrays, is the exact P1
-    prolongation back; R's float32 entries are exactly 1 and 1/2, so
-    a float64 vector times R or R.T has the bits of the float64
-    matrix's product. cycle_A, inv_diag and R set the precision of the
-    V-cycle, and must share one dtype. A level without R (odd n, or n
-    <= 2) is the bottom of every V-cycle that reaches it; there factor
-    holds a float64 dense Cholesky factor of the stiffness on the free
+    spectrum of D^-1 A, formed in float64; it is never below the largest
+    eigenvalue, which the smoother needs. R restricts padded vectors of
+    this level to those of the next coarser one, and R.T, a CSC view of
+    R's arrays, is the exact P1 prolongation back; R's float32 entries
+    are exactly 1 and 1/2, so a float64 vector times R or R.T has the
+    bits of the float64 matrix's product. cycle_A, inv_diag and R set
+    the precision of the V-cycle, and must share one dtype. A level
+    without R (odd n, or n <= 2) is the bottom of every V-cycle that
+    reaches it; there factor holds a float64 dense Cholesky factor of
+    the assembled stiffness (assembly.assemble_stiffness) on the free
     dofs when 0 < n_free <= DENSE_BOTTOM_LIMIT.
     """
 
@@ -157,11 +158,11 @@ def build_levels(dim, n, params):
     level coarsens (holds R) when its n is even and above 2. Every
     level's operator is tiled from one LatticeStencil, read at the
     family's bottom size, so every level's size is that size times a
-    power of two and the family assembles no level and meshes no size
-    outside it. cycle_A, inv_diag and R are stored in float32, once per
-    family, so the V-cycle runs in float32 and rounds nothing per
-    solve. No level holds vertices, cells or a second transfer matrix.
-    lambda / mu above
+    power of two and the family meshes no size outside it; only a
+    dense bottom is assembled, to be factored. cycle_A, inv_diag and R
+    are stored in float32, once per family, so the V-cycle runs in
+    float32 and rounds nothing per solve. No level holds vertices,
+    cells or a second transfer matrix. lambda / mu above
     MAX_LAMBDA_OVER_MU, and a size that check_family_size refuses,
     raise a ValueError before anything is meshed.
     """
@@ -191,7 +192,8 @@ def build_levels(dim, n, params):
         if mesh.n % 2 == 0 and mesh.n > 2:
             R = _restriction(mesh, meshes[k + 1])
         elif 0 < mesh.num_free_dofs <= DENSE_BOTTOM_LIMIT:
-            factor = scipy.linalg.cho_factor(A.toarray(), lower=True)
+            factor = scipy.linalg.cho_factor(
+                assemble_stiffness(mesh, params).toarray(), lower=True)
         levels.append(GridLevel(mesh, A, inv_diag, lmax, R, factor,
                                 A.astype(np.float32)))
     return levels

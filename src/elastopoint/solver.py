@@ -1,14 +1,11 @@
 """Preconditioned conjugate gradients for SPD systems.
 
-The default preconditioner is Jacobi; the solves of the package pass
-the multigrid V-cycle of the multigrid module, which runs in float32
-while CG, its true-residual stop and its tolerance stay in float64,
-on pencil-padded vectors.
-Jacobi-CG stays as the reference the tests compare against.
+The solves of the package pass a level's StencilOperator and its
+multigrid V-cycle, which runs in float32 while CG, its true-residual
+stop and its tolerance stay in float64, on pencil-padded vectors.
 """
 
 from dataclasses import dataclass
-from functools import partial
 from math import sqrt
 
 import numpy as np
@@ -25,8 +22,13 @@ def default_max_iter(n):
     return int(20 * sqrt(max(n, 0))) + 200
 
 
-def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
-             precond=None):
+def check_rel_tol(rel_tol):
+    """Refuse a CG tolerance outside (0, 1) with a ValueError."""
+    if not (0.0 < rel_tol < 1.0):
+        raise ValueError("rel_tol must lie in (0, 1), got %r" % (rel_tol,))
+
+
+def cg_solve(A, b, precond, rel_tol=1e-10, max_iter=None, callback=None):
     """Preconditioned conjugate gradients for SPD systems.
 
     Convergence is declared on the true residual: when the recurrence
@@ -45,43 +47,34 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     alpha p, then M r. w is precond.out when the preconditioner has
     one, such as a multigrid VCycle, whose scratch shares its bytes,
     and a vector allocated per solve otherwise. The two products,
-    p -> A p and x -> A p, are bound to p, x and w once per solve; with an
-    operator whose products write into their output, such as a
-    multigrid level's StencilOperator, and a precond that works in
-    place, no step allocates a vector of the system's size. Each
-    update keeps the operations, and their order, of its allocating
-    form, so the iterates have its bits: r is updated before x, which
-    it does not read.
+    p -> A p and x -> A p, are bound to p, x and w once per solve, so
+    with a precond that works in place no step allocates a vector of
+    the system's size. Each update keeps the operations, and their
+    order, of its allocating form, so the iterates have its bits: r is
+    updated before x, which it does not read.
 
     Parameters
     ----------
-    A : SPD: a scipy sparse matrix or an ndarray over the free dofs,
-        or a multigrid level operator (assembly.StencilOperator) over
-        pencil-padded vectors, SPD on their free slots, with a precond
-        (its diagonal() is over the free dofs); only A.shape, the
-        product and, for Jacobi, A.diagonal() are used.
-        The products are A.bind(x, out), made once per solve, when A
-        has that method, and A @ x copied into out otherwise.
+    A : operator of shape (n, n) whose bind(x, out) returns a function
+        of no arguments that writes A x into out: a multigrid level's
+        StencilOperator, SPD on the free slots of its padded vectors.
     b : ndarray
+    precond : callable precond(r, out) that writes M r into out, for a
+        symmetric positive definite M (a float32 V-cycle is one up to
+        float32 rounding), and leaves r as it is; r, CG's residual of
+        the scaled b, and out are float64 and overwritten between
+        calls. Its attribute out, if it has one, is CG's w, which the
+        precond may use as scratch while it runs.
     rel_tol : float in (0, 1)
     max_iter : int, defaults to 20 sqrt(n) + 200
     callback : optional callable receiving the iterate after each step,
         scaled back (diagnostics only).
-    precond : optional callable precond(r, out) that writes M r into
-        out, for a symmetric positive definite M (a float32 V-cycle is
-        one up to float32 rounding), and leaves r as it is; r, CG's
-        residual of the scaled b, and out are float64 and overwritten
-        between calls. Its attribute out, if it has one, is the float64
-        vector of b's size that CG passes as out and works in; the
-        precond may use it as scratch while it runs. None means
-        Jacobi, M = diag(A)^-1.
 
     Returns
     -------
     (x, SolveStats)
     """
-    if not (0.0 < rel_tol < 1.0):
-        raise ValueError("rel_tol must lie in (0, 1), got %r" % (rel_tol,))
+    check_rel_tol(rel_tol)
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if A.shape != (n, n):
@@ -89,34 +82,11 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
                          % (A.shape, n))
     if max_iter is None:
         max_iter = default_max_iter(n)
-    if n == 0:
-        return np.zeros(0), SolveStats(0, 0.0, True)
 
-    if precond is None:
-        diag = A.diagonal() if hasattr(A, "diagonal") else np.diag(A)
-        diag = np.asarray(diag, dtype=float)
-        if np.any(diag == 0.0):
-            raise ValueError("zero diagonal entry; Jacobi preconditioner "
-                             "undefined")
-        inv_diag = 1.0 / diag
-
-        def precond(r, out):
-            np.multiply(inv_diag, r, out=out)
-
-    bind = getattr(A, "bind", None)
-    if bind is None:
-        def matvec(v, out):
-            out[...] = A @ v
-
-        def bind(v, out):
-            return partial(matvec, v, out)
-
-    # solve for b times the power of two 2^-e that puts max |b| in
-    # [0.5, 1), and scale x back: the scaling is exact and commutes with
-    # every step, so the bits of a normal-range b stay those of its
-    # unscaled solve, and the norm of a tiny b does not underflow to 0.
-    # The scaled b is formed where it is read, first as r
-    e = int(np.frexp(max(b.max(), -b.min()))[1])
+    # the scaling by 2^-e is exact and commutes with every step; an
+    # empty b scales as a zero one. The scaled b is formed where it is
+    # read, first as r
+    e = int(np.frexp(max(b.max(initial=0.0), -b.min(initial=0.0)))[1])
     r = np.ldexp(b, -e)
     bnorm = np.linalg.norm(r)
     # the scaled r has max |r| < 1, so only an inf or a NaN in b (such
@@ -134,7 +104,7 @@ def cg_solve(A, b, rel_tol=1e-10, max_iter=None, callback=None,
     precond(r, w)
     p = w.copy()
     # the two products of the loop, bound once to their vectors
-    p_product, x_product = bind(p, w), bind(x, w)
+    p_product, x_product = A.bind(p, w), A.bind(x, w)
     rz = float(r @ w)
     it = 0
     converged = False

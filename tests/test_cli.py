@@ -429,6 +429,24 @@ def _run_traced(argv):
     return rc, peak
 
 
+@pytest.mark.parametrize("argv", [
+    ["converge", "--dim", "3", "--levels", "4", "8", "--ref-extra", "4",
+     "--tol", "0"],
+    ["solve", "--dim", "3", "--levels", "64", "--tol", "2"],
+])
+def test_bad_tolerance_is_refused_before_any_work(argv, tmp_path, capsys):
+    loads = tmp_path / "loads.txt"
+    loads.write_text("point 0.4 0.55 0.45 1 0 0\n")
+    out = tmp_path / "out.csv"
+    rc, peak = _run_traced(argv + ["--loads", str(loads), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rel_tol must lie in (0, 1)" in captured.err
+    assert not out.exists()
+    assert peak < 2**20
+
+
 def test_infsup_demo_checks_every_level_first(tmp_path, capsys):
     out = tmp_path / "demo.csv"
     rc, peak = _run_traced(["infsup-demo", "--dim", "3", "--levels", "4",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -313,3 +315,20 @@ def test_study_argument_validation():
         run_convergence_study(2, [0, 0], params, loads)
     with pytest.raises(ValueError):
         run_convergence_study(2, [4, 8], params, loads, ref_extra_levels=1)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, -1e-3, 2.0])
+def test_study_refuses_a_bad_tolerance_before_any_work(tol):
+    # cg_solve alone refused it, after the family to the n=128 reference
+    # was built and the coarse levels were solved: 205 MB of RSS at tol 0
+    loads = PointLoadSet([[0.4, 0.55, 0.45]], [[1.0, 0.0, 0.0]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=r"rel_tol must lie in \(0, 1\)"):
+            run_convergence_study(3, [4, 8], LameParams(1.0, 1.0), loads,
+                                  ref_extra_levels=4, rel_tol=tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
